@@ -5,12 +5,12 @@ __version__ = "0.1.0"
 
 from .signals import (Signal, SegmentationConfig, Spectrum, PowerSpectrum,
                       segment, segment_offsets, amplitude_spectrum, power_spectrum)
-from .time_features import (ThresholdParams, iemg, mav, mmav1, mmav2, mavslp,
-                            ssi, var, rms, wl, zc, ssc, wamp, hemg)
+from .time_features import (iemg, mav, mmav1, mmav2, mavslp, ssi, var, rms, wl,
+                            zc, ssc, wamp, hemg)
 from .freq_features import (ArModel, SpectralMoments, ar_coefficients,
                             mnf, mdf, mmnf, mmdf, spectral_moments)
 from .noise import NoiseSpec, generate_wgn, signal_power, inject_at_snr
-from .registry import (FeatureDescriptor, FEATURE_NAMES, FEATURE_SETS,
+from .registry import (FeatureDescriptor, FEATURE_NAMES, FEATURE_SETS, extract,
                        make_descriptor, parse_feature, parse_features,
                        feature_set, default_panel)
 from .robustness import (RobustnessConfig, RobustnessGrid, TrialRecord,

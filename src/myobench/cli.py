@@ -16,13 +16,13 @@ import click
 from . import __version__
 from .dataio import (ClassSpec, Dataset, DatasetError, SynthConfig,
                      default_class_specs, load_dataset, save_dataset, synthesize_emg)
-from .recognition import (DEFAULT_VOTE_WINDOW, decisions_to_csv,
-                          evaluate_feature_sets, table_to_csv, table_to_json)
+from .recognition import (DEFAULT_VOTE_WINDOW, decisions_to_csv, evaluate_feature_sets,
+                          extract_window_set, table_to_csv, table_to_json)
 from .registry import (default_panel, feature_set, parse_features,
                        resolve_hemg_limit)
 from .robustness import (RobustnessConfig, grid_to_csv, grid_to_json,
                          records_from_dataset, run_grid, sweep_parameters)
-from .signals import SegmentationConfig, segment, segment_offsets
+from .signals import SegmentationConfig
 
 
 @click.group()
@@ -126,37 +126,28 @@ def extract(data, features, window_ms, slide_ms, out):
             descriptors,
             (t.data[:, ch] for t in dataset.trials for ch in range(len(t.channels))),
         )
-        header = ["trial_id", "label", "group", "window_start_ms"]
-        for ch_name in dataset.trials[0].channels:
-            for desc in descriptors:
-                header.extend(f"{ch_name}:{c}" for c in desc.component_names())
-        out_path = Path(out)
-        if out_path.parent != Path("."):
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-        with out_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            n_rows = 0
-            for trial in dataset.trials:
-                offsets = segment_offsets(trial.signal(0, dataset.rate), seg_cfg)
-                per_channel = [segment(trial.signal(ch, dataset.rate), seg_cfg)
-                               for ch in range(len(trial.channels))]
-                for w_idx, offset in enumerate(offsets):
-                    row = [trial.trial_id, trial.label, trial.group,
-                           f"{offset * 1000.0 / dataset.rate:g}"]
-                    for windows in per_channel:
-                        for desc in descriptors:
-                            row.extend(f"{v:.10g}"
-                                       for v in desc.compute(windows[w_idx], dataset.rate))
-                    writer.writerow(row)
-                    n_rows += 1
+        windows = extract_window_set(dataset.trials, dataset.rate, descriptors,
+                                     seg_cfg, dataset.classes)
     except ValueError as exc:
         _fail(exc)
+    trials = {t.trial_id: t for t in dataset.trials}
+    out_path = Path(out)
+    if out_path.parent != Path("."):
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+    with out_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial_id", "label", "group", "window_start_ms",
+                         *windows.feature_names])
+        for trial_id, start, values in zip(windows.trial_ids, windows.window_start_ms,
+                                           windows.features):
+            trial = trials[trial_id]
+            writer.writerow([trial_id, trial.label, trial.group, f"{start:g}",
+                             *(f"{v:.10g}" for v in values)])
     config = {"command": "extract", "data": str(data), "features": features,
               "window_ms": window_ms, "slide_ms": slide_ms}
     out_path.with_suffix(out_path.suffix + ".config.json").write_text(
         json.dumps(config, indent=2) + "\n")
-    click.echo(f"wrote {out_path} ({n_rows} windows)")
+    click.echo(f"wrote {out_path} ({len(windows)} windows)")
 
 
 def _parse_sweep(text: str):

@@ -13,6 +13,9 @@ power spectrum (mnf, mdf) and their modified counterparts computed on the
 amplitude spectrum (mmnf, mmdf). The amplitude-based pair is the
 noise-robust variant: squaring the spectrum amplifies bin-to-bin variation,
 so moments of A_j move less under broadband noise than moments of A_j^2.
+
+Every feature takes one window (or its spectrum) or a (windows, samples)
+matrix (or a spectrum with one row per window) and gives one result per row.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import PowerSpectrum, Signal, Spectrum, amplitude_spectrum, power_spectrum
+from .time_features import _per_window
 
 
 @dataclass
@@ -53,55 +57,77 @@ def ar_coefficients(window, order: int = 1) -> ArModel:
     order >= window length.
     """
     x = np.asarray(window, dtype=float)
-    p = int(order)
     if x.ndim != 1:
         raise ValueError("need a 1-D window")
+    coefficients, noise_variance = levinson_durbin(x[np.newaxis], order)
+    return ArModel(order=int(order), coefficients=coefficients[0],
+                   noise_variance=float(noise_variance[0]))
+
+
+def levinson_durbin(windows, order: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """AR(order) fit of every row of a (windows, samples) matrix.
+
+    Returns the (windows, order) coefficients a_1..a_p and the (windows,)
+    residual variances, under the conventions of ``ar_coefficients``. Every
+    dot product runs through BLAS on contiguous rows, as ``np.dot`` does for
+    one window, so a row's fit does not depend on the rows batched with it.
+    """
+    x = np.ascontiguousarray(windows, dtype=float)
+    p = int(order)
+    if x.ndim != 2:
+        raise ValueError("need a (windows, samples) matrix")
     if p < 1:
         raise ValueError("AR order must be >= 1")
-    if p >= x.size:
-        raise ValueError(f"AR order {p} needs more than {x.size} samples")
-    n = x.size
-    r = np.array([np.dot(x[: n - k], x[k:]) for k in range(p + 1)]) / n
-    if r[0] <= 0:
+    n = x.shape[1]
+    if p >= n:
+        raise ValueError(f"AR order {p} needs more than {n} samples")
+    r = np.stack([_row_dots(x[:, :n - k], x[:, k:]) for k in range(p + 1)], axis=1) / n
+    if np.any(r[:, 0] <= 0):
         raise ValueError("window is identically zero; autocorrelation is singular")
 
-    phi = np.zeros(p)
-    energy = r[0]
+    r_reversed = r[:, ::-1].copy()  # r_reversed[:, p - k] == r[:, k], contiguous for BLAS
+    phi = np.zeros((x.shape[0], p))
+    energy = r[:, 0]
     for i in range(1, p + 1):
-        acc = r[i] - np.dot(phi[: i - 1], r[1:i][::-1])
-        if energy <= 0:
+        acc = r[:, i] - _row_dots(phi[:, : i - 1], r_reversed[:, p - i + 1:p])
+        if np.any(energy <= 0):
             raise ValueError("prediction error collapsed to zero; window is degenerate")
         k = acc / energy
-        phi[: i - 1] = phi[: i - 1] - k * phi[: i - 1][::-1]
-        phi[i - 1] = k
-        energy *= 1.0 - k * k
-    return ArModel(order=p, coefficients=-phi, noise_variance=float(max(energy, 0.0)))
+        phi[:, : i - 1] = phi[:, : i - 1] - k[:, np.newaxis] * phi[:, : i - 1][:, ::-1]
+        phi[:, i - 1] = k
+        energy = energy * (1.0 - k * k)
+    return -phi, np.maximum(energy, 0.0)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # A stack of vector @ vector products runs np.dot's BLAS kernel per row.
+    return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
 
 
 def _moment_arrays(freqs, weights, include_dc: bool):
-    freqs = np.asarray(freqs, dtype=float)
-    weights = np.asarray(weights, dtype=float)
     if not include_dc:
         keep = freqs != 0.0
-        freqs, weights = freqs[keep], weights[keep]
-    total = np.sum(weights)
-    if not total > 0:
+        freqs, weights = freqs[keep], weights[..., keep]
+    total = np.sum(weights, axis=-1)
+    if not np.all(total > 0):
         raise ValueError("spectrum has no mass; mean/median frequency undefined")
     return freqs, weights, total
 
 
 def _centroid(freqs, weights, include_dc: bool) -> float:
     freqs, weights, total = _moment_arrays(freqs, weights, include_dc)
-    return float(np.sum(freqs * weights) / total)
+    return _per_window(np.sum(freqs * weights, axis=-1) / total)
 
 
 def _median_bin(freqs, weights, include_dc: bool) -> float:
     # Discrete rule: smallest bin whose cumulative weight reaches half the
-    # total; exact half-splits land on the lower-frequency candidate.
+    # total; exact half-splits land on the lower-frequency candidate. The
+    # cumulative sum never decreases, so counting the bins below half the
+    # total is a per-row searchsorted.
     freqs, weights, total = _moment_arrays(freqs, weights, include_dc)
-    cum = np.cumsum(weights)
-    idx = int(np.searchsorted(cum, 0.5 * total, side="left"))
-    return float(freqs[min(idx, freqs.size - 1)])
+    below = np.cumsum(weights, axis=-1) < 0.5 * total[..., np.newaxis]
+    idx = np.minimum(np.count_nonzero(below, axis=-1), freqs.size - 1)
+    return _per_window(freqs[idx])
 
 
 def mnf(spectrum: PowerSpectrum, include_dc: bool = True) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataio import Dataset, Trial
 from .noise import NoiseSpec, derive_seed, inject_at_snr
-from .registry import FeatureDescriptor, resolve_hemg_limit
+from .registry import FeatureDescriptor, extract, resolve_hemg_limit
 from .signals import SegmentationConfig, segment, segment_offsets
 
 DEFAULT_VOTE_WINDOW = 5  # ~512 ms of context at 256/64 ms windowing
@@ -161,35 +161,25 @@ def extract_window_set(trials: list[Trial], rate: float,
     Feature columns are channel-major: all descriptors of channel 1, then
     channel 2, and so on; vector features contribute one column per component.
     """
-    feature_names = []
-    if trials:
-        for ch_name in trials[0].channels:
-            for desc in descriptors:
-                feature_names.extend(f"{ch_name}:{c}" for c in desc.component_names())
+    if not trials:
+        raise ValueError("no trials to extract features from")
+    feature_names = [f"{ch_name}:{c}" for ch_name in trials[0].channels
+                     for desc in descriptors for c in desc.component_names()]
 
-    rows, labels, trial_ids, starts = [], [], [], []
+    blocks, labels, trial_ids, starts = [], [], [], []
     for trial in trials:
-        sig0 = trial.signal(0, rate)
-        offsets = segment_offsets(sig0, segmentation)
-        per_channel = [segment(trial.signal(ch, rate), segmentation)
-                       for ch in range(len(trial.channels))]
-        label_idx = class_names.index(trial.label)
-        for w_idx, offset in enumerate(offsets):
-            row = np.concatenate([
-                desc.compute(windows[w_idx], rate)
-                for windows in per_channel
-                for desc in descriptors
-            ])
-            rows.append(row)
-            labels.append(label_idx)
-            trial_ids.append(trial.trial_id)
-            starts.append(offset * 1000.0 / rate)
-    if not rows:
-        raise ValueError("no windows extracted; trials too short?")
+        offsets = segment_offsets(trial.signal(0, rate), segmentation)
+        blocks.append(np.hstack([
+            extract(descriptors, segment(trial.signal(ch, rate), segmentation), rate)
+            for ch in range(len(trial.channels))
+        ]))
+        labels.extend([class_names.index(trial.label)] * offsets.size)
+        trial_ids.extend([trial.trial_id] * offsets.size)
+        starts.append(offsets * 1000.0 / rate)
     return LabeledWindowSet(
-        features=np.vstack(rows), labels=np.array(labels),
+        features=np.vstack(blocks), labels=np.array(labels),
         trial_ids=trial_ids, class_names=list(class_names),
-        window_start_ms=np.array(starts), feature_names=feature_names,
+        window_start_ms=np.concatenate(starts), feature_names=feature_names,
     )
 
 

@@ -1,11 +1,12 @@
 """Named feature descriptors shared by the benchmark, pipeline, and CLI.
 
-A descriptor is a feature name plus concrete parameters. ``compute`` returns
-a 1-D array (length 1 for scalar features; one value per bin/coefficient/
-segment-difference for vector features). For percentage-error benchmarking a
-vector feature is reduced to one scalar, by default the component the
-robustness study singles out: histogram bin 2 (of the 3-bin histogram) and
-AR coefficient a_1. Components are numbered from 1.
+A descriptor is a feature name plus concrete parameters. ``extract``
+evaluates a list of descriptors on a window or a (windows, samples) matrix
+and returns one row per window: one column per scalar feature, one per
+bin/coefficient/segment-difference for vector features. For
+percentage-error benchmarking a vector feature is reduced to one scalar, by
+default the component the robustness study singles out: histogram bin 2 (of
+the 3-bin histogram) and AR coefficient a_1. Components are numbered from 1.
 
 Descriptor strings use ``name:key=value:key=value``, e.g. ``wamp:threshold=20``
 or ``ar:order=2``; feature lists are comma separated.
@@ -20,8 +21,6 @@ from . import freq_features as ff
 from . import time_features as tf
 from .signals import amplitude_spectrum, power_spectrum
 
-_THRESHOLDS = tf.ThresholdParams()
-
 # name -> default params; ints where the feature needs counts/orders
 _FAMILIES: dict[str, dict] = {
     "iemg": {},
@@ -33,9 +32,9 @@ _FAMILIES: dict[str, dict] = {
     "var": {},
     "rms": {},
     "wl": {},
-    "zc": {"threshold": _THRESHOLDS.zc},
-    "ssc": {"threshold": _THRESHOLDS.ssc},
-    "wamp": {"threshold": _THRESHOLDS.wamp},
+    "zc": {"threshold": tf.DEFAULT_ZC_THRESHOLD},
+    "ssc": {"threshold": tf.DEFAULT_SSC_THRESHOLD},
+    "wamp": {"threshold": tf.DEFAULT_WAMP_THRESHOLD},
     "hemg": {"bins": tf.DEFAULT_HEMG_BINS, "limit": None},
     "ar": {"order": 1},
     "mnf": {"dc": 1},
@@ -43,6 +42,16 @@ _FAMILIES: dict[str, dict] = {
     "mmnf": {"dc": 1},
     "mmdf": {"dc": 1},
 }
+
+# name -> kernel over a (windows, samples) matrix, called with the
+# descriptor's parameters as keywords
+_KERNELS = {name: getattr(tf, name) for name in (
+    "iemg", "mav", "mmav1", "mmav2", "mavslp", "ssi", "var", "rms", "wl",
+    "zc", "ssc", "wamp", "hemg")}
+_KERNELS["ar"] = lambda x, order: ff.levinson_durbin(x, order)[0]
+# name -> (moment of a spectrum, whether it weighs by power rather than amplitude)
+_SPECTRAL = {"mnf": (ff.mnf, True), "mdf": (ff.mdf, True),
+             "mmnf": (ff.mmnf, False), "mmdf": (ff.mmdf, False)}
 
 _INT_PARAMS = {"segments", "bins", "order", "dc"}
 _DEFAULT_SCALAR_COMPONENT = {"hemg": 2, "ar": 1, "mavslp": 1}
@@ -62,14 +71,12 @@ class FeatureDescriptor:
     """One named feature with pinned parameters.
 
     ``scalar_component`` picks the 1-based component used when a single value
-    is needed (percentage error); ``vector_mean`` switches that reduction to
-    the mean PE over all components instead.
+    is needed (percentage error).
     """
 
     name: str
     params: tuple[tuple[str, float], ...] = ()
     scalar_component: int = 1
-    vector_mean: bool = False
 
     @property
     def param_dict(self) -> dict:
@@ -117,65 +124,50 @@ class FeatureDescriptor:
 
     def compute(self, window: np.ndarray, rate: float) -> np.ndarray:
         """Evaluate the feature on one window; always returns a 1-D array."""
-        p = self.param_dict
-        name = self.name
-        if name == "iemg":
-            value = tf.iemg(window)
-        elif name == "mav":
-            value = tf.mav(window)
-        elif name == "mmav1":
-            value = tf.mmav1(window)
-        elif name == "mmav2":
-            value = tf.mmav2(window)
-        elif name == "mavslp":
-            return np.asarray(tf.mavslp(window, segments=int(p["segments"])), dtype=float)
-        elif name == "ssi":
-            value = tf.ssi(window)
-        elif name == "var":
-            value = tf.var(window)
-        elif name == "rms":
-            value = tf.rms(window)
-        elif name == "wl":
-            value = tf.wl(window)
-        elif name == "zc":
-            value = tf.zc(window, threshold=p["threshold"])
-        elif name == "ssc":
-            value = tf.ssc(window, threshold=p["threshold"])
-        elif name == "wamp":
-            value = tf.wamp(window, threshold=p["threshold"])
-        elif name == "hemg":
-            limit = p.get("limit")
-            if limit is None:
-                raise ValueError("hemg descriptor used before its range was resolved")
-            return np.asarray(tf.hemg(window, bins=int(p["bins"]), limit=limit), dtype=float)
-        elif name == "ar":
-            return ff.ar_coefficients(window, order=int(p["order"])).coefficients
-        elif name in ("mnf", "mdf", "mmnf", "mmdf"):
-            include_dc = bool(p.get("dc", 1))
-            spec = amplitude_spectrum(window, rate)
-            if name == "mmnf":
-                value = ff.mmnf(spec, include_dc)
-            elif name == "mmdf":
-                value = ff.mmdf(spec, include_dc)
-            else:
-                ps = power_spectrum(spec)
-                value = ff.mnf(ps, include_dc) if name == "mnf" else ff.mdf(ps, include_dc)
-        else:
-            raise ValueError(f"unknown feature {name!r}")
-        return np.array([float(value)])
+        return extract([self], window, rate)[0]
 
-    def scalarize(self, values: np.ndarray) -> float:
+    def scalarize(self, values: np.ndarray):
+        """The scalar component of a value vector, or of each row of a matrix."""
         idx = self.scalar_component - 1
-        if not 0 <= idx < values.size:
+        if not 0 <= idx < values.shape[-1]:
             raise ValueError(
                 f"{self.label}: scalar component {self.scalar_component} out of "
-                f"range for {values.size} components"
+                f"range for {values.shape[-1]} components"
             )
-        return float(values[idx])
+        return values[..., idx]
 
 
-def make_descriptor(name: str, params: dict | None = None, *,
-                    vector_mean: bool = False) -> FeatureDescriptor:
+def extract(descriptors, windows, rate: float) -> np.ndarray:
+    """Evaluate descriptors on a window or a (windows, samples) matrix.
+
+    Returns a (windows, columns) float matrix (one row for a 1-D window).
+    Columns follow the descriptor order, a vector feature contributing one
+    column per component. The spectrum is computed once per call and shared
+    by the spectral moments.
+    """
+    x = np.asarray(windows, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError("need a 1-D window or a (windows, samples) matrix")
+    rows = x[np.newaxis] if x.ndim == 1 else x
+    spectrum = None
+    columns = []
+    for desc in descriptors:
+        params = desc.param_dict
+        if desc.needs_resolution():
+            raise ValueError("hemg descriptor used before its range was resolved")
+        if desc.name in _SPECTRAL:
+            if spectrum is None:
+                spectrum = amplitude_spectrum(rows, rate)
+            moment, by_power = _SPECTRAL[desc.name]
+            value = moment(power_spectrum(spectrum) if by_power else spectrum,
+                           bool(params["dc"]))
+        else:
+            value = _KERNELS[desc.name](rows, **params)
+        columns.append(np.asarray(value, dtype=float).reshape(rows.shape[0], -1))
+    return np.hstack(columns)
+
+
+def make_descriptor(name: str, params: dict | None = None) -> FeatureDescriptor:
     """Build a descriptor from a family name and parameter overrides."""
     if name not in _FAMILIES:
         raise ValueError(
@@ -190,7 +182,6 @@ def make_descriptor(name: str, params: dict | None = None, *,
         name=name,
         params=tuple(sorted(merged.items(), key=lambda kv: kv[0])),
         scalar_component=_DEFAULT_SCALAR_COMPONENT.get(name, 1),
-        vector_mean=vector_mean,
     )
 
 

@@ -6,9 +6,11 @@ percentage error
 
     PE = |(feature_clean - feature_noise) / feature_clean| * 100
 
-Results aggregate to mean/std PE per (feature, group, motion, SNR). Cells
-whose clean value is zero (PE undefined) or whose extraction fails are not
-averaged; they are counted in the ``excluded`` column instead.
+Results aggregate to mean/std PE per (feature, group, motion, SNR). Each
+record's noisy copies are stacked into one matrix and every feature is
+extracted once from it, so a (record, feature) pair whose clean value is zero
+(PE undefined) or whose extraction fails is left out as a whole: its
+attempts are not averaged but counted in the ``excluded`` column instead.
 
 All features at a given (record, SNR, repetition) see the same noise draw,
 and each draw's stream is keyed by (seed, record index, SNR index,
@@ -26,15 +28,18 @@ import numpy as np
 
 from .dataio import Dataset
 from .noise import NoiseSpec, derive_seed, inject_at_snr
-from .registry import FeatureDescriptor, resolve_hemg_limit
+from .registry import FeatureDescriptor, extract, make_descriptor, resolve_hemg_limit
 from .signals import SegmentationConfig, Signal, segment
 
 
-def percentage_error(clean_value: float, noisy_value: float) -> float:
-    """Relative feature deviation in percent; undefined for a zero clean value."""
-    if clean_value == 0:
+def percentage_error(clean_value, noisy_value):
+    """Relative feature deviation in percent; undefined for a zero clean value.
+
+    Either value may be an array; the result broadcasts over both.
+    """
+    if np.any(np.asarray(clean_value) == 0):
         raise ValueError("percentage error is undefined for a zero clean value")
-    return abs((clean_value - noisy_value) / clean_value) * 100.0
+    return np.abs((clean_value - noisy_value) / clean_value) * 100.0
 
 
 @dataclass(frozen=True)
@@ -118,120 +123,87 @@ def records_from_dataset(dataset: Dataset, segmentation: SegmentationConfig | No
     return records
 
 
-class _Cell:
-    __slots__ = ("pes", "excluded")
-
-    def __init__(self):
-        self.pes: list[float] = []
-        self.excluded = 0
-
-
-def _feature_pe(desc: FeatureDescriptor, clean: np.ndarray,
-                noisy: np.ndarray) -> float | None:
-    """Scalarized PE for one sample, or None when the clean value excludes it."""
-    if desc.vector_mean:
-        mask = clean != 0
-        if not np.any(mask):
-            return None
-        return float(np.mean(np.abs((clean[mask] - noisy[mask]) / clean[mask])) * 100.0)
-    clean_scalar = desc.scalarize(clean)
-    if clean_scalar == 0:
-        return None
-    return percentage_error(clean_scalar, desc.scalarize(noisy))
-
-
 def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
              cfg: RobustnessConfig) -> RobustnessGrid:
-    """Run the PE benchmark over records x features x SNR grid x repetitions."""
+    """Run the PE benchmark over records x features x SNR grid x repetitions.
+
+    Rows come sorted by feature name, then input position among features of
+    the same name, then group, motion and falling SNR.
+    """
     if cfg.groups is not None:
         records = [r for r in records if r.group in cfg.groups]
     if not records:
         raise ValueError("no trial records to benchmark")
+    if len(set(features)) != len(features):
+        raise ValueError("a feature (or sweep value) is listed twice")
     features = resolve_hemg_limit(features, (r.signal.samples for r in records))
 
-    cells: dict[tuple, _Cell] = {}
-
-    def cell(desc, record, snr) -> _Cell:
-        key = (desc.label, record.group, record.motion, snr)
-        if key not in cells:
-            cells[key] = _Cell()
-        return cells[key]
-
+    reps = cfg.repetitions
+    pe = np.zeros((len(features), len(records), len(cfg.snr_grid), reps))
+    valid = np.zeros((len(features), len(records)), dtype=bool)
     for r_idx, record in enumerate(records):
-        rate = record.signal.rate
-        clean_values: dict[int, np.ndarray | None] = {}
-        for d_idx, desc in enumerate(features):
-            try:
-                clean_values[d_idx] = desc.compute(record.signal.samples, rate)
-            except ValueError:
-                clean_values[d_idx] = None
+        signal = record.signal
+        copies = [signal.samples]  # row 0 is the clean signal
         for s_idx, snr in enumerate(cfg.snr_grid):
             stream_seed = derive_seed(cfg.seed, r_idx, s_idx)
-            for rep in range(cfg.repetitions):
-                if cfg.dry_run:
-                    noisy_samples = record.signal.samples
-                else:
-                    spec = NoiseSpec(snr_db=snr, seed=stream_seed, repetition_index=rep)
-                    noisy_samples = inject_at_snr(record.signal, spec).samples
-                for d_idx, desc in enumerate(features):
-                    slot = cell(desc, record, snr)
-                    clean = clean_values[d_idx]
-                    if clean is None:
-                        slot.excluded += 1
-                        continue
-                    try:
-                        noisy = desc.compute(noisy_samples, rate)
-                        pe = _feature_pe(desc, clean, noisy)
-                    except ValueError:
-                        pe = None
-                    if pe is None:
-                        slot.excluded += 1
-                    else:
-                        slot.pes.append(pe)
+            copies.extend(
+                signal.samples if cfg.dry_run else inject_at_snr(
+                    signal, NoiseSpec(snr_db=snr, seed=stream_seed, repetition_index=rep)
+                ).samples
+                for rep in range(reps))
+        matrix = np.vstack(copies)
+        for d_idx, desc in enumerate(features):
+            try:
+                values = desc.scalarize(extract([desc], matrix, signal.rate))
+                pe[d_idx, r_idx] = percentage_error(values[0], values[1:]).reshape(-1, reps)
+            except ValueError:
+                continue
+            valid[d_idx, r_idx] = True
 
-    label_to_params = {d.label: d.param_text for d in features}
-    label_to_name = {d.label: d.name for d in features}
+    buckets: dict[tuple[str, str], list[int]] = {}
+    for r_idx, record in enumerate(records):
+        buckets.setdefault((record.group, record.motion), []).append(r_idx)
+    levels = {snr: [s for s, level in enumerate(cfg.snr_grid) if level == snr]
+              for snr in sorted(set(cfg.snr_grid), reverse=True)}
     rows = []
-    for (label, group, motion, snr), slot in cells.items():
-        pes = np.asarray(slot.pes)
-        rows.append(GridRow(
-            feature=label_to_name[label],
-            parameters=label_to_params[label],
-            group=group,
-            motion=motion,
-            snr_db=snr,
-            mean_pe=float(np.mean(pes)) if pes.size else float("nan"),
-            std_pe=float(np.std(pes)) if pes.size else float("nan"),
-            n=int(pes.size),
-            excluded=slot.excluded,
-        ))
-    rows.sort(key=lambda r: (r.feature, r.parameters, r.group, r.motion, -r.snr_db))
+    for d_idx in sorted(range(len(features)), key=lambda d: features[d].name):
+        desc = features[d_idx]
+        for (group, motion), members in sorted(buckets.items()):
+            kept = [r for r in members if valid[d_idx, r]]
+            for snr, columns in levels.items():
+                pes = pe[d_idx][np.ix_(kept, columns)].ravel()
+                rows.append(GridRow(
+                    feature=desc.name,
+                    parameters=desc.param_text,
+                    group=group,
+                    motion=motion,
+                    snr_db=snr,
+                    mean_pe=float(np.mean(pes)) if pes.size else float("nan"),
+                    std_pe=float(np.std(pes)) if pes.size else float("nan"),
+                    n=int(pes.size),
+                    excluded=(len(members) - len(kept)) * len(columns) * reps,
+                ))
     return RobustnessGrid(rows=rows, config=_config_dict(cfg, features))
 
 
 def sweep_parameters(records: list[TrialRecord], family: str, param: str,
                      values, cfg: RobustnessConfig,
                      base_params: dict | None = None) -> RobustnessGrid:
-    """Re-run the grid once per parameter value and merge the slices.
+    """Run one grid over one descriptor per parameter value.
 
     Noise draws depend only on (seed, record, SNR, repetition), so every
-    slice sees identical noise and the slices are directly comparable.
+    value sees identical noise and the slices are directly comparable.
+    Repeated values are rejected: they would fold into one slice.
     """
-    from .registry import make_descriptor
-
     values = list(values)
     if not values:
         raise ValueError("parameter sweep needs at least one value")
-    all_rows = []
-    for value in values:
-        params = dict(base_params or {})
-        params[param] = value
-        grid = run_grid(records, [make_descriptor(family, params)], cfg)
-        all_rows.extend(grid.rows)
-    config = _config_dict(cfg, [])
-    config["sweep"] = {"feature": family, "parameter": param,
-                       "values": [float(v) for v in values]}
-    return RobustnessGrid(rows=all_rows, config=config)
+    descriptors = [make_descriptor(family, {**(base_params or {}), param: value})
+                   for value in values]
+    grid = run_grid(records, descriptors, cfg)
+    grid.config["sweep"] = {"feature": family, "parameter": param,
+                            "values": [float(v) for v in values]}
+    return grid
 
 
 def _config_dict(cfg: RobustnessConfig, features) -> dict:
@@ -243,7 +215,7 @@ def _config_dict(cfg: RobustnessConfig, features) -> dict:
         "dry_run": cfg.dry_run,
         "features": [
             {"name": d.name, "parameters": d.param_text,
-             "scalar_component": d.scalar_component, "vector_mean": d.vector_mean}
+             "scalar_component": d.scalar_component}
             for d in features
         ],
     }

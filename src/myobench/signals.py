@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass
@@ -88,27 +89,28 @@ def segment_offsets(signal: Signal, cfg: SegmentationConfig) -> np.ndarray:
 def segment(signal: Signal, cfg: SegmentationConfig) -> np.ndarray:
     """Cut a signal into sliding windows.
 
-    Returns an array of shape (n_windows, window_samples). Window k starts at
-    sample k * slide; any trailing samples that do not fill a window are
-    discarded.
+    Returns a read-only (n_windows, window_samples) view of the signal's
+    samples; nothing is copied. Window k starts at sample k * slide; any
+    trailing samples that do not fill a window are discarded.
     """
-    w = cfg.window_samples(signal.rate)
-    offsets = segment_offsets(signal, cfg)
-    return np.stack([signal.samples[o:o + w] for o in offsets])
+    segment_offsets(signal, cfg)  # raises when the signal is too short
+    windows = sliding_window_view(signal.samples, cfg.window_samples(signal.rate))
+    return windows[::cfg.slide_samples(signal.rate)]
 
 
 @dataclass
 class Spectrum:
-    """One-sided amplitude spectrum: A_j (mV per bin) on frequency axis f_j (Hz)."""
+    """One-sided amplitude spectrum: A_j (mV per bin) on frequency axis f_j (Hz).
+
+    ``amplitudes`` holds one spectrum, or one row per window over the shared
+    frequency axis.
+    """
 
     freqs: np.ndarray
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.freqs = np.asarray(self.freqs, dtype=float)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=float)
-        if self.freqs.shape != self.amplitudes.shape or self.freqs.ndim != 1:
-            raise ValueError("freqs and amplitudes must be 1-D arrays of equal length")
+        self.freqs, self.amplitudes = _on_axis(self.freqs, self.amplitudes, "amplitudes")
         if np.any(self.amplitudes < 0):
             raise ValueError("amplitudes must be non-negative")
 
@@ -125,14 +127,19 @@ class PowerSpectrum:
     powers: np.ndarray
 
     def __post_init__(self):
-        self.freqs = np.asarray(self.freqs, dtype=float)
-        self.powers = np.asarray(self.powers, dtype=float)
-        if self.freqs.shape != self.powers.shape or self.freqs.ndim != 1:
-            raise ValueError("freqs and powers must be 1-D arrays of equal length")
+        self.freqs, self.powers = _on_axis(self.freqs, self.powers, "powers")
 
     @property
     def bins(self) -> int:
         return self.freqs.size
+
+
+def _on_axis(freqs, values, what: str):
+    freqs = np.asarray(freqs, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if freqs.ndim != 1 or values.ndim not in (1, 2) or values.shape[-1:] != freqs.shape:
+        raise ValueError(f"freqs must be 1-D and {what} 1-D or 2-D over the same bins")
+    return freqs, values
 
 
 def amplitude_spectrum(window, rate: float | None = None) -> Spectrum:
@@ -143,7 +150,9 @@ def amplitude_spectrum(window, rate: float | None = None) -> Spectrum:
     interior bin is folded into its one-sided value (factor sqrt(2)), while
     the DC bin and, for even N, the Nyquist bin appear once and get no fold.
 
-    Accepts a Signal (rate taken from it) or a bare sample array plus ``rate``.
+    Accepts a Signal (rate taken from it), or a bare window or
+    (windows, samples) matrix plus ``rate``; a matrix gives one spectrum row
+    per window.
     """
     if isinstance(window, Signal):
         samples, rate = window.samples, window.rate
@@ -151,11 +160,11 @@ def amplitude_spectrum(window, rate: float | None = None) -> Spectrum:
         samples = np.asarray(window, dtype=float)
         if rate is None:
             raise ValueError("rate is required when window is a bare sample array")
-    if samples.ndim != 1 or samples.size < 2:
-        raise ValueError("spectrum needs a 1-D window of at least 2 samples")
-    n = samples.size
-    mags = np.abs(np.fft.rfft(samples)) / np.sqrt(n)
-    fold = np.full(mags.size, np.sqrt(2.0))
+    if samples.ndim not in (1, 2) or samples.shape[-1] < 2:
+        raise ValueError("spectrum needs a window (or window matrix) of at least 2 samples")
+    n = samples.shape[-1]
+    mags = np.abs(np.fft.rfft(samples, axis=-1)) / np.sqrt(n)
+    fold = np.full(mags.shape[-1], np.sqrt(2.0))
     fold[0] = 1.0
     if n % 2 == 0:
         fold[-1] = 1.0

@@ -1,15 +1,15 @@
 """Time-domain sEMG feature extractors.
 
-Thirteen amplitude- and event-based features computed over one window of
-samples x_1..x_N. All functions take a 1-D array and return a scalar, except
-``mavslp`` (k-1 slope values) and ``hemg`` (one count per histogram bin).
+Thirteen amplitude- and event-based features computed over a window of
+samples x_1..x_N. Every function reduces over the last axis: one 1-D window
+gives a scalar, except ``mavslp`` (k-1 slope values) and ``hemg`` (one count
+per histogram bin); a (windows, samples) matrix gives one such result per
+row.
 
 Threshold units are the same as the sample units (mV as stored); the usual
 working range for the event counters is 10-50 mV depending on amplifier gain.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,36 +21,30 @@ DEFAULT_MAVSLP_SEGMENTS = 3
 DEFAULT_HEMG_BINS = 3
 
 
-@dataclass(frozen=True)
-class ThresholdParams:
-    """Amplitude gates (mV) for the three event counters."""
-
-    zc: float = DEFAULT_ZC_THRESHOLD
-    ssc: float = DEFAULT_SSC_THRESHOLD
-    wamp: float = DEFAULT_WAMP_THRESHOLD
-
-    def __post_init__(self):
-        if self.zc < 0 or self.ssc < 0 or self.wamp < 0:
-            raise ValueError("thresholds must be non-negative")
-
-
 def _window(x, min_len: int = 1) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < min_len:
-        raise ValueError(f"need a 1-D window of at least {min_len} samples")
+    if x.ndim not in (1, 2) or x.shape[-1] < min_len:
+        raise ValueError(
+            f"need a 1-D window or (windows, samples) matrix of at least {min_len} samples"
+        )
     return x
+
+
+def _per_window(values, cast=float):
+    """A single window's 0-d result as a Python scalar; per-row results as is."""
+    return cast(values) if np.ndim(values) == 0 else values
 
 
 def iemg(window) -> float:
     """Integrated EMG: sum of absolute sample values."""
     x = _window(window)
-    return float(np.sum(np.abs(x)))
+    return _per_window(np.sum(np.abs(x), axis=-1))
 
 
 def mav(window) -> float:
     """Mean absolute value: iemg / N."""
     x = _window(window)
-    return float(np.mean(np.abs(x)))
+    return _per_window(np.mean(np.abs(x), axis=-1))
 
 
 def mmav1(window) -> float:
@@ -60,10 +54,10 @@ def mmav1(window) -> float:
     get weight 1, the rest weight 0.5.
     """
     x = _window(window, min_len=4)
-    n = x.size
+    n = x.shape[-1]
     idx = np.arange(1, n + 1, dtype=float)
     w = np.where((0.25 * n <= idx) & (idx <= 0.75 * n), 1.0, 0.5)
-    return float(np.mean(w * np.abs(x)))
+    return _per_window(np.mean(w * np.abs(x), axis=-1))
 
 
 def mmav2(window) -> float:
@@ -74,14 +68,14 @@ def mmav2(window) -> float:
     taper smoothly to the window edges.
     """
     x = _window(window, min_len=4)
-    n = x.size
+    n = x.shape[-1]
     idx = np.arange(1, n + 1, dtype=float)
     w = np.where(
         (0.25 * n <= idx) & (idx <= 0.75 * n),
         1.0,
         np.where(idx < 0.25 * n, 4.0 * idx / n, 4.0 * (n - idx) / n),
     )
-    return float(np.mean(w * np.abs(x)))
+    return _per_window(np.mean(w * np.abs(x), axis=-1))
 
 
 def mavslp(window, segments: int = DEFAULT_MAVSLP_SEGMENTS) -> np.ndarray:
@@ -94,36 +88,36 @@ def mavslp(window, segments: int = DEFAULT_MAVSLP_SEGMENTS) -> np.ndarray:
     k = int(segments)
     if k < 2:
         raise ValueError("mavslp needs at least 2 segments")
-    if x.size % k != 0:
+    if x.shape[-1] % k != 0:
         raise ValueError(
-            f"window of {x.size} samples does not divide into {k} equal segments"
+            f"window of {x.shape[-1]} samples does not divide into {k} equal segments"
         )
-    mavs = np.abs(x).reshape(k, -1).mean(axis=1)
-    return np.diff(mavs)
+    mavs = np.abs(x).reshape(x.shape[:-1] + (k, -1)).mean(axis=-1)
+    return np.diff(mavs, axis=-1)
 
 
 def ssi(window) -> float:
     """Simple square integral: total energy sum(x_n^2)."""
     x = _window(window)
-    return float(np.sum(x * x))
+    return _per_window(np.sum(x * x, axis=-1))
 
 
 def var(window) -> float:
     """Signal power as sum(x_n^2) / (N-1); no mean subtraction (EMG is ~zero-mean)."""
     x = _window(window, min_len=2)
-    return float(np.sum(x * x) / (x.size - 1))
+    return _per_window(np.sum(x * x, axis=-1) / (x.shape[-1] - 1))
 
 
 def rms(window) -> float:
     """Root mean square amplitude."""
     x = _window(window)
-    return float(np.sqrt(np.mean(x * x)))
+    return _per_window(np.sqrt(np.mean(x * x, axis=-1)))
 
 
 def wl(window) -> float:
     """Waveform length: cumulative absolute sample-to-sample change."""
     x = _window(window, min_len=2)
-    return float(np.sum(np.abs(np.diff(x))))
+    return _per_window(np.sum(np.abs(np.diff(x, axis=-1)), axis=-1))
 
 
 def zc(window, threshold: float = DEFAULT_ZC_THRESHOLD) -> int:
@@ -135,9 +129,9 @@ def zc(window, threshold: float = DEFAULT_ZC_THRESHOLD) -> int:
     x = _window(window, min_len=2)
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    prod = x[:-1] * x[1:]
-    jump = np.abs(np.diff(x))
-    return int(np.count_nonzero((prod < 0) & (jump >= threshold)))
+    prod = x[..., :-1] * x[..., 1:]
+    jump = np.abs(np.diff(x, axis=-1))
+    return _per_window(np.count_nonzero((prod < 0) & (jump >= threshold), axis=-1), int)
 
 
 def ssc(window, threshold: float = DEFAULT_SSC_THRESHOLD) -> int:
@@ -149,9 +143,9 @@ def ssc(window, threshold: float = DEFAULT_SSC_THRESHOLD) -> int:
     x = _window(window, min_len=3)
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    left = x[1:-1] - x[:-2]
-    right = x[1:-1] - x[2:]
-    return int(np.count_nonzero(left * right >= threshold))
+    left = x[..., 1:-1] - x[..., :-2]
+    right = x[..., 1:-1] - x[..., 2:]
+    return _per_window(np.count_nonzero(left * right >= threshold, axis=-1), int)
 
 
 def wamp(window, threshold: float = DEFAULT_WAMP_THRESHOLD) -> int:
@@ -159,7 +153,8 @@ def wamp(window, threshold: float = DEFAULT_WAMP_THRESHOLD) -> int:
     x = _window(window, min_len=2)
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    return int(np.count_nonzero(np.abs(np.diff(x)) >= threshold))
+    jump = np.abs(np.diff(x, axis=-1))
+    return _per_window(np.count_nonzero(jump >= threshold, axis=-1), int)
 
 
 def hemg(window, bins: int = DEFAULT_HEMG_BINS, limit: float = 1.0) -> np.ndarray:
@@ -177,4 +172,7 @@ def hemg(window, bins: int = DEFAULT_HEMG_BINS, limit: float = 1.0) -> np.ndarra
         raise ValueError("hemg range limit must be positive")
     width = 2.0 * limit / b
     idx = np.clip(np.floor((x + limit) / width).astype(int), 0, b - 1)
-    return np.bincount(idx, minlength=b)
+    # Offset each row's bin indices so one bincount histograms every row.
+    rows = idx.reshape(-1, idx.shape[-1]) + b * np.arange(idx.size // idx.shape[-1])[:, None]
+    counts = np.bincount(rows.ravel(), minlength=rows.shape[0] * b)
+    return counts.reshape(x.shape[:-1] + (b,))

@@ -18,7 +18,7 @@ from myobench.freq_features import ar_coefficients, mdf, mmdf, mmnf, mnf
 from myobench.noise import NoiseSpec, inject_at_snr, signal_power
 from myobench.recognition import (evaluate_feature_sets, leave_one_out,
                                   majority_vote, train_fold)
-from myobench.registry import feature_set, parse_features
+from myobench.registry import extract, feature_set, parse_features
 from myobench.robustness import (RobustnessConfig, percentage_error,
                                  records_from_dataset, run_grid)
 from myobench.signals import (SegmentationConfig, Signal, amplitude_spectrum,
@@ -138,39 +138,51 @@ def test_criterion_01_feature_oracle_equivalence():
     rate = 1000.0
     zc_th, ssc_th, wamp_th = 10.0, 30.0, 10.0
     bins, limit, k = 3, 60.0, 4
-    for _ in range(100):
-        x = rng.standard_normal(256) * 25.0
+    windows = np.stack([rng.standard_normal(256) * 25.0 for _ in range(100)])
+    # The same 100 windows once more, as one (windows, samples) matrix
+    # through the batched extraction path.
+    descriptors = parse_features(
+        f"iemg,mav,mmav1,mmav2,mavslp:segments={k},ssi,var,rms,wl,"
+        f"zc:threshold={zc_th},ssc:threshold={ssc_th},wamp:threshold={wamp_th},"
+        f"hemg:bins={bins}:limit={limit},ar:order=4,mnf,mdf,mmnf,mmdf")
+    assert len(descriptors) == 18
+    batched = extract(descriptors, windows, rate)
+    splits = np.cumsum([d.component_count() for d in descriptors])[:-1]
+    for x, row in zip(windows, batched):
         ref = oracle_time_features(list(x), zc_th, ssc_th, wamp_th, bins, limit, k)
-        assert tf.iemg(x) == pytest.approx(ref["iemg"], rel=1e-9)
-        assert tf.mav(x) == pytest.approx(ref["mav"], rel=1e-9)
-        assert tf.mmav1(x) == pytest.approx(ref["mmav1"], rel=1e-9)
-        assert tf.mmav2(x) == pytest.approx(ref["mmav2"], rel=1e-9)
-        np.testing.assert_allclose(tf.mavslp(x, k), ref["mavslp"], rtol=1e-9)
-        assert tf.ssi(x) == pytest.approx(ref["ssi"], rel=1e-9)
-        assert tf.var(x) == pytest.approx(ref["var"], rel=1e-9)
-        assert tf.rms(x) == pytest.approx(ref["rms"], rel=1e-9)
-        assert tf.wl(x) == pytest.approx(ref["wl"], rel=1e-9)
-        assert tf.zc(x, zc_th) == ref["zc"]
-        assert tf.ssc(x, ssc_th) == ref["ssc"]
-        assert tf.wamp(x, wamp_th) == ref["wamp"]
-        np.testing.assert_array_equal(tf.hemg(x, bins, limit), ref["hemg"])
-
-        np.testing.assert_allclose(ar_coefficients(x, 4).coefficients,
-                                   oracle_ar(x, 4), rtol=1e-9, atol=1e-12)
+        o_ar = oracle_ar(x, 4)
+        o_freqs, o_amps = oracle_dft_spectrum(x, rate)
 
         spec = amplitude_spectrum(x, rate)
         ps = power_spectrum(spec)
-        o_freqs, o_amps = oracle_dft_spectrum(x, rate)
-        assert mnf(ps) == pytest.approx(
-            oracle_centroid(o_freqs, o_amps ** 2), rel=1e-9)
-        assert mmnf(spec) == pytest.approx(
-            oracle_centroid(o_freqs, o_amps), rel=1e-9)
-        assert mdf(ps) == oracle_median(o_freqs, o_amps ** 2)
-        assert mmdf(spec) == oracle_median(o_freqs, o_amps)
+        one_window = {
+            "iemg": tf.iemg(x), "mav": tf.mav(x), "mmav1": tf.mmav1(x),
+            "mmav2": tf.mmav2(x), "mavslp": tf.mavslp(x, k), "ssi": tf.ssi(x),
+            "var": tf.var(x), "rms": tf.rms(x), "wl": tf.wl(x),
+            "zc": tf.zc(x, zc_th), "ssc": tf.ssc(x, ssc_th), "wamp": tf.wamp(x, wamp_th),
+            "hemg": tf.hemg(x, bins, limit), "ar": ar_coefficients(x, 4).coefficients,
+            "mnf": mnf(ps), "mdf": mdf(ps), "mmnf": mmnf(spec), "mmdf": mmdf(spec),
+        }
+        matrix_row = {d.name: v if d.component_count() > 1 else v[0]
+                      for d, v in zip(descriptors, np.split(row, splits))}
+        for got in (one_window, matrix_row):
+            for name in ("iemg", "mav", "mmav1", "mmav2", "ssi", "var", "rms", "wl"):
+                assert got[name] == pytest.approx(ref[name], rel=1e-9)
+            np.testing.assert_allclose(got["mavslp"], ref["mavslp"], rtol=1e-9)
+            for name in ("zc", "ssc", "wamp"):
+                assert got[name] == ref[name]
+            np.testing.assert_array_equal(got["hemg"], ref["hemg"])
+            np.testing.assert_allclose(got["ar"], o_ar, rtol=1e-9, atol=1e-12)
+            assert got["mnf"] == pytest.approx(
+                oracle_centroid(o_freqs, o_amps ** 2), rel=1e-9)
+            assert got["mmnf"] == pytest.approx(
+                oracle_centroid(o_freqs, o_amps), rel=1e-9)
+            assert got["mdf"] == oracle_median(o_freqs, o_amps ** 2)
+            assert got["mmdf"] == oracle_median(o_freqs, o_amps)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f}s"
-    ok(f"criterion 1: 18 features match brute-force oracles on 100 windows "
-       f"({elapsed:.1f}s)")
+    ok(f"criterion 1: 18 features match brute-force oracles on 100 windows, "
+       f"one at a time and as one window matrix ({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

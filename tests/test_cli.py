@@ -88,6 +88,29 @@ class TestExtract:
             "--out", str(tmp_path / "x.csv")])
         assert result.exit_code == 1
 
+    def test_empty_trial_list_is_runtime_error(self, runner, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"classes": ["rest"], "sampling_rate_hz": 1000.0, "trials": []}))
+        result = runner.invoke(main, [
+            "extract", "--data", str(manifest), "--out", str(tmp_path / "x.csv")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip() == "Error: no trials to extract features from"
+
+    def test_nan_sample_is_runtime_error(self, runner, dataset_dir, tmp_path):
+        trial_csv = sorted(dataset_dir.glob("*.csv"))[0]
+        lines = trial_csv.read_text().splitlines()
+        lines[10] = "nan," + lines[10].split(",", 1)[1]
+        trial_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "extract", "--data", str(dataset_dir / "manifest.json"), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip() == "Error: feature matrix contains non-finite values"
+        assert not out.exists()
+
 
 class TestRobustness:
     def test_default_panel_covers_the_representatives(self, runner, dataset_dir, tmp_path):
