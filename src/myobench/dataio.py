@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,10 +83,12 @@ class Dataset:
 def load_dataset(manifest_path) -> Dataset:
     """Load and validate a dataset from its manifest.
 
-    Distinct failures raise DatasetError naming the problem: missing trial
-    file, per-trial rate differing from the dataset rate, a label outside the
-    declared class set, channel names in a CSV not matching the manifest, or
-    a non-numeric sample.
+    Distinct failures raise DatasetError naming the problem: a missing
+    manifest key or trial entry key, a rate that is not a positive finite
+    number, a missing trial file, per-trial rate differing from the dataset
+    rate, a label outside the declared class set, channel names in a CSV not
+    matching the manifest, or a sample row that is ragged or not numeric
+    (named by file and line).
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -99,11 +102,20 @@ def load_dataset(manifest_path) -> Dataset:
         if key not in manifest:
             raise DatasetError(f"manifest missing required key {key!r}")
     classes = list(manifest["classes"])
-    rate = float(manifest["sampling_rate_hz"])
+    try:
+        rate = float(manifest["sampling_rate_hz"])
+    except (TypeError, ValueError):
+        rate = math.nan
+    if not (math.isfinite(rate) and rate > 0):
+        raise DatasetError("sampling_rate_hz must be a positive finite number, "
+                           f"got {manifest['sampling_rate_hz']!r}")
     base = manifest_path.parent
 
     trials = []
-    for entry in manifest["trials"]:
+    for index, entry in enumerate(manifest["trials"]):
+        for key in ("path", "label", "channels"):
+            if key not in entry:
+                raise DatasetError(f"trial entry {index}: missing required key {key!r}")
         path = base / entry["path"]
         label = entry["label"]
         if label not in classes:
@@ -137,26 +149,46 @@ def load_dataset(manifest_path) -> Dataset:
 
 
 def _read_trial_csv(path: Path):
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise DatasetError(f"trial file is empty: {path}")
-    channels = lines[0].split(",")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(channels):
-            raise DatasetError(
-                f"{path}:{lineno}: expected {len(channels)} values, got {len(cells)}"
-            )
+    with path.open() as fh:
+        header = fh.readline()
+        if not header:
+            raise DatasetError(f"trial file is empty: {path}")
+        channels = header.rstrip("\r\n").split(",")
         try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise DatasetError(f"{path}:{lineno}: non-numeric sample: {exc}") from exc
-    if not rows:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if data is not None and data.shape[0] == 0:
         raise DatasetError(f"trial file has no samples: {path}")
-    return channels, np.array(rows, dtype=float)
+    if data is None or data.shape[1] != len(channels):
+        raise _row_error(path, len(channels))
+    return channels, data
+
+
+def _row_error(path: Path, n_columns: int) -> DatasetError:
+    """Name the file line of the first sample row the strict parser rejects.
+
+    Runs only after a bulk parse failed, so it can afford one parse per row;
+    blank lines are skipped as in the bulk parse, and line numbers are 1-based
+    file lines.
+    """
+    with path.open() as fh:
+        next(fh)
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != n_columns:
+                return DatasetError(
+                    f"{path}:{lineno}: expected {n_columns} values, got {len(cells)}")
+            try:
+                np.loadtxt([line], dtype=float, delimiter=",", comments=None)
+            except ValueError:
+                return DatasetError(f"{path}:{lineno}: non-numeric sample in {line!r}")
+    return DatasetError(f"{path}: samples do not form a {n_columns}-column table")
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:

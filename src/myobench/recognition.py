@@ -11,6 +11,17 @@ clean and WGN is injected into the held-out raw signal before feature
 extraction. Data-dependent feature parameters (the histogram range) are
 resolved per fold from the training trials only, so nothing about a held-out
 trial can influence its fold's model.
+
+Folds share work. Within one feature set, each trial's clean feature block is
+extracted once per distinct tuple of resolved descriptors and cached under
+(trial id, resolved descriptors); a fold's training matrix stacks the cached
+blocks of its training trials in trial order, which is the matrix a fresh
+extraction would build. Held-out data cannot leak through the cache: a fold
+resolves its descriptors from its training trials before looking anything up,
+so a fold whose held-out trial holds the peak amplitude resolves a different
+histogram range and gets blocks of its own, and the held-out trial's own
+block is never read. At each noise level every held-out trial is made noisy
+once and scored by every feature set.
 """
 from __future__ import annotations
 
@@ -138,18 +149,28 @@ def majority_vote(decision_stream, vote_window: int = DEFAULT_VOTE_WINDOW) -> li
 
     Stream edges use whatever neighborhood is available; when two labels tie
     for the mode, the raw (unsmoothed) decision at that position is kept.
+    Labels may be any hashables; votes are counted as differences of running
+    one-hot counts, so each position costs O(labels), not O(window).
     """
     if vote_window < 1 or vote_window % 2 == 0:
         raise ValueError("vote window must be an odd positive count")
     stream = list(decision_stream)
+    if not stream:
+        return []
+    n = len(stream)
+    codes: dict = {}
+    for label in stream:
+        codes.setdefault(label, len(codes))
+    running = np.zeros((n + 1, len(codes)), dtype=np.int64)
+    running[np.arange(1, n + 1), [codes[label] for label in stream]] = 1
+    np.cumsum(running, axis=0, out=running)
     half = vote_window // 2
-    out = []
-    for i in range(len(stream)):
-        votes = Counter(stream[max(0, i - half):i + half + 1])
-        top = max(votes.values())
-        winners = [label for label, c in votes.items() if c == top]
-        out.append(winners[0] if len(winners) == 1 else stream[i])
-    return out
+    pos = np.arange(n)
+    votes = running[np.minimum(pos + half + 1, n)] - running[np.maximum(pos - half, 0)]
+    unique = np.count_nonzero(votes == votes.max(axis=1)[:, None], axis=1) == 1
+    names = list(codes)
+    return [names[w] if u else raw
+            for w, u, raw in zip(votes.argmax(axis=1).tolist(), unique.tolist(), stream)]
 
 
 def extract_window_set(trials: list[Trial], rate: float,
@@ -211,6 +232,19 @@ def train_fold(dataset: Dataset, features: list[FeatureDescriptor],
     Only trials other than the held-out one contribute, both to the model and
     to data-dependent feature parameters.
     """
+    return _train_fold(dataset, features, segmentation, held_out_trial_id,
+                       ridge, cache={})
+
+
+def _train_fold(dataset: Dataset, features: list[FeatureDescriptor],
+                segmentation: SegmentationConfig, held_out_trial_id: str,
+                ridge: float, cache: dict):
+    """``train_fold`` reusing clean per-trial feature blocks from ``cache``.
+
+    The cache is keyed by (trial id, resolved descriptors): a block is reused
+    only under the exact parameters this fold resolved from its own training
+    trials, and the held-out trial's block is never read.
+    """
     train_trials = [t for t in dataset.trials if t.trial_id != held_out_trial_id]
     if len(train_trials) == len(dataset.trials):
         raise ValueError(f"no trial with id {held_out_trial_id!r}")
@@ -218,8 +252,21 @@ def train_fold(dataset: Dataset, features: list[FeatureDescriptor],
         features,
         (t.data[:, ch] for t in train_trials for ch in range(len(t.channels))),
     )
-    train_set = extract_window_set(train_trials, dataset.rate, resolved,
-                                   segmentation, dataset.classes)
+    blocks = []
+    for trial in train_trials:
+        key = (trial.trial_id, tuple(resolved))
+        if key not in cache:
+            cache[key] = extract_window_set([trial], dataset.rate, resolved,
+                                            segmentation, dataset.classes)
+        blocks.append(cache[key])
+    train_set = LabeledWindowSet(
+        features=np.vstack([b.features for b in blocks]),
+        labels=np.concatenate([b.labels for b in blocks]),
+        trial_ids=[tid for b in blocks for tid in b.trial_ids],
+        class_names=list(dataset.classes),
+        window_start_ms=np.concatenate([b.window_start_ms for b in blocks]),
+        feature_names=blocks[0].feature_names,
+    )
     return lda_train(train_set, ridge=ridge), resolved
 
 
@@ -239,33 +286,47 @@ def _fold_models(dataset: Dataset, features: list[FeatureDescriptor],
     """One trained (model, resolved descriptors) pair per held-out trial.
 
     Training uses clean data only, so the same fold models can score any
-    noise level.
+    noise level. Each trial's clean features are extracted once per distinct
+    set of resolved descriptors and shared by every fold that trains on it.
     """
-    return [train_fold(dataset, features, segmentation, trial.trial_id, ridge)
+    cache: dict = {}
+    return [_train_fold(dataset, features, segmentation, trial.trial_id, ridge, cache)
             for trial in dataset.trials]
 
 
-def _score_folds(dataset: Dataset, fold_models, segmentation: SegmentationConfig,
-                 vote_window: int, noise_snr_db: float | None,
-                 noise_seed: int) -> ClassificationReport:
+def _test_trials(dataset: Dataset, noise_snr_db: float | None,
+                 noise_seed: int) -> list[Trial]:
+    """The held-out trials as tested: clean, or with WGN in every channel.
+
+    Fold ``i``'s channel ``ch`` draws from the stream keyed by
+    (noise_seed, i, ch), so every feature set tested at a level sees the
+    same noisy trials.
+    """
+    if noise_snr_db is None:
+        return list(dataset.trials)
+    noisy_trials = []
+    for fold_idx, held_out in enumerate(dataset.trials):
+        noisy = np.empty_like(held_out.data)
+        for ch in range(len(held_out.channels)):
+            spec = NoiseSpec(snr_db=noise_snr_db,
+                             seed=derive_seed(noise_seed, fold_idx, ch))
+            noisy[:, ch] = inject_at_snr(held_out.signal(ch, dataset.rate), spec).samples
+        noisy_trials.append(Trial(
+            trial_id=held_out.trial_id, label=held_out.label,
+            subject=held_out.subject, group=held_out.group,
+            channels=held_out.channels, data=noisy,
+        ))
+    return noisy_trials
+
+
+def _score_folds(dataset: Dataset, fold_models, test_trials: list[Trial],
+                 segmentation: SegmentationConfig,
+                 vote_window: int) -> ClassificationReport:
     k = len(dataset.classes)
     confusion = np.zeros((k, k), dtype=int)
     fold_crs = []
     decisions = []
-    for fold_idx, held_out in enumerate(dataset.trials):
-        model, resolved = fold_models[fold_idx]
-        test_trial = held_out
-        if noise_snr_db is not None:
-            noisy = np.empty_like(held_out.data)
-            for ch in range(len(held_out.channels)):
-                spec = NoiseSpec(snr_db=noise_snr_db,
-                                 seed=derive_seed(noise_seed, fold_idx, ch))
-                noisy[:, ch] = inject_at_snr(held_out.signal(ch, dataset.rate), spec).samples
-            test_trial = Trial(
-                trial_id=held_out.trial_id, label=held_out.label,
-                subject=held_out.subject, group=held_out.group,
-                channels=held_out.channels, data=noisy,
-            )
+    for (model, resolved), test_trial in zip(fold_models, test_trials):
         test_set = extract_window_set([test_trial], dataset.rate, resolved,
                                       segmentation, dataset.classes)
         scores = lda_scores(model, test_set.features)
@@ -273,18 +334,18 @@ def _score_folds(dataset: Dataset, fold_models, segmentation: SegmentationConfig
         smoothed = majority_vote(raw, vote_window)
 
         correct = 0
-        true_name = held_out.label
+        true_name = test_trial.label
         true_idx = dataset.classes.index(true_name)
         for w in range(len(test_set)):
             pred_idx = dataset.classes.index(smoothed[w])
             confusion[true_idx, pred_idx] += 1
             correct += smoothed[w] == true_name
             decisions.append(DecisionRecord(
-                trial_id=held_out.trial_id,
+                trial_id=test_trial.trial_id,
                 window_start_ms=float(test_set.window_start_ms[w]),
                 true_label=true_name, raw_label=raw[w], mv_label=smoothed[w],
             ))
-        fold_crs.append((held_out.trial_id, 100.0 * correct / len(test_set)))
+        fold_crs.append((test_trial.trial_id, 100.0 * correct / len(test_set)))
 
     total = int(confusion.sum())
     cr = 100.0 * float(np.trace(confusion)) / total
@@ -311,8 +372,8 @@ def leave_one_out(dataset: Dataset, features: list[FeatureDescriptor],
         segmentation = SegmentationConfig()
     _validate_folds(dataset)
     models = _fold_models(dataset, features, segmentation, ridge)
-    return _score_folds(dataset, models, segmentation, vote_window,
-                        noise_snr_db, noise_seed)
+    return _score_folds(dataset, models, _test_trials(dataset, noise_snr_db, noise_seed),
+                        segmentation, vote_window)
 
 
 @dataclass
@@ -346,15 +407,19 @@ def evaluate_feature_sets(dataset: Dataset,
         raise ValueError("need at least one feature set and one noise level")
     _validate_folds(dataset)
     set_names = list(feature_sets)
+    models = [_fold_models(dataset, feature_sets[name], segmentation, ridge)
+              for name in set_names]
     cr = np.empty((len(set_names), len(levels)))
-    reports = {}
-    for s_idx, name in enumerate(set_names):
-        models = _fold_models(dataset, feature_sets[name], segmentation, ridge)
-        for l_idx, level in enumerate(levels):
-            report = _score_folds(dataset, models, segmentation, vote_window,
-                                  level, derive_seed(seed, l_idx))
-            cr[s_idx, l_idx] = report.cr
-            reports[(name, CrTable.level_label(level))] = report
+    cells = {}
+    for l_idx, level in enumerate(levels):
+        test_trials = _test_trials(dataset, level, derive_seed(seed, l_idx))
+        for s_idx in range(len(set_names)):
+            cells[s_idx, l_idx] = _score_folds(dataset, models[s_idx], test_trials,
+                                               segmentation, vote_window)
+            cr[s_idx, l_idx] = cells[s_idx, l_idx].cr
+    reports = {(name, CrTable.level_label(level)): cells[s_idx, l_idx]
+               for s_idx, name in enumerate(set_names)
+               for l_idx, level in enumerate(levels)}
     return CrTable(set_names=set_names, levels=levels, cr=cr, reports=reports)
 
 

@@ -128,7 +128,8 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
     """Run the PE benchmark over records x features x SNR grid x repetitions.
 
     Rows come sorted by feature name, then input position among features of
-    the same name, then group, motion and falling SNR.
+    the same name, then group, motion and falling SNR. A record with a
+    non-finite clean sample is an error, since its PE would average to NaN.
     """
     if cfg.groups is not None:
         records = [r for r in records if r.group in cfg.groups]
@@ -136,6 +137,9 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
         raise ValueError("no trial records to benchmark")
     if len(set(features)) != len(features):
         raise ValueError("a feature (or sweep value) is listed twice")
+    for record in records:
+        if not np.all(np.isfinite(record.signal.samples)):
+            raise ValueError(f"record {record.trial_id} has non-finite samples")
     features = resolve_hemg_limit(features, (r.signal.samples for r in records))
 
     reps = cfg.repetitions

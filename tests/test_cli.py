@@ -111,6 +111,23 @@ class TestExtract:
         assert result.output.strip() == "Error: feature matrix contains non-finite values"
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["trials"][0].pop("path"), "trial entry 0: missing required key 'path'"),
+        (lambda m: m.update(sampling_rate_hz=-5),
+         "sampling_rate_hz must be a positive finite number, got -5"),
+    ])
+    def test_bad_manifest_is_runtime_error(self, runner, dataset_dir, tmp_path,
+                                           edit, message):
+        manifest_path = dataset_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        edit(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        result = runner.invoke(main, [
+            "extract", "--data", str(manifest_path), "--out", str(tmp_path / "x.csv")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip() == f"Error: {message}"
+
 
 class TestRobustness:
     def test_default_panel_covers_the_representatives(self, runner, dataset_dir, tmp_path):
@@ -150,6 +167,21 @@ class TestRobustness:
             params = {r["parameters"] for r in csv.DictReader(fh)}
         assert params == {"threshold=10", "threshold=20", "threshold=30",
                           "threshold=40", "threshold=50"}
+
+    def test_nan_sample_is_runtime_error(self, runner, dataset_dir, tmp_path):
+        trial_csv = dataset_dir / "hand_close_01.csv"
+        lines = trial_csv.read_text().splitlines()
+        lines[10] = "nan," + lines[10].split(",", 1)[1]
+        trial_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "grid"
+        result = runner.invoke(main, [
+            "robustness", "--data", str(dataset_dir / "manifest.json"),
+            "--reps", "2", "--snr", "20,10", "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip() == \
+            "Error: record hand_close_01/ch1/w0 has non-finite samples"
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_bad_sweep_is_usage_error(self, runner, dataset_dir, tmp_path):
         result = runner.invoke(main, [

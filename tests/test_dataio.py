@@ -1,5 +1,6 @@
 """Dataset round-trips, loader validation, decimation, and the synthesizer."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,21 @@ class TestRoundTrip:
         manifest = save_dataset(tiny_dataset(), tmp_path / "d")
         loaded = load_dataset(manifest)
         assert loaded.channel_count == 2
+
+    def test_extreme_doubles_round_trip_bit_exact(self, tmp_path):
+        extremes = [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                    -1.7976931348623157e308, -0.0, 0.0, 1 / 3, -2 / 3]
+        extremes += [m * 10.0 ** e for e in range(-300, 301, 25) for m in (1.0, -7.3)]
+        data = np.array(extremes + [0.1] * (len(extremes) % 2)).reshape(-1, 2)
+        dataset = Dataset(classes=["rest"], rate=1000.0, trials=[
+            Trial(trial_id="x", label="rest", subject="", group="",
+                  channels=["a", "b"], data=data),
+            Trial(trial_id="y", label="rest", subject="", group="",
+                  channels=["a", "b"], data=data[::-1]),
+        ])
+        loaded = load_dataset(save_dataset(dataset, tmp_path / "d"))
+        for a, b in zip(loaded.trials, dataset.trials):
+            assert a.data.tobytes() == b.data.tobytes()
 
 
 class TestLoaderErrors:
@@ -90,6 +106,79 @@ class TestLoaderErrors:
         manifest["trials"][0]["channels"] = ["left", "right"]
         path.write_text(json.dumps(manifest))
         with pytest.raises(DatasetError, match="channel names"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key", ["path", "label", "channels"])
+    def test_trial_entry_missing_key(self, tmp_path, key):
+        path, manifest = self.write_manifest(tmp_path)
+        del manifest["trials"][1][key]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match=f"trial entry 1: missing required key '{key}'"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("rate", [-5, 0, float("inf"), float("nan"), "fast", None])
+    def test_rate_must_be_positive_and_finite(self, tmp_path, rate):
+        path, _ = self.write_manifest(tmp_path, sampling_rate_hz=rate)
+        with pytest.raises(DatasetError, match="positive finite"):
+            load_dataset(path)
+
+    def edit_trial_rows(self, tmp_path, edit):
+        """Apply ``edit`` to the first trial file's lines; return (manifest, file)."""
+        path, manifest = self.write_manifest(tmp_path)
+        trial_file = path.parent / manifest["trials"][0]["path"]
+        lines = trial_file.read_text().splitlines()
+        edit(lines)
+        trial_file.write_text("\n".join(lines) + "\n")
+        return path, trial_file
+
+    @pytest.mark.parametrize("row, problem", [
+        ("1.0,2.0,3.0", "expected 2 values, got 3"),
+        ("1.0", "expected 2 values, got 1"),
+        ("# comment,1.0", "non-numeric"),
+        ("1.0,", "non-numeric"),
+        ("1_000,2.0", "non-numeric"),
+    ])
+    def test_bad_row_names_its_file_line(self, tmp_path, row, problem):
+        # A blank line before the bad row: the reported line is the file's
+        # line number, not the count of data rows.
+        def edit(lines):
+            lines[3] = ""
+            lines[6] = row
+        path, trial_file = self.edit_trial_rows(tmp_path, edit)
+        where = re.escape(str(trial_file))
+        with pytest.raises(DatasetError, match=f"{where}:7: {problem}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("row", ["1.0,2.0,3.0", "1.0"])
+    def test_ragged_first_row_names_its_file_line(self, tmp_path, row):
+        def edit(lines):
+            lines[1] = row
+        path, trial_file = self.edit_trial_rows(tmp_path, edit)
+        where = re.escape(str(trial_file))
+        with pytest.raises(DatasetError, match=f"{where}:2: expected 2 values"):
+            load_dataset(path)
+
+    def test_every_row_ragged_names_the_first(self, tmp_path):
+        def edit(lines):
+            lines[1:] = [cells.split(",")[0] for cells in lines[1:]]
+        path, trial_file = self.edit_trial_rows(tmp_path, edit)
+        where = re.escape(str(trial_file))
+        with pytest.raises(DatasetError, match=f"{where}:2: expected 2 values, got 1"):
+            load_dataset(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        def edit(lines):
+            lines.insert(2, "")
+            lines.append("")
+        path, _ = self.edit_trial_rows(tmp_path, edit)
+        loaded = load_dataset(path)
+        np.testing.assert_array_equal(loaded.trials[0].data, tiny_dataset().trials[0].data)
+
+    def test_header_only_file_has_no_samples(self, tmp_path):
+        def edit(lines):
+            del lines[1:]
+        path, _ = self.edit_trial_rows(tmp_path, edit)
+        with pytest.raises(DatasetError, match="no samples"):
             load_dataset(path)
 
 

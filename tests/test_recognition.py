@@ -1,15 +1,19 @@
 """LDA, majority vote, leave-one-out validation, and feature-set scoring."""
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from myobench import recognition
 from myobench.dataio import (Dataset, SynthConfig, Trial,
                              default_class_specs, synthesize_emg)
-from myobench.recognition import (LabeledWindowSet, evaluate_feature_sets,
-                                  extract_window_set, lda_predict, lda_scores,
-                                  lda_train, leave_one_out, majority_vote,
-                                  train_fold)
+from myobench.noise import derive_seed
+from myobench.recognition import (DEFAULT_RIDGE, LabeledWindowSet, _fold_models,
+                                  evaluate_feature_sets, extract_window_set,
+                                  lda_predict, lda_scores, lda_train, leave_one_out,
+                                  majority_vote, train_fold)
 from myobench.registry import parse_features
 from myobench.signals import SegmentationConfig
 
@@ -32,6 +36,30 @@ def small_dataset(n_classes=2, trials_per_class=2, seed=0, channels=1, trial_ms=
 
 
 SEG = SegmentationConfig(window_ms=256, slide_ms=64)
+
+
+def counter_majority_vote(stream, vote_window):
+    """Reference modal filter: one Counter per position."""
+    stream = list(stream)
+    half = vote_window // 2
+    out = []
+    for i in range(len(stream)):
+        votes = Counter(stream[max(0, i - half):i + half + 1])
+        top = max(votes.values())
+        winners = [label for label, c in votes.items() if c == top]
+        out.append(winners[0] if len(winners) == 1 else stream[i])
+    return out
+
+
+def scaled_trial(trial, factor):
+    return Trial(trial_id=trial.trial_id, label=trial.label,
+                 subject=trial.subject, group=trial.group, channels=trial.channels,
+                 data=trial.data * factor)
+
+
+def assert_same_model(a, b):
+    for attr in ("means", "covariance", "priors", "_coef", "_intercept"):
+        np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
 
 
 class TestLdaTrain:
@@ -144,6 +172,13 @@ class TestMajorityVote:
         for i, label in enumerate(out):
             assert label in stream[max(0, i - half):i + half + 1]
 
+    @given(st.lists(st.integers(0, 4), max_size=60),
+           st.sampled_from([1, 3, 5, 7, 9, 11]))
+    @example([], 5)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_counter_reference(self, stream, window):
+        assert majority_vote(stream, window) == counter_majority_vote(stream, window)
+
 
 class TestLeaveOneOut:
     def test_identical_trials_score_100(self):
@@ -235,6 +270,71 @@ class TestLeaveOneOut:
         np.testing.assert_array_equal(model_a.means, model_b.means)
         np.testing.assert_array_equal(model_a.covariance, model_b.covariance)
         np.testing.assert_array_equal(model_a.priors, model_b.priors)
+
+    def test_held_out_trial_never_shapes_the_model_through_leave_one_out(
+            self, monkeypatch):
+        # Distort fold 0's held-out trial and go through the cached fold
+        # path leave_one_out takes: fold 0's model is the first one fitted.
+        dataset = small_dataset(n_classes=2, trials_per_class=2, seed=8)
+        features = parse_features("hemg,wamp,mmnf")
+        fitted = []
+
+        def recording_lda_train(data, ridge=DEFAULT_RIDGE):
+            fitted.append(lda_train(data, ridge=ridge))
+            return fitted[-1]
+
+        monkeypatch.setattr(recognition, "lda_train", recording_lda_train)
+        leave_one_out(dataset, features, SEG)
+        model_a = fitted[0]
+        mutated = Dataset(classes=dataset.classes, rate=dataset.rate,
+                          trials=[scaled_trial(dataset.trials[0], 5.0)]
+                          + dataset.trials[1:])
+        fitted.clear()
+        leave_one_out(mutated, features, SEG)
+        assert_same_model(model_a, fitted[0])
+
+
+class TestCachedFolds:
+    """The per-trial feature cache gives the models of a fresh extraction."""
+
+    def peak_dataset(self):
+        # Trial 2 is scaled up so it alone holds the global peak: its fold
+        # resolves a smaller HEMG range than every other fold.
+        base = small_dataset(n_classes=2, trials_per_class=3, seed=12)
+        trials = list(base.trials)
+        trials[2] = scaled_trial(trials[2], 3.0)
+        return Dataset(classes=base.classes, rate=base.rate, trials=trials)
+
+    def test_every_fold_matches_brute_force(self):
+        dataset = self.peak_dataset()
+        features = parse_features("mmnf,hemg,wamp")
+        cached = _fold_models(dataset, features, SEG, DEFAULT_RIDGE)
+        limits = set()
+        for trial, (model, resolved) in zip(dataset.trials, cached):
+            fresh_model, fresh_resolved = train_fold(dataset, features, SEG,
+                                                     trial.trial_id)
+            assert resolved == fresh_resolved
+            assert_same_model(model, fresh_model)
+            limits.add(tuple(resolved))
+        assert len(limits) == 2
+
+    def test_feature_set_cells_equal_leave_one_out(self):
+        dataset = self.peak_dataset()
+        sets = {"robust": parse_features("mmnf,hemg,wamp"),
+                "amplitude": parse_features("rms,wl")}
+        levels = [None, 20.0, 10.0]
+        table = evaluate_feature_sets(dataset, sets, levels, SEG, seed=4)
+        assert list(table.reports) == [(name, table.level_label(level))
+                                       for name in sets for level in levels]
+        for s_idx, (name, features) in enumerate(sets.items()):
+            for l_idx, level in enumerate(levels):
+                direct = leave_one_out(dataset, features, SEG, noise_snr_db=level,
+                                       noise_seed=derive_seed(4, l_idx))
+                cell = table.reports[name, table.level_label(level)]
+                assert table.cr[s_idx, l_idx] == direct.cr == cell.cr
+                np.testing.assert_array_equal(cell.confusion, direct.confusion)
+                assert cell.fold_crs == direct.fold_crs
+                assert cell.decisions == direct.decisions
 
 
 class TestSeparability:

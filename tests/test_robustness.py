@@ -113,6 +113,14 @@ class TestRunGrid:
         assert row.excluded == 5
         assert np.isnan(row.mean_pe)
 
+    def test_non_finite_clean_sample_is_an_error(self):
+        rng = np.random.default_rng(11)
+        records = make_records(rng, count=3)
+        records[1].signal.samples[10] = np.nan
+        cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, seed=0)
+        with pytest.raises(ValueError, match="record r1 has non-finite samples"):
+            run_grid(records, parse_features("rms"), cfg)
+
     def test_group_filter(self):
         rng = np.random.default_rng(9)
         records = make_records(rng, count=2) + [
