@@ -211,11 +211,11 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
         raise click.BadParameter(str(exc))
     dataset = _load(data)
     seg_cfg = _segmentation(window_ms, slide_ms)
-    cfg = RobustnessConfig(
-        snr_grid=snr_grid, repetitions=reps, seed=seed,
-        groups=tuple(g.strip() for g in groups.split(",")) if groups else None,
-    )
     try:
+        cfg = RobustnessConfig(
+            snr_grid=snr_grid, repetitions=reps, seed=seed,
+            groups=tuple(g.strip() for g in groups.split(",")) if groups else None,
+        )
         records = records_from_dataset(
             dataset, seg_cfg, max_windows=None if max_windows == 0 else max_windows)
         if sweep is not None:

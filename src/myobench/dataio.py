@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
 
 from .signals import Signal
 
@@ -84,11 +83,11 @@ def load_dataset(manifest_path) -> Dataset:
     """Load and validate a dataset from its manifest.
 
     Distinct failures raise DatasetError naming the problem: a missing
-    manifest key or trial entry key, a rate that is not a positive finite
-    number, a missing trial file, per-trial rate differing from the dataset
-    rate, a label outside the declared class set, channel names in a CSV not
-    matching the manifest, or a sample row that is ragged or not numeric
-    (named by file and line).
+    manifest key or trial entry key, a repeated class name, a rate that is
+    not a positive finite number, a missing trial file, per-trial rate
+    differing from the dataset rate, a label outside the declared class set,
+    channel names in a CSV not matching the manifest, or a sample row that is
+    ragged or not numeric (named by file and line).
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -102,6 +101,9 @@ def load_dataset(manifest_path) -> Dataset:
         if key not in manifest:
             raise DatasetError(f"manifest missing required key {key!r}")
     classes = list(manifest["classes"])
+    repeated = [c for i, c in enumerate(classes) if c in classes[:i]]
+    if repeated:
+        raise DatasetError(f"manifest repeats class name {repeated[0]!r}")
     try:
         rate = float(manifest["sampling_rate_hz"])
     except (TypeError, ValueError):
@@ -234,6 +236,7 @@ def decimate(signal: Signal, factor: int) -> Signal:
         raise ValueError("decimation factor must be >= 1")
     if factor == 1:
         return Signal(samples=signal.samples.copy(), rate=signal.rate)
+    from scipy import signal as sps  # here, so that importing myobench skips scipy
     new_nyq = signal.rate / factor / 2.0
     width = 0.2 * new_nyq
     numtaps, beta = sps.kaiserord(65.0, width / (signal.rate / 2.0))
@@ -329,6 +332,7 @@ def synthesize_emg(cfg: SynthConfig) -> Dataset:
     n = int(round(cfg.trial_ms * cfg.rate / 1000.0))
     if n < 2:
         raise ValueError("trial_ms too short for the sampling rate")
+    from scipy import signal as sps  # here, so that importing myobench skips scipy
     pad = max(n // 2, 256)  # settle the filter before the kept span
     trials = []
     for c_idx, spec in enumerate(cfg.classes):

@@ -53,12 +53,16 @@ def signal_power(signal) -> float:
     return float(np.mean(x * x))
 
 
-def inject_at_snr(signal: Signal, spec: NoiseSpec) -> Signal:
-    """Add WGN scaled for the target SNR; the clean signal is left untouched."""
-    p_clean = signal_power(signal)
+def snr_sigma(p_clean: float, snr_db: float) -> float:
+    """Noise standard deviation that puts WGN ``snr_db`` below a clean power."""
     if p_clean <= 0:
         raise ValueError("signal power is zero; SNR is undefined")
-    sigma = math.sqrt(p_clean * 10.0 ** (-spec.snr_db / 10.0))
+    return math.sqrt(p_clean * 10.0 ** (-snr_db / 10.0))
+
+
+def inject_at_snr(signal: Signal, spec: NoiseSpec) -> Signal:
+    """Add WGN scaled for the target SNR; the clean signal is left untouched."""
+    sigma = snr_sigma(signal_power(signal), spec.snr_db)
     noise = generate_wgn(len(signal), (spec.seed, spec.repetition_index))
     return Signal(samples=signal.samples + sigma * noise, rate=signal.rate)
 

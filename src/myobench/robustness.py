@@ -7,10 +7,12 @@ percentage error
     PE = |(feature_clean - feature_noise) / feature_clean| * 100
 
 Results aggregate to mean/std PE per (feature, group, motion, SNR). Each
-record's noisy copies are stacked into one matrix and every feature is
-extracted once from it, so a (record, feature) pair whose clean value is zero
-(PE undefined) or whose extraction fails is left out as a whole: its
-attempts are not averaged but counted in the ``excluded`` column instead.
+record's clean signal and noisy copies fill one matrix, and the whole
+feature panel is extracted from it in one call, so a (record, feature) pair
+whose clean value is zero (PE undefined) or whose extraction fails is left
+out as a whole: its attempts are not averaged but counted in the
+``excluded`` column instead. A record whose clean power is zero (SNR
+undefined) is left out the same way for every feature.
 
 All features at a given (record, SNR, repetition) see the same noise draw,
 and each draw's stream is keyed by (seed, record index, SNR index,
@@ -21,13 +23,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import Dataset
-from .noise import NoiseSpec, derive_seed, inject_at_snr
+from .noise import derive_seed, generate_wgn, signal_power, snr_sigma
 from .registry import FeatureDescriptor, extract, make_descriptor, resolve_hemg_limit
 from .signals import SegmentationConfig, Signal, segment
 
@@ -62,6 +65,8 @@ class RobustnessConfig:
             raise ValueError("SNR grid must be non-empty")
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
+        if not self.dry_run and not all(math.isfinite(s) for s in self.snr_grid):
+            raise ValueError("snr_db must be finite")
 
 
 @dataclass(frozen=True)
@@ -143,22 +148,30 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
     features = resolve_hemg_limit(features, (r.signal.samples for r in records))
 
     reps = cfg.repetitions
-    pe = np.zeros((len(features), len(records), len(cfg.snr_grid), reps))
+    n_snr = len(cfg.snr_grid)
+    pe = np.zeros((len(features), len(records), n_snr, reps))
     valid = np.zeros((len(features), len(records)), dtype=bool)
     for r_idx, record in enumerate(records):
-        signal = record.signal
-        copies = [signal.samples]  # row 0 is the clean signal
-        for s_idx, snr in enumerate(cfg.snr_grid):
-            stream_seed = derive_seed(cfg.seed, r_idx, s_idx)
-            copies.extend(
-                signal.samples if cfg.dry_run else inject_at_snr(
-                    signal, NoiseSpec(snr_db=snr, seed=stream_seed, repetition_index=rep)
-                ).samples
-                for rep in range(reps))
-        matrix = np.vstack(copies)
-        for d_idx, desc in enumerate(features):
+        clean = record.signal.samples
+        matrix = np.empty((1 + n_snr * reps, clean.size))  # row 0 is the clean signal
+        matrix[:] = clean
+        if not cfg.dry_run:
+            p_clean = signal_power(clean)
             try:
-                values = desc.scalarize(extract([desc], matrix, signal.rate))
+                sigmas = [snr_sigma(p_clean, snr) for snr in cfg.snr_grid]
+            except ValueError:
+                continue  # zero clean power: SNR undefined, excluded for every feature
+            noisy = matrix[1:].reshape(n_snr, reps, clean.size)
+            for s_idx, sigma in enumerate(sigmas):
+                stream_seed = derive_seed(cfg.seed, r_idx, s_idx)
+                for rep in range(reps):
+                    noisy[s_idx, rep] += sigma * generate_wgn(clean.size, (stream_seed, rep))
+        blocks = _feature_columns(features, matrix, record.signal.rate)
+        for d_idx, (desc, block) in enumerate(zip(features, blocks)):
+            if block is None:
+                continue
+            try:
+                values = desc.scalarize(block)
                 pe[d_idx, r_idx] = percentage_error(values[0], values[1:]).reshape(-1, reps)
             except ValueError:
                 continue
@@ -188,6 +201,28 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
                     excluded=(len(members) - len(kept)) * len(columns) * reps,
                 ))
     return RobustnessGrid(rows=rows, config=_config_dict(cfg, features))
+
+
+def _feature_columns(features, matrix, rate) -> list:
+    """Each descriptor's columns over the rows of ``matrix``; None where it fails.
+
+    One joint extraction shares the spectrum among the spectral moments. If
+    it raises, each descriptor is extracted on its own, so a failing one
+    fails only itself.
+    """
+    try:
+        joint = extract(features, matrix, rate)
+    except ValueError:
+        return [_extract_or_none(desc, matrix, rate) for desc in features]
+    bounds = np.cumsum([0] + [desc.component_count() for desc in features])
+    return [joint[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _extract_or_none(desc: FeatureDescriptor, matrix, rate):
+    try:
+        return extract([desc], matrix, rate)
+    except ValueError:
+        return None
 
 
 def sweep_parameters(records: list[TrialRecord], family: str, param: str,

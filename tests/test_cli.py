@@ -1,11 +1,15 @@
 """CLI surface: command wiring, reproducibility, exit codes, output files."""
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import myobench
 from myobench.cli import main
 
 
@@ -26,6 +30,18 @@ def dataset_dir(tmp_path, runner):
     result = runner.invoke(main, synth_args(out))
     assert result.exit_code == 0, result.output
     return out
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs every command about a second of import; only
+    # synthesis and decimation need it.
+    code = "import sys, myobench.cli; print('scipy.signal' in sys.modules)"
+    src = Path(myobench.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 class TestSynth:
@@ -183,6 +199,36 @@ class TestRobustness:
             "Error: record hand_close_01/ch1/w0 has non-finite samples"
         assert not (tmp_path / "grid.csv").exists()
 
+    def test_zero_power_window_is_excluded_not_fatal(self, runner, dataset_dir, tmp_path):
+        trial_csv = dataset_dir / "hand_close_01.csv"
+        lines = trial_csv.read_text().splitlines()
+        for i in range(1, 301):
+            lines[i] = "0.0," + lines[i].split(",", 1)[1]
+        trial_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "grid"
+        result = runner.invoke(main, [
+            "robustness", "--data", str(dataset_dir / "manifest.json"),
+            "--features", "rms,hemg", "--reps", "2", "--snr", "20,10", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with (tmp_path / "grid.csv").open() as fh:
+            rows = [r for r in csv.DictReader(fh) if r["motion"] == "hand_close"]
+        # hand_close: 2 trials x 2 channels, one window each; ch1 of trial 01 is flat.
+        assert len(rows) == 4
+        assert {(r["n"], r["excluded"]) for r in rows} == {("6", "2")}
+
+    @pytest.mark.parametrize("option, message", [
+        (["--snr", "20,inf"], "snr_db must be finite"),
+        (["--reps", "0"], "need at least one repetition"),
+    ])
+    def test_bad_grid_shape_is_runtime_error(self, runner, dataset_dir, tmp_path,
+                                             option, message):
+        result = runner.invoke(main, [
+            "robustness", "--data", str(dataset_dir / "manifest.json"), *option,
+            "--out", str(tmp_path / "grid")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip() == f"Error: {message}"
+
     def test_bad_sweep_is_usage_error(self, runner, dataset_dir, tmp_path):
         result = runner.invoke(main, [
             "robustness", "--data", str(dataset_dir / "manifest.json"),
@@ -232,6 +278,21 @@ class TestClassify:
             "classify", "--data", str(tmp_path / "ghost.json"),
             "--out", str(tmp_path / "c")])
         assert result.exit_code == 1
+
+    def test_repeated_class_name_is_runtime_error(self, runner, dataset_dir, tmp_path):
+        manifest_path = dataset_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["classes"].append(manifest["classes"][0])
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "c"
+        result = runner.invoke(main, [
+            "classify", "--data", str(manifest_path), "--sets", "hudgins",
+            "--noise", "clean", "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip() == \
+            f"Error: manifest repeats class name {manifest['classes'][0]!r}"
+        assert not Path(f"{out}_table.csv").exists()
 
     def test_unknown_set_is_usage_error(self, runner, dataset_dir, tmp_path):
         result = runner.invoke(main, [

@@ -116,6 +116,12 @@ class TestLoaderErrors:
         with pytest.raises(DatasetError, match=f"trial entry 1: missing required key '{key}'"):
             load_dataset(path)
 
+    def test_repeated_class_name(self, tmp_path):
+        path, _ = self.write_manifest(
+            tmp_path, classes=["hand_close", "hand_open", "hand_close"])
+        with pytest.raises(DatasetError, match="manifest repeats class name 'hand_close'"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("rate", [-5, 0, float("inf"), float("nan"), "fast", None])
     def test_rate_must_be_positive_and_finite(self, tmp_path, rate):
         path, _ = self.write_manifest(tmp_path, sampling_rate_hz=rate)

@@ -1,14 +1,17 @@
 """Percentage-error benchmark: counting, determinism, exclusions, trends."""
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import signal as sps
 
 from myobench.dataio import SynthConfig, default_class_specs, synthesize_emg
-from myobench.registry import default_panel, make_descriptor, parse_features
-from myobench.robustness import (RobustnessConfig, TrialRecord, grid_to_csv,
+from myobench.noise import NoiseSpec, derive_seed, inject_at_snr
+from myobench.registry import (default_panel, extract, make_descriptor, parse_features,
+                               resolve_hemg_limit)
+from myobench.robustness import (GridRow, RobustnessConfig, TrialRecord, grid_to_csv,
                                  grid_to_json, percentage_error,
                                  records_from_dataset, run_grid, sweep_parameters)
 from myobench.signals import SegmentationConfig, Signal
@@ -27,6 +30,67 @@ def make_records(rng, count=2, amp=50.0):
                     group="strong", trial_id=f"r{i}")
         for i in range(count)
     ]
+
+
+def reference_rows(records, features, cfg):
+    """Brute-force grid: one inject_at_snr per noisy copy, one extract per feature.
+
+    Each (record, feature) pair's PEs are listed in (SNR, repetition) order
+    and pooled per cell in record order, as run_grid lays them out.
+    """
+    features = resolve_hemg_limit(features, (r.signal.samples for r in records))
+    reps = cfg.repetitions
+    pes = {}  # (feature index, record index) -> (SNR, repetition) PE matrix
+    for r_idx, record in enumerate(records):
+        signal = record.signal
+        copies = [signal.samples]
+        for s_idx, snr in enumerate(cfg.snr_grid):
+            stream_seed = derive_seed(cfg.seed, r_idx, s_idx)
+            for rep in range(reps):
+                spec = NoiseSpec(snr_db=snr, seed=stream_seed, repetition_index=rep)
+                copies.append(inject_at_snr(signal, spec).samples)
+        matrix = np.vstack(copies)
+        for d_idx, desc in enumerate(features):
+            try:
+                values = desc.scalarize(extract([desc], matrix, signal.rate))
+                pes[d_idx, r_idx] = percentage_error(values[0], values[1:]).reshape(-1, reps)
+            except ValueError:
+                pass
+    rows = []
+    for d_idx in sorted(range(len(features)), key=lambda d: features[d].name):
+        desc = features[d_idx]
+        for group, motion in sorted({(r.group, r.motion) for r in records}):
+            members = [i for i, r in enumerate(records) if (r.group, r.motion) == (group, motion)]
+            for snr in sorted(set(cfg.snr_grid), reverse=True):
+                columns = [s for s, level in enumerate(cfg.snr_grid) if level == snr]
+                cell, excluded = [], 0
+                for r_idx in members:
+                    if (d_idx, r_idx) not in pes:
+                        excluded += len(columns) * reps
+                        continue
+                    for s_idx in columns:
+                        cell.extend(pes[d_idx, r_idx][s_idx])
+                cell = np.array(cell)
+                rows.append(GridRow(
+                    feature=desc.name, parameters=desc.param_text, group=group,
+                    motion=motion, snr_db=snr,
+                    mean_pe=float(np.mean(cell)) if cell.size else float("nan"),
+                    std_pe=float(np.std(cell)) if cell.size else float("nan"),
+                    n=int(cell.size), excluded=excluded,
+                ))
+    return rows
+
+
+def same_rows(got, want):
+    """Exact row equality, with NaN equal to NaN (an all-excluded cell)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.__dict__.keys() == w.__dict__.keys()
+        for key, value in w.__dict__.items():
+            if isinstance(value, float) and np.isnan(value):
+                assert np.isnan(getattr(g, key)), (key, g, w)
+            else:
+                assert getattr(g, key) == value, (key, g, w)
 
 
 class TestPercentageError:
@@ -121,6 +185,34 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="record r1 has non-finite samples"):
             run_grid(records, parse_features("rms"), cfg)
 
+    def test_zero_power_record_is_excluded_for_every_feature(self):
+        # Appended last, the flat record leaves every other record's noise
+        # stream and the hemg range as they were.
+        rng = np.random.default_rng(15)
+        records = make_records(rng, count=3)
+        flat = TrialRecord(signal=Signal(np.zeros(256), 1000.0), motion="m0",
+                           group="strong", trial_id="flat")
+        cfg = RobustnessConfig(snr_grid=(20.0, 10.0, 20.0), repetitions=3, seed=4)
+        base = run_grid(records, default_panel(), cfg)
+        grid = run_grid(records + [flat], default_panel(), cfg)
+        assert len(grid.rows) == len(base.rows)
+        for row, before in zip(grid.rows, base.rows):
+            extra = 0
+            if row.motion == "m0":
+                extra = 3 * (2 if row.snr_db == 20.0 else 1)
+            same_rows([row], [replace(before, excluded=before.excluded + extra)])
+
+    def test_zero_power_dry_run_keeps_its_exclusions(self):
+        # Without injection the SNR never matters: hemg's middle bin still
+        # counts every zero sample, so only features with a zero clean value drop out.
+        flat = TrialRecord(signal=Signal(np.zeros(256), 1000.0), motion="m0",
+                           group="strong", trial_id="flat")
+        records = make_records(np.random.default_rng(16), count=1) + [flat]
+        cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=2, dry_run=True)
+        grid = run_grid(records, parse_features("rms,hemg"), cfg)
+        assert {(row.feature, row.n, row.excluded) for row in grid.rows} == \
+            {("hemg", 4, 0), ("rms", 2, 2)}
+
     def test_group_filter(self):
         rng = np.random.default_rng(9)
         records = make_records(rng, count=2) + [
@@ -148,6 +240,37 @@ class TestRunGrid:
             ]
             pes[name] = np.mean(samples)
         assert pes["weak"] > pes["strong"]
+
+
+class TestGridOracle:
+    """run_grid against the brute-force loop, row for row and bit for bit."""
+
+    def test_default_panel(self):
+        records = make_records(np.random.default_rng(17), count=4)
+        cfg = RobustnessConfig(snr_grid=(20.0, 5.0, 0.0), repetitions=3, seed=23)
+        same_rows(run_grid(records, default_panel(), cfg).rows,
+                  reference_rows(records, default_panel(), cfg))
+
+    def test_hemg_bins_sweep(self):
+        records = make_records(np.random.default_rng(18), count=3)
+        cfg = RobustnessConfig(snr_grid=(15.0, 3.0), repetitions=4, seed=5)
+        grid = sweep_parameters(records, "hemg", "bins", [3, 5, 7, 9, 11], cfg)
+        bins = [make_descriptor("hemg", {"bins": b}) for b in (3, 5, 7, 9, 11)]
+        same_rows(grid.rows, reference_rows(records, bins, cfg))
+
+    def test_failing_feature_excludes_only_itself(self):
+        # 256 samples do not split into 7 segments, so the joint extraction
+        # raises and each feature is extracted on its own.
+        records = make_records(np.random.default_rng(19), count=2)
+        features = parse_features("rms,mavslp:segments=7")
+        with pytest.raises(ValueError):
+            extract(features, records[0].signal.samples, 1000.0)
+        cfg = RobustnessConfig(snr_grid=(20.0, 0.0), repetitions=3, seed=8)
+        grid = run_grid(records, features, cfg)
+        same_rows(grid.rows, reference_rows(records, features, cfg))
+        rms_alone = run_grid(records, parse_features("rms"), cfg)
+        same_rows([row for row in grid.rows if row.feature == "rms"], rms_alone.rows)
+        assert all(row.n == 0 for row in grid.rows if row.feature == "mavslp")
 
 
 class TestSweep:
@@ -224,6 +347,12 @@ class TestConfigValidation:
     def test_zero_reps_rejected(self):
         with pytest.raises(ValueError):
             RobustnessConfig(repetitions=0)
+
+    def test_non_finite_snr_rejected_unless_dry_run(self):
+        for level in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="snr_db must be finite"):
+                RobustnessConfig(snr_grid=(20.0, level))
+        RobustnessConfig(snr_grid=(20.0, float("inf")), dry_run=True)
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError, match="no trial records"):
