@@ -186,7 +186,7 @@ def _parse_sweep(text: str):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--window-ms", default=256.0, show_default=True)
 @click.option("--slide-ms", default=64.0, show_default=True)
-@click.option("--max-windows", default=1, show_default=True,
+@click.option("--max-windows", default=1, show_default=True, type=click.IntRange(min=0),
               help="Windows kept per trial channel (0 = all).")
 @click.option("--groups", default=None, help="Restrict to these signal groups.")
 @click.option("--sweep", default=None,

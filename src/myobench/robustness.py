@@ -17,7 +17,8 @@ undefined) is left out the same way for every feature.
 All features at a given (record, SNR, repetition) see the same noise draw,
 and each draw's stream is keyed by (seed, record index, SNR index,
 repetition), so serial and parallel evaluation orders give bit-identical
-grids.
+grids. All streams are seeded in one batch before the record loop (see
+`noise.stream_words`).
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import Dataset
-from .noise import derive_seed, generate_wgn, signal_power, snr_sigma
+from .noise import derive_seed, signal_power, snr_sigma, stream_wgn, stream_words
 from .registry import FeatureDescriptor, extract, make_descriptor, resolve_hemg_limit
 from .signals import SegmentationConfig, Signal, segment
 
@@ -106,6 +107,8 @@ def records_from_dataset(dataset: Dataset, segmentation: SegmentationConfig | No
     ``max_windows`` windows (None = all); without one, the whole channel is a
     single record.
     """
+    if max_windows is not None and max_windows < 0:
+        raise ValueError(f"max_windows must be >= 0 or None, got {max_windows}")
     records = []
     for trial in dataset.trials:
         for ch, ch_name in enumerate(trial.channels):
@@ -151,6 +154,11 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
     n_snr = len(cfg.snr_grid)
     pe = np.zeros((len(features), len(records), n_snr, reps))
     valid = np.zeros((len(features), len(records)), dtype=bool)
+    if not cfg.dry_run:
+        stream_seeds = [derive_seed(cfg.seed, r_idx, s_idx)
+                        for r_idx in range(len(records)) for s_idx in range(n_snr)]
+        words = stream_words(stream_seeds, range(reps))
+        words = words.reshape(len(records), n_snr, reps, -1)
     for r_idx, record in enumerate(records):
         clean = record.signal.samples
         matrix = np.empty((1 + n_snr * reps, clean.size))  # row 0 is the clean signal
@@ -163,9 +171,8 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
                 continue  # zero clean power: SNR undefined, excluded for every feature
             noisy = matrix[1:].reshape(n_snr, reps, clean.size)
             for s_idx, sigma in enumerate(sigmas):
-                stream_seed = derive_seed(cfg.seed, r_idx, s_idx)
-                for rep in range(reps):
-                    noisy[s_idx, rep] += sigma * generate_wgn(clean.size, (stream_seed, rep))
+                for rep, rep_words in enumerate(words[r_idx, s_idx]):
+                    noisy[s_idx, rep] += sigma * stream_wgn(rep_words, clean.size)
         blocks = _feature_columns(features, matrix, record.signal.rate)
         for d_idx, (desc, block) in enumerate(zip(features, blocks)):
             if block is None:

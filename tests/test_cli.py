@@ -229,6 +229,14 @@ class TestRobustness:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.output.strip() == f"Error: {message}"
 
+    def test_negative_max_windows_is_usage_error(self, runner, dataset_dir, tmp_path):
+        result = runner.invoke(main, [
+            "robustness", "--data", str(dataset_dir / "manifest.json"),
+            "--max-windows", "-1", "--out", str(tmp_path / "grid")])
+        assert result.exit_code == 2
+        assert "--max-windows" in result.output
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_bad_sweep_is_usage_error(self, runner, dataset_dir, tmp_path):
         result = runner.invoke(main, [
             "robustness", "--data", str(dataset_dir / "manifest.json"),

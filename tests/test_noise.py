@@ -1,8 +1,11 @@
 """WGN generation and SNR-calibrated injection."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from myobench.noise import NoiseSpec, derive_seed, generate_wgn, inject_at_snr, signal_power
+from myobench.noise import (NoiseSpec, derive_seed, generate_wgn, inject_at_snr, signal_power,
+                            stream_wgn, stream_words)
 from myobench.signals import Signal
 
 
@@ -115,3 +118,53 @@ class TestDeriveSeed:
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
         assert 0 <= derive_seed(0) < 2 ** 64
+
+
+def seed_sequence_words(key):
+    return np.random.SeedSequence(key).generate_state(4, np.uint64)
+
+
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestStreamWords:
+    """The batched hash against numpy's own SeedSequence, key by key."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+           st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+    @example(EDGE_SEEDS, [0, 1, 2**32 - 1])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_seed_sequence(self, seeds, reps):
+        table = stream_words(seeds, reps)
+        assert table.shape == (len(seeds), len(reps), 4) and table.dtype == np.uint64
+        for i, seed in enumerate(seeds):
+            for j, rep in enumerate(reps):
+                np.testing.assert_array_equal(table[i, j], seed_sequence_words((seed, rep)))
+
+    def test_keys_up_to_the_pool_size(self):
+        # A 3-word seed with a 1-word rep, and a 2-word seed with a 2-word rep.
+        for seeds, reps in [([2**64, 2**96 - 1], [0, 9]), ([2**63, 5], [2**32, 2**64 - 1])]:
+            table = stream_words(seeds, reps)
+            for i, seed in enumerate(seeds):
+                for j, rep in enumerate(reps):
+                    np.testing.assert_array_equal(table[i, j],
+                                                  seed_sequence_words((seed, rep)))
+
+    @pytest.mark.parametrize("seeds, reps", [
+        ([2**96], [0]),       # 4 + 1 words
+        ([2**64], [2**32]),   # 3 + 2 words
+        ([7, 2**64], [0, 2**32]),
+    ])
+    def test_key_too_wide_for_the_pool_raises(self, seeds, reps):
+        with pytest.raises(ValueError, match="pool"):
+            stream_words(seeds, reps)
+
+    def test_negative_key_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            stream_words([-1], [0])
+
+    @pytest.mark.parametrize("seed, rep", [(0, 0), (2**32 - 1, 7), (2**32, 2**32 - 1),
+                                           (2**64 - 1, 3), (derive_seed(4, 1, 2), 11)])
+    def test_seeded_draws_equal_generate_wgn(self, seed, rep):
+        words = stream_words([seed], [rep])[0, 0]
+        np.testing.assert_array_equal(stream_wgn(words, 300), generate_wgn(300, (seed, rep)))

@@ -272,6 +272,14 @@ class TestGridOracle:
         same_rows([row for row in grid.rows if row.feature == "rms"], rms_alone.rows)
         assert all(row.n == 0 for row in grid.rows if row.feature == "mavslp")
 
+    def test_wide_seed_many_reps_repeated_level(self):
+        # A base seed past 64 bits, more repetitions than the default ten,
+        # and a repeated SNR level whose columns pool into one cell.
+        records = make_records(np.random.default_rng(20), count=3)
+        cfg = RobustnessConfig(snr_grid=(10.0, 0.0, 10.0), repetitions=12, seed=2**64 + 5)
+        same_rows(run_grid(records, default_panel(), cfg).rows,
+                  reference_rows(records, default_panel(), cfg))
+
 
 class TestSweep:
     def test_wamp_threshold_sweep_has_five_slices(self):
@@ -308,6 +316,8 @@ class TestRecordsFromDataset:
         assert all(len(r.signal) == 256 for r in records)
         all_windows = records_from_dataset(dataset, SegmentationConfig(), max_windows=None)
         assert len(all_windows) == 2 * 2 * 12
+        with pytest.raises(ValueError, match="max_windows"):
+            records_from_dataset(dataset, SegmentationConfig(), max_windows=-1)
 
     def test_whole_signal_records(self):
         dataset = synthesize_emg(SynthConfig(
