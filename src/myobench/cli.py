@@ -235,8 +235,13 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
         out.parent.mkdir(parents=True, exist_ok=True)
     grid_to_csv(grid, out.with_suffix(".csv"))
     grid_to_json(grid, out.with_suffix(".json"))
-    click.echo(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')} "
-               f"({len(grid.rows)} cells)")
+    written = f"{out.with_suffix('.csv')} and {out.with_suffix('.json')}"
+    if grid.unscored:
+        # The grid is still written, so the features that were scored keep their rows.
+        _fail(ValueError("; ".join(f"{label}: every record excluded ({reason})"
+                                   for label, reason in grid.unscored.items())
+                         + f"; wrote {written} anyway"))
+    click.echo(f"wrote {written} ({len(grid.rows)} cells)")
 
 
 @main.command()

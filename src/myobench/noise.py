@@ -11,14 +11,15 @@ are reproducible and repetitions are independent.
 
 The robustness grid keys its streams the same way: copy (record r, SNR s,
 repetition rep) draws from ``default_rng((derive_seed(seed, r, s), rep))``.
-It seeds all of a grid's streams in one batch: `stream_words` hashes every
-key with numpy's own SeedSequence algorithm, vectorised over the keys, and
-`stream_wgn` hands each precomputed row to ``PCG64``, so every draw is
-bit-identical to `generate_wgn` on the same key.
+It seeds all of a grid's streams in one batch: `derive_seeds` and
+`stream_words` hash every key with numpy's own SeedSequence algorithm,
+vectorised over the keys, and `fill_wgn` hands each precomputed row to
+``PCG64``, so every draw is bit-identical to `generate_wgn` on the same key.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -117,7 +118,7 @@ def _key_words(ints):
     Returns the ``(len(ints), 4)`` words (little-endian, at least one word
     per int) and each int's word count.
     """
-    ints = [operator.index(v) for v in ints]
+    ints = ints.tolist() if isinstance(ints, np.ndarray) else [operator.index(v) for v in ints]
     if any(v < 0 for v in ints):
         raise ValueError("stream seeds and repetitions must be non-negative")
     lengths = np.array([max(1, -(-v.bit_length() // 32)) for v in ints], dtype=np.intp)
@@ -125,6 +126,69 @@ def _key_words(ints):
     for j in range(_POOL_SIZE):
         words[:, j] = [v >> 32 * j & _MASK32 for v in ints]
     return words, lengths
+
+
+def _product_entropy(axes):
+    """Pool words of every key in the Cartesian product of ``axes``, or None.
+
+    Key ``(a_0[i], a_1[j], ...)`` is its ints' words one after another, then
+    zeros: a key shorter than the pool hashes as if padded with zero words.
+    Returns an ``(len(a_0), len(a_1), ..., 4)`` uint32 array, or None when a
+    key needs more words than the pool holds.
+    """
+    parts = [_key_words(axis) for axis in axes]
+    shape = tuple(len(lengths) for _, lengths in parts)
+    entropy = np.zeros(shape + (_POOL_SIZE,), dtype=np.uint32)
+    start = np.zeros((), dtype=np.intp)  # where each key prefix's next int begins
+    for axis, (words, lengths) in enumerate(parts):
+        prefixes = entropy.reshape((start.size,) + shape[axis:] + (_POOL_SIZE,))
+        tail = (1,) * (len(shape) - axis - 1)
+        # An int's padding zeros land where the next int's words go, and
+        # that int overwrites them.
+        for first in range(_POOL_SIZE):
+            prefixes[start.ravel() == first, ..., first:] = \
+                words[:, :_POOL_SIZE - first].reshape(words.shape[:1] + tail + (-1,))
+        start = start[..., np.newaxis] + lengths
+    if start.size and start.max() > _POOL_SIZE:
+        return None
+    return entropy
+
+
+def _generate_state(entropy, n_words: int) -> np.ndarray:
+    """``SeedSequence(key).generate_state(n_words, np.uint64)`` of each key's pool words.
+
+    ``entropy`` is ``(..., 4)`` uint32 from `_product_entropy`; returns
+    ``(..., n_words)`` uint64.
+    """
+    flat = entropy.reshape(-1, _POOL_SIZE)
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(flat[:, i], constants) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
+    state = np.empty((len(flat), 2 * n_words), dtype=np.uint32)
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    for i in range(2 * n_words):
+        state[:, i] = _hash(pool[i % _POOL_SIZE], constants)
+    # As generate_state(n, np.uint64) does: pair the 32-bit words little-endian.
+    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return words.reshape(entropy.shape[:-1] + (n_words,))
+
+
+def derive_seeds(*axes) -> np.ndarray:
+    """`derive_seed` of every key in the Cartesian product of ``axes``, in one pass.
+
+    Each axis is a sequence of non-negative ints; element ``[i, j, ...]`` of
+    the uint64 result is ``derive_seed(axes[0][i], axes[1][j], ...)``. Keys
+    wider than the 4-word pool (e.g. a first int of 2**64 or more followed
+    by two more) are derived one at a time with `derive_seed`.
+    """
+    entropy = _product_entropy(axes)
+    if entropy is not None:
+        return _generate_state(entropy, 1)[..., 0]
+    seeds = [derive_seed(*key) for key in itertools.product(*axes)]
+    return np.array(seeds, dtype=np.uint64).reshape(tuple(len(axis) for axis in axes))
 
 
 def stream_words(stream_seeds, reps) -> np.ndarray:
@@ -136,33 +200,11 @@ def stream_words(stream_seeds, reps) -> np.ndarray:
     .generate_state(4, np.uint64)``. A key whose words would not fit the
     4-word pool is rejected.
     """
-    seed_words, seed_len = _key_words(stream_seeds)
-    rep_words, rep_len = _key_words(reps)
-    if seed_len.size and rep_len.size and seed_len.max() + rep_len.max() > _POOL_SIZE:
+    entropy = _product_entropy((stream_seeds, reps))
+    if entropy is None:
         raise ValueError("a (stream seed, repetition) key needs more words "
                          f"than the {_POOL_SIZE}-word seed pool holds")
-    # A key is its seed's words, then its rep's words, then zeros: a key
-    # shorter than the pool hashes as if padded with zero words.
-    entropy = np.empty((len(seed_len), len(rep_len), _POOL_SIZE), dtype=np.uint32)
-    for length in range(1, _POOL_SIZE):  # a rep takes at least one word
-        rows = np.flatnonzero(seed_len == length)
-        entropy[rows, :, :length] = seed_words[rows, None, :length]
-        entropy[rows, :, length:] = rep_words[:, :_POOL_SIZE - length]
-
-    entropy = entropy.reshape(-1, _POOL_SIZE)
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hash(entropy[:, i], constants) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
-    state = np.empty((len(entropy), 2 * _POOL_SIZE), dtype=np.uint32)
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    for i in range(2 * _POOL_SIZE):
-        state[:, i] = _hash(pool[i % _POOL_SIZE], constants)
-    # As generate_state(4, np.uint64) does: pair the 8 words little-endian.
-    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-    return words.reshape(len(seed_len), len(rep_len), _POOL_SIZE)
+    return _generate_state(entropy, _POOL_SIZE)
 
 
 @functools.cache
@@ -179,7 +221,8 @@ def _precomputed_seed_type():
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != self.words.size or np.dtype(dtype) != np.uint64:
+            if n_words != self.words.size or (dtype is not np.uint64
+                                              and np.dtype(dtype) != np.uint64):
                 raise ValueError("precomputed words serve only generate_state(4, np.uint64)")
             return self.words
 
@@ -191,5 +234,17 @@ def stream_wgn(words: np.ndarray, n: int) -> np.ndarray:
 
     Equals ``generate_wgn(n, (stream_seed, rep))`` for that row's key.
     """
-    seed_seq = _precomputed_seed_type()(words)
-    return np.random.Generator(np.random.PCG64(seed_seq)).standard_normal(n)
+    return fill_wgn(words[np.newaxis], np.empty((1, n)))[0]
+
+
+def fill_wgn(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill each row of ``out`` with draws from its own `stream_words` stream.
+
+    ``words`` holds one state row per row of the (copies, samples) float
+    array ``out``; each row is drawn in place, and equals ``stream_wgn`` of
+    its words. Returns ``out``.
+    """
+    seed_type = _precomputed_seed_type()
+    for row_words, row in zip(words, out):
+        np.random.Generator(np.random.PCG64(seed_type(row_words))).standard_normal(out=row)
+    return out

@@ -323,6 +323,7 @@ def _score_folds(dataset: Dataset, fold_models, test_trials: list[Trial],
                  segmentation: SegmentationConfig,
                  vote_window: int) -> ClassificationReport:
     k = len(dataset.classes)
+    class_index = {name: i for i, name in enumerate(dataset.classes)}
     confusion = np.zeros((k, k), dtype=int)
     fold_crs = []
     decisions = []
@@ -333,18 +334,16 @@ def _score_folds(dataset: Dataset, fold_models, test_trials: list[Trial],
         raw = [model.class_names[i] for i in np.argmax(scores, axis=1)]
         smoothed = majority_vote(raw, vote_window)
 
-        correct = 0
         true_name = test_trial.label
-        true_idx = dataset.classes.index(true_name)
-        for w in range(len(test_set)):
-            pred_idx = dataset.classes.index(smoothed[w])
-            confusion[true_idx, pred_idx] += 1
-            correct += smoothed[w] == true_name
-            decisions.append(DecisionRecord(
-                trial_id=test_trial.trial_id,
-                window_start_ms=float(test_set.window_start_ms[w]),
-                true_label=true_name, raw_label=raw[w], mv_label=smoothed[w],
-            ))
+        true_idx = class_index[true_name]
+        predicted = np.array([class_index[name] for name in smoothed], dtype=np.intp)
+        confusion[true_idx] += np.bincount(predicted, minlength=k)
+        correct = int(np.count_nonzero(predicted == true_idx))
+        decisions.extend(
+            DecisionRecord(trial_id=test_trial.trial_id, window_start_ms=start,
+                           true_label=true_name, raw_label=raw_label, mv_label=mv_label)
+            for start, raw_label, mv_label in zip(test_set.window_start_ms.tolist(),
+                                                  raw, smoothed))
         fold_crs.append((test_trial.trial_id, 100.0 * correct / len(test_set)))
 
     total = int(confusion.sum())

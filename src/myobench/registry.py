@@ -13,13 +13,14 @@ or ``ar:order=2``; feature lists are comma separated.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import freq_features as ff
 from . import time_features as tf
-from .signals import amplitude_spectrum, power_spectrum
+from .signals import amplitude_spectrum
 
 # name -> default params; ints where the feature needs counts/orders
 _FAMILIES: dict[str, dict] = {
@@ -43,15 +44,64 @@ _FAMILIES: dict[str, dict] = {
     "mmdf": {"dc": 1},
 }
 
-# name -> kernel over a (windows, samples) matrix, called with the
-# descriptor's parameters as keywords
-_KERNELS = {name: getattr(tf, name) for name in (
-    "iemg", "mav", "mmav1", "mmav2", "mavslp", "ssi", "var", "rms", "wl",
-    "zc", "ssc", "wamp", "hemg")}
-_KERNELS["ar"] = lambda x, order: ff.levinson_durbin(x, order)[0]
-# name -> (moment of a spectrum, whether it weighs by power rather than amplitude)
-_SPECTRAL = {"mnf": (ff.mnf, True), "mdf": (ff.mdf, True),
-             "mmnf": (ff.mmnf, False), "mmdf": (ff.mmdf, False)}
+
+class _Intermediates:
+    """The rows of one `extract` call and what several kernels share.
+
+    Each shared array is computed on first use and then reused.
+    """
+
+    def __init__(self, rows, rate: float):
+        self.rows, self.rate = rows, rate
+
+    @functools.cached_property
+    def diff(self):
+        return tf._diff(tf._window(self.rows, min_len=2))
+
+    @functools.cached_property
+    def abs_diff(self):
+        return np.abs(self.diff)
+
+    @functools.cached_property
+    def spectrum(self):
+        return amplitude_spectrum(self.rows, self.rate)
+
+    @functools.cached_property
+    def powers(self):
+        return self.spectrum.amplitudes ** 2
+
+
+def _on_rows(kernel):
+    return lambda shared, **params: kernel(shared.rows, **params)
+
+
+def _ssc(shared, threshold):
+    tf._window(shared.rows, min_len=3)
+    return tf._ssc(shared.diff, threshold)
+
+
+def _moment(moment, by_power: bool):
+    def kernel(shared, dc):
+        weights = shared.powers if by_power else shared.spectrum.amplitudes
+        return moment(shared.spectrum.freqs, weights, bool(dc))
+    return kernel
+
+
+# name -> kernel over an _Intermediates, called with the descriptor's
+# parameters as keywords; it gives one result per row
+_KERNELS = {name: _on_rows(getattr(tf, name)) for name in (
+    "iemg", "mav", "mmav1", "mmav2", "mavslp", "ssi", "var", "rms", "hemg")}
+_KERNELS.update(
+    wl=lambda shared: tf._wl(shared.abs_diff),
+    zc=lambda shared, threshold: tf._zc(shared.rows, shared.abs_diff, threshold),
+    ssc=_ssc,
+    wamp=lambda shared, threshold: tf._wamp(shared.abs_diff, threshold),
+    ar=lambda shared, order: ff.levinson_durbin(shared.rows, order)[0],
+    mnf=_moment(ff._centroid, by_power=True),
+    mdf=_moment(ff._median_bin, by_power=True),
+    mmnf=_moment(ff._centroid, by_power=False),
+    mmdf=_moment(ff._median_bin, by_power=False),
+)
 
 _INT_PARAMS = {"segments", "bins", "order", "dc"}
 _DEFAULT_SCALAR_COMPONENT = {"hemg": 2, "ar": 1, "mavslp": 1}
@@ -142,27 +192,20 @@ def extract(descriptors, windows, rate: float) -> np.ndarray:
 
     Returns a (windows, columns) float matrix (one row for a 1-D window).
     Columns follow the descriptor order, a vector feature contributing one
-    column per component. The spectrum is computed once per call and shared
-    by the spectral moments.
+    column per component. Intermediates are computed once per call and
+    shared: the sample differences by wl, zc, ssc and wamp, the spectrum and
+    its square by the spectral moments.
     """
     x = np.asarray(windows, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("need a 1-D window or a (windows, samples) matrix")
     rows = x[np.newaxis] if x.ndim == 1 else x
-    spectrum = None
+    shared = _Intermediates(rows, rate)
     columns = []
     for desc in descriptors:
-        params = desc.param_dict
         if desc.needs_resolution():
             raise ValueError("hemg descriptor used before its range was resolved")
-        if desc.name in _SPECTRAL:
-            if spectrum is None:
-                spectrum = amplitude_spectrum(rows, rate)
-            moment, by_power = _SPECTRAL[desc.name]
-            value = moment(power_spectrum(spectrum) if by_power else spectrum,
-                           bool(params["dc"]))
-        else:
-            value = _KERNELS[desc.name](rows, **params)
+        value = _KERNELS[desc.name](shared, **desc.param_dict)
         columns.append(np.asarray(value, dtype=float).reshape(rows.shape[0], -1))
     return np.hstack(columns)
 

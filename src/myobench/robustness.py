@@ -12,13 +12,15 @@ feature panel is extracted from it in one call, so a (record, feature) pair
 whose clean value is zero (PE undefined) or whose extraction fails is left
 out as a whole: its attempts are not averaged but counted in the
 ``excluded`` column instead. A record whose clean power is zero (SNR
-undefined) is left out the same way for every feature.
+undefined) is left out the same way for every feature. A feature that no
+record gives a PE for is named, with the reason, in the grid's ``unscored``.
 
 All features at a given (record, SNR, repetition) see the same noise draw,
 and each draw's stream is keyed by (seed, record index, SNR index,
 repetition), so serial and parallel evaluation orders give bit-identical
-grids. All streams are seeded in one batch before the record loop (see
-`noise.stream_words`).
+grids. All stream seeds and streams are seeded in one batch before the
+record loop (see `noise.derive_seeds` and `noise.stream_words`), and each
+copy is drawn straight into its row of the record's matrix.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import Dataset
-from .noise import derive_seed, signal_power, snr_sigma, stream_wgn, stream_words
+from .noise import derive_seeds, fill_wgn, signal_power, snr_sigma, stream_words
 from .registry import FeatureDescriptor, extract, make_descriptor, resolve_hemg_limit
 from .signals import SegmentationConfig, Signal, segment
 
@@ -95,8 +97,15 @@ class GridRow:
 
 @dataclass
 class RobustnessGrid:
+    """Grid rows plus the resolved config.
+
+    ``unscored`` maps the label of each feature that no record gave a PE for
+    to the reason its first record was excluded; its rows have ``n == 0``.
+    """
+
     rows: list[GridRow]
     config: dict = field(default_factory=dict)
+    unscored: dict[str, str] = field(default_factory=dict)
 
 
 def records_from_dataset(dataset: Dataset, segmentation: SegmentationConfig | None = None,
@@ -152,37 +161,41 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
 
     reps = cfg.repetitions
     n_snr = len(cfg.snr_grid)
-    pe = np.zeros((len(features), len(records), n_snr, reps))
-    valid = np.zeros((len(features), len(records)), dtype=bool)
+    picks, reasons = _scalar_picks(features)
+    in_range = np.array([d_idx not in reasons for d_idx in range(len(features))])
+    pe = np.zeros((len(records), n_snr, reps, len(features)))
+    valid = np.zeros((len(records), len(features)), dtype=bool)
     if not cfg.dry_run:
-        stream_seeds = [derive_seed(cfg.seed, r_idx, s_idx)
-                        for r_idx in range(len(records)) for s_idx in range(n_snr)]
-        words = stream_words(stream_seeds, range(reps))
-        words = words.reshape(len(records), n_snr, reps, -1)
+        stream_seeds = derive_seeds([cfg.seed], range(len(records)), range(n_snr))
+        words = stream_words(stream_seeds.ravel(), range(reps))
+        words = words.reshape(len(records), n_snr * reps, -1)
     for r_idx, record in enumerate(records):
         clean = record.signal.samples
         matrix = np.empty((1 + n_snr * reps, clean.size))  # row 0 is the clean signal
-        matrix[:] = clean
-        if not cfg.dry_run:
+        matrix[0] = clean
+        if cfg.dry_run:
+            matrix[1:] = clean
+        else:
             p_clean = signal_power(clean)
             try:
-                sigmas = [snr_sigma(p_clean, snr) for snr in cfg.snr_grid]
-            except ValueError:
-                continue  # zero clean power: SNR undefined, excluded for every feature
-            noisy = matrix[1:].reshape(n_snr, reps, clean.size)
-            for s_idx, sigma in enumerate(sigmas):
-                for rep, rep_words in enumerate(words[r_idx, s_idx]):
-                    noisy[s_idx, rep] += sigma * stream_wgn(rep_words, clean.size)
-        blocks = _feature_columns(features, matrix, record.signal.rate)
-        for d_idx, (desc, block) in enumerate(zip(features, blocks)):
-            if block is None:
+                sigmas = np.array([snr_sigma(p_clean, snr) for snr in cfg.snr_grid])
+            except ValueError as exc:  # zero clean power: excluded for every feature
+                for d_idx in range(len(features)):
+                    reasons.setdefault(d_idx, str(exc))
                 continue
-            try:
-                values = desc.scalarize(block)
-                pe[d_idx, r_idx] = percentage_error(values[0], values[1:]).reshape(-1, reps)
-            except ValueError:
-                continue
-            valid[d_idx, r_idx] = True
+            # clean + sigma * draw, as two broadcasts over the draws made in place
+            noisy = fill_wgn(words[r_idx], matrix[1:]).reshape(n_snr, reps, clean.size)
+            noisy *= sigmas[:, np.newaxis, np.newaxis]
+            noisy += clean
+        values, ok = _scalar_values(features, picks, in_range, matrix, record.signal.rate,
+                                    reasons)
+        ok &= values[0] != 0
+        for d_idx in np.flatnonzero(~ok):
+            reasons.setdefault(d_idx, "its clean value is zero")
+        kept = np.flatnonzero(ok)
+        pe[r_idx][..., kept] = percentage_error(values[0, kept], values[1:, kept]) \
+            .reshape(n_snr, reps, kept.size)
+        valid[r_idx] = ok
 
     buckets: dict[tuple[str, str], list[int]] = {}
     for r_idx, record in enumerate(records):
@@ -193,9 +206,9 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
     for d_idx in sorted(range(len(features)), key=lambda d: features[d].name):
         desc = features[d_idx]
         for (group, motion), members in sorted(buckets.items()):
-            kept = [r for r in members if valid[d_idx, r]]
+            kept = [r for r in members if valid[r, d_idx]]
             for snr, columns in levels.items():
-                pes = pe[d_idx][np.ix_(kept, columns)].ravel()
+                pes = pe[..., d_idx][np.ix_(kept, columns)].ravel()
                 rows.append(GridRow(
                     feature=desc.name,
                     parameters=desc.param_text,
@@ -207,29 +220,52 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
                     n=int(pes.size),
                     excluded=(len(members) - len(kept)) * len(columns) * reps,
                 ))
-    return RobustnessGrid(rows=rows, config=_config_dict(cfg, features))
+    unscored = {features[d].label: reasons[d] for d in range(len(features))
+                if not valid[:, d].any()}
+    return RobustnessGrid(rows=rows, config=_config_dict(cfg, features), unscored=unscored)
 
 
-def _feature_columns(features, matrix, rate) -> list:
-    """Each descriptor's columns over the rows of ``matrix``; None where it fails.
+def _scalar_picks(features):
+    """Each descriptor's scalar column in a joint extraction, and where none exists.
 
-    One joint extraction shares the spectrum among the spectral moments. If
-    it raises, each descriptor is extracted on its own, so a failing one
-    fails only itself.
+    Returns the column indices (0 where a descriptor's ``scalar_component``
+    is out of range) and {descriptor index: reason} for those descriptors.
     """
-    try:
-        joint = extract(features, matrix, rate)
-    except ValueError:
-        return [_extract_or_none(desc, matrix, rate) for desc in features]
-    bounds = np.cumsum([0] + [desc.component_count() for desc in features])
-    return [joint[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    counts = [desc.component_count() for desc in features]
+    starts = np.cumsum([0] + counts[:-1])
+    picks, reasons = np.zeros(len(features), dtype=np.intp), {}
+    for d_idx, (desc, start, count) in enumerate(zip(features, starts, counts)):
+        if 1 <= desc.scalar_component <= count:
+            picks[d_idx] = start + desc.scalar_component - 1
+        else:
+            reasons[d_idx] = (f"scalar component {desc.scalar_component} out of range "
+                              f"for {count} components")
+    return picks, reasons
 
 
-def _extract_or_none(desc: FeatureDescriptor, matrix, rate):
+def _scalar_values(features, picks, in_range, matrix, rate, reasons):
+    """Every descriptor's scalar over the rows of ``matrix``, and which ones exist.
+
+    One joint extraction shares intermediates (differences, the spectrum)
+    among the descriptors. If it raises, each descriptor is extracted on its
+    own, so a failing one fails only itself; its error message goes into
+    ``reasons``. A descriptor whose scalar component is out of range
+    (``in_range`` False) never exists.
+    """
+    ok = in_range.copy()
     try:
-        return extract([desc], matrix, rate)
+        return extract(features, matrix, rate)[:, picks], ok
     except ValueError:
-        return None
+        pass
+    values = np.zeros((matrix.shape[0], len(features)))
+    for d_idx in np.flatnonzero(ok):
+        desc = features[d_idx]
+        try:
+            values[:, d_idx] = extract([desc], matrix, rate)[:, desc.scalar_component - 1]
+        except ValueError as exc:
+            ok[d_idx] = False
+            reasons.setdefault(d_idx, str(exc))
+    return values, ok
 
 
 def sweep_parameters(records: list[TrialRecord], family: str, param: str,

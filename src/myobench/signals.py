@@ -118,6 +118,13 @@ class Spectrum:
     def bins(self) -> int:
         return self.freqs.size
 
+    @classmethod
+    def _unchecked(cls, freqs: np.ndarray, amplitudes: np.ndarray) -> "Spectrum":
+        """A spectrum whose arrays are valid by construction, built without the checks."""
+        spectrum = cls.__new__(cls)
+        spectrum.freqs, spectrum.amplitudes = freqs, amplitudes
+        return spectrum
+
 
 @dataclass
 class PowerSpectrum:
@@ -163,13 +170,15 @@ def amplitude_spectrum(window, rate: float | None = None) -> Spectrum:
     if samples.ndim not in (1, 2) or samples.shape[-1] < 2:
         raise ValueError("spectrum needs a window (or window matrix) of at least 2 samples")
     n = samples.shape[-1]
-    mags = np.abs(np.fft.rfft(samples, axis=-1)) / np.sqrt(n)
+    mags = np.abs(np.fft.rfft(samples, axis=-1))
+    mags /= np.sqrt(n)
     fold = np.full(mags.shape[-1], np.sqrt(2.0))
     fold[0] = 1.0
     if n % 2 == 0:
         fold[-1] = 1.0
-    freqs = np.fft.rfftfreq(n, d=1.0 / rate)
-    return Spectrum(freqs=freqs, amplitudes=mags * fold)
+    mags *= fold
+    # Magnitudes times positive folds on rfftfreq's axis: nothing to check.
+    return Spectrum._unchecked(np.fft.rfftfreq(n, d=1.0 / rate), mags)
 
 
 def power_spectrum(spectrum: Spectrum) -> PowerSpectrum:

@@ -117,7 +117,7 @@ def rms(window) -> float:
 def wl(window) -> float:
     """Waveform length: cumulative absolute sample-to-sample change."""
     x = _window(window, min_len=2)
-    return _per_window(np.sum(np.abs(np.diff(x, axis=-1)), axis=-1))
+    return _per_window(_wl(np.abs(_diff(x))))
 
 
 def zc(window, threshold: float = DEFAULT_ZC_THRESHOLD) -> int:
@@ -127,11 +127,7 @@ def zc(window, threshold: float = DEFAULT_ZC_THRESHOLD) -> int:
     amplitude gate suppresses crossings caused by background noise.
     """
     x = _window(window, min_len=2)
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    prod = x[..., :-1] * x[..., 1:]
-    jump = np.abs(np.diff(x, axis=-1))
-    return _per_window(np.count_nonzero((prod < 0) & (jump >= threshold), axis=-1), int)
+    return _per_window(_zc(x, np.abs(_diff(x)), threshold), int)
 
 
 def ssc(window, threshold: float = DEFAULT_SSC_THRESHOLD) -> int:
@@ -141,20 +137,48 @@ def ssc(window, threshold: float = DEFAULT_SSC_THRESHOLD) -> int:
     i.e. local turns whose curvature product clears the gate.
     """
     x = _window(window, min_len=3)
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    left = x[..., 1:-1] - x[..., :-2]
-    right = x[..., 1:-1] - x[..., 2:]
-    return _per_window(np.count_nonzero(left * right >= threshold, axis=-1), int)
+    return _per_window(_ssc(_diff(x), threshold), int)
 
 
 def wamp(window, threshold: float = DEFAULT_WAMP_THRESHOLD) -> int:
     """Willison amplitude: adjacent-sample differences at or above the threshold."""
     x = _window(window, min_len=2)
+    return _per_window(_wamp(np.abs(_diff(x)), threshold), int)
+
+
+# The difference-based kernels take the differences (and their magnitudes)
+# precomputed, so `registry.extract` computes them once for all of them.
+
+def _diff(x):
+    """d_n = x_{n+1} - x_n along the last axis."""
+    return x[..., 1:] - x[..., :-1]
+
+
+def _check_threshold(threshold: float):
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    jump = np.abs(np.diff(x, axis=-1))
-    return _per_window(np.count_nonzero(jump >= threshold, axis=-1), int)
+
+
+def _wl(abs_diff):
+    return np.sum(abs_diff, axis=-1)
+
+
+def _zc(x, abs_diff, threshold: float):
+    _check_threshold(threshold)
+    crossing = x[..., :-1] * x[..., 1:] < 0
+    return np.count_nonzero(crossing & (abs_diff >= threshold), axis=-1)
+
+
+def _ssc(diff, threshold: float):
+    # (x_n - x_{n-1}) * (x_n - x_{n+1}) equals -(d_{n-1} * d_n) exactly: IEEE
+    # subtraction and multiplication are symmetric in sign.
+    _check_threshold(threshold)
+    return np.count_nonzero(diff[..., :-1] * diff[..., 1:] <= -threshold, axis=-1)
+
+
+def _wamp(abs_diff, threshold: float):
+    _check_threshold(threshold)
+    return np.count_nonzero(abs_diff >= threshold, axis=-1)
 
 
 def hemg(window, bins: int = DEFAULT_HEMG_BINS, limit: float = 1.0) -> np.ndarray:
@@ -170,9 +194,12 @@ def hemg(window, bins: int = DEFAULT_HEMG_BINS, limit: float = 1.0) -> np.ndarra
         raise ValueError("hemg needs at least 1 bin")
     if not limit > 0:
         raise ValueError("hemg range limit must be positive")
-    width = 2.0 * limit / b
-    idx = np.clip(np.floor((x + limit) / width).astype(int), 0, b - 1)
+    scaled = x + limit
+    scaled /= 2.0 * limit / b
+    idx = np.floor(scaled, out=scaled).astype(int)
+    np.clip(idx, 0, b - 1, out=idx)
     # Offset each row's bin indices so one bincount histograms every row.
-    rows = idx.reshape(-1, idx.shape[-1]) + b * np.arange(idx.size // idx.shape[-1])[:, None]
+    rows = idx.reshape(-1, idx.shape[-1])
+    rows += b * np.arange(rows.shape[0])[:, None]
     counts = np.bincount(rows.ravel(), minlength=rows.shape[0] * b)
     return counts.reshape(x.shape[:-1] + (b,))

@@ -216,6 +216,36 @@ class TestRobustness:
         assert len(rows) == 4
         assert {(r["n"], r["excluded"]) for r in rows} == {("6", "2")}
 
+    def test_feature_without_evidence_is_runtime_error(self, runner, dataset_dir, tmp_path):
+        # 256-sample windows do not split into mavslp's default 3 segments,
+        # so every record is excluded; the run used to exit 0 with NaN means.
+        out = tmp_path / "grid"
+        result = runner.invoke(main, [
+            "robustness", "--data", str(dataset_dir / "manifest.json"),
+            "--features", "mavslp", "--reps", "2", "--snr", "20,10", "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip() == (
+            "Error: mavslp: every record excluded (window of 256 samples does not divide "
+            f"into 3 equal segments); wrote {out}.csv and {out}.json anyway")
+
+    def test_only_the_unscored_features_are_named(self, runner, dataset_dir, tmp_path):
+        out = tmp_path / "grid"
+        result = runner.invoke(main, [
+            "robustness", "--data", str(dataset_dir / "manifest.json"),
+            "--features", "rms,wamp:threshold=1e6,mavslp:segments=4", "--reps", "2",
+            "--snr", "20", "--out", str(out)])
+        assert result.exit_code == 1
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "Error: wamp(threshold=1e+06): every record excluded (its clean value is zero); "
+            "wrote ")
+        with (tmp_path / "grid.csv").open() as fh:
+            counts = {(r["feature"], r["n"], r["excluded"]) for r in csv.DictReader(fh)}
+        # 2 classes x 2 trials x 2 channels, one window each: 4 records per motion.
+        assert counts == {("rms", "8", "0"), ("mavslp", "8", "0"), ("wamp", "0", "8")}
+
     @pytest.mark.parametrize("option, message", [
         (["--snr", "20,inf"], "snr_db must be finite"),
         (["--reps", "0"], "need at least one repetition"),

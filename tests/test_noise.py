@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from myobench.noise import (NoiseSpec, derive_seed, generate_wgn, inject_at_snr, signal_power,
-                            stream_wgn, stream_words)
+from myobench.noise import (NoiseSpec, derive_seed, derive_seeds, fill_wgn, generate_wgn,
+                            inject_at_snr, signal_power, stream_wgn, stream_words)
 from myobench.signals import Signal
 
 
@@ -168,3 +168,66 @@ class TestStreamWords:
     def test_seeded_draws_equal_generate_wgn(self, seed, rep):
         words = stream_words([seed], [rep])[0, 0]
         np.testing.assert_array_equal(stream_wgn(words, 300), generate_wgn(300, (seed, rep)))
+
+
+class TestDeriveSeeds:
+    """The batched derive_seed against the scalar one, key by key."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+           st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+           st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+    @example(EDGE_SEEDS, [0, 1, 2**32 - 1], [0, 2**32 - 1])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_derive_seed(self, seeds, records, levels):
+        table = derive_seeds(seeds, records, levels)
+        assert table.shape == (len(seeds), len(records), len(levels))
+        assert table.dtype == np.uint64
+        for i, seed in enumerate(seeds):
+            for j, r in enumerate(records):
+                for k, s in enumerate(levels):
+                    assert int(table[i, j, k]) == derive_seed(seed, r, s)
+
+    def test_grid_layout(self):
+        table = derive_seeds([5], range(7), range(3))[0]
+        assert [[int(v) for v in row] for row in table] == \
+            [[derive_seed(5, r, s) for s in range(3)] for r in range(7)]
+
+    @pytest.mark.parametrize("axes", [
+        ([2**64], [0, 3], [1]),               # 3 + 1 + 1 words: wider than the pool
+        ([2**64 + 5, 9], range(4), range(2)),  # one wide seed among narrow ones
+        ([2**128], [7]),                       # 5 + 1 words
+    ])
+    def test_wide_keys_fall_back_to_derive_seed(self, axes):
+        table = derive_seeds(*axes)
+        for index in np.ndindex(table.shape):
+            key = [list(axis)[i] for axis, i in zip(axes, index)]
+            assert int(table[index]) == derive_seed(*key)
+
+    def test_keys_up_to_the_pool_size_need_no_fallback(self):
+        # 2 + 1 + 1 words and 1 + 2 + 1 words still fit the pool.
+        for axes in [([2**64 - 1], [0, 2**32 - 1], [4]), ([3], [2**32, 2**64 - 1], [0])]:
+            table = derive_seeds(*axes)
+            for index in np.ndindex(table.shape):
+                key = [axis[i] for axis, i in zip(axes, index)]
+                assert int(table[index]) == derive_seed(*key)
+
+    def test_negative_key_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_seeds([-1], [0])
+
+
+class TestFillWgn:
+    def test_each_row_is_its_own_stream(self):
+        keys = [(0, 0), (2**32, 5), (derive_seed(1, 2, 3), 9)]
+        words = np.stack([stream_words([seed], [rep])[0, 0] for seed, rep in keys])
+        out = np.full((3, 257), np.nan)
+        assert fill_wgn(words, out) is out
+        for row, key in zip(out, keys):
+            np.testing.assert_array_equal(row, generate_wgn(257, key))
+
+    def test_fills_row_views_in_place(self):
+        words = stream_words([4, 8], [0, 1]).reshape(-1, 4)
+        matrix = np.zeros((5, 64))
+        fill_wgn(words, matrix[1:])
+        assert np.all(matrix[0] == 0)
+        np.testing.assert_array_equal(matrix[3], generate_wgn(64, (8, 0)))

@@ -216,6 +216,28 @@ class TestLeaveOneOut:
         per_class = np.bincount(ws.labels, minlength=len(dataset.classes))
         np.testing.assert_array_equal(report.confusion.sum(axis=1), per_class)
 
+    def test_confusion_and_fold_crs_count_the_decision_stream(self):
+        # Shuffled labels leave errors in every row, so off-diagonal cells count too.
+        dataset = small_dataset(n_classes=3, trials_per_class=3, seed=5)
+        labels = [t.label for t in dataset.trials]
+        np.random.default_rng(1).shuffle(labels)
+        shuffled = Dataset(
+            classes=dataset.classes, rate=dataset.rate,
+            trials=[Trial(trial_id=t.trial_id, label=lab, subject=t.subject,
+                          group=t.group, channels=t.channels, data=t.data)
+                    for t, lab in zip(dataset.trials, labels)])
+        report = leave_one_out(shuffled, parse_features("rms,mmnf"), SEG, vote_window=3)
+        confusion = np.zeros_like(report.confusion)
+        per_trial: dict[str, list[bool]] = {}
+        for dec in report.decisions:
+            confusion[dataset.classes.index(dec.true_label),
+                      dataset.classes.index(dec.mv_label)] += 1
+            per_trial.setdefault(dec.trial_id, []).append(dec.mv_label == dec.true_label)
+        assert np.count_nonzero(confusion - np.diag(np.diag(confusion))) > 0
+        np.testing.assert_array_equal(report.confusion, confusion)
+        assert report.fold_crs == [(tid, 100.0 * sum(hits) / len(hits))
+                                   for tid, hits in per_trial.items()]
+
     def test_permuted_labels_score_at_chance(self):
         dataset = small_dataset(n_classes=4, trials_per_class=6, seed=4)
         rng = np.random.default_rng(0)

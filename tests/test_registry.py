@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from myobench.freq_features import ar_coefficients
-from myobench.registry import (FEATURE_SETS, default_panel, feature_set,
-                               parse_feature, parse_features,
+from myobench.registry import (FEATURE_NAMES, FEATURE_SETS, default_panel, extract,
+                               feature_set, parse_feature, parse_features,
                                resolve_hemg_limit)
-from myobench.time_features import rms, wamp
+from myobench.time_features import rms, ssc, wamp, zc
 
 
 class TestParsing:
@@ -92,6 +92,60 @@ class TestCompute:
         assert parse_feature("rms").component_names() == ["rms"]
         assert parse_feature("mavslp").component_names() == \
             ["mavslp[1]", "mavslp[2]"]
+
+
+# All 18 features, with repeated thresholds and several orders, segment
+# counts, bin counts and DC settings, so the shared intermediates serve
+# descriptors of one family with different parameters.
+MIXED = parse_features(
+    "zc,ar:order=3,ssc,wamp,mnf,iemg,zc:threshold=0,wamp:threshold=25,mav,mmav1,"
+    "mmav2,mavslp,mavslp:segments=4,ssi,var,rms,wl,ssc:threshold=0,hemg:limit=40,"
+    "mmnf,mdf,mmdf,ar:order=1,zc:threshold=35,ssc:threshold=120,wamp:threshold=0,"
+    "hemg:bins=5:limit=25,mmnf:dc=0,mdf:dc=0,ar:order=6,mnf:dc=0,mmdf:dc=0")
+
+
+class TestJointExtraction:
+    """A mixed descriptor list gives exactly each descriptor's columns alone."""
+
+    def windows(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((7, 240)) * 20
+        x[:, 100:104] = x[:, 99:100]  # repeated samples: zero differences
+        x[3] = np.round(x[3] / 10) * 10  # many equal neighbours
+        return x
+
+    def test_covers_every_feature(self):
+        assert {d.name for d in MIXED} == set(FEATURE_NAMES)
+
+    @pytest.mark.parametrize("two_d", [True, False])
+    def test_columns_equal_single_descriptor_extraction(self, two_d):
+        x = self.windows() if two_d else self.windows()[2]
+        joint = extract(MIXED, x, 1000.0)
+        starts = np.cumsum([0] + [d.component_count() for d in MIXED])
+        assert joint.shape == ((7 if two_d else 1), starts[-1])
+        for desc, lo, hi in zip(MIXED, starts[:-1], starts[1:]):
+            alone = extract([desc], x, 1000.0)
+            assert np.array_equal(joint[:, lo:hi], alone), desc.label
+
+    def test_counters_match_their_definitions(self):
+        # The counters read shared differences; ssc's curvature product is
+        # rebuilt from them, so check it against the definition, zero
+        # differences and a zero threshold included.
+        for x in self.windows():
+            left, right = x[1:-1] - x[:-2], x[1:-1] - x[2:]
+            jump = np.abs(x[1:] - x[:-1])
+            for threshold in (0.0, 10.0, 30.0):
+                assert ssc(x, threshold) == np.count_nonzero(left * right >= threshold)
+                assert zc(x, threshold) == np.count_nonzero(
+                    (x[:-1] * x[1:] < 0) & (jump >= threshold))
+                assert wamp(x, threshold) == np.count_nonzero(jump >= threshold)
+
+    def test_short_windows_still_fail(self):
+        for token, samples in [("wl", 1), ("zc", 1), ("wamp", 1), ("ssc", 2)]:
+            with pytest.raises(ValueError, match="at least"):
+                extract(parse_features(f"rms,{token}"), np.ones((2, samples)), 1000.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            extract(parse_features("wl,ssc:threshold=-1"), np.ones((2, 8)), 1000.0)
 
 
 class TestScalarize:

@@ -213,6 +213,36 @@ class TestRunGrid:
         assert {(row.feature, row.n, row.excluded) for row in grid.rows} == \
             {("hemg", 4, 0), ("rms", 2, 2)}
 
+    @pytest.mark.parametrize("tokens", ["rms,wamp,mmnf", "rms,mavslp,wamp,mmnf"])
+    def test_out_of_range_component_excludes_only_its_feature(self, tokens):
+        # Without mavslp the joint extraction succeeds; with it (256 samples
+        # do not split into 3 segments) each feature is extracted on its own.
+        records = make_records(np.random.default_rng(21), count=3)
+        features = parse_features(tokens)
+        features[-2] = replace(features[-2], scalar_component=2)  # wamp has 1 component
+        cfg = RobustnessConfig(snr_grid=(20.0, 5.0), repetitions=3, seed=6)
+        grid = run_grid(records, features, cfg)
+        same_rows(grid.rows, reference_rows(records, features, cfg))
+        assert grid.unscored.pop("wamp") == "scalar component 2 out of range for 1 components"
+        if "mavslp" in tokens:
+            assert grid.unscored.pop("mavslp") == \
+                "window of 256 samples does not divide into 3 equal segments"
+        assert grid.unscored == {}
+        assert {row.feature for row in grid.rows if row.n} == {"rms", "mmnf"}
+
+    def test_unscored_reasons(self):
+        rng = np.random.default_rng(22)
+        flat = [TrialRecord(signal=Signal(np.zeros(256), 1000.0), motion="m0",
+                            group="strong", trial_id=f"flat{i}") for i in range(2)]
+        cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=2, seed=0)
+        grid = run_grid(flat, parse_features("rms,mmnf"), cfg)
+        assert grid.unscored == {"rms": "signal power is zero; SNR is undefined",
+                                 "mmnf": "signal power is zero; SNR is undefined"}
+        grid = run_grid(make_records(rng, count=2, amp=1.0),
+                        parse_features("rms,wamp:threshold=1e6"), cfg)
+        assert grid.unscored == {"wamp(threshold=1e+06)": "its clean value is zero"}
+        assert run_grid(make_records(rng, count=2), default_panel(), cfg).unscored == {}
+
     def test_group_filter(self):
         rng = np.random.default_rng(9)
         records = make_records(rng, count=2) + [
