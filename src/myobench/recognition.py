@@ -12,29 +12,33 @@ extraction. Data-dependent feature parameters (the histogram range) are
 resolved per fold from the training trials only, so nothing about a held-out
 trial can influence its fold's model.
 
-Folds share work. Within one feature set, each trial's clean feature block is
-extracted once per distinct tuple of resolved descriptors and cached under
-(trial id, resolved descriptors); a fold's training matrix stacks the cached
-blocks of its training trials in trial order, which is the matrix a fresh
-extraction would build. Held-out data cannot leak through the cache: a fold
-resolves its descriptors from its training trials before looking anything up,
-so a fold whose held-out trial holds the peak amplitude resolves a different
-histogram range and gets blocks of its own, and the held-out trial's own
-block is never read. At each noise level every held-out trial is made noisy
-once and scored by every feature set.
+Folds and feature sets share work. Each trial's clean peak |amplitude| is
+taken once, and each fold resolves every set's descriptors from the peaks of
+its own training trials. Each trial is then extracted once, clean, over the
+union of the descriptors that any (set, fold) needs from it; a set's matrix
+is a channel-major column selection from that block, and a fold's training
+matrix stacks its training trials' selections in trial order, which is the
+matrix a fresh extraction of that set would build. Held-out data cannot leak
+through the shared blocks: a fold reads only its training trials' blocks,
+under descriptors resolved without the held-out trial, so a fold whose
+held-out trial holds the peak amplitude selects columns of its own histogram
+range. The clean level scores each held-out trial from its own clean block.
+At each noise level every held-out trial is made noisy once and extracted
+once, over the union of its fold's descriptors across the sets, and every
+set scores its own columns of that block.
 """
 from __future__ import annotations
 
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import Dataset, Trial
-from .noise import NoiseSpec, derive_seed, inject_at_snr
+from .noise import derive_seed, derive_seeds, fill_wgn, signal_power, snr_sigma, stream_words
 from .registry import FeatureDescriptor, extract, resolve_hemg_limit
 from .signals import SegmentationConfig, segment, segment_offsets
 
@@ -94,7 +98,7 @@ def lda_train(data: LabeledWindowSet, ridge: float = DEFAULT_RIDGE) -> LdaModel:
     least two windows.
     """
     X, y = data.features, data.labels
-    present = np.unique(y)
+    present = np.flatnonzero(np.bincount(y))
     if present.size < 2:
         raise ValueError("LDA needs at least 2 classes in the training data")
     n, d = X.shape
@@ -232,45 +236,131 @@ def train_fold(dataset: Dataset, features: list[FeatureDescriptor],
     Only trials other than the held-out one contribute, both to the model and
     to data-dependent feature parameters.
     """
-    return _train_fold(dataset, features, segmentation, held_out_trial_id,
-                       ridge, cache={})
-
-
-def _train_fold(dataset: Dataset, features: list[FeatureDescriptor],
-                segmentation: SegmentationConfig, held_out_trial_id: str,
-                ridge: float, cache: dict):
-    """``train_fold`` reusing clean per-trial feature blocks from ``cache``.
-
-    The cache is keyed by (trial id, resolved descriptors): a block is reused
-    only under the exact parameters this fold resolved from its own training
-    trials, and the held-out trial's block is never read.
-    """
-    train_trials = [t for t in dataset.trials if t.trial_id != held_out_trial_id]
-    if len(train_trials) == len(dataset.trials):
+    ids = [t.trial_id for t in dataset.trials]
+    if held_out_trial_id not in ids:
         raise ValueError(f"no trial with id {held_out_trial_id!r}")
-    resolved = resolve_hemg_limit(
-        features,
-        (t.data[:, ch] for t in train_trials for ch in range(len(t.channels))),
-    )
-    blocks = []
-    for trial in train_trials:
-        key = (trial.trial_id, tuple(resolved))
-        if key not in cache:
-            cache[key] = extract_window_set([trial], dataset.rate, resolved,
-                                            segmentation, dataset.classes)
-        blocks.append(cache[key])
-    train_set = LabeledWindowSet(
-        features=np.vstack([b.features for b in blocks]),
-        labels=np.concatenate([b.labels for b in blocks]),
-        trial_ids=[tid for b in blocks for tid in b.trial_ids],
-        class_names=list(dataset.classes),
-        window_start_ms=np.concatenate([b.window_start_ms for b in blocks]),
-        feature_names=blocks[0].feature_names,
-    )
-    return lda_train(train_set, ridge=ridge), resolved
+    folds, _ = _train_folds(dataset, [features], [ids.index(held_out_trial_id)],
+                            segmentation, ridge)
+    return folds[0][0]
 
 
-def _validate_folds(dataset: Dataset):
+class _TrialBlock:
+    """One trial's windows and its feature matrix for each of several descriptor lists.
+
+    The trial is extracted once, over the union of the lists (each descriptor
+    once, in first-seen order). ``features[tuple(descriptors)]`` is a
+    channel-major column selection from that block, so it equals what
+    extracting that list alone would give.
+    """
+
+    def __init__(self, trial: Trial, descriptor_lists, dataset: Dataset,
+                 segmentation: SegmentationConfig):
+        keys = list(dict.fromkeys(map(tuple, descriptor_lists)))
+        union = list(dict.fromkeys(d for key in keys for d in key))
+        self.windows = extract_window_set([trial], dataset.rate, union,
+                                          segmentation, dataset.classes)
+        starts = np.cumsum([0] + [d.component_count() for d in union]).tolist()
+        span = {d: np.arange(a, b) for d, a, b in zip(union, starts, starts[1:])}
+        by_channel = self.windows.features.reshape(len(self.windows), -1, starts[-1])
+        self.features = {key: by_channel[:, :, np.concatenate([span[d] for d in key])]
+                         .reshape(len(self.windows), -1) for key in keys}
+
+
+def _train_folds(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
+                 held_out, segmentation: SegmentationConfig, ridge: float):
+    """Each set's (model, resolved descriptors) per held-out trial index, and
+    the clean per-trial blocks (None for a trial that no fold trains on).
+
+    Training uses clean data only, so the same fold models can score any
+    noise level. A fold resolves its descriptors from the peak |amplitude| of
+    its own training trials. Each trial that some fold trains on is extracted
+    once, over every fold's descriptor lists: those the other folds train on
+    it with, and its own fold's, with which it is scored clean.
+    """
+    trials = dataset.trials
+    peaks = np.array([np.abs(t.data).max(axis=0, initial=0.0) for t in trials])
+    train = [np.arange(len(trials)) != i for i in held_out]
+    resolved = [[resolve_hemg_limit(features, peaks[mask].ravel()) for mask in train]
+                for features in feature_sets]
+    lists = [descriptors for per_fold in resolved for descriptors in per_fold]
+    blocks = [_TrialBlock(trial, lists, dataset, segmentation) if used else None
+              for trial, used in zip(trials, np.any(train, axis=0))]
+    folds = [[] for _ in feature_sets]
+    for mask, *per_set in zip(train, *resolved):
+        fold_blocks = [b for b, used in zip(blocks, mask) if used]
+        rows = dict(labels=np.concatenate([b.windows.labels for b in fold_blocks]),
+                    trial_ids=[tid for b in fold_blocks for tid in b.windows.trial_ids],
+                    window_start_ms=np.concatenate([b.windows.window_start_ms
+                                                    for b in fold_blocks]))
+        for set_folds, descriptors in zip(folds, per_set):
+            train_set = LabeledWindowSet(
+                features=np.vstack([b.features[tuple(descriptors)] for b in fold_blocks]),
+                class_names=list(dataset.classes), **rows)
+            set_folds.append((lda_train(train_set, ridge=ridge), descriptors))
+    return folds, blocks
+
+
+def _test_trials(dataset: Dataset, noise_snr_db: float, noise_seed: int) -> list[Trial]:
+    """The held-out trials with WGN in every channel.
+
+    Fold ``i``'s channel ``ch`` draws from the stream keyed by
+    (derive_seed(noise_seed, i, ch), 0), as `inject_at_snr` keys that seed,
+    so every feature set tested at a level sees the same noisy trials. The
+    draws are written in place and then scaled and offset by the clean signal.
+    """
+    if not np.isfinite(noise_snr_db):
+        raise ValueError("snr_db must be finite")
+    trials = dataset.trials
+    seeds = derive_seeds([noise_seed], range(len(trials)), range(len(trials[0].channels)))
+    words = stream_words(seeds.ravel(), [0]).reshape(seeds.shape[1:] + (-1,))
+    noisy_trials = []
+    for trial, trial_words in zip(trials, words):
+        noisy = fill_wgn(trial_words, np.empty(trial.data.T.shape))
+        noisy *= [[snr_sigma(signal_power(clean), noise_snr_db)] for clean in trial.data.T]
+        noisy += trial.data.T
+        noisy_trials.append(replace(trial, data=noisy.T))
+    return noisy_trials
+
+
+def _score_folds(dataset: Dataset, folds, tests: list[_TrialBlock],
+                 vote_window: int) -> ClassificationReport:
+    k = len(dataset.classes)
+    class_index = {name: i for i, name in enumerate(dataset.classes)}
+    confusion = np.zeros((k, k), dtype=int)
+    fold_crs = []
+    decisions = []
+    for trial, (model, resolved), test in zip(dataset.trials, folds, tests):
+        scores = lda_scores(model, test.features[tuple(resolved)])
+        raw = [model.class_names[i] for i in np.argmax(scores, axis=1)]
+        smoothed = majority_vote(raw, vote_window)
+
+        true_idx = class_index[trial.label]
+        predicted = np.array([class_index[name] for name in smoothed], dtype=np.intp)
+        confusion[true_idx] += np.bincount(predicted, minlength=k)
+        correct = int(np.count_nonzero(predicted == true_idx))
+        decisions.extend(
+            DecisionRecord(trial_id=trial.trial_id, window_start_ms=start,
+                           true_label=trial.label, raw_label=raw_label, mv_label=mv_label)
+            for start, raw_label, mv_label in zip(test.windows.window_start_ms.tolist(),
+                                                  raw, smoothed))
+        fold_crs.append((trial.trial_id, 100.0 * correct / len(test.windows)))
+
+    cr = 100.0 * float(np.trace(confusion)) / int(confusion.sum())
+    return ClassificationReport(
+        class_names=list(dataset.classes), cr=cr, confusion=confusion,
+        fold_crs=fold_crs, decisions=decisions,
+    )
+
+
+def _evaluate(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
+              levels: list, level_seeds: list[int],
+              segmentation: SegmentationConfig | None, vote_window: int,
+              ridge: float) -> list[list[ClassificationReport]]:
+    """The report of every feature set at every noise level, level by level.
+
+    Every set scores the clean level from the training blocks, and each
+    noisy level from one extraction per held-out trial over all sets.
+    """
     if len(dataset.trials) < 2:
         raise ValueError("leave-one-out needs at least 2 trials")
     trial_count = Counter(t.label for t in dataset.trials)
@@ -279,79 +369,17 @@ def _validate_folds(dataset: Dataset):
         raise ValueError(
             f"leave-one-out needs every class in >= 2 trials; short: {thin}"
         )
-
-
-def _fold_models(dataset: Dataset, features: list[FeatureDescriptor],
-                 segmentation: SegmentationConfig, ridge: float):
-    """One trained (model, resolved descriptors) pair per held-out trial.
-
-    Training uses clean data only, so the same fold models can score any
-    noise level. Each trial's clean features are extracted once per distinct
-    set of resolved descriptors and shared by every fold that trains on it.
-    """
-    cache: dict = {}
-    return [_train_fold(dataset, features, segmentation, trial.trial_id, ridge, cache)
-            for trial in dataset.trials]
-
-
-def _test_trials(dataset: Dataset, noise_snr_db: float | None,
-                 noise_seed: int) -> list[Trial]:
-    """The held-out trials as tested: clean, or with WGN in every channel.
-
-    Fold ``i``'s channel ``ch`` draws from the stream keyed by
-    (noise_seed, i, ch), so every feature set tested at a level sees the
-    same noisy trials.
-    """
-    if noise_snr_db is None:
-        return list(dataset.trials)
-    noisy_trials = []
-    for fold_idx, held_out in enumerate(dataset.trials):
-        noisy = np.empty_like(held_out.data)
-        for ch in range(len(held_out.channels)):
-            spec = NoiseSpec(snr_db=noise_snr_db,
-                             seed=derive_seed(noise_seed, fold_idx, ch))
-            noisy[:, ch] = inject_at_snr(held_out.signal(ch, dataset.rate), spec).samples
-        noisy_trials.append(Trial(
-            trial_id=held_out.trial_id, label=held_out.label,
-            subject=held_out.subject, group=held_out.group,
-            channels=held_out.channels, data=noisy,
-        ))
-    return noisy_trials
-
-
-def _score_folds(dataset: Dataset, fold_models, test_trials: list[Trial],
-                 segmentation: SegmentationConfig,
-                 vote_window: int) -> ClassificationReport:
-    k = len(dataset.classes)
-    class_index = {name: i for i, name in enumerate(dataset.classes)}
-    confusion = np.zeros((k, k), dtype=int)
-    fold_crs = []
-    decisions = []
-    for (model, resolved), test_trial in zip(fold_models, test_trials):
-        test_set = extract_window_set([test_trial], dataset.rate, resolved,
-                                      segmentation, dataset.classes)
-        scores = lda_scores(model, test_set.features)
-        raw = [model.class_names[i] for i in np.argmax(scores, axis=1)]
-        smoothed = majority_vote(raw, vote_window)
-
-        true_name = test_trial.label
-        true_idx = class_index[true_name]
-        predicted = np.array([class_index[name] for name in smoothed], dtype=np.intp)
-        confusion[true_idx] += np.bincount(predicted, minlength=k)
-        correct = int(np.count_nonzero(predicted == true_idx))
-        decisions.extend(
-            DecisionRecord(trial_id=test_trial.trial_id, window_start_ms=start,
-                           true_label=true_name, raw_label=raw_label, mv_label=mv_label)
-            for start, raw_label, mv_label in zip(test_set.window_start_ms.tolist(),
-                                                  raw, smoothed))
-        fold_crs.append((test_trial.trial_id, 100.0 * correct / len(test_set)))
-
-    total = int(confusion.sum())
-    cr = 100.0 * float(np.trace(confusion)) / total
-    return ClassificationReport(
-        class_names=list(dataset.classes), cr=cr, confusion=confusion,
-        fold_crs=fold_crs, decisions=decisions,
-    )
+    segmentation = segmentation or SegmentationConfig()
+    folds, clean_blocks = _train_folds(dataset, feature_sets, range(len(dataset.trials)),
+                                       segmentation, ridge)
+    by_level = []
+    for level, level_seed in zip(levels, level_seeds):
+        tests = clean_blocks if level is None else [
+            _TrialBlock(trial, [per_set[i][1] for per_set in folds], dataset, segmentation)
+            for i, trial in enumerate(_test_trials(dataset, level, level_seed))]
+        by_level.append([_score_folds(dataset, per_set, tests, vote_window)
+                         for per_set in folds])
+    return by_level
 
 
 def leave_one_out(dataset: Dataset, features: list[FeatureDescriptor],
@@ -367,12 +395,8 @@ def leave_one_out(dataset: Dataset, features: list[FeatureDescriptor],
     is keyed by (noise_seed, fold index, channel), so results are
     reproducible and all feature sets evaluated at a level share the noise.
     """
-    if segmentation is None:
-        segmentation = SegmentationConfig()
-    _validate_folds(dataset)
-    models = _fold_models(dataset, features, segmentation, ridge)
-    return _score_folds(dataset, models, _test_trials(dataset, noise_snr_db, noise_seed),
-                        segmentation, vote_window)
+    return _evaluate(dataset, [features], [noise_snr_db], [noise_seed], segmentation,
+                     vote_window, ridge)[0][0]
 
 
 @dataclass
@@ -399,26 +423,16 @@ def evaluate_feature_sets(dataset: Dataset,
     Models always train on clean data; the noise stream at a level is shared
     across feature sets so their scores face identical interference.
     """
-    if segmentation is None:
-        segmentation = SegmentationConfig()
     levels = list(noise_levels)
     if not feature_sets or not levels:
         raise ValueError("need at least one feature set and one noise level")
-    _validate_folds(dataset)
     set_names = list(feature_sets)
-    models = [_fold_models(dataset, feature_sets[name], segmentation, ridge)
-              for name in set_names]
-    cr = np.empty((len(set_names), len(levels)))
-    cells = {}
-    for l_idx, level in enumerate(levels):
-        test_trials = _test_trials(dataset, level, derive_seed(seed, l_idx))
-        for s_idx in range(len(set_names)):
-            cells[s_idx, l_idx] = _score_folds(dataset, models[s_idx], test_trials,
-                                               segmentation, vote_window)
-            cr[s_idx, l_idx] = cells[s_idx, l_idx].cr
-    reports = {(name, CrTable.level_label(level)): cells[s_idx, l_idx]
-               for s_idx, name in enumerate(set_names)
-               for l_idx, level in enumerate(levels)}
+    by_level = _evaluate(dataset, [feature_sets[name] for name in set_names], levels,
+                         [derive_seed(seed, l_idx) for l_idx in range(len(levels))],
+                         segmentation, vote_window, ridge)
+    cr = np.array([[report.cr for report in row] for row in by_level]).T
+    reports = {(name, CrTable.level_label(level)): row[s_idx]
+               for s_idx, name in enumerate(set_names) for level, row in zip(levels, by_level)}
     return CrTable(set_names=set_names, levels=levels, cr=cr, reports=reports)
 
 

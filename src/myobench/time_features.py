@@ -186,7 +186,8 @@ def hemg(window, bins: int = DEFAULT_HEMG_BINS, limit: float = 1.0) -> np.ndarra
 
     The symmetric range is supplied rather than taken per window so counts
     stay comparable across windows; samples outside it are clamped into the
-    nearest edge bin, so the counts always sum to N.
+    nearest edge bin, so the counts always sum to N. A non-finite sample has
+    no bin and is rejected.
     """
     x = _window(window)
     b = int(bins)
@@ -194,10 +195,14 @@ def hemg(window, bins: int = DEFAULT_HEMG_BINS, limit: float = 1.0) -> np.ndarra
         raise ValueError("hemg needs at least 1 bin")
     if not limit > 0:
         raise ValueError("hemg range limit must be positive")
-    scaled = x + limit
+    if not np.isfinite(x).all():
+        raise ValueError("hemg needs finite samples")
+    # Clamp in float first: a far-out sample's bin index would overflow int64.
+    scaled = np.clip(x, -limit, limit)
+    scaled += limit
     scaled /= 2.0 * limit / b
     idx = np.floor(scaled, out=scaled).astype(int)
-    np.clip(idx, 0, b - 1, out=idx)
+    np.minimum(idx, b - 1, out=idx)  # a sample at +limit scales to b, past the top bin
     # Offset each row's bin indices so one bincount histograms every row.
     rows = idx.reshape(-1, idx.shape[-1])
     rows += b * np.arange(rows.shape[0])[:, None]

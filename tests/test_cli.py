@@ -127,6 +127,21 @@ class TestExtract:
         assert result.output.strip() == "Error: feature matrix contains non-finite values"
         assert not out.exists()
 
+    def test_nan_sample_fails_hemg(self, runner, dataset_dir, tmp_path):
+        # The NaN used to land in bin 0 of the first windows' histograms, with exit 0.
+        trial_csv = sorted(dataset_dir.glob("*.csv"))[0]
+        lines = trial_csv.read_text().splitlines()
+        lines[10] = "nan," + lines[10].split(",", 1)[1]
+        trial_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "extract", "--data", str(dataset_dir / "manifest.json"),
+            "--features", "hemg", "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip() == "Error: hemg needs finite samples"
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m["trials"][0].pop("path"), "trial entry 0: missing required key 'path'"),
         (lambda m: m.update(sampling_rate_hz=-5),
@@ -310,6 +325,21 @@ class TestClassify:
         report = json.loads(Path(f"{out}_report.json").read_text())
         assert len(report["sets"]) == 7
         assert len(report["cells"]) == 28
+
+    def test_classify_leaves_numpy_ma_unloaded(self, dataset_dir, tmp_path):
+        # np.unique imports numpy.ma on first use, about 15 ms of every classify.
+        code = ("import sys; from myobench.cli import main; "
+                "main(sys.argv[1:], standalone_mode=False); "
+                "print('numpy.ma' in sys.modules)")
+        src = Path(myobench.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", code, "classify",
+             "--data", str(dataset_dir / "manifest.json"), "--sets", "hudgins,robust",
+             "--noise", "clean,10", "--out", str(tmp_path / "c")],
+            capture_output=True, text=True, check=True, env=env).stdout
+        assert out.strip().splitlines()[-1] == "False"
 
     def test_missing_dataset_path(self, runner, tmp_path):
         result = runner.invoke(main, [

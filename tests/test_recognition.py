@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from myobench import recognition
 from myobench.dataio import (Dataset, SynthConfig, Trial,
                              default_class_specs, synthesize_emg)
-from myobench.noise import derive_seed
-from myobench.recognition import (DEFAULT_RIDGE, LabeledWindowSet, _fold_models,
-                                  evaluate_feature_sets, extract_window_set,
-                                  lda_predict, lda_scores, lda_train, leave_one_out,
-                                  majority_vote, train_fold)
-from myobench.registry import parse_features
+from myobench.noise import NoiseSpec, derive_seed, inject_at_snr
+from myobench.recognition import (DEFAULT_RIDGE, LabeledWindowSet, _test_trials,
+                                  _train_folds, evaluate_feature_sets,
+                                  extract_window_set, lda_predict, lda_scores, lda_train,
+                                  leave_one_out, majority_vote, train_fold)
+from myobench.registry import feature_set, parse_features, resolve_hemg_limit
 from myobench.signals import SegmentationConfig
 
 
@@ -78,6 +78,17 @@ class TestLdaTrain:
         np.testing.assert_array_equal(model.means[0], X[:30].mean(axis=0))
         np.testing.assert_array_equal(model.means[1], X[30:].mean(axis=0))
         np.testing.assert_allclose(model.priors, [30 / 55, 25 / 55])
+
+    def test_class_missing_from_the_training_data(self):
+        # Classes 0 and 2 present, class 1 absent: the model covers the two present.
+        X = np.array([[0.0, 1.0], [0.5, 1.5], [0.2, 0.9], [4.0, 3.0], [4.5, 3.5]])
+        labels = np.array([0, 0, 0, 2, 2])
+        model = lda_train(window_set(X, labels, ["a", "b", "c"]))
+        assert model.class_names == ["a", "c"]
+        np.testing.assert_array_equal(model.means[0], X[:3].mean(axis=0))
+        np.testing.assert_array_equal(model.means[1], X[3:].mean(axis=0))
+        np.testing.assert_array_equal(model.priors, [3 / 5, 2 / 5])
+        assert lda_predict(model, [4.2, 3.2]) == "c"
 
     def test_needs_two_windows_per_class(self):
         ws = window_set([[0.0], [1.0], [2.0]], [0, 1, 1], ["a", "b"])
@@ -295,7 +306,7 @@ class TestLeaveOneOut:
 
     def test_held_out_trial_never_shapes_the_model_through_leave_one_out(
             self, monkeypatch):
-        # Distort fold 0's held-out trial and go through the cached fold
+        # Distort fold 0's held-out trial and go through the shared fold
         # path leave_one_out takes: fold 0's model is the first one fitted.
         dataset = small_dataset(n_classes=2, trials_per_class=2, seed=8)
         features = parse_features("hemg,wamp,mmnf")
@@ -317,12 +328,13 @@ class TestLeaveOneOut:
 
 
 class TestCachedFolds:
-    """The per-trial feature cache gives the models of a fresh extraction."""
+    """Folds and feature sets share each trial's extraction and still give the
+    models and reports of a fresh extraction."""
 
     def peak_dataset(self):
         # Trial 2 is scaled up so it alone holds the global peak: its fold
         # resolves a smaller HEMG range than every other fold.
-        base = small_dataset(n_classes=2, trials_per_class=3, seed=12)
+        base = small_dataset(n_classes=2, trials_per_class=3, seed=12, channels=2)
         trials = list(base.trials)
         trials[2] = scaled_trial(trials[2], 3.0)
         return Dataset(classes=base.classes, rate=base.rate, trials=trials)
@@ -330,20 +342,31 @@ class TestCachedFolds:
     def test_every_fold_matches_brute_force(self):
         dataset = self.peak_dataset()
         features = parse_features("mmnf,hemg,wamp")
-        cached = _fold_models(dataset, features, SEG, DEFAULT_RIDGE)
+        folds, _ = _train_folds(dataset, [features, parse_features("rms,hemg:bins=5")],
+                                range(len(dataset.trials)), SEG, DEFAULT_RIDGE)
         limits = set()
-        for trial, (model, resolved) in zip(dataset.trials, cached):
+        for trial, (model, resolved) in zip(dataset.trials, folds[0]):
             fresh_model, fresh_resolved = train_fold(dataset, features, SEG,
                                                      trial.trial_id)
             assert resolved == fresh_resolved
             assert_same_model(model, fresh_model)
+            # The same fold, resolved and extracted from the raw training trials.
+            train = [t for t in dataset.trials if t is not trial]
+            brute = resolve_hemg_limit(features, (t.data[:, ch] for t in train
+                                                  for ch in range(len(t.channels))))
+            assert resolved == brute
+            assert_same_model(model, lda_train(extract_window_set(
+                train, dataset.rate, brute, SEG, dataset.classes)))
             limits.add(tuple(resolved))
         assert len(limits) == 2
 
     def test_feature_set_cells_equal_leave_one_out(self):
         dataset = self.peak_dataset()
         sets = {"robust": parse_features("mmnf,hemg,wamp"),
-                "amplitude": parse_features("rms,wl")}
+                "amplitude": parse_features("rms,wl"),
+                # a and b share wamp with each other and hemg with robust.
+                "a": parse_features("hemg,wamp"),
+                "b": parse_features("wamp,rms")}
         levels = [None, 20.0, 10.0]
         table = evaluate_feature_sets(dataset, sets, levels, SEG, seed=4)
         assert list(table.reports) == [(name, table.level_label(level))
@@ -357,6 +380,38 @@ class TestCachedFolds:
                 np.testing.assert_array_equal(cell.confusion, direct.confusion)
                 assert cell.fold_crs == direct.fold_crs
                 assert cell.decisions == direct.decisions
+
+    @pytest.mark.parametrize("set_names", [["robust"], ["hudgins", "oskoei", "robust"]])
+    def test_one_extraction_per_trial_and_level(self, monkeypatch, set_names):
+        dataset = self.peak_dataset()
+        extracted = []
+
+        def counting_extract(trials, *args):
+            extracted.append([t.trial_id for t in trials])
+            return extract_window_set(trials, *args)
+
+        monkeypatch.setattr(recognition, "extract_window_set", counting_extract)
+        sets = dict(map(feature_set, set_names))
+        evaluate_feature_sets(dataset, sets, [None, 20.0, 10.0], SEG, seed=1)
+        ids = [t.trial_id for t in dataset.trials]
+        assert extracted == [[tid] for tid in ids] * 3
+
+    def test_noisy_trials_equal_inject_at_snr(self):
+        dataset = small_dataset(n_classes=2, trials_per_class=2, seed=13, channels=3)
+        level_seed = derive_seed(6, 1)
+        noisy = _test_trials(dataset, 15.0, level_seed)
+        assert [t.trial_id for t in noisy] == [t.trial_id for t in dataset.trials]
+        for fold, (trial, tested) in enumerate(zip(dataset.trials, noisy)):
+            assert (tested.label, tested.channels) == (trial.label, trial.channels)
+            for ch in range(len(trial.channels)):
+                spec = NoiseSpec(snr_db=15.0, seed=derive_seed(level_seed, fold, ch))
+                expected = inject_at_snr(trial.signal(ch, dataset.rate), spec).samples
+                np.testing.assert_array_equal(tested.data[:, ch], expected)
+
+    def test_non_finite_snr_rejected(self):
+        dataset = small_dataset(n_classes=2, trials_per_class=2, seed=14)
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            leave_one_out(dataset, parse_features("rms"), SEG, noise_snr_db=np.inf)
 
 
 class TestSeparability:

@@ -158,6 +158,14 @@ class TestHandValues:
         np.testing.assert_array_equal(
             hemg([-100.0, 100.0, 0.0], bins=3, limit=1.0), [1, 1, 1])
 
+    @pytest.mark.parametrize("far", [1e300, np.finfo(float).max])
+    def test_hemg_far_outlier_lands_in_the_top_bin(self, far):
+        # A scaled index past int64 used to wrap to INT64_MIN and land in bin 0.
+        np.testing.assert_array_equal(hemg([far, 0.5, -0.5], bins=3, limit=1.0),
+                                      hemg([2.0, 0.5, -0.5], bins=3, limit=1.0))
+        np.testing.assert_array_equal(hemg([far, 0.5, -0.5], bins=3, limit=1.0), [1, 0, 2])
+        np.testing.assert_array_equal(hemg([-far, 0.5], bins=3, limit=1e-3), [1, 0, 1])
+
 
 # ---------------------------------------------------------------- oracle sweep
 
@@ -266,6 +274,13 @@ class TestErrors:
             hemg([1.0], bins=0, limit=1.0)
         with pytest.raises(ValueError):
             hemg([1.0], bins=3, limit=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hemg_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="hemg needs finite samples"):
+            hemg([0.5, bad, -0.5], bins=3, limit=1.0)
+        with pytest.raises(ValueError, match="hemg needs finite samples"):
+            hemg(np.array([[0.5, 0.1], [0.2, bad]]), bins=3, limit=1.0)
 
     def test_short_windows_rejected(self):
         with pytest.raises(ValueError):
