@@ -17,7 +17,7 @@ from .robustness import (RobustnessConfig, RobustnessGrid, TrialRecord,
                          percentage_error, run_grid, sweep_parameters,
                          records_from_dataset, grid_to_csv, grid_to_json)
 from .recognition import (LabeledWindowSet, LdaModel, ClassificationReport,
-                          CrTable, lda_train, lda_predict, lda_scores,
+                          CrTable, lda_train, lda_scores,
                           majority_vote, extract_window_set, train_fold,
                           leave_one_out, evaluate_feature_sets)
 from .dataio import (Dataset, Trial, DatasetError, ClassSpec, SynthConfig,

@@ -7,7 +7,6 @@ carries its fully resolved configuration (embedded in JSON outputs, a
 """
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -16,8 +15,9 @@ import click
 from . import __version__
 from .dataio import (ClassSpec, Dataset, DatasetError, SynthConfig,
                      default_class_specs, load_dataset, save_dataset, synthesize_emg)
-from .recognition import (DEFAULT_VOTE_WINDOW, decisions_to_csv, evaluate_feature_sets,
-                          extract_window_set, table_to_csv, table_to_json)
+from .recognition import (DEFAULT_VOTE_WINDOW, CrTable, check_vote_window, csv_prefix,
+                          decisions_to_csv, evaluate_feature_sets, extract_window_set,
+                          table_to_csv, table_to_json)
 from .registry import (default_panel, feature_set, parse_features,
                        resolve_hemg_limit)
 from .robustness import (RobustnessConfig, grid_to_csv, grid_to_json,
@@ -130,19 +130,20 @@ def extract(data, features, window_ms, slide_ms, out):
                                      seg_cfg, dataset.classes)
     except ValueError as exc:
         _fail(exc)
-    trials = {t.trial_id: t for t in dataset.trials}
+    prefixes = {t.trial_id: csv_prefix([t.trial_id, t.label, t.group])
+                for t in dataset.trials}
+    row_format = "%s" + ",".join(["%g"] + ["%.10g"] * windows.features.shape[1]) + "\r\n"
+    text = csv_prefix(["trial_id", "label", "group", "window_start_ms",
+                       *windows.feature_names])[:-1] + "\r\n"
+    text += "".join(row_format % (prefixes[trial_id], start, *values)
+                    for trial_id, start, values in zip(windows.trial_ids,
+                                                       windows.window_start_ms.tolist(),
+                                                       windows.features.tolist()))
     out_path = Path(out)
     if out_path.parent != Path("."):
         out_path.parent.mkdir(parents=True, exist_ok=True)
     with out_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial_id", "label", "group", "window_start_ms",
-                         *windows.feature_names])
-        for trial_id, start, values in zip(windows.trial_ids, windows.window_start_ms,
-                                           windows.features):
-            trial = trials[trial_id]
-            writer.writerow([trial_id, trial.label, trial.group, f"{start:g}",
-                             *(f"{v:.10g}" for v in values)])
+        fh.write(text)
     config = {"command": "extract", "data": str(data), "features": features,
               "window_ms": window_ms, "slide_ms": slide_ms}
     out_path.with_suffix(out_path.suffix + ".config.json").write_text(
@@ -261,9 +262,14 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
 def classify(data, sets, noise, vote, window_ms, slide_ms, seed, out):
     """Leave-one-out recognition of feature sets across noise levels."""
     try:
-        feature_sets = dict(feature_set(token) for token in sets.split(",") if token.strip())
-        if not feature_sets:
+        named_sets = [feature_set(token) for token in sets.split(",") if token.strip()]
+        if not named_sets:
             raise ValueError("empty feature-set list")
+        names = [name for name, _ in named_sets]
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise ValueError(f"feature set {repeated[0]!r} is repeated")
+        feature_sets = dict(named_sets)
         levels: list[float | None] = []
         for token in noise.split(","):
             token = token.strip()
@@ -272,6 +278,8 @@ def classify(data, sets, noise, vote, window_ms, slide_ms, seed, out):
             levels.append(None if token.lower() == "clean" else float(token))
         if not levels:
             raise ValueError("empty noise-level list")
+        CrTable.level_labels(levels)
+        check_vote_window(vote)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
     dataset = _load(data)
@@ -290,10 +298,9 @@ def classify(data, sets, noise, vote, window_ms, slide_ms, seed, out):
     out.parent.mkdir(parents=True, exist_ok=True)
     table_to_csv(table, Path(f"{out}_table.csv"), config)
     table_to_json(table, Path(f"{out}_report.json"), config)
-    for (set_name, level_label), report in table.reports.items():
-        decisions_to_csv(report, Path(f"{out}_decisions_{set_name}_{level_label}.csv"))
+    streams = decisions_to_csv(table, out)
     click.echo(f"wrote {out}_table.csv, {out}_report.json, and "
-               f"{len(table.reports)} decision streams")
+               f"{len(streams)} decision streams")
 
 
 if __name__ == "__main__":

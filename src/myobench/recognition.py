@@ -26,13 +26,22 @@ range. The clean level scores each held-out trial from its own clean block.
 At each noise level every held-out trial is made noisy once and extracted
 once, over the union of its fold's descriptors across the sets, and every
 set scores its own columns of that block.
+
+Scoring works on class codes. Each fold maps its model's class list onto the
+dataset's class indices once, and its raw decisions are that map applied to
+the argmax of the discriminants. One majority vote smooths every fold's
+codes at once, with no window crossing a fold boundary; the confusion
+matrix, the fold rates and the report's decision columns
+(`DecisionStream`) all count those codes, and the decision CSVs turn them
+back into class names only as text, from each name's quoted form.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -142,10 +151,32 @@ def lda_scores(model: LdaModel, X: np.ndarray) -> np.ndarray:
     return X @ model._coef.T + model._intercept
 
 
-def lda_predict(model: LdaModel, window_features) -> str:
-    """Most likely class for one feature vector; ties go to the lowest index."""
-    scores = lda_scores(model, np.asarray(window_features, dtype=float))[0]
-    return model.class_names[int(np.argmax(scores))]
+def check_vote_window(vote_window: int) -> None:
+    """Reject a majority-vote window that is not an odd positive count."""
+    if vote_window < 1 or vote_window % 2 == 0:
+        raise ValueError(f"vote window must be an odd positive count, got {vote_window}")
+
+
+def _vote(codes: np.ndarray, n_codes: int, vote_window: int,
+          offsets: np.ndarray) -> np.ndarray:
+    """Centered modal filter over class codes in [0, n_codes), stream by stream.
+
+    ``codes[offsets[i]:offsets[i + 1]]`` is stream ``i``; no window reaches
+    across a stream boundary. The unique mode of a window wins; a tie keeps
+    the raw code. Votes are differences of running one-hot counts, so each
+    position costs O(n_codes), not O(window).
+    """
+    n = codes.size
+    running = np.zeros((n + 1, n_codes), dtype=np.int64)
+    running[np.arange(1, n + 1), codes] = 1
+    np.cumsum(running, axis=0, out=running)
+    half = vote_window // 2
+    stream = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    pos = np.arange(n)
+    votes = (running[np.minimum(pos + half + 1, offsets[stream + 1])]
+             - running[np.maximum(pos - half, offsets[stream])])
+    unique = np.count_nonzero(votes == votes.max(axis=1)[:, None], axis=1) == 1
+    return np.where(unique, votes.argmax(axis=1), codes)
 
 
 def majority_vote(decision_stream, vote_window: int = DEFAULT_VOTE_WINDOW) -> list:
@@ -153,28 +184,19 @@ def majority_vote(decision_stream, vote_window: int = DEFAULT_VOTE_WINDOW) -> li
 
     Stream edges use whatever neighborhood is available; when two labels tie
     for the mode, the raw (unsmoothed) decision at that position is kept.
-    Labels may be any hashables; votes are counted as differences of running
-    one-hot counts, so each position costs O(labels), not O(window).
+    Labels may be any hashables.
     """
-    if vote_window < 1 or vote_window % 2 == 0:
-        raise ValueError("vote window must be an odd positive count")
+    check_vote_window(vote_window)
     stream = list(decision_stream)
     if not stream:
         return []
-    n = len(stream)
     codes: dict = {}
     for label in stream:
         codes.setdefault(label, len(codes))
-    running = np.zeros((n + 1, len(codes)), dtype=np.int64)
-    running[np.arange(1, n + 1), [codes[label] for label in stream]] = 1
-    np.cumsum(running, axis=0, out=running)
-    half = vote_window // 2
-    pos = np.arange(n)
-    votes = running[np.minimum(pos + half + 1, n)] - running[np.maximum(pos - half, 0)]
-    unique = np.count_nonzero(votes == votes.max(axis=1)[:, None], axis=1) == 1
     names = list(codes)
-    return [names[w] if u else raw
-            for w, u, raw in zip(votes.argmax(axis=1).tolist(), unique.tolist(), stream)]
+    smoothed = _vote(np.array([codes[label] for label in stream]), len(names),
+                     vote_window, np.array([0, len(stream)]))
+    return [names[c] for c in smoothed.tolist()]
 
 
 def extract_window_set(trials: list[Trial], rate: float,
@@ -208,13 +230,29 @@ def extract_window_set(trials: list[Trial], rate: float,
     )
 
 
-@dataclass
-class DecisionRecord:
-    trial_id: str
-    window_start_ms: float
-    true_label: str
-    raw_label: str
-    mv_label: str
+@dataclass(eq=False)
+class DecisionStream:
+    """A report's decisions as columns, fold by fold in trial order.
+
+    Fold ``i`` holds rows ``offsets[i]:offsets[i + 1]``, in time order. The
+    true, raw (LDA) and majority-vote decisions are codes into the report's
+    ``class_names``.
+    """
+
+    offsets: np.ndarray           # (folds + 1,)
+    window_start_ms: np.ndarray   # (windows,)
+    true: np.ndarray              # (windows,) class codes
+    raw: np.ndarray
+    mv: np.ndarray
+
+    def __len__(self) -> int:
+        return self.window_start_ms.size
+
+    def __eq__(self, other):
+        if not isinstance(other, DecisionStream):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass
@@ -225,7 +263,7 @@ class ClassificationReport:
     cr: float                      # percent correct, after majority vote
     confusion: np.ndarray          # (K, K) counts, rows = true class
     fold_crs: list[tuple[str, float]]
-    decisions: list[DecisionRecord]
+    decisions: DecisionStream
 
 
 def train_fold(dataset: Dataset, features: list[FeatureDescriptor],
@@ -326,26 +364,24 @@ def _score_folds(dataset: Dataset, folds, tests: list[_TrialBlock],
                  vote_window: int) -> ClassificationReport:
     k = len(dataset.classes)
     class_index = {name: i for i, name in enumerate(dataset.classes)}
-    confusion = np.zeros((k, k), dtype=int)
-    fold_crs = []
-    decisions = []
-    for trial, (model, resolved), test in zip(dataset.trials, folds, tests):
-        scores = lda_scores(model, test.features[tuple(resolved)])
-        raw = [model.class_names[i] for i in np.argmax(scores, axis=1)]
-        smoothed = majority_vote(raw, vote_window)
-
-        true_idx = class_index[trial.label]
-        predicted = np.array([class_index[name] for name in smoothed], dtype=np.intp)
-        confusion[true_idx] += np.bincount(predicted, minlength=k)
-        correct = int(np.count_nonzero(predicted == true_idx))
-        decisions.extend(
-            DecisionRecord(trial_id=trial.trial_id, window_start_ms=start,
-                           true_label=trial.label, raw_label=raw_label, mv_label=mv_label)
-            for start, raw_label, mv_label in zip(test.windows.window_start_ms.tolist(),
-                                                  raw, smoothed))
-        fold_crs.append((trial.trial_id, 100.0 * correct / len(test.windows)))
-
+    raw = []
+    for (model, resolved), test in zip(folds, tests):
+        to_dataset = np.array([class_index[name] for name in model.class_names])
+        raw.append(to_dataset[np.argmax(lda_scores(model, test.features[tuple(resolved)]),
+                                        axis=1)])
+    offsets = np.cumsum([0] + [codes.size for codes in raw])
+    raw = np.concatenate(raw)
+    true = np.concatenate([test.windows.labels for test in tests])
+    mv = _vote(raw, k, vote_window, offsets)
+    confusion = np.bincount(true * k + mv, minlength=k * k).reshape(k, k)
+    hits = np.concatenate([[0], np.cumsum(mv == true)])
+    correct = (hits[offsets[1:]] - hits[offsets[:-1]]).tolist()
+    fold_crs = [(trial.trial_id, 100.0 * c / n) for trial, c, n
+                in zip(dataset.trials, correct, np.diff(offsets).tolist())]
     cr = 100.0 * float(np.trace(confusion)) / int(confusion.sum())
+    decisions = DecisionStream(
+        offsets=offsets, true=true, raw=raw, mv=mv,
+        window_start_ms=np.concatenate([test.windows.window_start_ms for test in tests]))
     return ClassificationReport(
         class_names=list(dataset.classes), cr=cr, confusion=confusion,
         fold_crs=fold_crs, decisions=decisions,
@@ -361,6 +397,7 @@ def _evaluate(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
     Every set scores the clean level from the training blocks, and each
     noisy level from one extraction per held-out trial over all sets.
     """
+    check_vote_window(vote_window)
     if len(dataset.trials) < 2:
         raise ValueError("leave-one-out needs at least 2 trials")
     trial_count = Counter(t.label for t in dataset.trials)
@@ -412,6 +449,16 @@ class CrTable:
     def level_label(level: float | None) -> str:
         return "clean" if level is None else f"{level:g}dB"
 
+    @staticmethod
+    def level_labels(levels) -> list[str]:
+        """The labels of ``levels``; a repeated label is a ValueError, since
+        each label names one column, report cell and decision file."""
+        labels = [CrTable.level_label(level) for level in levels]
+        repeated = [label for i, label in enumerate(labels) if label in labels[:i]]
+        if repeated:
+            raise ValueError(f"noise level {repeated[0]} is repeated")
+        return labels
+
 
 def evaluate_feature_sets(dataset: Dataset,
                           feature_sets: dict[str, list[FeatureDescriptor]],
@@ -426,13 +473,14 @@ def evaluate_feature_sets(dataset: Dataset,
     levels = list(noise_levels)
     if not feature_sets or not levels:
         raise ValueError("need at least one feature set and one noise level")
+    labels = CrTable.level_labels(levels)
     set_names = list(feature_sets)
     by_level = _evaluate(dataset, [feature_sets[name] for name in set_names], levels,
                          [derive_seed(seed, l_idx) for l_idx in range(len(levels))],
                          segmentation, vote_window, ridge)
     cr = np.array([[report.cr for report in row] for row in by_level]).T
-    reports = {(name, CrTable.level_label(level)): row[s_idx]
-               for s_idx, name in enumerate(set_names) for level, row in zip(levels, by_level)}
+    reports = {(name, label): row[s_idx]
+               for s_idx, name in enumerate(set_names) for label, row in zip(labels, by_level)}
     return CrTable(set_names=set_names, levels=levels, cr=cr, reports=reports)
 
 
@@ -480,16 +528,41 @@ def table_to_json(table: CrTable, path, config: dict | None = None) -> Path:
     return path
 
 
-def decisions_to_csv(report: ClassificationReport, path) -> Path:
-    """Decision stream CSV: window_start_ms, true_label, raw_label, mv_label.
+def csv_prefix(values) -> str:
+    """``values`` as csv.writer writes them at the start of a row (quoted only
+    where needed), each followed by a comma."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([*values, ""])
+    return buf.getvalue()[:-len("\r\n")]
 
-    Rows appear fold by fold in trial order, each fold's windows in time order.
+
+def decisions_to_csv(table: CrTable, prefix) -> list[Path]:
+    """One decision-stream CSV per cell, ``<prefix>_decisions_<set>_<level>.csv``.
+
+    Columns: window_start_ms, true_label, raw_label, mv_label. Rows appear
+    fold by fold in trial order, each fold's windows in time order, in
+    csv.writer's format (minimal quoting, CRLF line ends). Each class name is
+    quoted once, and each distinct block of a fold's window starts is
+    formatted once for every file.
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_start_ms", "true_label", "raw_label", "mv_label"])
-        for rec in report.decisions:
-            writer.writerow([f"{rec.window_start_ms:g}", rec.true_label,
-                             rec.raw_label, rec.mv_label])
-    return path
+    quoted = {name: csv_prefix([name])[:-1] for name in dict.fromkeys(
+        name for report in table.reports.values() for name in report.class_names)}
+    start_text: dict[bytes, list[str]] = {}
+    paths = []
+    for (set_name, level_label), report in table.reports.items():
+        names = [quoted[name] for name in report.class_names]
+        dec = report.decisions
+        true, raw, mv = dec.true.tolist(), dec.raw.tolist(), dec.mv.tolist()
+        rows = ["window_start_ms,true_label,raw_label,mv_label\r\n"]
+        for a, b in zip(dec.offsets[:-1].tolist(), dec.offsets[1:].tolist()):
+            block = dec.window_start_ms[a:b]
+            starts = start_text.get(block.tobytes())
+            if starts is None:
+                starts = start_text[block.tobytes()] = [f"{s:g}," for s in block.tolist()]
+            rows += [f"{s}{names[t]},{names[r]},{names[m]}\r\n"
+                     for s, t, r, m in zip(starts, true[a:b], raw[a:b], mv[a:b])]
+        path = Path(f"{prefix}_decisions_{set_name}_{level_label}.csv")
+        with path.open("w", newline="") as fh:
+            fh.write("".join(rows))
+        paths.append(path)
+    return paths

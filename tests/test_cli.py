@@ -11,6 +11,11 @@ from click.testing import CliRunner
 
 import myobench
 from myobench.cli import main
+from myobench.dataio import (ClassSpec, SynthConfig, load_dataset, save_dataset,
+                             synthesize_emg)
+from myobench.recognition import extract_window_set
+from myobench.registry import parse_features, resolve_hemg_limit
+from myobench.signals import SegmentationConfig
 
 
 @pytest.fixture()
@@ -74,7 +79,45 @@ class TestSynth:
         assert result.exit_code == 2
 
 
+def reference_extract_csv(dataset, windows, path):
+    """The extract CSV as csv.writer writes it, one row per window."""
+    trials = {t.trial_id: t for t in dataset.trials}
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial_id", "label", "group", "window_start_ms",
+                         *windows.feature_names])
+        for trial_id, start, values in zip(windows.trial_ids, windows.window_start_ms,
+                                           windows.features):
+            trial = trials[trial_id]
+            writer.writerow([trial_id, trial.label, trial.group, f"{start:g}",
+                             *(f"{v:.10g}" for v in values)])
+    return path
+
+
 class TestExtract:
+    def test_bytes_equal_csv_writer_rows(self, runner, tmp_path):
+        # Class names, trial ids and a group that csv must quote.
+        specs = (ClassSpec(name="hand, open", band=(30.0, 140.0), amplitude=50.0),
+                 ClassSpec(name='say "hi"', band=(150.0, 300.0), amplitude=0.02,
+                           group="weak, low"))
+        manifest = save_dataset(synthesize_emg(SynthConfig(
+            classes=specs, channels=2, trials_per_class=2, trial_ms=1200, seed=16)),
+            tmp_path / "data")
+        features = "rms,wamp,hemg:bins=4,ar:order=2,mmnf"
+        out = tmp_path / "features.csv"
+        result = runner.invoke(main, ["extract", "--data", str(manifest),
+                                      "--features", features, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        dataset = load_dataset(manifest)
+        descriptors = resolve_hemg_limit(parse_features(features),
+                                         (t.data[:, ch] for t in dataset.trials
+                                          for ch in range(len(t.channels))))
+        windows = extract_window_set(dataset.trials, dataset.rate, descriptors,
+                                     SegmentationConfig(), dataset.classes)
+        expected = reference_extract_csv(dataset, windows, tmp_path / "expected.csv")
+        assert out.read_bytes() == expected.read_bytes()
+        assert b'"say ""hi""_01","say ""hi""","weak, low",' in out.read_bytes()
+
     def test_feature_columns_per_channel(self, runner, dataset_dir, tmp_path):
         out = tmp_path / "features.csv"
         result = runner.invoke(main, [
@@ -361,6 +404,25 @@ class TestClassify:
         assert result.output.strip() == \
             f"Error: manifest repeats class name {manifest['classes'][0]!r}"
         assert not Path(f"{out}_table.csv").exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--noise", "clean,clean,20,20.0", "noise level clean is repeated"),
+        ("--noise", "10,20,20.0", "noise level 20dB is repeated"),
+        ("--sets", "hudgins,hudgins", "feature set 'hudgins' is repeated"),
+        ("--sets", "a=rms,a=mav", "feature set 'a' is repeated"),
+        ("--vote", "4", "odd positive count, got 4"),
+        ("--vote", "0", "odd positive count, got 0"),
+        ("--vote", "-3", "odd positive count, got -3"),
+    ])
+    def test_bad_option_is_usage_error_before_loading(self, runner, tmp_path, option,
+                                                      value, message):
+        # The manifest does not exist, so exit 2 shows the check ran before loading.
+        out = tmp_path / "c"
+        result = runner.invoke(main, ["classify", "--data", str(tmp_path / "ghost.json"),
+                                      option, value, "--out", str(out)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_set_is_usage_error(self, runner, dataset_dir, tmp_path):
         result = runner.invoke(main, [

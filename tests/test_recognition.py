@@ -1,5 +1,7 @@
 """LDA, majority vote, leave-one-out validation, and feature-set scoring."""
+import csv
 from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,12 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from myobench import recognition
-from myobench.dataio import (Dataset, SynthConfig, Trial,
+from myobench.dataio import (ClassSpec, Dataset, SynthConfig, Trial,
                              default_class_specs, synthesize_emg)
 from myobench.noise import NoiseSpec, derive_seed, inject_at_snr
 from myobench.recognition import (DEFAULT_RIDGE, LabeledWindowSet, _test_trials,
-                                  _train_folds, evaluate_feature_sets,
-                                  extract_window_set, lda_predict, lda_scores, lda_train,
+                                  _train_folds, decisions_to_csv, evaluate_feature_sets,
+                                  extract_window_set, lda_scores, lda_train,
                                   leave_one_out, majority_vote, train_fold)
 from myobench.registry import feature_set, parse_features, resolve_hemg_limit
 from myobench.signals import SegmentationConfig
@@ -51,6 +53,58 @@ def counter_majority_vote(stream, vote_window):
     return out
 
 
+def tied_windows(stream, vote_window):
+    """The number of positions of ``stream`` whose window has no unique mode."""
+    half = vote_window // 2
+    ties = 0
+    for i in range(len(stream)):
+        counts = Counter(stream[max(0, i - half):i + half + 1]).values()
+        ties += list(counts).count(max(counts)) > 1
+    return ties
+
+
+def reference_score_folds(dataset, folds, tests, vote_window):
+    """Per-window scoring: one (trial_id, start, true, raw, mv) label record
+    per window, voted by the Counter reference."""
+    k = len(dataset.classes)
+    class_index = {name: i for i, name in enumerate(dataset.classes)}
+    confusion = np.zeros((k, k), dtype=int)
+    fold_crs = []
+    decisions = []
+    for trial, (model, resolved), test in zip(dataset.trials, folds, tests):
+        scores = lda_scores(model, test.features[tuple(resolved)])
+        raw = [model.class_names[i] for i in np.argmax(scores, axis=1)]
+        smoothed = counter_majority_vote(raw, vote_window)
+
+        true_idx = class_index[trial.label]
+        predicted = np.array([class_index[name] for name in smoothed], dtype=np.intp)
+        confusion[true_idx] += np.bincount(predicted, minlength=k)
+        correct = int(np.count_nonzero(predicted == true_idx))
+        decisions.extend(
+            (trial.trial_id, start, trial.label, raw_label, mv_label)
+            for start, raw_label, mv_label in zip(test.windows.window_start_ms.tolist(),
+                                                  raw, smoothed))
+        fold_crs.append((trial.trial_id, 100.0 * correct / len(test.windows)))
+
+    cr = 100.0 * float(np.trace(confusion)) / int(confusion.sum())
+    return cr, confusion, fold_crs, decisions
+
+
+def reference_decisions_csv(decisions, path):
+    """The decision CSV as csv.writer writes it, one row per record."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["window_start_ms", "true_label", "raw_label", "mv_label"])
+        for _, start, true_label, raw_label, mv_label in decisions:
+            writer.writerow([f"{start:g}", true_label, raw_label, mv_label])
+    return path
+
+
+def top_class(model, x):
+    """The class of the largest discriminant for one feature vector."""
+    return model.class_names[int(np.argmax(lda_scores(model, x)))]
+
+
 def scaled_trial(trial, factor):
     return Trial(trial_id=trial.trial_id, label=trial.label,
                  subject=trial.subject, group=trial.group, channels=trial.channels,
@@ -67,8 +121,8 @@ class TestLdaTrain:
         X = [[-1.02], [-0.98], [-1.0], [0.98], [1.02], [1.0]]
         ws = window_set(X, [0, 0, 0, 1, 1, 1], ["neg", "pos"])
         model = lda_train(ws)
-        assert lda_predict(model, [-0.1]) == "neg"
-        assert lda_predict(model, [0.1]) == "pos"
+        assert top_class(model, [-0.1]) == "neg"
+        assert top_class(model, [0.1]) == "pos"
 
     def test_means_match_per_class_sample_means(self):
         rng = np.random.default_rng(20)
@@ -88,7 +142,7 @@ class TestLdaTrain:
         np.testing.assert_array_equal(model.means[0], X[:3].mean(axis=0))
         np.testing.assert_array_equal(model.means[1], X[3:].mean(axis=0))
         np.testing.assert_array_equal(model.priors, [3 / 5, 2 / 5])
-        assert lda_predict(model, [4.2, 3.2]) == "c"
+        assert top_class(model, [4.2, 3.2]) == "c"
 
     def test_needs_two_windows_per_class(self):
         ws = window_set([[0.0], [1.0], [2.0]], [0, 1, 1], ["a", "b"])
@@ -111,18 +165,18 @@ class TestLdaPredict:
         X = np.vstack([rng.normal(-5, 0.5, (20, 2)), rng.normal(5, 0.5, (20, 2))])
         labels = np.array([0] * 20 + [1] * 20)
         model = lda_train(window_set(X, labels, ["a", "b"]))
-        assert lda_predict(model, model.means[0]) == "a"
-        assert lda_predict(model, model.means[1]) == "b"
+        assert top_class(model, model.means[0]) == "a"
+        assert top_class(model, model.means[1]) == "b"
 
     def test_midpoint_tie_breaks_to_lowest_index(self):
         X = [[-1.1], [-0.9], [0.9], [1.1]]  # means exactly -1 and +1
         model = lda_train(window_set(X, [0, 0, 1, 1], ["first", "second"]), ridge=0.0)
-        assert lda_predict(model, [0.0]) == "first"
+        assert top_class(model, [0.0]) == "first"
 
     def test_identical_class_distributions_fall_to_tie_break(self):
         X = [[1.0], [2.0], [1.0], [2.0]]
         model = lda_train(window_set(X, [0, 0, 1, 1], ["a", "b"]))
-        assert lda_predict(model, [1.5]) == "a"
+        assert top_class(model, [1.5]) == "a"
 
     def test_well_separated_blobs_above_99_percent(self):
         rng = np.random.default_rng(22)
@@ -140,7 +194,7 @@ class TestLdaPredict:
         model = lda_train(window_set([[0.0], [0.1], [1.0], [1.1]],
                                      [0, 0, 1, 1], ["a", "b"]))
         with pytest.raises(ValueError, match="expected 1 features"):
-            lda_predict(model, [0.0, 1.0])
+            lda_scores(model, [0.0, 1.0])
 
     def test_affine_invariance_at_zero_ridge(self):
         rng = np.random.default_rng(23)
@@ -238,16 +292,30 @@ class TestLeaveOneOut:
                           group=t.group, channels=t.channels, data=t.data)
                     for t, lab in zip(dataset.trials, labels)])
         report = leave_one_out(shuffled, parse_features("rms,mmnf"), SEG, vote_window=3)
+        dec = report.decisions
         confusion = np.zeros_like(report.confusion)
-        per_trial: dict[str, list[bool]] = {}
-        for dec in report.decisions:
-            confusion[dataset.classes.index(dec.true_label),
-                      dataset.classes.index(dec.mv_label)] += 1
-            per_trial.setdefault(dec.trial_id, []).append(dec.mv_label == dec.true_label)
+        fold_crs = []
+        for trial, a, b in zip(shuffled.trials, dec.offsets[:-1], dec.offsets[1:]):
+            hits = []
+            for true, mv in zip(dec.true[a:b], dec.mv[a:b]):
+                assert report.class_names[true] == trial.label
+                confusion[true, mv] += 1
+                hits.append(mv == true)
+            fold_crs.append((trial.trial_id, 100.0 * sum(hits) / len(hits)))
+        assert dec.offsets[-1] == len(dec)
         assert np.count_nonzero(confusion - np.diag(np.diag(confusion))) > 0
         np.testing.assert_array_equal(report.confusion, confusion)
-        assert report.fold_crs == [(tid, 100.0 * sum(hits) / len(hits))
-                                   for tid, hits in per_trial.items()]
+        assert report.fold_crs == fold_crs
+
+    def test_decision_streams_compare_every_column(self):
+        dataset = small_dataset(n_classes=2, trials_per_class=2, seed=7)
+        decisions = leave_one_out(dataset, parse_features("rms"), SEG).decisions
+        assert decisions == replace(decisions)
+        assert decisions != [decisions]
+        for column in fields(decisions):
+            changed = getattr(decisions, column.name).copy()
+            changed[-1] += 1
+            assert decisions != replace(decisions, **{column.name: changed})
 
     def test_permuted_labels_score_at_chance(self):
         dataset = small_dataset(n_classes=4, trials_per_class=6, seed=4)
@@ -414,6 +482,65 @@ class TestCachedFolds:
             leave_one_out(dataset, parse_features("rms"), SEG, noise_snr_db=np.inf)
 
 
+class TestDecisionStreamOracle:
+    """Class-code scoring and the decision CSVs give what per-window label
+    records written through csv.writer give."""
+
+    @staticmethod
+    def quoted_dataset():
+        # Names that csv must quote, overlapping bands so that decisions mix,
+        # and a declared class no trial has, so every model's class list
+        # skips dataset code 0.
+        specs = (ClassSpec(name="hand, open", band=(30.0, 140.0), amplitude=50.0),
+                 ClassSpec(name='say "hi"', band=(80.0, 200.0), amplitude=50.0),
+                 ClassSpec(name="plain", band=(150.0, 300.0), amplitude=50.0))
+        base = synthesize_emg(SynthConfig(classes=specs, channels=2, trials_per_class=2,
+                                          trial_ms=1500, seed=15))
+        return Dataset(classes=["unused"] + base.classes, rate=base.rate,
+                       trials=base.trials)
+
+    @pytest.mark.parametrize("vote_window, levels, tied", [
+        (5, [None, 20.0], False),
+        (1, [None, 10.0], False),
+        (3, [0.0, -5.0], True),     # mixed decisions: some windows tie
+        (5, [20.0, 10.0], False),   # no clean level
+    ])
+    def test_reports_and_csv_bytes_equal_the_per_window_loop(
+            self, monkeypatch, tmp_path, vote_window, levels, tied):
+        dataset = self.quoted_dataset()
+        oracle = []
+        score = recognition._score_folds
+
+        def scoring_both(dataset, folds, tests, vote_window):
+            oracle.append(reference_score_folds(dataset, folds, tests, vote_window))
+            return score(dataset, folds, tests, vote_window)
+
+        monkeypatch.setattr(recognition, "_score_folds", scoring_both)
+        sets = {"robust": parse_features("mmnf,hemg,wamp"), "amp": parse_features("rms,wl")}
+        table = evaluate_feature_sets(dataset, sets, levels, SEG, vote_window=vote_window,
+                                      seed=3)
+        paths = decisions_to_csv(table, tmp_path / "new")
+        cells = [(name, table.level_label(level)) for level in levels for name in sets]
+        assert len(oracle) == len(cells)
+        assert paths == [tmp_path / f"new_decisions_{name}_{label}.csv"
+                         for name, label in table.reports]
+        ties = 0
+        for (name, label), (cr, confusion, fold_crs, records) in zip(cells, oracle):
+            report = table.reports[name, label]
+            assert report.cr == cr
+            np.testing.assert_array_equal(report.confusion, confusion)
+            assert report.fold_crs == fold_crs
+            assert len(report.decisions) == len(records)
+            expected = reference_decisions_csv(records, tmp_path / f"ref_{name}_{label}.csv")
+            got = tmp_path / f"new_decisions_{name}_{label}.csv"
+            assert got.read_bytes() == expected.read_bytes()
+            for trial in dataset.trials:
+                ties += tied_windows([r[3] for r in records if r[0] == trial.trial_id],
+                                     vote_window)
+        assert b'"hand, open"' in got.read_bytes() and b'"say ""hi"""' in got.read_bytes()
+        assert ties > 0 or not tied
+
+
 class TestSeparability:
     def test_disjoint_bands_separate_on_mean_frequency_alone(self):
         # Two classes whose spectra do not overlap: the power-spectrum
@@ -444,6 +571,29 @@ class TestEvaluateFeatureSets:
         assert np.all((table.cr >= 0) & (table.cr <= 100))
         clean_direct = leave_one_out(dataset, sets["robust"], SEG)
         assert table.cr[0, 0] == clean_direct.cr
+
+    @pytest.mark.parametrize("levels, repeated", [
+        ([None, 20.0, None], "clean"),
+        ([20.0, 20], "20dB"),
+        ([10.0, 20.0, 20.000001], "20dB"),  # one label, so one column and one file
+    ])
+    def test_repeated_level_label_rejected(self, levels, repeated):
+        dataset = small_dataset(n_classes=2, trials_per_class=2, seed=10)
+        with pytest.raises(ValueError, match=f"noise level {repeated} is repeated"):
+            evaluate_feature_sets(dataset, {"a": parse_features("rms")}, levels, SEG)
+
+    @pytest.mark.parametrize("vote_window", [4, 0, -3])
+    def test_bad_vote_window_fails_before_any_extraction(self, monkeypatch, vote_window):
+        dataset = small_dataset(n_classes=2, trials_per_class=2, seed=10)
+        calls = []
+        monkeypatch.setattr(recognition, "extract_window_set",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="odd positive count"):
+            evaluate_feature_sets(dataset, {"a": parse_features("rms")}, [None, 20.0], SEG,
+                                  vote_window=vote_window)
+        with pytest.raises(ValueError, match="odd positive count"):
+            leave_one_out(dataset, parse_features("rms"), SEG, vote_window=vote_window)
+        assert calls == []
 
     def test_requires_sets_and_levels(self):
         dataset = small_dataset(n_classes=2, trials_per_class=2, seed=10)
