@@ -11,7 +11,7 @@ from .freq_features import (ArModel, SpectralMoments, ar_coefficients,
                             mnf, mdf, mmnf, mmdf, spectral_moments)
 from .noise import NoiseSpec, generate_wgn, signal_power, inject_at_snr
 from .registry import (FeatureDescriptor, FEATURE_NAMES, FEATURE_SETS, extract,
-                       make_descriptor, parse_feature, parse_features,
+                       extract_segments, make_descriptor, parse_feature, parse_features,
                        feature_set, default_panel)
 from .robustness import (RobustnessConfig, RobustnessGrid, TrialRecord,
                          percentage_error, run_grid, sweep_parameters,

@@ -48,8 +48,8 @@ import numpy as np
 
 from .dataio import Dataset, Trial
 from .noise import derive_seed, derive_seeds, fill_wgn, signal_power, snr_sigma, stream_words
-from .registry import FeatureDescriptor, extract, resolve_hemg_limit
-from .signals import SegmentationConfig, segment, segment_offsets
+from .registry import FeatureDescriptor, extract_segments, resolve_hemg_peak
+from .signals import SegmentationConfig, Signal, segment_offsets
 
 DEFAULT_VOTE_WINDOW = 5  # ~512 ms of context at 256/64 ms windowing
 DEFAULT_RIDGE = 1e-6
@@ -217,7 +217,9 @@ def extract_window_set(trials: list[Trial], rate: float,
     for trial in trials:
         offsets = segment_offsets(trial.signal(0, rate), segmentation)
         blocks.append(np.hstack([
-            extract(descriptors, segment(trial.signal(ch, rate), segmentation), rate)
+            extract_segments(descriptors,
+                             Signal(np.ascontiguousarray(trial.data[:, ch]), rate),
+                             segmentation)
             for ch in range(len(trial.channels))
         ]))
         labels.extend([class_names.index(trial.label)] * offsets.size)
@@ -279,62 +281,78 @@ def train_fold(dataset: Dataset, features: list[FeatureDescriptor],
         raise ValueError(f"no trial with id {held_out_trial_id!r}")
     folds, _ = _train_folds(dataset, [features], [ids.index(held_out_trial_id)],
                             segmentation, ridge)
-    return folds[0][0]
+    model, descriptors, _ = folds[0][0]
+    return model, descriptors
 
 
 class _TrialBlock:
     """One trial's windows and its feature matrix for each of several descriptor lists.
 
-    The trial is extracted once, over the union of the lists (each descriptor
-    once, in first-seen order). ``features[tuple(descriptors)]`` is a
-    channel-major column selection from that block, so it equals what
-    extracting that list alone would give.
+    ``lists`` maps a small int key to a descriptor list. The trial is
+    extracted once, over the union of the lists (each descriptor once, in
+    first-seen order). ``features[key]`` is a channel-major column selection
+    from that block, so it equals what extracting that list alone would give.
     """
 
-    def __init__(self, trial: Trial, descriptor_lists, dataset: Dataset,
-                 segmentation: SegmentationConfig):
-        keys = list(dict.fromkeys(map(tuple, descriptor_lists)))
-        union = list(dict.fromkeys(d for key in keys for d in key))
+    def __init__(self, trial: Trial, lists: dict[int, list[FeatureDescriptor]],
+                 dataset: Dataset, segmentation: SegmentationConfig):
+        union = list(dict.fromkeys(d for descriptors in lists.values() for d in descriptors))
         self.windows = extract_window_set([trial], dataset.rate, union,
                                           segmentation, dataset.classes)
         starts = np.cumsum([0] + [d.component_count() for d in union]).tolist()
         span = {d: np.arange(a, b) for d, a, b in zip(union, starts, starts[1:])}
         by_channel = self.windows.features.reshape(len(self.windows), -1, starts[-1])
-        self.features = {key: by_channel[:, :, np.concatenate([span[d] for d in key])]
-                         .reshape(len(self.windows), -1) for key in keys}
+        self.features = {key: by_channel[:, :, np.concatenate([span[d] for d in descriptors])]
+                         .reshape(len(self.windows), -1) for key, descriptors in lists.items()}
+
+
+def _fold_peaks(peaks: np.ndarray, train: np.ndarray) -> np.ndarray:
+    """Each fold's peak |amplitude| over its training trials' channels.
+
+    ``peaks`` is (trials, channels) and ``train`` a (folds, trials) mask. A
+    NaN channel peak is skipped, as `resolve_hemg_limit` skips a NaN peak.
+    """
+    return np.fmax.reduce(np.where(train[:, :, np.newaxis], peaks, 0.0), axis=(1, 2),
+                          initial=0.0)
 
 
 def _train_folds(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
                  held_out, segmentation: SegmentationConfig, ridge: float):
-    """Each set's (model, resolved descriptors) per held-out trial index, and
-    the clean per-trial blocks (None for a trial that no fold trains on).
+    """Each set's (model, resolved descriptors, column key) per held-out trial
+    index, and the clean per-trial blocks (None for a trial that no fold
+    trains on).
 
     Training uses clean data only, so the same fold models can score any
     noise level. A fold resolves its descriptors from the peak |amplitude| of
-    its own training trials. Each trial that some fold trains on is extracted
+    its own training trials, and each distinct resolved list gets one int
+    key into the blocks. Each trial that some fold trains on is extracted
     once, over every fold's descriptor lists: those the other folds train on
     it with, and its own fold's, with which it is scored clean.
     """
     trials = dataset.trials
     peaks = np.array([np.abs(t.data).max(axis=0, initial=0.0) for t in trials])
-    train = [np.arange(len(trials)) != i for i in held_out]
-    resolved = [[resolve_hemg_limit(features, peaks[mask].ravel()) for mask in train]
+    train = np.arange(len(trials)) != np.array(held_out)[:, np.newaxis]
+    fold_peaks = _fold_peaks(peaks, train).tolist()
+    resolved = [[resolve_hemg_peak(features, peak) for peak in fold_peaks]
                 for features in feature_sets]
-    lists = [descriptors for per_fold in resolved for descriptors in per_fold]
+    keys: dict[tuple, int] = {}
+    set_keys = [[keys.setdefault(tuple(descriptors), len(keys)) for descriptors in per_fold]
+                for per_fold in resolved]
+    lists = {key: descriptors for descriptors, key in keys.items()}
     blocks = [_TrialBlock(trial, lists, dataset, segmentation) if used else None
-              for trial, used in zip(trials, np.any(train, axis=0))]
+              for trial, used in zip(trials, train.any(axis=0))]
     folds = [[] for _ in feature_sets]
-    for mask, *per_set in zip(train, *resolved):
+    for i, mask in enumerate(train):
         fold_blocks = [b for b, used in zip(blocks, mask) if used]
         rows = dict(labels=np.concatenate([b.windows.labels for b in fold_blocks]),
                     trial_ids=[tid for b in fold_blocks for tid in b.windows.trial_ids],
                     window_start_ms=np.concatenate([b.windows.window_start_ms
                                                     for b in fold_blocks]))
-        for set_folds, descriptors in zip(folds, per_set):
+        for set_folds, per_fold, per_fold_keys in zip(folds, resolved, set_keys):
             train_set = LabeledWindowSet(
-                features=np.vstack([b.features[tuple(descriptors)] for b in fold_blocks]),
+                features=np.vstack([b.features[per_fold_keys[i]] for b in fold_blocks]),
                 class_names=list(dataset.classes), **rows)
-            set_folds.append((lda_train(train_set, ridge=ridge), descriptors))
+            set_folds.append((lda_train(train_set, ridge=ridge), per_fold[i], per_fold_keys[i]))
     return folds, blocks
 
 
@@ -365,10 +383,9 @@ def _score_folds(dataset: Dataset, folds, tests: list[_TrialBlock],
     k = len(dataset.classes)
     class_index = {name: i for i, name in enumerate(dataset.classes)}
     raw = []
-    for (model, resolved), test in zip(folds, tests):
+    for (model, _, key), test in zip(folds, tests):
         to_dataset = np.array([class_index[name] for name in model.class_names])
-        raw.append(to_dataset[np.argmax(lda_scores(model, test.features[tuple(resolved)]),
-                                        axis=1)])
+        raw.append(to_dataset[np.argmax(lda_scores(model, test.features[key]), axis=1)])
     offsets = np.cumsum([0] + [codes.size for codes in raw])
     raw = np.concatenate(raw)
     true = np.concatenate([test.windows.labels for test in tests])
@@ -409,11 +426,13 @@ def _evaluate(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
     segmentation = segmentation or SegmentationConfig()
     folds, clean_blocks = _train_folds(dataset, feature_sets, range(len(dataset.trials)),
                                        segmentation, ridge)
+    test_lists = [{key: descriptors for _, descriptors, key in per_fold}
+                  for per_fold in zip(*folds)]
     by_level = []
     for level, level_seed in zip(levels, level_seeds):
         tests = clean_blocks if level is None else [
-            _TrialBlock(trial, [per_set[i][1] for per_set in folds], dataset, segmentation)
-            for i, trial in enumerate(_test_trials(dataset, level, level_seed))]
+            _TrialBlock(trial, lists, dataset, segmentation)
+            for trial, lists in zip(_test_trials(dataset, level, level_seed), test_lists)]
         by_level.append([_score_folds(dataset, per_set, tests, vote_window)
                          for per_set in folds])
     return by_level
@@ -447,7 +466,12 @@ class CrTable:
 
     @staticmethod
     def level_label(level: float | None) -> str:
-        return "clean" if level is None else f"{level:g}dB"
+        """``clean``, or the level in dB: ``:g`` when that reads back as the
+        level, its full repr otherwise, so distinct levels get distinct labels."""
+        if level is None:
+            return "clean"
+        short = f"{level:g}"
+        return f"{short if float(short) == level else repr(float(level))}dB"
 
     @staticmethod
     def level_labels(levels) -> list[str]:

@@ -1,12 +1,22 @@
 """Named feature descriptors shared by the benchmark, pipeline, and CLI.
 
-A descriptor is a feature name plus concrete parameters. ``extract``
-evaluates a list of descriptors on a window or a (windows, samples) matrix
-and returns one row per window: one column per scalar feature, one per
-bin/coefficient/segment-difference for vector features. For
-percentage-error benchmarking a vector feature is reduced to one scalar, by
-default the component the robustness study singles out: histogram bin 2 (of
-the 3-bin histogram) and AR coefficient a_1. Components are numbered from 1.
+A descriptor is a feature name plus concrete parameters. Two entry points
+evaluate a list of descriptors and return one row per window: one column
+per scalar feature, one per bin/coefficient/segment-difference for vector
+features. ``extract`` takes a window or a (windows, samples) matrix, each row
+one window (the robustness grid's clean and noisy copies). ``extract_segments``
+takes one channel signal and a segmentation, and gives exactly what
+``extract`` gives on that signal's windows. Both run the same kernels in the
+same loop over an ``_Intermediates``, which computes each elementwise
+intermediate (|x|, x^2, the differences, the event masks, the HEMG bin
+index) once over its source and hands each kernel its windows of it: over a
+signal whose windows overlap, every sample is transformed once, not once per
+window that holds it.
+
+For percentage-error benchmarking a vector feature is reduced to one
+scalar, by default the component the robustness study singles out:
+histogram bin 2 (of the 3-bin histogram) and AR coefficient a_1. Components
+are numbered from 1.
 
 Descriptor strings use ``name:key=value:key=value``, e.g. ``wamp:threshold=20``
 or ``ar:order=2``; feature lists are comma separated.
@@ -17,10 +27,11 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import freq_features as ff
 from . import time_features as tf
-from .signals import amplitude_spectrum
+from .signals import SegmentationConfig, Signal, amplitude_spectrum, segment_offsets
 
 # name -> default params; ints where the feature needs counts/orders
 _FAMILIES: dict[str, dict] = {
@@ -46,17 +57,80 @@ _FAMILIES: dict[str, dict] = {
 
 
 class _Intermediates:
-    """The rows of one `extract` call and what several kernels share.
+    """The windows of one extraction and the arrays several kernels share.
 
-    Each shared array is computed on first use and then reused.
+    ``source`` is either a (windows, samples) matrix, one window per row
+    (``slide`` is None: the windowing is the identity), or the 1-D span of
+    one signal that its windows of ``width`` samples every ``slide`` cover;
+    trailing samples that do not fill a window are not part of the span.
+    Every elementwise intermediate is computed once over the source: those
+    that several families read (|x|, x^2, the differences and their
+    magnitudes) on first use, kept until no later descriptor reads them;
+    the event masks and the HEMG bin index, which depend on a descriptor's
+    parameters, by its kernel. `windows` gives a kernel each window's part
+    of one as a view, and `counts` counts a mask's events per window, so a
+    sample that several windows hold is transformed once.
     """
 
-    def __init__(self, rows, rate: float):
-        self.rows, self.rate = rows, rate
+    def __init__(self, source, width: int, slide: int | None, rate: float):
+        self.source, self.width, self.slide, self.rate = source, width, slide, rate
+        if slide is None:
+            self.count = source.shape[0]
+        else:
+            self.count = (source.size - width) // slide + 1
+            self.starts = np.arange(self.count) * slide
+
+    def _width_of(self, values):
+        # an intermediate k samples shorter than the source (differences: 1)
+        # has width - k values per window
+        return self.width - (self.source.shape[-1] - values.shape[-1])
+
+    def windows(self, values):
+        """One row per window of an intermediate over the source, as a view."""
+        if self.slide is None:
+            return values
+        step = values.strides[-1]
+        return as_strided(values, (self.count, self._width_of(values)),
+                          (self.slide * step, step), writeable=False)
+
+    def counts(self, events):
+        """Each window's count of a boolean mask over the source (samples last).
+
+        Over a signal, a window's count is the number of events before its
+        end minus the number before its start, both found by binary search in
+        the sorted positions of every event, so each sample is read once
+        however many windows hold it.
+        """
+        if self.slide is None:
+            return np.count_nonzero(events, axis=-1)
+        n = events.shape[-1]
+        starts = np.arange(0, events.size, n)[:, np.newaxis] + self.starts
+        positions = np.flatnonzero(events)
+        totals = (np.searchsorted(positions, starts + self._width_of(events))
+                  - np.searchsorted(positions, starts))
+        return totals.reshape(events.shape[:-1] + (self.count,)).T
+
+    def bin_counts(self, idx, bins: int):
+        """Each window's sample count per bin, from every sample's bin index."""
+        if self.slide is None:
+            return tf._bin_counts(idx, bins)
+        return self.counts(tf._bin_events(idx, bins))
+
+    @functools.cached_property
+    def rows(self):
+        return self.windows(self.source)
+
+    @functools.cached_property
+    def abs(self):
+        return np.abs(self.source)
+
+    @functools.cached_property
+    def squares(self):
+        return self.source * self.source
 
     @functools.cached_property
     def diff(self):
-        return tf._diff(tf._window(self.rows, min_len=2))
+        return tf._diff(self.source)
 
     @functools.cached_property
     def abs_diff(self):
@@ -71,15 +145,6 @@ class _Intermediates:
         return self.spectrum.amplitudes ** 2
 
 
-def _on_rows(kernel):
-    return lambda shared, **params: kernel(shared.rows, **params)
-
-
-def _ssc(shared, threshold):
-    tf._window(shared.rows, min_len=3)
-    return tf._ssc(shared.diff, threshold)
-
-
 def _moment(moment, by_power: bool):
     def kernel(shared, dc):
         weights = shared.powers if by_power else shared.spectrum.amplitudes
@@ -88,20 +153,39 @@ def _moment(moment, by_power: bool):
 
 
 # name -> kernel over an _Intermediates, called with the descriptor's
-# parameters as keywords; it gives one result per row
-_KERNELS = {name: _on_rows(getattr(tf, name)) for name in (
-    "iemg", "mav", "mmav1", "mmav2", "mavslp", "ssi", "var", "rms", "hemg")}
-_KERNELS.update(
-    wl=lambda shared: tf._wl(shared.abs_diff),
-    zc=lambda shared, threshold: tf._zc(shared.rows, shared.abs_diff, threshold),
-    ssc=_ssc,
-    wamp=lambda shared, threshold: tf._wamp(shared.abs_diff, threshold),
+# parameters as keywords; it gives one result per window. The time-domain
+# kernels reduce windows of the shared intermediates; the spectral moments
+# and AR read the window rows.
+_KERNELS = dict(
+    iemg=lambda shared: tf._iemg(shared.windows(shared.abs)),
+    mav=lambda shared: tf._mav(shared.windows(shared.abs)),
+    mmav1=lambda shared: tf._mmav1(shared.windows(shared.abs)),
+    mmav2=lambda shared: tf._mmav2(shared.windows(shared.abs)),
+    mavslp=lambda shared, segments: tf._mavslp(shared.windows(shared.abs), segments),
+    ssi=lambda shared: tf._ssi(shared.windows(shared.squares)),
+    var=lambda shared: tf._var(shared.windows(shared.squares)),
+    rms=lambda shared: tf._rms(shared.windows(shared.squares)),
+    wl=lambda shared: tf._wl(shared.windows(shared.abs_diff)),
+    zc=lambda shared, threshold: shared.counts(
+        tf._crossings(shared.source) & tf._jumps(shared.abs_diff, threshold)),
+    ssc=lambda shared, threshold: shared.counts(
+        tf._turns(tf._slope_products(shared.diff), threshold)),
+    wamp=lambda shared, threshold: shared.counts(tf._jumps(shared.abs_diff, threshold)),
+    hemg=lambda shared, bins, limit: shared.bin_counts(
+        tf._hemg_bins(shared.source, bins, limit), int(bins)),
     ar=lambda shared, order: ff.levinson_durbin(shared.rows, order)[0],
     mnf=_moment(ff._centroid, by_power=True),
     mdf=_moment(ff._median_bin, by_power=True),
     mmnf=_moment(ff._centroid, by_power=False),
     mmdf=_moment(ff._median_bin, by_power=False),
 )
+
+# family -> the cached intermediates its kernel reads
+_READS = (dict.fromkeys(("iemg", "mav", "mmav1", "mmav2", "mavslp"), ("abs",))
+          | dict.fromkeys(("ssi", "var", "rms"), ("squares",))
+          | dict.fromkeys(("wl", "zc", "wamp"), ("diff", "abs_diff")) | {"ssc": ("diff",)}
+          | dict.fromkeys(("mnf", "mdf"), ("spectrum", "powers"))
+          | dict.fromkeys(("mmnf", "mmdf"), ("spectrum",)))
 
 _INT_PARAMS = {"segments", "bins", "order", "dc"}
 _DEFAULT_SCALAR_COMPONENT = {"hemg": 2, "ar": 1, "mavslp": 1}
@@ -172,10 +256,6 @@ class FeatureDescriptor:
             return [self.label]
         return [f"{self.label}[{i + 1}]" for i in range(count)]
 
-    def compute(self, window: np.ndarray, rate: float) -> np.ndarray:
-        """Evaluate the feature on one window; always returns a 1-D array."""
-        return extract([self], window, rate)[0]
-
     def scalarize(self, values: np.ndarray):
         """The scalar component of a value vector, or of each row of a matrix."""
         idx = self.scalar_component - 1
@@ -192,21 +272,52 @@ def extract(descriptors, windows, rate: float) -> np.ndarray:
 
     Returns a (windows, columns) float matrix (one row for a 1-D window).
     Columns follow the descriptor order, a vector feature contributing one
-    column per component. Intermediates are computed once per call and
-    shared: the sample differences by wl, zc, ssc and wamp, the spectrum and
-    its square by the spectral moments.
+    column per component. Each intermediate is computed once per call and
+    shared by every kernel that reads it: |x| by the MAV family, x^2 by ssi,
+    var and rms, the sample differences by wl, zc, ssc and wamp, the
+    spectrum and its square by the spectral moments.
     """
     x = np.asarray(windows, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("need a 1-D window or a (windows, samples) matrix")
     rows = x[np.newaxis] if x.ndim == 1 else x
-    shared = _Intermediates(rows, rate)
+    return _columns(descriptors, _Intermediates(rows, rows.shape[-1], None, rate))
+
+
+def extract_segments(descriptors, signal: Signal, cfg: SegmentationConfig) -> np.ndarray:
+    """``extract(descriptors, segment(signal, cfg), signal.rate)``, bit for bit.
+
+    The elementwise intermediates are computed once over the samples the
+    windows cover, not once per overlapping window: each window sums the
+    same values in the same order, and each count comes from the positions
+    of the events. Samples after the last whole window are never read.
+    """
+    offsets = segment_offsets(signal, cfg)  # raises when the signal is too short
+    width = cfg.window_samples(signal.rate)
+    span = signal.samples[:offsets[-1] + width]
+    return _columns(descriptors, _Intermediates(span, width, cfg.slide_samples(signal.rate),
+                                                signal.rate))
+
+
+def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
+    # Each cached array is dropped after the last descriptor that reads it, so
+    # few are alive at once and the allocator reuses their memory instead of
+    # returning it to the system and faulting it in again on the next call. A
+    # wrong entry in _READS only costs a recomputation.
+    last_reader = {}
+    for i, desc in enumerate(descriptors):
+        last_reader.update(dict.fromkeys(_READS.get(desc.name, ()), i))
     columns = []
-    for desc in descriptors:
+    for i, desc in enumerate(descriptors):
         if desc.needs_resolution():
             raise ValueError("hemg descriptor used before its range was resolved")
+        if desc.name in tf._MIN_SAMPLES:  # checked first, as the feature function does
+            tf._check_length(shared.width, tf._MIN_SAMPLES[desc.name])
         value = _KERNELS[desc.name](shared, **desc.param_dict)
-        columns.append(np.asarray(value, dtype=float).reshape(rows.shape[0], -1))
+        columns.append(np.asarray(value, dtype=float).reshape(shared.count, -1))
+        for name in _READS.get(desc.name, ()):
+            if last_reader[name] == i:
+                vars(shared).pop(name, None)
     return np.hstack(columns)
 
 
@@ -275,7 +386,8 @@ def resolve_hemg_limit(descriptors, signals) -> list[FeatureDescriptor]:
     """Pin unresolved histogram ranges to the peak |amplitude| of clean data.
 
     ``signals`` is an iterable of 1-D sample arrays (the clean material the
-    descriptors will be applied to, e.g. the training split).
+    descriptors will be applied to, e.g. the training split). A signal whose
+    peak is NaN is skipped.
     """
     if not any(d.needs_resolution() for d in descriptors):
         return list(descriptors)
@@ -284,6 +396,13 @@ def resolve_hemg_limit(descriptors, signals) -> list[FeatureDescriptor]:
         arr = np.asarray(samples, dtype=float)
         if arr.size:
             peak = max(peak, float(np.max(np.abs(arr))))
+    return resolve_hemg_peak(descriptors, peak)
+
+
+def resolve_hemg_peak(descriptors, peak: float) -> list[FeatureDescriptor]:
+    """Pin unresolved histogram ranges to a known peak |amplitude| of clean data."""
+    if not any(d.needs_resolution() for d in descriptors):
+        return list(descriptors)
     if peak <= 0:
         raise ValueError("cannot resolve hemg range: clean data is all zero")
     return [d.resolved(peak) for d in descriptors]

@@ -369,6 +369,22 @@ class TestClassify:
         assert len(report["sets"]) == 7
         assert len(report["cells"]) == 28
 
+    def test_close_noise_levels_get_their_own_outputs(self, runner, dataset_dir, tmp_path):
+        # 20 and 20.000001 share the label 20dB under :g; each needs its own
+        # column, report cell and decision file.
+        out = tmp_path / "close"
+        result = runner.invoke(main, [
+            "classify", "--data", str(dataset_dir / "manifest.json"), "--sets", "hudgins",
+            "--noise", "20,20.000001", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with Path(f"{out}_table.csv").open() as fh:
+            assert next(csv.reader(fh)) == ["feature_set", "20dB", "20.000001dB"]
+        report = json.loads(Path(f"{out}_report.json").read_text())
+        assert report["levels"] == ["20dB", "20.000001dB"]
+        assert sorted(report["cells"]) == ["hudgins@20.000001dB", "hudgins@20dB"]
+        assert sorted(p.name for p in tmp_path.glob("close_decisions_*.csv")) == [
+            "close_decisions_hudgins_20.000001dB.csv", "close_decisions_hudgins_20dB.csv"]
+
     def test_classify_leaves_numpy_ma_unloaded(self, dataset_dir, tmp_path):
         # np.unique imports numpy.ma on first use, about 15 ms of every classify.
         code = ("import sys; from myobench.cli import main; "

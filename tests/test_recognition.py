@@ -12,11 +12,12 @@ from myobench import recognition
 from myobench.dataio import (ClassSpec, Dataset, SynthConfig, Trial,
                              default_class_specs, synthesize_emg)
 from myobench.noise import NoiseSpec, derive_seed, inject_at_snr
-from myobench.recognition import (DEFAULT_RIDGE, LabeledWindowSet, _test_trials,
-                                  _train_folds, decisions_to_csv, evaluate_feature_sets,
-                                  extract_window_set, lda_scores, lda_train,
-                                  leave_one_out, majority_vote, train_fold)
-from myobench.registry import feature_set, parse_features, resolve_hemg_limit
+from myobench.recognition import (DEFAULT_RIDGE, CrTable, LabeledWindowSet, _fold_peaks,
+                                  _test_trials, _train_folds, decisions_to_csv,
+                                  evaluate_feature_sets, extract_window_set, lda_scores,
+                                  lda_train, leave_one_out, majority_vote, train_fold)
+from myobench.registry import (feature_set, parse_features, resolve_hemg_limit,
+                               resolve_hemg_peak)
 from myobench.signals import SegmentationConfig
 
 
@@ -71,8 +72,8 @@ def reference_score_folds(dataset, folds, tests, vote_window):
     confusion = np.zeros((k, k), dtype=int)
     fold_crs = []
     decisions = []
-    for trial, (model, resolved), test in zip(dataset.trials, folds, tests):
-        scores = lda_scores(model, test.features[tuple(resolved)])
+    for trial, (model, _, key), test in zip(dataset.trials, folds, tests):
+        scores = lda_scores(model, test.features[key])
         raw = [model.class_names[i] for i in np.argmax(scores, axis=1)]
         smoothed = counter_majority_vote(raw, vote_window)
 
@@ -413,7 +414,7 @@ class TestCachedFolds:
         folds, _ = _train_folds(dataset, [features, parse_features("rms,hemg:bins=5")],
                                 range(len(dataset.trials)), SEG, DEFAULT_RIDGE)
         limits = set()
-        for trial, (model, resolved) in zip(dataset.trials, folds[0]):
+        for trial, (model, resolved, _) in zip(dataset.trials, folds[0]):
             fresh_model, fresh_resolved = train_fold(dataset, features, SEG,
                                                      trial.trial_id)
             assert resolved == fresh_resolved
@@ -427,6 +428,29 @@ class TestCachedFolds:
                 train, dataset.rate, brute, SEG, dataset.classes)))
             limits.add(tuple(resolved))
         assert len(limits) == 2
+
+    @pytest.mark.parametrize("nan_at", [None, (2, 1), (4, 0), (1, 1)])
+    def test_fold_peaks_equal_the_scalar_scan(self, nan_at):
+        peaks = np.random.default_rng(30).uniform(1.0, 50.0, (6, 2))
+        peaks[1, 0] = 80.0  # trial 1 holds the peak
+        if nan_at is not None:
+            peaks[nan_at] = np.nan  # a channel with a NaN sample peaks at NaN
+        train = np.arange(6) != np.arange(6)[:, np.newaxis]
+        fold_peaks = _fold_peaks(peaks, train)
+        hemg = parse_features("hemg")
+        for mask, peak in zip(train, fold_peaks.tolist()):
+            assert resolve_hemg_peak(hemg, peak) == resolve_hemg_limit(hemg, peaks[mask].ravel())
+        # Every other fold trains on trial 1; its own fold resolves from the rest.
+        assert fold_peaks[0] == 80.0
+        assert fold_peaks[1] == np.nanmax(np.delete(peaks, 1, axis=0)) < 80.0
+
+    def test_all_zero_fold_still_raises(self):
+        base = small_dataset(n_classes=2, trials_per_class=2, seed=12)
+        trials = [base.trials[0]] + [scaled_trial(t, 0.0) for t in base.trials[1:]]
+        dataset = Dataset(classes=base.classes, rate=base.rate, trials=trials)
+        with pytest.raises(ValueError, match="all zero"):
+            _train_folds(dataset, [parse_features("hemg")], range(len(trials)), SEG,
+                         DEFAULT_RIDGE)
 
     def test_feature_set_cells_equal_leave_one_out(self):
         dataset = self.peak_dataset()
@@ -575,12 +599,20 @@ class TestEvaluateFeatureSets:
     @pytest.mark.parametrize("levels, repeated", [
         ([None, 20.0, None], "clean"),
         ([20.0, 20], "20dB"),
-        ([10.0, 20.0, 20.000001], "20dB"),  # one label, so one column and one file
     ])
     def test_repeated_level_label_rejected(self, levels, repeated):
         dataset = small_dataset(n_classes=2, trials_per_class=2, seed=10)
         with pytest.raises(ValueError, match=f"noise level {repeated} is repeated"):
             evaluate_feature_sets(dataset, {"a": parse_features("rms")}, levels, SEG)
+
+    @pytest.mark.parametrize("level, label", [
+        (None, "clean"), (20.0, "20dB"), (20, "20dB"), (-5.0, "-5dB"), (2.5, "2.5dB"),
+        (20.000001, "20.000001dB"), (1 / 3, "0.3333333333333333dB"),
+        (1234567.0, "1234567.0dB"), (np.float64(20.000001), "20.000001dB")])
+    def test_level_label_reads_back_as_its_level(self, level, label):
+        assert CrTable.level_label(level) == label
+        if level is not None:
+            assert float(label[:-len("dB")]) == level
 
     @pytest.mark.parametrize("vote_window", [4, 0, -3])
     def test_bad_vote_window_fails_before_any_extraction(self, monkeypatch, vote_window):

@@ -1,11 +1,15 @@
 """Feature descriptors: parsing, defaults, computation, scalarization."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from myobench.freq_features import ar_coefficients
 from myobench.registry import (FEATURE_NAMES, FEATURE_SETS, default_panel, extract,
-                               feature_set, parse_feature, parse_features,
-                               resolve_hemg_limit)
+                               extract_segments, feature_set, make_descriptor,
+                               parse_feature, parse_features, resolve_hemg_limit,
+                               resolve_hemg_peak)
+from myobench.signals import SegmentationConfig, Signal, segment
 from myobench.time_features import rms, ssc, wamp, zc
 
 
@@ -52,29 +56,29 @@ class TestCompute:
         rng = np.random.default_rng(1)
         x = rng.standard_normal(256) * 20
         desc = parse_feature("rms")
-        np.testing.assert_allclose(desc.compute(x, 1000.0), [rms(x)])
+        np.testing.assert_allclose(extract([desc], x, 1000.0)[0], [rms(x)])
 
     def test_threshold_passes_through(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(256) * 20
         desc = parse_feature("wamp:threshold=15")
-        assert desc.compute(x, 1000.0)[0] == wamp(x, 15.0)
+        assert extract([desc], x, 1000.0)[0][0] == wamp(x, 15.0)
 
     def test_ar_returns_coefficient_vector(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(256)
         desc = parse_feature("ar:order=3")
-        np.testing.assert_array_equal(desc.compute(x, 1000.0),
+        np.testing.assert_array_equal(extract([desc], x, 1000.0)[0],
                                       ar_coefficients(x, 3).coefficients)
 
     def test_hemg_requires_resolution(self):
         desc = parse_feature("hemg")
         assert desc.needs_resolution()
         with pytest.raises(ValueError, match="resolved"):
-            desc.compute(np.ones(8), 1000.0)
+            extract([desc], np.ones(8), 1000.0)[0]
         resolved = desc.resolved(3.0)
         np.testing.assert_array_equal(
-            resolved.compute(np.array([-2.5, 0.1, 2.9, 0.2]), 1000.0), [1, 2, 1])
+            extract([resolved], np.array([-2.5, 0.1, 2.9, 0.2]), 1000.0)[0], [1, 2, 1])
 
     def test_hemg_explicit_limit_skips_resolution(self):
         desc = parse_feature("hemg:bins=5:limit=2.0")
@@ -84,8 +88,8 @@ class TestCompute:
     def test_spectral_dc_flag(self):
         t = np.arange(256) / 1000.0
         x = np.sin(2 * np.pi * 125.0 * t) + 0.5  # DC offset
-        with_dc = parse_feature("mmnf").compute(x, 1000.0)[0]
-        without = parse_feature("mmnf:dc=0").compute(x, 1000.0)[0]
+        with_dc = extract([parse_feature("mmnf")], x, 1000.0)[0][0]
+        without = extract([parse_feature("mmnf:dc=0")], x, 1000.0)[0][0]
         assert without > with_dc
 
     def test_component_names(self):
@@ -148,6 +152,117 @@ class TestJointExtraction:
             extract(parse_features("wl,ssc:threshold=-1"), np.ones((2, 8)), 1000.0)
 
 
+def outcome(compute):
+    """The feature matrix, or the message of the ValueError raised instead."""
+    try:
+        return compute()
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+
+
+def windows_outcome(descriptors, signal, cfg):
+    """What `extract` gives on a contiguous copy of the signal's windows."""
+    return outcome(lambda: extract(descriptors, np.array(segment(signal, cfg)), signal.rate))
+
+
+# Every family with non-default parameters: zero and clamping thresholds and
+# limits, 1-5 HEMG bins, AR orders 1-4, both DC settings, and MAVSLP segment
+# counts that may not divide the window.
+_PARAMS = {
+    "iemg": {}, "mav": {}, "mmav1": {}, "mmav2": {}, "ssi": {}, "var": {}, "rms": {}, "wl": {},
+    "mavslp": {"segments": st.integers(2, 5)},
+    "zc": {"threshold": st.sampled_from([0.0, 0.5, 1.0, 10.0])},
+    "ssc": {"threshold": st.sampled_from([0.0, 0.25, 1.0, 30.0])},
+    "wamp": {"threshold": st.sampled_from([0.0, 0.5, 1.0, 10.0])},
+    "hemg": {"bins": st.integers(1, 5), "limit": st.sampled_from([0.1, 0.5, 1.0, 3.0, 50.0])},
+    "ar": {"order": st.integers(1, 4)},
+    "mnf": {"dc": st.integers(0, 1)}, "mdf": {"dc": st.integers(0, 1)},
+    "mmnf": {"dc": st.integers(0, 1)}, "mmdf": {"dc": st.integers(0, 1)},
+}
+descriptor_st = st.sampled_from(sorted(_PARAMS)).flatmap(
+    lambda name: st.fixed_dictionaries(_PARAMS[name]).map(
+        lambda params: make_descriptor(name, params)))
+
+
+class TestExtractSegments:
+    """Shared intermediates over a signal give exactly what `extract` gives on
+    its windows, values and errors alike."""
+
+    def test_covers_every_family(self):
+        assert set(_PARAMS) == set(FEATURE_NAMES)
+
+    @given(descriptors=st.lists(descriptor_st, min_size=1, max_size=6),
+           width=st.integers(2, 24), slide_step=st.integers(0, 23),
+           windows=st.integers(0, 6), tail=st.integers(0, 23),
+           channels=st.integers(1, 3), quantum=st.sampled_from([0.0, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_extract_on_the_windows(self, descriptors, width, slide_step, windows,
+                                           tail, channels, quantum, seed):
+        slide = 1 + slide_step % width          # 1..width, dividing the width or not
+        n = max((windows - 1) * slide + width + tail % slide, 1) if windows else width - 1
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((n, channels))
+        if quantum:  # repeated samples: zero differences, ties and zeros
+            data = np.round(data / quantum) * quantum
+        signal = Signal(data[:, -1], 1000.0)  # a strided column when channels > 1
+        cfg = SegmentationConfig(window_ms=float(width), slide_ms=float(slide))
+        assert_same_outcome(outcome(lambda: extract_segments(descriptors, signal, cfg)),
+                            windows_outcome(descriptors, signal, cfg))
+
+    @pytest.mark.parametrize("width, slide", [(16, 16), (16, 4), (16, 5), (16, 1), (3, 2)])
+    def test_one_window_and_a_partial_tail(self, width, slide):
+        rng = np.random.default_rng(width + slide)
+        descriptors = [make_descriptor(name, {"limit": 1.0} if name == "hemg" else {})
+                       for name in FEATURE_NAMES if name != "mavslp"]
+        cfg = SegmentationConfig(window_ms=float(width), slide_ms=float(slide))
+        for n in (width, width + slide - 1, 3 * slide + width, 3 * slide + width + slide - 1):
+            signal = Signal(rng.standard_normal(n), 1000.0)
+            got = outcome(lambda: extract_segments(descriptors, signal, cfg))
+            assert_same_outcome(got, windows_outcome(descriptors, signal, cfg))
+
+    def test_errors_match(self):
+        cfg = SegmentationConfig(window_ms=12.0, slide_ms=5.0)
+        x = np.random.default_rng(3).standard_normal(40)
+        with_nan = x.copy()
+        with_nan[20] = np.nan
+        cases = [(parse_features("rms,wl"), x[:11], "signal too short"),
+                 (parse_features("rms,hemg:limit=1"), with_nan, "hemg needs finite samples"),
+                 (parse_features("mav,mavslp:segments=5"), x, "does not divide"),
+                 (parse_features("wl,ssc:threshold=-1"), x, "non-negative"),
+                 (parse_features("hemg:bins=0:limit=1"), x, "at least 1 bin")]
+        for descriptors, samples, message in cases:
+            signal = Signal(samples, 1000.0)
+            got = outcome(lambda: extract_segments(descriptors, signal, cfg))
+            assert message in got
+            assert got == windows_outcome(descriptors, signal, cfg)
+        for token, width, message in [("mmav1", 3.0, "at least 4"), ("ssc", 2.0, "at least 3")]:
+            short, signal = SegmentationConfig(window_ms=width, slide_ms=1.0), Signal(x, 1000.0)
+            got = outcome(lambda: extract_segments(parse_features(token), signal, short))
+            assert message in got
+            assert got == windows_outcome(parse_features(token), signal, short)
+
+    def test_nan_in_the_trailing_partial_window_is_never_read(self):
+        cfg = SegmentationConfig(window_ms=12.0, slide_ms=5.0)
+        x = np.random.default_rng(4).standard_normal(40)  # windows cover x[:37]
+        x[37:] = np.nan
+        descriptors = [make_descriptor(name, {"limit": 1.0} if name == "hemg" else
+                                       {"segments": 4} if name == "mavslp" else {})
+                       for name in FEATURE_NAMES]
+        got = extract_segments(descriptors, Signal(x, 1000.0), cfg)
+        assert np.isfinite(got).all()
+        assert_same_outcome(got, windows_outcome(descriptors, Signal(x, 1000.0), cfg))
+
+
 class TestScalarize:
     def test_defaults(self):
         assert parse_feature("hemg").scalar_component == 2
@@ -156,7 +271,7 @@ class TestScalarize:
 
     def test_hemg_scalarizes_to_bin_two(self):
         desc = parse_feature("hemg").resolved(3.0)
-        values = desc.compute(np.array([-2.5, 0.1, 2.9, 0.2]), 1000.0)
+        values = extract([desc], np.array([-2.5, 0.1, 2.9, 0.2]), 1000.0)[0]
         assert desc.scalarize(values) == 2.0
 
     def test_out_of_range_component(self):
@@ -208,3 +323,11 @@ class TestResolveLimit:
     def test_no_hemg_is_a_passthrough(self):
         descs = parse_features("rms,mmnf")
         assert resolve_hemg_limit(descs, []) == descs
+        assert resolve_hemg_peak(descs, 0.0) == descs
+
+    def test_nan_signal_is_skipped(self):
+        descs = parse_features("hemg")
+        resolved = resolve_hemg_limit(descs, [np.array([1.0, np.nan, 9.0]), np.array([2.0])])
+        assert resolved == resolve_hemg_peak(descs, 2.0)
+        with pytest.raises(ValueError, match="all zero"):
+            resolve_hemg_peak(descs, 0.0)
