@@ -64,7 +64,7 @@ def _segmentation(window_ms: float, slide_ms: float) -> SegmentationConfig:
 @click.option("--trials", default=6, show_default=True, help="Trials per class.")
 @click.option("--duration-ms", default=3000.0, show_default=True)
 @click.option("--rate", default=1000.0, show_default=True, help="Sampling rate (Hz).")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--band", "bands", multiple=True,
               help="Per-class band 'lo-hi' in Hz (repeat per class; default: "
                    "disjoint bands over 30-450 Hz).")
@@ -184,7 +184,7 @@ def _parse_sweep(text: str):
 @click.option("--snr", default="20,15,10,5,3,0", show_default=True,
               help="Comma-separated SNR grid in dB.")
 @click.option("--reps", default=10, show_default=True, help="Repetitions per level.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--window-ms", default=256.0, show_default=True)
 @click.option("--slide-ms", default=64.0, show_default=True)
 @click.option("--max-windows", default=1, show_default=True, type=click.IntRange(min=0),
@@ -255,7 +255,7 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
               help="Majority-vote window (odd).")
 @click.option("--window-ms", default=256.0, show_default=True)
 @click.option("--slide-ms", default=64.0, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", required=True, type=click.Path(),
               help="Output prefix; writes <out>_table.csv, <out>_report.json, "
                    "and per-cell decision CSVs.")

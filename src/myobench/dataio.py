@@ -74,10 +74,6 @@ class Dataset:
                     f"{self.trials[0].channels}; datasets need a uniform layout"
                 )
 
-    @property
-    def channel_count(self) -> int:
-        return len(self.trials[0].channels) if self.trials else 0
-
 
 def load_dataset(manifest_path) -> Dataset:
     """Load and validate a dataset from its manifest.

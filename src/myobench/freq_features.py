@@ -16,61 +16,40 @@ so moments of A_j move less under broadband noise than moments of A_j^2.
 
 Every feature takes one window (or its spectrum) or a (windows, samples)
 matrix (or a spectrum with one row per window) and gives one result per row.
+To get several moments of the same windows from one spectrum, name them in
+one ``registry.extract`` call, e.g. ``parse_features("mnf,mdf,mmnf,mmdf")``:
+it computes the spectrum and its square once and shares them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .signals import PowerSpectrum, Signal, Spectrum, amplitude_spectrum, power_spectrum
+from .signals import PowerSpectrum, Spectrum
 from .time_features import _per_window
 
 
-@dataclass
-class ArModel:
-    """Fitted AR model: order, coefficients a_1..a_p, and residual variance."""
-
-    order: int
-    coefficients: np.ndarray
-    noise_variance: float
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.order < 1 or self.coefficients.size != self.order:
-            raise ValueError("coefficient count must equal a positive order")
-        if self.noise_variance < 0:
-            raise ValueError("noise variance must be non-negative")
-
-    def is_stationary(self) -> bool:
-        """True when all characteristic roots lie inside the unit circle."""
-        roots = np.roots(np.concatenate(([1.0], self.coefficients)))
-        return bool(np.all(np.abs(roots) < 1.0))
-
-
-def ar_coefficients(window, order: int = 1) -> ArModel:
+def ar_coefficients(window, order: int = 1) -> np.ndarray:
     """Fit an AR(order) model by Yule-Walker / Levinson-Durbin.
 
-    Uses the biased autocorrelation estimate r_k = sum(x_n x_{n+k}) / N with
-    no mean removal, so for order 1 the result is exactly a_1 = -r_1/r_0.
-    Raises on an identically-zero window (singular autocorrelation) and when
+    Returns the (order,) coefficients a_1..a_p. Uses the biased
+    autocorrelation estimate r_k = sum(x_n x_{n+k}) / N with no mean
+    removal, so for order 1 the result is exactly a_1 = -r_1/r_0. Raises on
+    an identically-zero window (singular autocorrelation) and when
     order >= window length.
     """
     x = np.asarray(window, dtype=float)
     if x.ndim != 1:
         raise ValueError("need a 1-D window")
-    coefficients, noise_variance = levinson_durbin(x[np.newaxis], order)
-    return ArModel(order=int(order), coefficients=coefficients[0],
-                   noise_variance=float(noise_variance[0]))
+    return levinson_durbin(x[np.newaxis], order)[0]
 
 
-def levinson_durbin(windows, order: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def levinson_durbin(windows, order: int = 1) -> np.ndarray:
     """AR(order) fit of every row of a (windows, samples) matrix.
 
-    Returns the (windows, order) coefficients a_1..a_p and the (windows,)
-    residual variances, under the conventions of ``ar_coefficients``. Every
-    dot product runs through BLAS on contiguous rows, as ``np.dot`` does for
-    one window, so a row's fit does not depend on the rows batched with it.
+    Returns the (windows, order) coefficients a_1..a_p, under the
+    conventions of ``ar_coefficients``. Every dot product runs through BLAS
+    on contiguous rows, as ``np.dot`` does for one window, so a row's fit
+    does not depend on the rows batched with it.
     """
     x = np.ascontiguousarray(windows, dtype=float)
     p = int(order)
@@ -96,7 +75,7 @@ def levinson_durbin(windows, order: int = 1) -> tuple[np.ndarray, np.ndarray]:
         phi[:, : i - 1] = phi[:, : i - 1] - k[:, np.newaxis] * phi[:, : i - 1][:, ::-1]
         phi[:, i - 1] = k
         energy = energy * (1.0 - k * k)
-    return -phi, np.maximum(energy, 0.0)
+    return -phi
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,29 +127,3 @@ def mmnf(spectrum: Spectrum, include_dc: bool = True) -> float:
 def mmdf(spectrum: Spectrum, include_dc: bool = True) -> float:
     """Modified median frequency: bin splitting the cumulative amplitude in half."""
     return _median_bin(spectrum.freqs, spectrum.amplitudes, include_dc)
-
-
-@dataclass(frozen=True)
-class SpectralMoments:
-    """The four moments of one window's spectrum, all in Hz."""
-
-    mnf: float
-    mdf: float
-    mmnf: float
-    mmdf: float
-
-
-def spectral_moments(window, rate: float | None = None,
-                     include_dc: bool = True) -> SpectralMoments:
-    """All four moments from a single spectrum computation."""
-    if isinstance(window, Signal):
-        spec = amplitude_spectrum(window)
-    else:
-        spec = amplitude_spectrum(window, rate)
-    ps = power_spectrum(spec)
-    return SpectralMoments(
-        mnf=mnf(ps, include_dc),
-        mdf=mdf(ps, include_dc),
-        mmnf=mmnf(spec, include_dc),
-        mmdf=mmdf(spec, include_dc),
-    )

@@ -229,20 +229,12 @@ def _precomputed_seed_type():
     return PrecomputedWords
 
 
-def stream_wgn(words: np.ndarray, n: int) -> np.ndarray:
-    """n standard-normal draws from the stream of one `stream_words` row.
-
-    Equals ``generate_wgn(n, (stream_seed, rep))`` for that row's key.
-    """
-    return fill_wgn(words[np.newaxis], np.empty((1, n)))[0]
-
-
 def fill_wgn(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill each row of ``out`` with draws from its own `stream_words` stream.
 
     ``words`` holds one state row per row of the (copies, samples) float
-    array ``out``; each row is drawn in place, and equals ``stream_wgn`` of
-    its words. Returns ``out``.
+    array ``out``; each row is drawn in place, and equals ``generate_wgn``
+    of that row's (stream seed, repetition) key. Returns ``out``.
     """
     seed_type = _precomputed_seed_type()
     for row_words, row in zip(words, out):

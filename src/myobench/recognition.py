@@ -94,10 +94,6 @@ class LdaModel:
     _coef: np.ndarray = field(repr=False, default=None)       # (K, d)
     _intercept: np.ndarray = field(repr=False, default=None)  # (K,)
 
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
 
 def lda_train(data: LabeledWindowSet, ridge: float = DEFAULT_RIDGE) -> LdaModel:
     """Fit class means, pooled within-class covariance, and empirical priors.
@@ -146,8 +142,8 @@ def lda_train(data: LabeledWindowSet, ridge: float = DEFAULT_RIDGE) -> LdaModel:
 def lda_scores(model: LdaModel, X: np.ndarray) -> np.ndarray:
     """Discriminant values per class for each row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != model.dim:
-        raise ValueError(f"expected {model.dim} features, got {X.shape[1]}")
+    if X.shape[1] != model.means.shape[1]:
+        raise ValueError(f"expected {model.means.shape[1]} features, got {X.shape[1]}")
     return X @ model._coef.T + model._intercept
 
 
@@ -266,23 +262,6 @@ class ClassificationReport:
     confusion: np.ndarray          # (K, K) counts, rows = true class
     fold_crs: list[tuple[str, float]]
     decisions: DecisionStream
-
-
-def train_fold(dataset: Dataset, features: list[FeatureDescriptor],
-               segmentation: SegmentationConfig, held_out_trial_id: str,
-               ridge: float = DEFAULT_RIDGE):
-    """Resolve descriptors and fit the LDA for one fold's training split.
-
-    Only trials other than the held-out one contribute, both to the model and
-    to data-dependent feature parameters.
-    """
-    ids = [t.trial_id for t in dataset.trials]
-    if held_out_trial_id not in ids:
-        raise ValueError(f"no trial with id {held_out_trial_id!r}")
-    folds, _ = _train_folds(dataset, [features], [ids.index(held_out_trial_id)],
-                            segmentation, ridge)
-    model, descriptors, _ = folds[0][0]
-    return model, descriptors
 
 
 class _TrialBlock:

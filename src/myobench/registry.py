@@ -173,7 +173,7 @@ _KERNELS = dict(
     wamp=lambda shared, threshold: shared.counts(tf._jumps(shared.abs_diff, threshold)),
     hemg=lambda shared, bins, limit: shared.bin_counts(
         tf._hemg_bins(shared.source, bins, limit), int(bins)),
-    ar=lambda shared, order: ff.levinson_durbin(shared.rows, order)[0],
+    ar=lambda shared, order: ff.levinson_durbin(shared.rows, order),
     mnf=_moment(ff._centroid, by_power=True),
     mdf=_moment(ff._median_bin, by_power=True),
     mmnf=_moment(ff._centroid, by_power=False),
@@ -256,16 +256,6 @@ class FeatureDescriptor:
             return [self.label]
         return [f"{self.label}[{i + 1}]" for i in range(count)]
 
-    def scalarize(self, values: np.ndarray):
-        """The scalar component of a value vector, or of each row of a matrix."""
-        idx = self.scalar_component - 1
-        if not 0 <= idx < values.shape[-1]:
-            raise ValueError(
-                f"{self.label}: scalar component {self.scalar_component} out of "
-                f"range for {values.shape[-1]} components"
-            )
-        return values[..., idx]
-
 
 def extract(descriptors, windows, rate: float) -> np.ndarray:
     """Evaluate descriptors on a window or a (windows, samples) matrix.
@@ -322,7 +312,11 @@ def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
 
 
 def make_descriptor(name: str, params: dict | None = None) -> FeatureDescriptor:
-    """Build a descriptor from a family name and parameter overrides."""
+    """Build a descriptor from a family name and parameter overrides.
+
+    ``segments``, ``bins`` and ``order`` must be whole numbers and ``dc`` 0
+    or 1; any other value is a ValueError naming ``name:key=value``.
+    """
     if name not in _FAMILIES:
         raise ValueError(
             f"unknown feature {name!r}; valid names: {', '.join(FEATURE_NAMES)}"
@@ -331,7 +325,12 @@ def make_descriptor(name: str, params: dict | None = None) -> FeatureDescriptor:
     for key, value in (params or {}).items():
         if key not in merged:
             raise ValueError(f"feature {name!r} has no parameter {key!r}")
-        merged[key] = int(value) if key in _INT_PARAMS else float(value)
+        value = float(value)
+        if key == "dc" and value not in (0, 1):
+            raise ValueError(f"{name}:dc={value:g}: dc must be 0 or 1")
+        if key in _INT_PARAMS and not value.is_integer():  # also rejects inf and nan
+            raise ValueError(f"{name}:{key}={value:g}: {key} must be a whole number")
+        merged[key] = int(value) if key in _INT_PARAMS else value
     return FeatureDescriptor(
         name=name,
         params=tuple(sorted(merged.items(), key=lambda kv: kv[0])),

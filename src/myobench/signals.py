@@ -31,10 +31,6 @@ class Signal:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_ms(self) -> float:
-        return self.samples.size * 1000.0 / self.rate
-
 
 @dataclass(frozen=True)
 class SegmentationConfig:
@@ -114,10 +110,6 @@ class Spectrum:
         if np.any(self.amplitudes < 0):
             raise ValueError("amplitudes must be non-negative")
 
-    @property
-    def bins(self) -> int:
-        return self.freqs.size
-
     @classmethod
     def _unchecked(cls, freqs: np.ndarray, amplitudes: np.ndarray) -> "Spectrum":
         """A spectrum whose arrays are valid by construction, built without the checks."""
@@ -135,10 +127,6 @@ class PowerSpectrum:
 
     def __post_init__(self):
         self.freqs, self.powers = _on_axis(self.freqs, self.powers, "powers")
-
-    @property
-    def bins(self) -> int:
-        return self.freqs.size
 
 
 def _on_axis(freqs, values, what: str):

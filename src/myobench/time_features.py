@@ -158,7 +158,7 @@ def _diff(x):
 
 
 def _check_threshold(threshold: float):
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails this too
         raise ValueError("threshold must be non-negative")
 
 

@@ -16,8 +16,8 @@ from scipy.signal import lfilter
 from myobench.dataio import ClassSpec, SynthConfig, default_class_specs, synthesize_emg
 from myobench.freq_features import ar_coefficients, mdf, mmdf, mmnf, mnf
 from myobench.noise import NoiseSpec, inject_at_snr, signal_power
-from myobench.recognition import (evaluate_feature_sets, leave_one_out,
-                                  majority_vote, train_fold)
+from myobench.recognition import (DEFAULT_RIDGE, _train_folds, evaluate_feature_sets,
+                                  leave_one_out, majority_vote)
 from myobench.registry import extract, feature_set, parse_features
 from myobench.robustness import (RobustnessConfig, percentage_error,
                                  records_from_dataset, run_grid)
@@ -160,7 +160,7 @@ def test_criterion_01_feature_oracle_equivalence():
             "mmav2": tf.mmav2(x), "mavslp": tf.mavslp(x, k), "ssi": tf.ssi(x),
             "var": tf.var(x), "rms": tf.rms(x), "wl": tf.wl(x),
             "zc": tf.zc(x, zc_th), "ssc": tf.ssc(x, ssc_th), "wamp": tf.wamp(x, wamp_th),
-            "hemg": tf.hemg(x, bins, limit), "ar": ar_coefficients(x, 4).coefficients,
+            "hemg": tf.hemg(x, bins, limit), "ar": ar_coefficients(x, 4),
             "mnf": mnf(ps), "mdf": mdf(ps), "mmnf": mmnf(spec), "mmdf": mmdf(spec),
         }
         matrix_row = {d.name: v if d.component_count() > 1 else v[0]
@@ -227,9 +227,9 @@ def test_criterion_02_hand_value_suite():
 
     rng = np.random.default_rng(77)
     ar1 = ar_coefficients(simulate_ar([-0.9], 4096, rng), 1)
-    assert ar1.coefficients[0] == pytest.approx(-0.9, abs=0.05)
+    assert ar1[0] == pytest.approx(-0.9, abs=0.05)
     white = ar_coefficients(rng.standard_normal(4096), 1)
-    assert abs(white.coefficients[0]) < 0.05
+    assert abs(white[0]) < 0.05
 
     assert majority_vote(list("AABAA"), 3) == list("AAAAA")
     ok("criterion 2: hand-value suite holds exactly")
@@ -361,9 +361,10 @@ def test_criterion_08_ar_round_trip():
         true = np.poly(roots)[1:]
         rng = np.random.default_rng(800 + i)
         x = simulate_ar(true, 8192, rng)
-        model = ar_coefficients(x, len(true))
-        np.testing.assert_allclose(model.coefficients, true, atol=0.1)
-        assert model.is_stationary()
+        coefficients = ar_coefficients(x, len(true))
+        np.testing.assert_allclose(coefficients, true, atol=0.1)
+        # stationary: every root of z^p + a_1 z^(p-1) + ... + a_p inside the unit circle
+        assert np.all(np.abs(np.roots(np.concatenate(([1.0], coefficients)))) < 1.0)
     ok("criterion 8: AR(p<=4) coefficients recovered within +/-0.1, "
        "all estimates stationary")
 
@@ -417,14 +418,15 @@ def test_criterion_09_invariant_suites():
     # Train/test hygiene: mutating the held-out trial leaves the model alone.
     from myobench.dataio import Dataset, Trial
     held_out = dataset.trials[0].trial_id
-    model_a, _ = train_fold(dataset, features, SEG, held_out)
+    fold_a, _ = _train_folds(dataset, [features], [0], SEG, DEFAULT_RIDGE)
     mutated = Dataset(
         classes=dataset.classes, rate=dataset.rate,
         trials=[Trial(trial_id=t.trial_id, label=t.label, subject=t.subject,
                       group=t.group, channels=t.channels,
                       data=t.data * 3.0 - 1.0 if t.trial_id == held_out else t.data)
                 for t in dataset.trials])
-    model_b, _ = train_fold(mutated, features, SEG, held_out)
+    fold_b, _ = _train_folds(mutated, [features], [0], SEG, DEFAULT_RIDGE)
+    model_a, model_b = fold_a[0][0][0], fold_b[0][0][0]
     np.testing.assert_array_equal(model_a.means, model_b.means)
     np.testing.assert_array_equal(model_a.covariance, model_b.covariance)
 

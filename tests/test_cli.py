@@ -49,6 +49,20 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize("command", ["synth", "robustness", "classify"])
+def test_negative_seed_is_usage_error(runner, tmp_path, command):
+    # The manifest does not exist, so exit 2 shows the check ran before loading.
+    if command == "synth":
+        args = synth_args(tmp_path / "d", seed=-1)
+    else:
+        args = [command, "--data", str(tmp_path / "ghost.json"), "--seed", "-1",
+                "--out", str(tmp_path / "o")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Invalid value for '--seed': -1" in result.output
+    assert not list(tmp_path.iterdir())
+
+
 class TestSynth:
     def test_writes_manifest_and_trials(self, runner, tmp_path):
         out = tmp_path / "d"
@@ -140,6 +154,32 @@ class TestExtract:
             "--features", "glitter", "--out", str(tmp_path / "x.csv")])
         assert result.exit_code == 2
         assert "valid names" in result.output
+
+    @pytest.mark.parametrize("token, message", [
+        ("ar:order=2.5", "order must be a whole number"),
+        ("hemg:bins=3.7", "bins must be a whole number"),
+        ("mavslp:segments=4.9", "segments must be a whole number"),
+        ("ar:order=inf", "order must be a whole number"),
+        ("mnf:dc=0.5", "dc must be 0 or 1"),
+        ("mnf:dc=5", "dc must be 0 or 1"),
+    ])
+    def test_bad_count_parameter_is_usage_error(self, runner, dataset_dir, tmp_path, token,
+                                                message):
+        result = runner.invoke(main, [
+            "extract", "--data", str(dataset_dir / "manifest.json"),
+            "--features", f"rms,{token}", "--out", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2
+        assert f"{token}: {message}" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("feature", ["zc", "ssc", "wamp"])
+    def test_nan_threshold_is_runtime_error(self, runner, dataset_dir, tmp_path, feature):
+        result = runner.invoke(main, [
+            "extract", "--data", str(dataset_dir / "manifest.json"),
+            "--features", f"{feature}:threshold=nan", "--out", str(tmp_path / "x.csv")])
+        assert result.exit_code == 1
+        assert "Error: threshold must be non-negative" in result.output
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_dataset_is_runtime_error(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -429,6 +469,8 @@ class TestClassify:
         ("--vote", "4", "odd positive count, got 4"),
         ("--vote", "0", "odd positive count, got 0"),
         ("--vote", "-3", "odd positive count, got -3"),
+        ("--sets", "x=ar:order=inf", "ar:order=inf: order must be a whole number"),
+        ("--sets", "x=rms+mmnf:dc=2", "mmnf:dc=2: dc must be 0 or 1"),
     ])
     def test_bad_option_is_usage_error_before_loading(self, runner, tmp_path, option,
                                                       value, message):

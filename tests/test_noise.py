@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from myobench.noise import (NoiseSpec, derive_seed, derive_seeds, fill_wgn, generate_wgn,
-                            inject_at_snr, signal_power, stream_wgn, stream_words)
+                            inject_at_snr, signal_power, stream_words)
 from myobench.signals import Signal
 
 
@@ -167,7 +167,8 @@ class TestStreamWords:
                                            (2**64 - 1, 3), (derive_seed(4, 1, 2), 11)])
     def test_seeded_draws_equal_generate_wgn(self, seed, rep):
         words = stream_words([seed], [rep])[0, 0]
-        np.testing.assert_array_equal(stream_wgn(words, 300), generate_wgn(300, (seed, rep)))
+        drawn = fill_wgn(words[np.newaxis], np.empty((1, 300)))[0]
+        np.testing.assert_array_equal(drawn, generate_wgn(300, (seed, rep)))
 
 
 class TestDeriveSeeds:

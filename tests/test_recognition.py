@@ -15,7 +15,7 @@ from myobench.noise import NoiseSpec, derive_seed, inject_at_snr
 from myobench.recognition import (DEFAULT_RIDGE, CrTable, LabeledWindowSet, _fold_peaks,
                                   _test_trials, _train_folds, decisions_to_csv,
                                   evaluate_feature_sets, extract_window_set, lda_scores,
-                                  lda_train, leave_one_out, majority_vote, train_fold)
+                                  lda_train, leave_one_out, majority_vote)
 from myobench.registry import (feature_set, parse_features, resolve_hemg_limit,
                                resolve_hemg_peak)
 from myobench.signals import SegmentationConfig
@@ -104,6 +104,13 @@ def reference_decisions_csv(decisions, path):
 def top_class(model, x):
     """The class of the largest discriminant for one feature vector."""
     return model.class_names[int(np.argmax(lda_scores(model, x)))]
+
+
+def fold_model(dataset, features, held_out):
+    """The model and resolved descriptors of the fold that holds out trial index ``held_out``."""
+    folds, _ = _train_folds(dataset, [features], [held_out], SEG, DEFAULT_RIDGE)
+    model, resolved, _ = folds[0][0]
+    return model, resolved
 
 
 def scaled_trial(trial, factor):
@@ -359,7 +366,7 @@ class TestLeaveOneOut:
         dataset = small_dataset(n_classes=2, trials_per_class=2, seed=8)
         features = parse_features("hemg,wamp,mmnf")
         held_out = dataset.trials[0].trial_id
-        model_a, _ = train_fold(dataset, features, SEG, held_out)
+        model_a, _ = fold_model(dataset, features, 0)
         mutated_trials = [
             Trial(trial_id=t.trial_id, label=t.label, subject=t.subject,
                   group=t.group, channels=t.channels,
@@ -368,7 +375,7 @@ class TestLeaveOneOut:
         ]
         mutated = Dataset(classes=dataset.classes, rate=dataset.rate,
                           trials=mutated_trials)
-        model_b, _ = train_fold(mutated, features, SEG, held_out)
+        model_b, _ = fold_model(mutated, features, 0)
         np.testing.assert_array_equal(model_a.means, model_b.means)
         np.testing.assert_array_equal(model_a.covariance, model_b.covariance)
         np.testing.assert_array_equal(model_a.priors, model_b.priors)
@@ -414,9 +421,8 @@ class TestCachedFolds:
         folds, _ = _train_folds(dataset, [features, parse_features("rms,hemg:bins=5")],
                                 range(len(dataset.trials)), SEG, DEFAULT_RIDGE)
         limits = set()
-        for trial, (model, resolved, _) in zip(dataset.trials, folds[0]):
-            fresh_model, fresh_resolved = train_fold(dataset, features, SEG,
-                                                     trial.trial_id)
+        for i, (trial, (model, resolved, _)) in enumerate(zip(dataset.trials, folds[0])):
+            fresh_model, fresh_resolved = fold_model(dataset, features, i)
             assert resolved == fresh_resolved
             assert_same_model(model, fresh_model)
             # The same fold, resolved and extracted from the raw training trials.

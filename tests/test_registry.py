@@ -1,4 +1,6 @@
 """Feature descriptors: parsing, defaults, computation, scalarization."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from myobench.registry import (FEATURE_NAMES, FEATURE_SETS, default_panel, extra
                                extract_segments, feature_set, make_descriptor,
                                parse_feature, parse_features, resolve_hemg_limit,
                                resolve_hemg_peak)
+from myobench.robustness import _scalar_picks
 from myobench.signals import SegmentationConfig, Signal, segment
 from myobench.time_features import rms, ssc, wamp, zc
 
@@ -29,6 +32,25 @@ class TestParsing:
         desc = parse_feature("ar:order=2")
         assert desc.param_dict == {"order": 2}
         assert desc.component_count() == 2
+
+    @pytest.mark.parametrize("token", ["ar:order=2.5", "hemg:bins=3.7", "mavslp:segments=4.9",
+                                       "ar:order=inf", "ar:order=-inf", "hemg:bins=nan"])
+    def test_count_parameters_must_be_whole(self, token):
+        with pytest.raises(ValueError, match="^" + re.escape(token) + ": .* a whole number$"):
+            parse_feature(token)
+
+    @pytest.mark.parametrize("token", ["mnf:dc=0.5", "mnf:dc=5", "mdf:dc=-1", "mmdf:dc=inf",
+                                       "mmnf:dc=nan"])
+    def test_dc_must_be_zero_or_one(self, token):
+        with pytest.raises(ValueError, match="^" + re.escape(token) + ": dc must be 0 or 1$"):
+            parse_feature(token)
+
+    def test_whole_valued_counts_accepted(self):
+        assert parse_feature("ar:order=2.0").param_dict == {"order": 2}
+        assert parse_feature("mmnf:dc=0").param_dict == {"dc": 0}
+        assert make_descriptor("hemg", {"bins": 5.0}).param_dict["bins"] == 5
+        with pytest.raises(ValueError, match="whole number"):
+            make_descriptor("ar", {"order": 1.5})  # the sweep path
 
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(ValueError, match="valid names.*rms"):
@@ -68,8 +90,7 @@ class TestCompute:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(256)
         desc = parse_feature("ar:order=3")
-        np.testing.assert_array_equal(extract([desc], x, 1000.0)[0],
-                                      ar_coefficients(x, 3).coefficients)
+        np.testing.assert_array_equal(extract([desc], x, 1000.0)[0], ar_coefficients(x, 3))
 
     def test_hemg_requires_resolution(self):
         desc = parse_feature("hemg")
@@ -272,13 +293,16 @@ class TestScalarize:
     def test_hemg_scalarizes_to_bin_two(self):
         desc = parse_feature("hemg").resolved(3.0)
         values = extract([desc], np.array([-2.5, 0.1, 2.9, 0.2]), 1000.0)[0]
-        assert desc.scalarize(values) == 2.0
+        picks, reasons = _scalar_picks([desc])
+        assert reasons == {}
+        assert values[picks[0]] == 2.0
 
     def test_out_of_range_component(self):
         from dataclasses import replace
         desc = replace(parse_feature("rms"), scalar_component=4)
-        with pytest.raises(ValueError, match="out of range"):
-            desc.scalarize(np.array([1.0]))
+        _, reasons = _scalar_picks([parse_feature("wamp"), desc])
+        assert list(reasons) == [1]
+        assert "out of range" in reasons[1]
 
 
 class TestSetsAndPanel:

@@ -36,7 +36,9 @@ def reference_rows(records, features, cfg):
     """Brute-force grid: one inject_at_snr per noisy copy, one extract per feature.
 
     Each (record, feature) pair's PEs are listed in (SNR, repetition) order
-    and pooled per cell in record order, as run_grid lays them out.
+    and pooled per cell in record order, as run_grid lays them out. A
+    feature whose extraction raises, or whose scalar component is out of
+    range, excludes the record.
     """
     features = resolve_hemg_limit(features, (r.signal.samples for r in records))
     reps = cfg.repetitions
@@ -52,7 +54,10 @@ def reference_rows(records, features, cfg):
         matrix = np.vstack(copies)
         for d_idx, desc in enumerate(features):
             try:
-                values = desc.scalarize(extract([desc], matrix, signal.rate))
+                values = extract([desc], matrix, signal.rate)
+                if not 1 <= desc.scalar_component <= values.shape[1]:
+                    raise ValueError("scalar component out of range")
+                values = values[:, desc.scalar_component - 1]
                 pes[d_idx, r_idx] = percentage_error(values[0], values[1:]).reshape(-1, reps)
             except ValueError:
                 pass

@@ -118,7 +118,7 @@ class TestAmplitudeSpectrum:
         spec = amplitude_spectrum(np.ones(256), 1000.0)
         assert spec.freqs[0] == 0.0
         assert spec.freqs[-1] == 500.0
-        assert spec.bins == 129
+        assert spec.freqs.size == spec.amplitudes.size == 129
 
     def test_signal_input_carries_its_rate(self):
         sig = Signal(np.ones(100), 2000.0)

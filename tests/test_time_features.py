@@ -260,8 +260,9 @@ class TestErrors:
     def test_negative_thresholds_rejected(self):
         x = [1.0, -1.0, 1.0]
         for f in (zc, ssc, wamp):
-            with pytest.raises(ValueError):
-                f(x, -0.5)
+            for threshold in (-0.5, float("nan")):  # every comparison with NaN is false
+                with pytest.raises(ValueError, match="non-negative"):
+                    f(x, threshold)
 
     def test_mavslp_rejects_ragged_split(self):
         with pytest.raises(ValueError, match="divide"):
