@@ -13,8 +13,7 @@ from .registry import (FeatureDescriptor, FEATURE_NAMES, FEATURE_SETS, extract,
                        extract_segments, make_descriptor, parse_feature, parse_features,
                        feature_set, default_panel)
 from .robustness import (RobustnessConfig, RobustnessGrid, TrialRecord,
-                         percentage_error, run_grid, sweep_parameters,
-                         records_from_dataset, grid_to_csv, grid_to_json)
+                         percentage_error, run_grid, records_from_dataset)
 from .recognition import (LabeledWindowSet, LdaModel, ClassificationReport,
                           CrTable, lda_train, lda_scores,
                           majority_vote, extract_window_set,

@@ -1,27 +1,29 @@
 """Command-line surface: synth / extract / robustness / classify.
 
-Every command that takes --seed is bit-reproducible, and every output file
-carries its fully resolved configuration (embedded in JSON outputs, a
-``.config.json`` sidecar next to CSV outputs). Exit codes: 0 on success,
-1 on runtime/data errors, 2 on usage errors.
+Every command that takes --seed is bit-reproducible. Each command builds
+its fully resolved configuration here and hands it, with each output, to
+`dataio.write_output`: a JSON output embeds it, a CSV output gets a
+``.config.json`` sidecar, and the per-cell decision CSVs of ``classify``
+carry none (the table's sidecar and the report cover them). Feature tokens,
+sweeps and the options of ``classify`` are checked before the data loads.
+Exit codes: 0 on success, 1 on runtime/data errors, 2 on usage errors.
 """
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .dataio import (ClassSpec, Dataset, DatasetError, SynthConfig,
-                     default_class_specs, load_dataset, save_dataset, synthesize_emg)
-from .recognition import (DEFAULT_VOTE_WINDOW, CrTable, check_vote_window, csv_prefix,
-                          decisions_to_csv, evaluate_feature_sets, extract_window_set,
-                          table_to_csv, table_to_json)
-from .registry import (default_panel, feature_set, parse_features,
-                       resolve_hemg_limit)
-from .robustness import (RobustnessConfig, grid_to_csv, grid_to_json,
-                         records_from_dataset, run_grid, sweep_parameters)
+from .dataio import (ClassSpec, Dataset, DatasetError, SynthConfig, csv_prefix, csv_rows,
+                     default_class_specs, load_dataset, save_dataset, synthesize_emg,
+                     write_output)
+from .recognition import (DEFAULT_VOTE_WINDOW, CrTable, check_vote_window, decisions_to_csv,
+                          evaluate_feature_sets, extract_window_set, table_csv_rows,
+                          table_payload)
+from .registry import (default_panel, feature_set, make_descriptor, parse_features,
+                       peak_amplitude, resolve_hemg_peak)
+from .robustness import RobustnessConfig, grid_csv_rows, records_from_dataset, run_grid
 from .signals import SegmentationConfig
 
 
@@ -86,14 +88,6 @@ def synth(n_classes, channels, trials, duration_ms, rate, seed, bands, amplitude
                 f"need {n_classes} --amplitude options, got {len(amplitudes)}")
         specs = [ClassSpec(name=s.name, band=s.band, amplitude=a, group=s.group)
                  for s, a in zip(specs, amplitudes)]
-    try:
-        cfg = SynthConfig(classes=tuple(specs), channels=channels,
-                          trials_per_class=trials, trial_ms=duration_ms,
-                          rate=rate, seed=seed)
-        dataset = synthesize_emg(cfg)
-        manifest = save_dataset(dataset, out)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
     config = {
         "command": "synth", "seed": seed, "rate_hz": rate,
         "channels": channels, "trials_per_class": trials,
@@ -101,8 +95,14 @@ def synth(n_classes, channels, trials, duration_ms, rate, seed, bands, amplitude
         "classes": [{"name": s.name, "band_hz": list(s.band),
                      "amplitude_mv": s.amplitude, "group": s.group} for s in specs],
     }
-    (Path(out) / "manifest.json.config.json").write_text(
-        json.dumps(config, indent=2) + "\n")
+    try:
+        cfg = SynthConfig(classes=tuple(specs), channels=channels,
+                          trials_per_class=trials, trial_ms=duration_ms,
+                          rate=rate, seed=seed)
+        dataset = synthesize_emg(cfg)
+        manifest = save_dataset(dataset, out, config)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
     click.echo(f"wrote {manifest} ({len(dataset.trials)} trials)")
 
 
@@ -122,10 +122,9 @@ def extract(data, features, window_ms, slide_ms, out):
     dataset = _load(data)
     seg_cfg = _segmentation(window_ms, slide_ms)
     try:
-        descriptors = resolve_hemg_limit(
-            descriptors,
-            (t.data[:, ch] for t in dataset.trials for ch in range(len(t.channels))),
-        )
+        if any(d.needs_resolution() for d in descriptors):  # else skip the peak scan
+            descriptors = resolve_hemg_peak(
+                descriptors, peak_amplitude([t.data for t in dataset.trials])[0])
         windows = extract_window_set(dataset.trials, dataset.rate, descriptors,
                                      seg_cfg, dataset.classes)
     except ValueError as exc:
@@ -133,26 +132,24 @@ def extract(data, features, window_ms, slide_ms, out):
     prefixes = {t.trial_id: csv_prefix([t.trial_id, t.label, t.group])
                 for t in dataset.trials}
     row_format = "%s" + ",".join(["%g"] + ["%.10g"] * windows.features.shape[1]) + "\r\n"
-    text = csv_prefix(["trial_id", "label", "group", "window_start_ms",
-                       *windows.feature_names])[:-1] + "\r\n"
+    text = csv_rows([["trial_id", "label", "group", "window_start_ms",
+                      *windows.feature_names]])
     text += "".join(row_format % (prefixes[trial_id], start, *values)
                     for trial_id, start, values in zip(windows.trial_ids,
                                                        windows.window_start_ms.tolist(),
                                                        windows.features.tolist()))
-    out_path = Path(out)
-    if out_path.parent != Path("."):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w", newline="") as fh:
-        fh.write(text)
     config = {"command": "extract", "data": str(data), "features": features,
               "window_ms": window_ms, "slide_ms": slide_ms}
-    out_path.with_suffix(out_path.suffix + ".config.json").write_text(
-        json.dumps(config, indent=2) + "\n")
+    out_path = write_output(out, text, config)
     click.echo(f"wrote {out_path} ({len(windows)} windows)")
 
 
 def _parse_sweep(text: str):
-    # family:param=10..50:10  or  family:param=3,5,7,9,11
+    """A sweep's config block and its descriptors, one per value.
+
+    ``family:param=10..50:10`` or ``family:param=3,5,7,9,11``. A malformed
+    sweep or a value outside the parameter's domain is a usage error.
+    """
     try:
         family, _, rest = text.partition(":")
         param, _, values_text = rest.partition("=")
@@ -169,12 +166,17 @@ def _parse_sweep(text: str):
             values = [start + i * step for i in range(count)]
         else:
             values = [float(v) for v in values_text.split(",")]
-        return family.strip(), param.strip(), values
     except ValueError:
         raise click.BadParameter(
             f"sweep must look like 'wamp:threshold=10..50:10' or "
             f"'hemg:bins=3,5,7,9,11', got {text!r}"
         )
+    family, param = family.strip(), param.strip()
+    try:
+        descriptors = [make_descriptor(family, {param: value}) for value in values]
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
+    return {"feature": family, "parameter": param, "values": values}, descriptors
 
 
 @main.command()
@@ -206,10 +208,13 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
         raise click.BadParameter(f"bad --snr: {exc}")
     if sweep is not None and features is not None:
         raise click.BadParameter("--sweep and --features are mutually exclusive")
-    try:
-        descriptors = default_panel() if features is None else parse_features(features)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+    if sweep is not None:
+        sweep_config, descriptors = _parse_sweep(sweep)
+    else:
+        try:
+            descriptors = default_panel() if features is None else parse_features(features)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc))
     dataset = _load(data)
     seg_cfg = _segmentation(window_ms, slide_ms)
     try:
@@ -219,23 +224,23 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
         )
         records = records_from_dataset(
             dataset, seg_cfg, max_windows=None if max_windows == 0 else max_windows)
-        if sweep is not None:
-            family, param, values = _parse_sweep(sweep)
-            grid = sweep_parameters(records, family, param, values, cfg)
-        else:
-            grid = run_grid(records, descriptors, cfg)
+        grid = run_grid(records, descriptors, cfg)
     except ValueError as exc:
         _fail(exc)
-    grid.config["command"] = "robustness"
-    grid.config["data"] = str(data)
-    grid.config["window_ms"] = window_ms
-    grid.config["slide_ms"] = slide_ms
-    grid.config["max_windows"] = max_windows
+    config = {
+        "snr_grid_db": list(cfg.snr_grid), "repetitions": cfg.repetitions, "seed": cfg.seed,
+        "groups": list(cfg.groups) if cfg.groups is not None else None,
+        "features": [{"name": d.name, "parameters": d.param_text,
+                      "scalar_component": d.scalar_component} for d in grid.features],
+    }
+    if sweep is not None:
+        config["sweep"] = sweep_config
+    config.update(command="robustness", data=str(data), window_ms=window_ms,
+                  slide_ms=slide_ms, max_windows=max_windows)
     out = Path(out)
-    if out.parent != Path("."):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    grid_to_csv(grid, out.with_suffix(".csv"))
-    grid_to_json(grid, out.with_suffix(".json"))
+    write_output(out.with_suffix(".csv"), csv_rows(grid_csv_rows(grid)), config)
+    write_output(out.with_suffix(".json"), {"config": config,
+                                            "rows": [vars(row) for row in grid.rows]})
     written = f"{out.with_suffix('.csv')} and {out.with_suffix('.json')}"
     if grid.unscored:
         # The grid is still written, so the features that were scored keep their rows.
@@ -294,10 +299,8 @@ def classify(data, sets, noise, vote, window_ms, slide_ms, seed, out):
         "vote_window": vote, "window_ms": window_ms, "slide_ms": slide_ms,
         "seed": seed,
     }
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    table_to_csv(table, Path(f"{out}_table.csv"), config)
-    table_to_json(table, Path(f"{out}_report.json"), config)
+    write_output(f"{out}_table.csv", csv_rows(table_csv_rows(table)), config)
+    write_output(f"{out}_report.json", {"config": config, **table_payload(table)})
     streams = decisions_to_csv(table, out)
     click.echo(f"wrote {out}_table.csv, {out}_report.json, and "
                f"{len(streams)} decision streams")

@@ -1,4 +1,4 @@
-"""Dataset ingestion, decimation, and synthetic sEMG generation.
+"""Dataset ingestion, output files, decimation, and synthetic sEMG generation.
 
 On-disk layout: a JSON manifest plus one CSV per trial.
 
@@ -13,9 +13,15 @@ The synthetic generator stands in for real recordings: per class and channel
 it shapes white Gaussian noise with a band-pass filter and scales it to the
 class RMS amplitude, giving stationary trials whose spectra and levels are
 controllable enough to separate classes.
+
+Every file the package writes goes through `write_output`: a dataset's
+manifest and trial CSVs, and each command's outputs with their
+``<file>.config.json`` sidecars.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import warnings
@@ -78,32 +84,36 @@ class Dataset:
 def load_dataset(manifest_path) -> Dataset:
     """Load and validate a dataset from its manifest.
 
-    Distinct failures raise DatasetError naming the problem: a missing
-    manifest key or trial entry key, a repeated class name, a rate that is
-    not a positive finite number, a missing trial file, per-trial rate
-    differing from the dataset rate, a label outside the declared class set,
-    channel names in a CSV not matching the manifest, or a sample row that is
-    ragged or not numeric (named by file and line).
+    Distinct failures raise DatasetError naming the problem: a manifest that
+    is not a JSON object, a missing manifest key or trial entry key, a class
+    or trial list that is not a list, a trial entry that is not an object, a
+    repeated class name, a rate that is not a positive finite number, a
+    missing, unreadable or non-UTF-8 trial file, per-trial rate differing
+    from the dataset rate, a label outside the declared class set, channel
+    names in a CSV not matching the manifest, a sample row that is ragged or
+    not numeric (named by file and line), a repeated trial id (a file stem)
+    or a channel layout that differs between trials.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise DatasetError(f"manifest not found: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatasetError(f"manifest is not valid JSON: {exc}") from exc
 
+    if not isinstance(manifest, dict):
+        raise DatasetError("manifest must be a JSON object")
     for key in ("classes", "sampling_rate_hz", "trials"):
         if key not in manifest:
             raise DatasetError(f"manifest missing required key {key!r}")
-    classes = list(manifest["classes"])
+        if key != "sampling_rate_hz" and not isinstance(manifest[key], list):
+            raise DatasetError(f"manifest {key!r} must be a list, got {manifest[key]!r}")
+    classes = manifest["classes"]
     repeated = [c for i, c in enumerate(classes) if c in classes[:i]]
     if repeated:
         raise DatasetError(f"manifest repeats class name {repeated[0]!r}")
-    try:
-        rate = float(manifest["sampling_rate_hz"])
-    except (TypeError, ValueError):
-        rate = math.nan
+    rate = _number(manifest["sampling_rate_hz"])
     if not (math.isfinite(rate) and rate > 0):
         raise DatasetError("sampling_rate_hz must be a positive finite number, "
                            f"got {manifest['sampling_rate_hz']!r}")
@@ -111,6 +121,8 @@ def load_dataset(manifest_path) -> Dataset:
 
     trials = []
     for index, entry in enumerate(manifest["trials"]):
+        if not isinstance(entry, dict):
+            raise DatasetError(f"trial entry {index}: expected an object, got {entry!r}")
         for key in ("path", "label", "channels"):
             if key not in entry:
                 raise DatasetError(f"trial entry {index}: missing required key {key!r}")
@@ -122,14 +134,19 @@ def load_dataset(manifest_path) -> Dataset:
                 f"(declared classes: {classes})"
             )
         declared_rate = entry.get("sampling_rate_hz")
-        if declared_rate is not None and float(declared_rate) != rate:
+        if declared_rate is not None and _number(declared_rate) != rate:
             raise DatasetError(
                 f"trial {entry['path']}: rate mismatch "
                 f"({declared_rate} Hz declared vs {rate} Hz dataset)"
             )
         if not path.exists():
             raise DatasetError(f"missing trial file: {path}")
-        channels, data = _read_trial_csv(path)
+        try:
+            channels, data = _read_trial_csv(path)
+        except OSError as exc:
+            raise DatasetError(f"cannot read trial file {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"trial file is not UTF-8 text: {path}") from exc
         if channels != list(entry["channels"]):
             raise DatasetError(
                 f"trial {entry['path']}: channel names {channels} "
@@ -143,7 +160,18 @@ def load_dataset(manifest_path) -> Dataset:
             channels=channels,
             data=data,
         ))
-    return Dataset(classes=classes, rate=rate, trials=trials)
+    try:
+        return Dataset(classes=classes, rate=rate, trials=trials)
+    except ValueError as exc:  # repeated trial ids, or a non-uniform channel layout
+        raise DatasetError(str(exc)) from exc
+
+
+def _number(value) -> float:
+    """``value`` as a float, or NaN when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
 
 
 def _read_trial_csv(path: Path):
@@ -189,20 +217,20 @@ def _row_error(path: Path, n_columns: int) -> DatasetError:
     return DatasetError(f"{path}: samples do not form a {n_columns}-column table")
 
 
-def save_dataset(dataset: Dataset, out_dir) -> Path:
+def save_dataset(dataset: Dataset, out_dir, config: dict | None = None) -> Path:
     """Write manifest.json plus one CSV per trial; returns the manifest path.
 
     Samples are rendered with shortest round-trip precision, so loading the
-    written files reproduces the arrays bit-exactly.
+    written files reproduces the arrays bit-exactly. A ``config`` goes to the
+    manifest's sidecar.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for trial in dataset.trials:
         fname = f"{trial.trial_id}.csv"
         lines = [",".join(trial.channels)]
         lines.extend(",".join(repr(float(v)) for v in row) for row in trial.data)
-        (out_dir / fname).write_text("\n".join(lines) + "\n")
+        write_output(out_dir / fname, "\n".join(lines) + "\n")
         entries.append({
             "path": fname,
             "label": trial.label,
@@ -215,9 +243,38 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         "sampling_rate_hz": dataset.rate,
         "trials": entries,
     }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return manifest_path
+    return write_output(out_dir / "manifest.json", manifest, config)
+
+
+def write_output(path, content, config: dict | None = None) -> Path:
+    """Write one output file, and its ``<file>.config.json`` sidecar given ``config``.
+
+    ``content`` is either text, written as is (a CSV rendered by `csv_rows`
+    has csv.writer's quoting and CRLF line ends), or a JSON-able payload,
+    written with a 2-space indent and a final newline. The parent directory
+    is created first. Returns ``path``.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = content if isinstance(content, str) else json.dumps(content, indent=2) + "\n"
+    with path.open("w", newline="") as fh:
+        fh.write(text)
+    if config is not None:
+        write_output(path.with_name(path.name + ".config.json"), config)
+    return path
+
+
+def csv_rows(rows) -> str:
+    """``rows`` as csv.writer writes them: quoted only where needed, CRLF line ends."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def csv_prefix(values) -> str:
+    """``values`` as csv.writer writes them at the start of a row, each
+    followed by a comma, so that the rest of the row can be appended."""
+    return csv_rows([[*values, ""]])[:-len("\r\n")]
 
 
 def decimate(signal: Signal, factor: int) -> Signal:

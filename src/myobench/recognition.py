@@ -37,18 +37,15 @@ back into class names only as text, from each name's quoted form.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import Dataset, Trial
+from .dataio import Dataset, Trial, csv_prefix, write_output
 from .noise import derive_seed, derive_seeds, fill_wgn, signal_power, snr_sigma, stream_words
-from .registry import FeatureDescriptor, extract_segments, resolve_hemg_peak
+from .registry import FeatureDescriptor, extract_segments, peak_amplitude, resolve_hemg_peak
 from .signals import SegmentationConfig, Signal, segment_offsets
 
 DEFAULT_VOTE_WINDOW = 5  # ~512 ms of context at 256/64 ms windowing
@@ -285,16 +282,6 @@ class _TrialBlock:
                          .reshape(len(self.windows), -1) for key, descriptors in lists.items()}
 
 
-def _fold_peaks(peaks: np.ndarray, train: np.ndarray) -> np.ndarray:
-    """Each fold's peak |amplitude| over its training trials' channels.
-
-    ``peaks`` is (trials, channels) and ``train`` a (folds, trials) mask. A
-    NaN channel peak is skipped, as `resolve_hemg_limit` skips a NaN peak.
-    """
-    return np.fmax.reduce(np.where(train[:, :, np.newaxis], peaks, 0.0), axis=(1, 2),
-                          initial=0.0)
-
-
 def _train_folds(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
                  held_out, segmentation: SegmentationConfig, ridge: float):
     """Each set's (model, resolved descriptors, column key) per held-out trial
@@ -309,9 +296,8 @@ def _train_folds(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
     it with, and its own fold's, with which it is scored clean.
     """
     trials = dataset.trials
-    peaks = np.array([np.abs(t.data).max(axis=0, initial=0.0) for t in trials])
     train = np.arange(len(trials)) != np.array(held_out)[:, np.newaxis]
-    fold_peaks = _fold_peaks(peaks, train).tolist()
+    fold_peaks = peak_amplitude([t.data for t in trials], train).tolist()
     resolved = [[resolve_hemg_peak(features, peak) for peak in fold_peaks]
                 for features in feature_sets]
     keys: dict[tuple, int] = {}
@@ -487,34 +473,15 @@ def evaluate_feature_sets(dataset: Dataset,
     return CrTable(set_names=set_names, levels=levels, cr=cr, reports=reports)
 
 
-def table_to_csv(table: CrTable, path, config: dict | None = None) -> Path:
-    """Write the CR table (rows = sets, columns = noise levels) as CSV."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_set"] + [CrTable.level_label(l) for l in table.levels])
-        for i, name in enumerate(table.set_names):
-            writer.writerow([name] + [f"{v:.4f}" for v in table.cr[i]])
-    if config is not None:
-        sidecar = path.with_suffix(path.suffix + ".config.json")
-        sidecar.write_text(json.dumps(config, indent=2) + "\n")
-    return path
+def table_csv_rows(table: CrTable) -> list[list]:
+    """The CR table as CSV rows: a header of level labels, then one row per set."""
+    return [["feature_set"] + [CrTable.level_label(l) for l in table.levels]] + [
+        [name] + [f"{v:.4f}" for v in table.cr[i]] for i, name in enumerate(table.set_names)]
 
 
-def report_to_dict(report: ClassificationReport) -> dict:
+def table_payload(table: CrTable) -> dict:
+    """The JSON report's body: the CR grid, and each cell's fold and confusion detail."""
     return {
-        "classification_rate": report.cr,
-        "class_names": report.class_names,
-        "confusion": report.confusion.tolist(),
-        "fold_crs": [{"trial_id": t, "cr": c} for t, c in report.fold_crs],
-    }
-
-
-def table_to_json(table: CrTable, path, config: dict | None = None) -> Path:
-    """Full JSON report: config, CR grid, and per-cell fold/confusion detail."""
-    path = Path(path)
-    payload = {
-        "config": config or {},
         "levels": [CrTable.level_label(l) for l in table.levels],
         "sets": table.set_names,
         "classification_rate": {
@@ -523,20 +490,15 @@ def table_to_json(table: CrTable, path, config: dict | None = None) -> Path:
             for i, name in enumerate(table.set_names)
         },
         "cells": {
-            f"{name}@{label}": report_to_dict(rep)
-            for (name, label), rep in table.reports.items()
+            f"{name}@{label}": {
+                "classification_rate": report.cr,
+                "class_names": report.class_names,
+                "confusion": report.confusion.tolist(),
+                "fold_crs": [{"trial_id": t, "cr": c} for t, c in report.fold_crs],
+            }
+            for (name, label), report in table.reports.items()
         },
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
-def csv_prefix(values) -> str:
-    """``values`` as csv.writer writes them at the start of a row (quoted only
-    where needed), each followed by a comma."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([*values, ""])
-    return buf.getvalue()[:-len("\r\n")]
 
 
 def decisions_to_csv(table: CrTable, prefix) -> list[Path]:
@@ -564,8 +526,6 @@ def decisions_to_csv(table: CrTable, prefix) -> list[Path]:
                 starts = start_text[block.tobytes()] = [f"{s:g}," for s in block.tolist()]
             rows += [f"{s}{names[t]},{names[r]},{names[m]}\r\n"
                      for s, t, r, m in zip(starts, true[a:b], raw[a:b], mv[a:b])]
-        path = Path(f"{prefix}_decisions_{set_name}_{level_label}.csv")
-        with path.open("w", newline="") as fh:
-            fh.write("".join(rows))
-        paths.append(path)
+        paths.append(write_output(f"{prefix}_decisions_{set_name}_{level_label}.csv",
+                                  "".join(rows)))
     return paths

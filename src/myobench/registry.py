@@ -24,6 +24,7 @@ or ``ar:order=2``; feature lists are comma separated.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -187,7 +188,18 @@ _READS = (dict.fromkeys(("iemg", "mav", "mmav1", "mmav2", "mavslp"), ("abs",))
           | dict.fromkeys(("mnf", "mdf"), ("spectrum", "powers"))
           | dict.fromkeys(("mmnf", "mmdf"), ("spectrum",)))
 
-_INT_PARAMS = {"segments", "bins", "order", "dc"}
+_COUNTS = {"segments", "bins", "order"}
+_INT_PARAMS = _COUNTS | {"dc"}
+# parameter -> (its valid values, as a test and as words); the kernels check
+# the same bounds, but only once the data has loaded
+_DOMAINS = {
+    "segments": (lambda v: v >= 2, "at least 2"),
+    "bins": (lambda v: v >= 1, "at least 1"),
+    "order": (lambda v: v >= 1, "at least 1"),
+    "dc": (lambda v: v in (0, 1), "0 or 1"),
+    "threshold": (lambda v: v >= 0, "non-negative"),  # NaN fails too
+    "limit": (lambda v: 0 < v < math.inf, "positive and finite"),
+}
 _DEFAULT_SCALAR_COMPONENT = {"hemg": 2, "ar": 1, "mavslp": 1}
 
 FEATURE_NAMES = tuple(_FAMILIES)
@@ -314,8 +326,9 @@ def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
 def make_descriptor(name: str, params: dict | None = None) -> FeatureDescriptor:
     """Build a descriptor from a family name and parameter overrides.
 
-    ``segments``, ``bins`` and ``order`` must be whole numbers and ``dc`` 0
-    or 1; any other value is a ValueError naming ``name:key=value``.
+    ``segments``, ``bins`` and ``order`` must be whole numbers, at least 2, 1
+    and 1; ``dc`` 0 or 1; ``threshold`` non-negative; ``limit`` positive and
+    finite. Any other value is a ValueError naming ``name:key=value``.
     """
     if name not in _FAMILIES:
         raise ValueError(
@@ -326,10 +339,11 @@ def make_descriptor(name: str, params: dict | None = None) -> FeatureDescriptor:
         if key not in merged:
             raise ValueError(f"feature {name!r} has no parameter {key!r}")
         value = float(value)
-        if key == "dc" and value not in (0, 1):
-            raise ValueError(f"{name}:dc={value:g}: dc must be 0 or 1")
-        if key in _INT_PARAMS and not value.is_integer():  # also rejects inf and nan
+        if key in _COUNTS and not value.is_integer():  # also rejects inf and nan
             raise ValueError(f"{name}:{key}={value:g}: {key} must be a whole number")
+        valid, must_be = _DOMAINS[key]
+        if not valid(value):
+            raise ValueError(f"{name}:{key}={value:g}: {key} must be {must_be}")
         merged[key] = int(value) if key in _INT_PARAMS else value
     return FeatureDescriptor(
         name=name,
@@ -381,23 +395,6 @@ def default_panel() -> list[FeatureDescriptor]:
     return parse_features("rms,zc,wamp,ssc,hemg,ar,mnf,mdf,mmnf,mmdf")
 
 
-def resolve_hemg_limit(descriptors, signals) -> list[FeatureDescriptor]:
-    """Pin unresolved histogram ranges to the peak |amplitude| of clean data.
-
-    ``signals`` is an iterable of 1-D sample arrays (the clean material the
-    descriptors will be applied to, e.g. the training split). A signal whose
-    peak is NaN is skipped.
-    """
-    if not any(d.needs_resolution() for d in descriptors):
-        return list(descriptors)
-    peak = 0.0
-    for samples in signals:
-        arr = np.asarray(samples, dtype=float)
-        if arr.size:
-            peak = max(peak, float(np.max(np.abs(arr))))
-    return resolve_hemg_peak(descriptors, peak)
-
-
 def resolve_hemg_peak(descriptors, peak: float) -> list[FeatureDescriptor]:
     """Pin unresolved histogram ranges to a known peak |amplitude| of clean data."""
     if not any(d.needs_resolution() for d in descriptors):
@@ -405,3 +402,19 @@ def resolve_hemg_peak(descriptors, peak: float) -> list[FeatureDescriptor]:
     if peak <= 0:
         raise ValueError("cannot resolve hemg range: clean data is all zero")
     return [d.resolved(peak) for d in descriptors]
+
+
+def peak_amplitude(channels, train=None) -> np.ndarray:
+    """The peak |amplitude| of clean data, as `resolve_hemg_peak` takes it.
+
+    ``channels`` holds one (samples, channels) array per trial, or one 1-D
+    array per record. Each channel's |x| max is taken, and the channel peaks
+    are reduced with np.fmax, so a channel holding a NaN is skipped. The
+    result has one peak per row of the (folds, trials) mask ``train``, over
+    that fold's trials; without a mask, one peak over every trial.
+    """
+    peaks = np.array([np.atleast_1d(np.abs(c).max(axis=0, initial=0.0)) for c in channels])
+    if train is None:
+        train = np.ones((1, len(peaks)), dtype=bool)
+    return np.fmax.reduce(np.where(train[:, :, np.newaxis], peaks, 0.0), axis=(1, 2),
+                          initial=0.0)

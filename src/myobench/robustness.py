@@ -24,17 +24,14 @@ copy is drawn straight into its row of the record's matrix.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dataio import Dataset
 from .noise import derive_seeds, fill_wgn, signal_power, snr_sigma, stream_words
-from .registry import FeatureDescriptor, extract, make_descriptor, resolve_hemg_limit
+from .registry import FeatureDescriptor, extract, peak_amplitude, resolve_hemg_peak
 from .signals import SegmentationConfig, Signal, segment
 
 
@@ -53,22 +50,20 @@ class RobustnessConfig:
     """Benchmark shape: SNR grid, repetitions per level, base seed.
 
     ``groups`` optionally restricts the run to the named signal groups
-    (e.g. strong/weak); ``dry_run`` bypasses injection so every PE is zero,
-    which pins the no-noise identity in tests.
+    (e.g. strong/weak).
     """
 
     snr_grid: tuple[float, ...] = (20.0, 15.0, 10.0, 5.0, 3.0, 0.0)
     repetitions: int = 10
     seed: int = 0
     groups: tuple[str, ...] | None = None
-    dry_run: bool = False
 
     def __post_init__(self):
         if not self.snr_grid:
             raise ValueError("SNR grid must be non-empty")
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
-        if not self.dry_run and not all(math.isfinite(s) for s in self.snr_grid):
+        if not all(math.isfinite(s) for s in self.snr_grid):
             raise ValueError("snr_db must be finite")
 
 
@@ -97,38 +92,29 @@ class GridRow:
 
 @dataclass
 class RobustnessGrid:
-    """Grid rows plus the resolved config.
+    """Grid rows plus the descriptors they were scored with, HEMG ranges resolved.
 
     ``unscored`` maps the label of each feature that no record gave a PE for
     to the reason its first record was excluded; its rows have ``n == 0``.
     """
 
     rows: list[GridRow]
-    config: dict = field(default_factory=dict)
+    features: list[FeatureDescriptor]
     unscored: dict[str, str] = field(default_factory=dict)
 
 
-def records_from_dataset(dataset: Dataset, segmentation: SegmentationConfig | None = None,
+def records_from_dataset(dataset: Dataset, segmentation: SegmentationConfig,
                          max_windows: int | None = 1) -> list[TrialRecord]:
-    """Turn a dataset into per-channel benchmark records.
+    """Turn a dataset into per-window benchmark records.
 
-    With a segmentation config each trial channel contributes up to
-    ``max_windows`` windows (None = all); without one, the whole channel is a
-    single record.
+    Each trial channel contributes up to ``max_windows`` windows (None = all).
     """
     if max_windows is not None and max_windows < 0:
         raise ValueError(f"max_windows must be >= 0 or None, got {max_windows}")
     records = []
     for trial in dataset.trials:
         for ch, ch_name in enumerate(trial.channels):
-            sig = trial.signal(ch, dataset.rate)
-            if segmentation is None:
-                records.append(TrialRecord(
-                    signal=sig, motion=trial.label, group=trial.group,
-                    trial_id=f"{trial.trial_id}/{ch_name}",
-                ))
-                continue
-            windows = segment(sig, segmentation)
+            windows = segment(trial.signal(ch, dataset.rate), segmentation)
             if max_windows is not None:
                 windows = windows[:max_windows]
             for w_idx, window in enumerate(windows):
@@ -157,7 +143,8 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
     for record in records:
         if not np.all(np.isfinite(record.signal.samples)):
             raise ValueError(f"record {record.trial_id} has non-finite samples")
-    features = resolve_hemg_limit(features, (r.signal.samples for r in records))
+    features = resolve_hemg_peak(features,
+                                 peak_amplitude([r.signal.samples for r in records])[0])
 
     reps = cfg.repetitions
     n_snr = len(cfg.snr_grid)
@@ -165,28 +152,24 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
     in_range = np.array([d_idx not in reasons for d_idx in range(len(features))])
     pe = np.zeros((len(records), n_snr, reps, len(features)))
     valid = np.zeros((len(records), len(features)), dtype=bool)
-    if not cfg.dry_run:
-        stream_seeds = derive_seeds([cfg.seed], range(len(records)), range(n_snr))
-        words = stream_words(stream_seeds.ravel(), range(reps))
-        words = words.reshape(len(records), n_snr * reps, -1)
+    stream_seeds = derive_seeds([cfg.seed], range(len(records)), range(n_snr))
+    words = stream_words(stream_seeds.ravel(), range(reps))
+    words = words.reshape(len(records), n_snr * reps, -1)
     for r_idx, record in enumerate(records):
         clean = record.signal.samples
         matrix = np.empty((1 + n_snr * reps, clean.size))  # row 0 is the clean signal
         matrix[0] = clean
-        if cfg.dry_run:
-            matrix[1:] = clean
-        else:
-            p_clean = signal_power(clean)
-            try:
-                sigmas = np.array([snr_sigma(p_clean, snr) for snr in cfg.snr_grid])
-            except ValueError as exc:  # zero clean power: excluded for every feature
-                for d_idx in range(len(features)):
-                    reasons.setdefault(d_idx, str(exc))
-                continue
-            # clean + sigma * draw, as two broadcasts over the draws made in place
-            noisy = fill_wgn(words[r_idx], matrix[1:]).reshape(n_snr, reps, clean.size)
-            noisy *= sigmas[:, np.newaxis, np.newaxis]
-            noisy += clean
+        p_clean = signal_power(clean)
+        try:
+            sigmas = np.array([snr_sigma(p_clean, snr) for snr in cfg.snr_grid])
+        except ValueError as exc:  # zero clean power: excluded for every feature
+            for d_idx in range(len(features)):
+                reasons.setdefault(d_idx, str(exc))
+            continue
+        # clean + sigma * draw, as two broadcasts over the draws made in place
+        noisy = fill_wgn(words[r_idx], matrix[1:]).reshape(n_snr, reps, clean.size)
+        noisy *= sigmas[:, np.newaxis, np.newaxis]
+        noisy += clean
         values, ok = _scalar_values(features, picks, in_range, matrix, record.signal.rate,
                                     reasons)
         ok &= values[0] != 0
@@ -222,7 +205,7 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
                 ))
     unscored = {features[d].label: reasons[d] for d in range(len(features))
                 if not valid[:, d].any()}
-    return RobustnessGrid(rows=rows, config=_config_dict(cfg, features), unscored=unscored)
+    return RobustnessGrid(rows=rows, features=features, unscored=unscored)
 
 
 def _scalar_picks(features):
@@ -268,71 +251,9 @@ def _scalar_values(features, picks, in_range, matrix, rate, reasons):
     return values, ok
 
 
-def sweep_parameters(records: list[TrialRecord], family: str, param: str,
-                     values, cfg: RobustnessConfig,
-                     base_params: dict | None = None) -> RobustnessGrid:
-    """Run one grid over one descriptor per parameter value.
-
-    Noise draws depend only on (seed, record, SNR, repetition), so every
-    value sees identical noise and the slices are directly comparable.
-    Repeated values are rejected: they would fold into one slice.
-    """
-    values = list(values)
-    if not values:
-        raise ValueError("parameter sweep needs at least one value")
-    descriptors = [make_descriptor(family, {**(base_params or {}), param: value})
-                   for value in values]
-    grid = run_grid(records, descriptors, cfg)
-    grid.config["sweep"] = {"feature": family, "parameter": param,
-                            "values": [float(v) for v in values]}
-    return grid
-
-
-def _config_dict(cfg: RobustnessConfig, features) -> dict:
-    return {
-        "snr_grid_db": list(cfg.snr_grid),
-        "repetitions": cfg.repetitions,
-        "seed": cfg.seed,
-        "groups": list(cfg.groups) if cfg.groups is not None else None,
-        "dry_run": cfg.dry_run,
-        "features": [
-            {"name": d.name, "parameters": d.param_text,
-             "scalar_component": d.scalar_component}
-            for d in features
-        ],
-    }
-
-
-_CSV_COLUMNS = ["feature", "parameters", "group", "motion", "snr_db",
-                "mean_pe", "std_pe", "n", "excluded"]
-
-
-def grid_to_csv(grid: RobustnessGrid, path) -> Path:
-    """Write the grid as CSV (plot-ready); the resolved config goes to a sidecar."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for row in grid.rows:
-            writer.writerow([
-                row.feature, row.parameters, row.group, row.motion,
-                f"{row.snr_db:g}", f"{row.mean_pe:.10g}", f"{row.std_pe:.10g}",
-                row.n, row.excluded,
-            ])
-    sidecar = path.with_suffix(path.suffix + ".config.json")
-    sidecar.write_text(json.dumps(grid.config, indent=2) + "\n")
-    return path
-
-
-def grid_to_json(grid: RobustnessGrid, path) -> Path:
-    """Write the grid plus its resolved config as a single JSON document."""
-    path = Path(path)
-    payload = {
-        "config": grid.config,
-        "rows": [
-            {col: getattr(row, col) for col in _CSV_COLUMNS}
-            for row in grid.rows
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+def grid_csv_rows(grid: RobustnessGrid) -> list[list]:
+    """The grid as plot-ready CSV rows: a header, then one row per cell."""
+    return [[f.name for f in fields(GridRow)]] + [
+        [row.feature, row.parameters, row.group, row.motion, f"{row.snr_db:g}",
+         f"{row.mean_pe:.10g}", f"{row.std_pe:.10g}", row.n, row.excluded]
+        for row in grid.rows]

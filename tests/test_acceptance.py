@@ -23,6 +23,7 @@ from myobench.robustness import (RobustnessConfig, percentage_error,
                                  records_from_dataset, run_grid)
 from myobench.signals import (SegmentationConfig, Signal, amplitude_spectrum,
                               power_spectrum, segment, segment_offsets)
+from myobench import robustness
 from myobench import time_features as tf
 
 ARTIFACTS = Path(__file__).parent / "_artifacts"
@@ -373,6 +374,12 @@ def test_criterion_08_ar_round_trip():
 # Criterion 9: the named invariants, condensed into one gate.
 # ---------------------------------------------------------------------------
 
+def zero_draws(words, out):
+    """``noise.fill_wgn`` with every draw zero."""
+    out.fill(0.0)
+    return out
+
+
 def test_criterion_09_invariant_suites():
     rng = np.random.default_rng(900)
 
@@ -430,7 +437,8 @@ def test_criterion_09_invariant_suites():
     np.testing.assert_array_equal(model_a.means, model_b.means)
     np.testing.assert_array_equal(model_a.covariance, model_b.covariance)
 
-    # Grid determinism, PE non-negativity, dry-run identity.
+    # Grid determinism, PE non-negativity, dry-run identity (every noise draw
+    # zero, so each noisy copy is its clean signal).
     records = records_from_dataset(band_dataset(seed=5, trials=2, channels=1,
                                                 trial_ms=512.0), SEG)
     cfg = RobustnessConfig(snr_grid=(10.0,), repetitions=3, seed=1)
@@ -438,9 +446,10 @@ def test_criterion_09_invariant_suites():
     grid_b = run_grid(records, features, cfg)
     assert grid_a.rows == grid_b.rows
     assert all(row.mean_pe >= 0 for row in grid_a.rows)
-    dry = run_grid(records, features,
-                   RobustnessConfig(snr_grid=(10.0,), repetitions=2, seed=1,
-                                    dry_run=True))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(robustness, "fill_wgn", zero_draws)
+        dry = run_grid(records, features,
+                       RobustnessConfig(snr_grid=(10.0,), repetitions=2, seed=1))
     assert all(row.mean_pe == 0.0 for row in dry.rows)
 
     ok("criterion 9: invariant suites (scaling, Parseval, median bin, "

@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -14,7 +16,7 @@ from myobench.cli import main
 from myobench.dataio import (ClassSpec, SynthConfig, load_dataset, save_dataset,
                              synthesize_emg)
 from myobench.recognition import extract_window_set
-from myobench.registry import parse_features, resolve_hemg_limit
+from myobench.registry import parse_features, resolve_hemg_peak
 from myobench.signals import SegmentationConfig
 
 
@@ -123,9 +125,9 @@ class TestExtract:
                                       "--features", features, "--out", str(out)])
         assert result.exit_code == 0, result.output
         dataset = load_dataset(manifest)
-        descriptors = resolve_hemg_limit(parse_features(features),
-                                         (t.data[:, ch] for t in dataset.trials
-                                          for ch in range(len(t.channels))))
+        peak = reduce(max, (float(np.max(np.abs(t.data[:, ch]))) for t in dataset.trials
+                            for ch in range(len(t.channels))), 0.0)
+        descriptors = resolve_hemg_peak(parse_features(features), peak)
         windows = extract_window_set(dataset.trials, dataset.rate, descriptors,
                                      SegmentationConfig(), dataset.classes)
         expected = reference_extract_csv(dataset, windows, tmp_path / "expected.csv")
@@ -172,14 +174,26 @@ class TestExtract:
         assert f"{token}: {message}" in result.output
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("feature", ["zc", "ssc", "wamp"])
-    def test_nan_threshold_is_runtime_error(self, runner, dataset_dir, tmp_path, feature):
+    @pytest.mark.parametrize("token, message", [
+        ("hemg:bins=0", "bins must be at least 1"),
+        ("hemg:bins=-2", "bins must be at least 1"),
+        ("ar:order=0", "order must be at least 1"),
+        ("mavslp:segments=1", "segments must be at least 2"),
+        ("wamp:threshold=-1", "threshold must be non-negative"),
+        ("zc:threshold=nan", "threshold must be non-negative"),
+        ("ssc:threshold=nan", "threshold must be non-negative"),
+        ("wamp:threshold=nan", "threshold must be non-negative"),
+        ("hemg:limit=-1", "limit must be positive and finite"),
+    ])
+    def test_bad_parameter_is_usage_error_before_loading(self, runner, tmp_path, token,
+                                                         message):
+        # The manifest does not exist, so exit 2 shows the check ran before loading.
         result = runner.invoke(main, [
-            "extract", "--data", str(dataset_dir / "manifest.json"),
-            "--features", f"{feature}:threshold=nan", "--out", str(tmp_path / "x.csv")])
-        assert result.exit_code == 1
-        assert "Error: threshold must be non-negative" in result.output
-        assert not (tmp_path / "x.csv").exists()
+            "extract", "--data", str(tmp_path / "ghost.json"),
+            "--features", f"rms,{token}", "--out", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2
+        assert f"{token}: {message}" in result.output
+        assert not list(tmp_path.iterdir())
 
     def test_missing_dataset_is_runtime_error(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -226,21 +240,35 @@ class TestExtract:
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda m: m["trials"][0].pop("path"), "trial entry 0: missing required key 'path'"),
-        (lambda m: m.update(sampling_rate_hz=-5),
+        (lambda m, d: m["trials"][0].pop("path"),
+         "trial entry 0: missing required key 'path'"),
+        (lambda m, d: m.update(sampling_rate_hz=-5),
          "sampling_rate_hz must be a positive finite number, got -5"),
+        (lambda m, d: m.update(trials=5), "manifest 'trials' must be a list, got 5"),
+        (lambda m, d: m.update(trials=[1]), "trial entry 0: expected an object, got 1"),
+        (lambda m, d: m.update(classes=5), "manifest 'classes' must be a list, got 5"),
+        (lambda m, d: m["trials"][0].update(sampling_rate_hz="x"),
+         "trial hand_open_01.csv: rate mismatch (x Hz declared vs 1000.0 Hz dataset)"),
+        (lambda m, d: m["trials"][0].update(path="."),
+         "cannot read trial file {data}: Is a directory"),
+        (lambda m, d: m["trials"][1].update(path="./hand_open_01.csv"),
+         "trial ids must be unique"),
+        (lambda m, d: ((d / "mono.csv").write_text("ch1\n1.0\n2.0\n"),
+                       m["trials"][0].update(path="mono.csv", channels=["ch1"])),
+         "trial hand_open_02 channels ['ch1', 'ch2'] differ from ['ch1']; "
+         "datasets need a uniform layout"),
     ])
     def test_bad_manifest_is_runtime_error(self, runner, dataset_dir, tmp_path,
                                            edit, message):
         manifest_path = dataset_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        edit(manifest)
+        edit(manifest, dataset_dir)
         manifest_path.write_text(json.dumps(manifest))
         result = runner.invoke(main, [
             "extract", "--data", str(manifest_path), "--out", str(tmp_path / "x.csv")])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
-        assert result.output.strip() == f"Error: {message}"
+        assert result.output.strip() == f"Error: {message.format(data=dataset_dir)}"
 
 
 class TestRobustness:
@@ -365,11 +393,24 @@ class TestRobustness:
         assert "--max-windows" in result.output
         assert not (tmp_path / "grid.csv").exists()
 
-    def test_bad_sweep_is_usage_error(self, runner, dataset_dir, tmp_path):
+    @pytest.mark.parametrize("sweep, message", [
+        ("wamp=threshold", "sweep must look like 'wamp:threshold=10..50:10'"),
+        ("wamp:threshold=50..10:10", "sweep must look like 'wamp:threshold=10..50:10'"),
+        ("hemg:bins=3.5,5", "hemg:bins=3.5: bins must be a whole number"),
+        ("hemg:bins=0,3", "hemg:bins=0: bins must be at least 1"),
+        ("ar:order=0..2", "ar:order=0: order must be at least 1"),
+        ("wamp:threshold=-10..10:10", "wamp:threshold=-10: threshold must be non-negative"),
+        ("glitter:bins=1,2", "unknown feature 'glitter'"),
+        ("wamp:bins=1,2", "feature 'wamp' has no parameter 'bins'"),
+    ])
+    def test_bad_sweep_is_usage_error(self, runner, tmp_path, sweep, message):
+        # The manifest does not exist, so exit 2 shows the check ran before loading.
         result = runner.invoke(main, [
-            "robustness", "--data", str(dataset_dir / "manifest.json"),
-            "--sweep", "wamp=threshold", "--out", str(tmp_path / "s")])
+            "robustness", "--data", str(tmp_path / "ghost.json"),
+            "--sweep", sweep, "--out", str(tmp_path / "s")])
         assert result.exit_code == 2
+        assert message in result.output
+        assert not list(tmp_path.iterdir())
 
 
 class TestClassify:
@@ -487,3 +528,80 @@ class TestClassify:
             "classify", "--data", str(dataset_dir / "manifest.json"),
             "--sets", "imaginary", "--out", str(tmp_path / "c")])
         assert result.exit_code == 2
+
+
+# Each command's resolved configuration, key by key in the order it is written.
+CONFIG_KEYS = {
+    "synth": ["command", "seed", "rate_hz", "channels", "trials_per_class", "duration_ms",
+              "classes"],
+    "extract": ["command", "data", "features", "window_ms", "slide_ms"],
+    "robustness": ["snr_grid_db", "repetitions", "seed", "groups", "features", "command",
+                   "data", "window_ms", "slide_ms", "max_windows"],
+    "sweep": ["snr_grid_db", "repetitions", "seed", "groups", "features", "sweep", "command",
+              "data", "window_ms", "slide_ms", "max_windows"],
+    "classify": ["command", "data", "sets", "noise", "vote_window", "window_ms", "slide_ms",
+                 "seed"],
+}
+
+
+def sidecar(path) -> dict:
+    return json.loads(Path(f"{path}.config.json").read_text())
+
+
+class TestConfigContract:
+    """Every CSV output's sidecar, and every JSON output's embedded block, holds
+    its command's whole configuration; a run's two copies are equal."""
+
+    def test_synth_and_extract_keys(self, runner, dataset_dir, tmp_path):
+        config = sidecar(dataset_dir / "manifest.json")
+        assert list(config) == CONFIG_KEYS["synth"]
+        assert (config["seed"], config["channels"], config["trials_per_class"]) == (7, 2, 2)
+        out = tmp_path / "f.csv"
+        manifest = str(dataset_dir / "manifest.json")
+        result = runner.invoke(main, ["extract", "--data", manifest, "--features", "rms,hemg",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert sidecar(out) == {"command": "extract", "data": manifest,
+                                "features": "rms,hemg", "window_ms": 256.0, "slide_ms": 64.0}
+        assert list(sidecar(out)) == CONFIG_KEYS["extract"]
+
+    @pytest.mark.parametrize("options, keys", [
+        (["--groups", "weak"], "robustness"),
+        (["--sweep", "hemg:bins=3,5"], "sweep"),
+    ])
+    def test_robustness_sidecar_equals_embedded_config(self, runner, dataset_dir, tmp_path,
+                                                       options, keys):
+        out = tmp_path / "grid"
+        result = runner.invoke(main, [
+            "robustness", "--data", str(dataset_dir / "manifest.json"), "--snr", "20,10",
+            "--reps", "2", "--max-windows", "2", *options, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        config = json.loads((tmp_path / "grid.json").read_text())["config"]
+        assert sidecar(tmp_path / "grid.csv") == config
+        assert list(config) == CONFIG_KEYS[keys]
+        assert (config["snr_grid_db"], config["repetitions"], config["max_windows"]) == \
+            ([20.0, 10.0], 2, 2)
+        # The features are the scored descriptors, each HEMG range resolved.
+        hemg = [f["parameters"] for f in config["features"] if f["name"] == "hemg"]
+        assert hemg and not any("auto" in p for p in hemg)
+        if keys == "sweep":
+            assert config["sweep"] == {"feature": "hemg", "parameter": "bins",
+                                       "values": [3.0, 5.0]}
+        else:
+            assert config["groups"] == ["weak"]
+
+    def test_classify_sidecar_equals_report_config(self, runner, dataset_dir, tmp_path):
+        out = tmp_path / "run" / "clf"  # the writer makes the directory
+        manifest = str(dataset_dir / "manifest.json")
+        result = runner.invoke(main, ["classify", "--data", manifest, "--sets", "robust",
+                                      "--noise", "clean,10", "--seed", "4", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        config = json.loads(Path(f"{out}_report.json").read_text())["config"]
+        assert sidecar(f"{out}_table.csv") == config == {
+            "command": "classify", "data": manifest, "sets": "robust", "noise": "clean,10",
+            "vote_window": 5, "window_ms": 256.0, "slide_ms": 64.0, "seed": 4}
+        assert list(config) == CONFIG_KEYS["classify"]
+        # The decision CSVs carry no sidecar of their own.
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "clf_decisions_robust_10dB.csv", "clf_decisions_robust_clean.csv",
+            "clf_report.json", "clf_table.csv", "clf_table.csv.config.json"]

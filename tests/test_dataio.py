@@ -71,6 +71,23 @@ class TestLoaderErrors:
         with pytest.raises(DatasetError, match="manifest not found"):
             load_dataset(tmp_path / "nope.json")
 
+    def test_manifest_must_be_an_object(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(DatasetError, match="^manifest must be a JSON object$"):
+            load_dataset(path)
+
+    def test_files_that_are_not_utf8_text(self, tmp_path):
+        path, manifest = self.write_manifest(tmp_path)
+        trial_file = path.parent / manifest["trials"][0]["path"]
+        trial_file.write_bytes(b"ch1,ch2\n\xff\xfe,1.0\n")
+        with pytest.raises(DatasetError, match="trial file is not UTF-8 text: .*"
+                                               + re.escape(trial_file.name)):
+            load_dataset(path)
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(DatasetError, match="manifest is not valid JSON"):
+            load_dataset(path)
+
     def test_missing_trial_file(self, tmp_path):
         path, manifest = self.write_manifest(tmp_path)
         manifest["trials"][0]["path"] = "absent.csv"

@@ -16,6 +16,13 @@ REMOVED = [
     ("freq_features", "ArModel"),           # ar_coefficients returns the coefficients
     ("recognition", "train_fold"),          # recognition._train_folds
     ("noise", "stream_wgn"),                # noise.fill_wgn on one row
+    ("registry", "resolve_hemg_limit"),     # resolve_hemg_peak(..., peak_amplitude(...))
+    ("robustness", "sweep_parameters"),     # run_grid over one descriptor per value
+    ("robustness", "grid_to_csv"),          # dataio.write_output(csv_rows(grid_csv_rows))
+    ("robustness", "grid_to_json"),         # dataio.write_output of the JSON payload
+    ("recognition", "table_to_csv"),        # dataio.write_output(csv_rows(table_csv_rows))
+    ("recognition", "table_to_json"),       # dataio.write_output(table_payload)
+    ("recognition", "report_to_dict"),      # recognition.table_payload
 ]
 REMOVED_MEMBERS = [
     ("registry", "FeatureDescriptor", "scalarize"),  # robustness._scalar_picks
@@ -24,6 +31,7 @@ REMOVED_MEMBERS = [
     ("signals", "PowerSpectrum", "bins"),
     ("dataio", "Dataset", "channel_count"),
     ("recognition", "LdaModel", "dim"),
+    ("robustness", "RobustnessConfig", "dry_run"),  # a zero-draw stub in the tests
 ]
 
 EXPORTED = """
@@ -34,8 +42,8 @@ EXPORTED = """
     NoiseSpec generate_wgn signal_power inject_at_snr
     FeatureDescriptor FEATURE_NAMES FEATURE_SETS extract extract_segments make_descriptor
     parse_feature parse_features feature_set default_panel
-    RobustnessConfig RobustnessGrid TrialRecord percentage_error run_grid sweep_parameters
-    records_from_dataset grid_to_csv grid_to_json
+    RobustnessConfig RobustnessGrid TrialRecord percentage_error run_grid
+    records_from_dataset
     LabeledWindowSet LdaModel ClassificationReport CrTable lda_train lda_scores
     majority_vote extract_window_set leave_one_out evaluate_feature_sets
     Dataset Trial DatasetError ClassSpec SynthConfig default_class_specs load_dataset

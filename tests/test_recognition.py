@@ -2,6 +2,7 @@
 import csv
 from collections import Counter
 from dataclasses import fields, replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from myobench import recognition
 from myobench.dataio import (ClassSpec, Dataset, SynthConfig, Trial,
                              default_class_specs, synthesize_emg)
 from myobench.noise import NoiseSpec, derive_seed, inject_at_snr
-from myobench.recognition import (DEFAULT_RIDGE, CrTable, LabeledWindowSet, _fold_peaks,
+from myobench.recognition import (DEFAULT_RIDGE, CrTable, LabeledWindowSet,
                                   _test_trials, _train_folds, decisions_to_csv,
                                   evaluate_feature_sets, extract_window_set, lda_scores,
                                   lda_train, leave_one_out, majority_vote)
-from myobench.registry import (feature_set, parse_features, resolve_hemg_limit,
+from myobench.registry import (feature_set, parse_features, peak_amplitude,
                                resolve_hemg_peak)
 from myobench.signals import SegmentationConfig
 
@@ -30,6 +31,11 @@ def window_set(X, labels, class_names, trial_ids=None):
         class_names=class_names,
         window_start_ms=np.zeros(n),
     )
+
+
+def scan_peak(signals):
+    """The largest peak |amplitude| of the signals, one at a time; a NaN peak is skipped."""
+    return reduce(max, (float(np.max(np.abs(x))) for x in signals), 0.0)
 
 
 def small_dataset(n_classes=2, trials_per_class=2, seed=0, channels=1, trial_ms=1500):
@@ -427,8 +433,8 @@ class TestCachedFolds:
             assert_same_model(model, fresh_model)
             # The same fold, resolved and extracted from the raw training trials.
             train = [t for t in dataset.trials if t is not trial]
-            brute = resolve_hemg_limit(features, (t.data[:, ch] for t in train
-                                                  for ch in range(len(t.channels))))
+            brute = resolve_hemg_peak(features, scan_peak(t.data[:, ch] for t in train
+                                                          for ch in range(len(t.channels))))
             assert resolved == brute
             assert_same_model(model, lda_train(extract_window_set(
                 train, dataset.rate, brute, SEG, dataset.classes)))
@@ -442,10 +448,12 @@ class TestCachedFolds:
         if nan_at is not None:
             peaks[nan_at] = np.nan  # a channel with a NaN sample peaks at NaN
         train = np.arange(6) != np.arange(6)[:, np.newaxis]
-        fold_peaks = _fold_peaks(peaks, train)
+        # Two samples per channel, the peak and a smaller one of opposite sign.
+        fold_peaks = peak_amplitude([np.vstack([-p, p / 2]) for p in peaks], train)
         hemg = parse_features("hemg")
         for mask, peak in zip(train, fold_peaks.tolist()):
-            assert resolve_hemg_peak(hemg, peak) == resolve_hemg_limit(hemg, peaks[mask].ravel())
+            assert resolve_hemg_peak(hemg, peak) == \
+                resolve_hemg_peak(hemg, scan_peak(peaks[mask].ravel()))
         # Every other fold trains on trial 1; its own fold resolves from the rest.
         assert fold_peaks[0] == 80.0
         assert fold_peaks[1] == np.nanmax(np.delete(peaks, 1, axis=0)) < 80.0

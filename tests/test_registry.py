@@ -1,5 +1,6 @@
 """Feature descriptors: parsing, defaults, computation, scalarization."""
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from myobench.freq_features import ar_coefficients
 from myobench.registry import (FEATURE_NAMES, FEATURE_SETS, default_panel, extract,
                                extract_segments, feature_set, make_descriptor,
-                               parse_feature, parse_features, resolve_hemg_limit,
+                               parse_feature, parse_features, peak_amplitude,
                                resolve_hemg_peak)
 from myobench.robustness import _scalar_picks
 from myobench.signals import SegmentationConfig, Signal, segment
@@ -44,6 +45,29 @@ class TestParsing:
     def test_dc_must_be_zero_or_one(self, token):
         with pytest.raises(ValueError, match="^" + re.escape(token) + ": dc must be 0 or 1$"):
             parse_feature(token)
+
+    @pytest.mark.parametrize("token, must_be", [
+        ("hemg:bins=0", "bins must be at least 1"),
+        ("hemg:bins=-2", "bins must be at least 1"),
+        ("ar:order=0", "order must be at least 1"),
+        ("mavslp:segments=1", "segments must be at least 2"),
+        ("wamp:threshold=-1", "threshold must be non-negative"),
+        ("zc:threshold=nan", "threshold must be non-negative"),
+        ("ssc:threshold=-inf", "threshold must be non-negative"),
+        ("hemg:limit=-1", "limit must be positive and finite"),
+        ("hemg:limit=0", "limit must be positive and finite"),
+        ("hemg:limit=inf", "limit must be positive and finite"),
+        ("hemg:limit=nan", "limit must be positive and finite"),
+    ])
+    def test_parameters_outside_their_domain(self, token, must_be):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{token}: {must_be}") + "$"):
+            parse_feature(token)
+
+    def test_domain_edges_accepted(self):
+        for name, key, value in [("hemg", "bins", 1), ("ar", "order", 1),
+                                 ("mavslp", "segments", 2), ("wamp", "threshold", 0.0),
+                                 ("zc", "threshold", float("inf")), ("hemg", "limit", 1e-300)]:
+            assert make_descriptor(name, {key: value}).param_dict[key] == value
 
     def test_whole_valued_counts_accepted(self):
         assert parse_feature("ar:order=2.0").param_dict == {"order": 2}
@@ -170,7 +194,15 @@ class TestJointExtraction:
             with pytest.raises(ValueError, match="at least"):
                 extract(parse_features(f"rms,{token}"), np.ones((2, samples)), 1000.0)
         with pytest.raises(ValueError, match="non-negative"):
-            extract(parse_features("wl,ssc:threshold=-1"), np.ones((2, 8)), 1000.0)
+            extract([parse_feature("wl"), unchecked("ssc", threshold=-1.0)], np.ones((2, 8)),
+                    1000.0)
+
+
+def unchecked(name, **params):
+    """A descriptor built without `make_descriptor`'s parameter checks, so
+    that the kernel's own check is the one that rejects it."""
+    desc = make_descriptor(name)
+    return replace(desc, params=tuple(sorted({**desc.param_dict, **params}.items())))
 
 
 def outcome(compute):
@@ -259,8 +291,8 @@ class TestExtractSegments:
         cases = [(parse_features("rms,wl"), x[:11], "signal too short"),
                  (parse_features("rms,hemg:limit=1"), with_nan, "hemg needs finite samples"),
                  (parse_features("mav,mavslp:segments=5"), x, "does not divide"),
-                 (parse_features("wl,ssc:threshold=-1"), x, "non-negative"),
-                 (parse_features("hemg:bins=0:limit=1"), x, "at least 1 bin")]
+                 ([parse_feature("wl"), unchecked("ssc", threshold=-1.0)], x, "non-negative"),
+                 ([unchecked("hemg", bins=0, limit=1.0)], x, "at least 1 bin")]
         for descriptors, samples, message in cases:
             signal = Signal(samples, 1000.0)
             got = outcome(lambda: extract_segments(descriptors, signal, cfg))
@@ -336,22 +368,30 @@ class TestResolveLimit:
     def test_uses_peak_of_clean_data(self):
         descs = parse_features("hemg,rms")
         signals = [np.array([1.0, -4.5, 2.0]), np.array([0.5, 3.0])]
-        resolved = resolve_hemg_limit(descs, signals)
+        resolved = resolve_hemg_peak(descs, peak_amplitude(signals)[0])
         assert resolved[0].param_dict["limit"] == 4.5
         assert resolved[1] is descs[1]
 
     def test_all_zero_data_rejected(self):
         with pytest.raises(ValueError, match="all zero"):
-            resolve_hemg_limit(parse_features("hemg"), [np.zeros(5)])
+            resolve_hemg_peak(parse_features("hemg"), peak_amplitude([np.zeros(5)])[0])
 
     def test_no_hemg_is_a_passthrough(self):
         descs = parse_features("rms,mmnf")
-        assert resolve_hemg_limit(descs, []) == descs
+        assert resolve_hemg_peak(descs, peak_amplitude([])[0]) == descs
         assert resolve_hemg_peak(descs, 0.0) == descs
 
     def test_nan_signal_is_skipped(self):
         descs = parse_features("hemg")
-        resolved = resolve_hemg_limit(descs, [np.array([1.0, np.nan, 9.0]), np.array([2.0])])
-        assert resolved == resolve_hemg_peak(descs, 2.0)
+        peak = peak_amplitude([np.array([1.0, np.nan, 9.0]), np.array([2.0])])[0]
+        assert resolve_hemg_peak(descs, peak) == resolve_hemg_peak(descs, 2.0)
         with pytest.raises(ValueError, match="all zero"):
             resolve_hemg_peak(descs, 0.0)
+
+    def test_channel_peaks_pool_per_fold(self):
+        trials = [np.array([[1.0, -7.0], [2.0, 3.0]]),
+                  np.array([[np.nan, 4.0], [-5.0, 1.0]]),  # its first channel is skipped
+                  np.array([[0.5, 0.25]])]
+        assert peak_amplitude(trials).tolist() == [7.0]
+        train = np.arange(3) != np.arange(3)[:, np.newaxis]
+        assert peak_amplitude(trials, train).tolist() == [4.0, 7.0, 7.0]

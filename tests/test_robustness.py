@@ -2,18 +2,21 @@
 import csv
 import json
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 from scipy import signal as sps
 
-from myobench.dataio import SynthConfig, default_class_specs, synthesize_emg
+from myobench import robustness
+from myobench.cli import _parse_sweep
+from myobench.dataio import (SynthConfig, csv_rows, default_class_specs, synthesize_emg,
+                             write_output)
 from myobench.noise import NoiseSpec, derive_seed, inject_at_snr
 from myobench.registry import (default_panel, extract, make_descriptor, parse_features,
-                               resolve_hemg_limit)
-from myobench.robustness import (GridRow, RobustnessConfig, TrialRecord, grid_to_csv,
-                                 grid_to_json, percentage_error,
-                                 records_from_dataset, run_grid, sweep_parameters)
+                               resolve_hemg_peak)
+from myobench.robustness import (GridRow, RobustnessConfig, TrialRecord, grid_csv_rows,
+                                 percentage_error, records_from_dataset, run_grid)
 from myobench.signals import SegmentationConfig, Signal
 from myobench.time_features import rms
 
@@ -32,15 +35,23 @@ def make_records(rng, count=2, amp=50.0):
     ]
 
 
+def zero_draws(words, out):
+    """``noise.fill_wgn`` with every draw zero: each noisy copy is its clean signal."""
+    out.fill(0.0)
+    return out
+
+
 def reference_rows(records, features, cfg):
     """Brute-force grid: one inject_at_snr per noisy copy, one extract per feature.
 
     Each (record, feature) pair's PEs are listed in (SNR, repetition) order
     and pooled per cell in record order, as run_grid lays them out. A
     feature whose extraction raises, or whose scalar component is out of
-    range, excludes the record.
+    range, excludes the record. The HEMG range is the largest record peak,
+    a NaN peak skipped.
     """
-    features = resolve_hemg_limit(features, (r.signal.samples for r in records))
+    peak = reduce(max, (float(np.max(np.abs(r.signal.samples))) for r in records), 0.0)
+    features = resolve_hemg_peak(features, peak)
     reps = cfg.repetitions
     pes = {}  # (feature index, record index) -> (SNR, repetition) PE matrix
     for r_idx, record in enumerate(records):
@@ -120,10 +131,11 @@ class TestRunGrid:
         assert (row.feature, row.snr_db, row.n, row.excluded) == ("rms", 20.0, 1, 0)
         assert row.mean_pe >= 0
 
-    def test_dry_run_gives_zero_pe(self):
+    def test_dry_run_gives_zero_pe(self, monkeypatch):
+        monkeypatch.setattr(robustness, "fill_wgn", zero_draws)
         rng = np.random.default_rng(2)
         records = make_records(rng, count=2)
-        cfg = RobustnessConfig(snr_grid=(20.0, 0.0), repetitions=3, seed=0, dry_run=True)
+        cfg = RobustnessConfig(snr_grid=(20.0, 0.0), repetitions=3, seed=0)
         grid = run_grid(records, default_panel(), cfg)
         for row in grid.rows:
             assert row.mean_pe == 0.0
@@ -207,17 +219,6 @@ class TestRunGrid:
                 extra = 3 * (2 if row.snr_db == 20.0 else 1)
             same_rows([row], [replace(before, excluded=before.excluded + extra)])
 
-    def test_zero_power_dry_run_keeps_its_exclusions(self):
-        # Without injection the SNR never matters: hemg's middle bin still
-        # counts every zero sample, so only features with a zero clean value drop out.
-        flat = TrialRecord(signal=Signal(np.zeros(256), 1000.0), motion="m0",
-                           group="strong", trial_id="flat")
-        records = make_records(np.random.default_rng(16), count=1) + [flat]
-        cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=2, dry_run=True)
-        grid = run_grid(records, parse_features("rms,hemg"), cfg)
-        assert {(row.feature, row.n, row.excluded) for row in grid.rows} == \
-            {("hemg", 4, 0), ("rms", 2, 2)}
-
     @pytest.mark.parametrize("tokens", ["rms,wamp,mmnf", "rms,mavslp,wamp,mmnf"])
     def test_out_of_range_component_excludes_only_its_feature(self, tokens):
         # Without mavslp the joint extraction succeeds; with it (256 samples
@@ -289,7 +290,7 @@ class TestGridOracle:
     def test_hemg_bins_sweep(self):
         records = make_records(np.random.default_rng(18), count=3)
         cfg = RobustnessConfig(snr_grid=(15.0, 3.0), repetitions=4, seed=5)
-        grid = sweep_parameters(records, "hemg", "bins", [3, 5, 7, 9, 11], cfg)
+        grid = run_grid(records, _parse_sweep("hemg:bins=3,5,7,9,11")[1], cfg)
         bins = [make_descriptor("hemg", {"bins": b}) for b in (3, 5, 7, 9, 11)]
         same_rows(grid.rows, reference_rows(records, bins, cfg))
 
@@ -321,23 +322,23 @@ class TestSweep:
         rng = np.random.default_rng(11)
         records = make_records(rng, count=1)
         cfg = RobustnessConfig(snr_grid=(20.0, 10.0), repetitions=2, seed=0)
-        grid = sweep_parameters(records, "wamp", "threshold",
-                                [10, 20, 30, 40, 50], cfg)
+        sweep, descriptors = _parse_sweep("wamp:threshold=10,20,30,40,50")
+        grid = run_grid(records, descriptors, cfg)
         assert len({row.parameters for row in grid.rows}) == 5
-        assert grid.config["sweep"]["values"] == [10, 20, 30, 40, 50]
+        assert sweep["values"] == [10, 20, 30, 40, 50]
 
     def test_hemg_bin_sweep(self):
         rng = np.random.default_rng(12)
         records = make_records(rng, count=1)
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, seed=0)
-        grid = sweep_parameters(records, "hemg", "bins", [3, 5, 7, 9, 11], cfg)
+        grid = run_grid(records, _parse_sweep("hemg:bins=3,5,7,9,11")[1], cfg)
         assert len({row.parameters for row in grid.rows}) == 5
 
     def test_ar_order_sweep(self):
         rng = np.random.default_rng(13)
         records = make_records(rng, count=1)
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, seed=0)
-        grid = sweep_parameters(records, "ar", "order", range(1, 11), cfg)
+        grid = run_grid(records, _parse_sweep("ar:order=1..10")[1], cfg)
         assert len({row.parameters for row in grid.rows}) == 10
 
 
@@ -354,14 +355,6 @@ class TestRecordsFromDataset:
         with pytest.raises(ValueError, match="max_windows"):
             records_from_dataset(dataset, SegmentationConfig(), max_windows=-1)
 
-    def test_whole_signal_records(self):
-        dataset = synthesize_emg(SynthConfig(
-            classes=tuple(default_class_specs(1)), channels=1,
-            trials_per_class=2, trial_ms=500, seed=0))
-        records = records_from_dataset(dataset, segmentation=None)
-        assert len(records) == 2
-        assert len(records[0].signal) == 500
-
 
 class TestEmission:
     def test_csv_and_json_outputs(self, tmp_path):
@@ -369,19 +362,26 @@ class TestEmission:
         records = make_records(rng, count=1)
         cfg = RobustnessConfig(snr_grid=(20.0, 10.0), repetitions=2, seed=3)
         grid = run_grid(records, parse_features("rms,mmnf"), cfg)
+        config = {"repetitions": 2, "seed": 3}
 
-        csv_path = grid_to_csv(grid, tmp_path / "grid.csv")
-        with csv_path.open() as fh:
+        csv_path = write_output(tmp_path / "out" / "grid.csv", csv_rows(grid_csv_rows(grid)),
+                                config)
+        with csv_path.open(newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert set(rows[0]) == {"feature", "parameters", "group", "motion",
-                                "snr_db", "mean_pe", "std_pe", "n", "excluded"}
+        assert list(rows[0]) == ["feature", "parameters", "group", "motion",
+                                 "snr_db", "mean_pe", "std_pe", "n", "excluded"]
         assert len(rows) == len(grid.rows)
-        sidecar = json.loads((tmp_path / "grid.csv.config.json").read_text())
-        assert sidecar["seed"] == 3
+        assert csv_path.read_bytes().count(b"\r\n") == len(grid.rows) + 1
+        sidecar = (tmp_path / "out" / "grid.csv.config.json").read_text()
+        assert sidecar == json.dumps(config, indent=2) + "\n"
 
-        payload = json.loads(grid_to_json(grid, tmp_path / "grid.json").read_text())
-        assert payload["config"]["repetitions"] == 2
-        assert len(payload["rows"]) == len(grid.rows)
+        payload = {"config": config, "rows": [vars(row) for row in grid.rows]}
+        json_path = write_output(tmp_path / "out" / "grid.json", payload)
+        assert json.loads(json_path.read_text()) == json.loads(json.dumps(payload))
+        assert [GridRow(**row) for row in json.loads(json_path.read_text())["rows"]] \
+            == grid.rows
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            ["grid.csv", "grid.csv.config.json", "grid.json"]
 
 
 class TestConfigValidation:
@@ -397,7 +397,9 @@ class TestConfigValidation:
         for level in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match="snr_db must be finite"):
                 RobustnessConfig(snr_grid=(20.0, level))
-        RobustnessConfig(snr_grid=(20.0, float("inf")), dry_run=True)
+        # The dry run that once let a non-finite level through is gone.
+        with pytest.raises(TypeError, match="dry_run"):
+            RobustnessConfig(snr_grid=(20.0, float("inf")), dry_run=True)
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError, match="no trial records"):
