@@ -23,7 +23,8 @@ from .recognition import (DEFAULT_VOTE_WINDOW, CrTable, check_vote_window, decis
                           table_payload)
 from .registry import (default_panel, feature_set, make_descriptor, parse_features,
                        peak_amplitude, resolve_hemg_peak)
-from .robustness import RobustnessConfig, grid_csv_rows, records_from_dataset, run_grid
+from .robustness import (RobustnessConfig, grid_csv_rows, grid_json_rows, records_from_dataset,
+                         run_grid)
 from .signals import SegmentationConfig
 
 
@@ -215,6 +216,8 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
             descriptors = default_panel() if features is None else parse_features(features)
         except ValueError as exc:
             raise click.BadParameter(str(exc))
+    if len(set(descriptors)) != len(descriptors):
+        raise click.BadParameter("a feature (or sweep value) is listed twice")
     dataset = _load(data)
     seg_cfg = _segmentation(window_ms, slide_ms)
     try:
@@ -239,8 +242,7 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
                   slide_ms=slide_ms, max_windows=max_windows)
     out = Path(out)
     write_output(out.with_suffix(".csv"), csv_rows(grid_csv_rows(grid)), config)
-    write_output(out.with_suffix(".json"), {"config": config,
-                                            "rows": [vars(row) for row in grid.rows]})
+    write_output(out.with_suffix(".json"), {"config": config, "rows": grid_json_rows(grid)})
     written = f"{out.with_suffix('.csv')} and {out.with_suffix('.json')}"
     if grid.unscored:
         # The grid is still written, so the features that were scored keep their rows.

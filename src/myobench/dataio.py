@@ -251,12 +251,14 @@ def write_output(path, content, config: dict | None = None) -> Path:
 
     ``content`` is either text, written as is (a CSV rendered by `csv_rows`
     has csv.writer's quoting and CRLF line ends), or a JSON-able payload,
-    written with a 2-space indent and a final newline. The parent directory
-    is created first. Returns ``path``.
+    written with a 2-space indent and a final newline; a NaN or infinity in
+    it is a ValueError, since JSON (RFC 8259) has neither. The parent
+    directory is created first. Returns ``path``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = content if isinstance(content, str) else json.dumps(content, indent=2) + "\n"
+    text = (content if isinstance(content, str)
+            else json.dumps(content, indent=2, allow_nan=False) + "\n")
     with path.open("w", newline="") as fh:
         fh.write(text)
     if config is not None:

@@ -27,6 +27,14 @@ At each noise level every held-out trial is made noisy once and extracted
 once, over the union of its fold's descriptors across the sets, and every
 set scores its own columns of that block.
 
+Extraction runs in stacked blocks. The trials that share a descriptor union
+at a level (at the clean level every trial; at a noisy level every trial
+whose fold resolves the same HEMG range) go through one
+`extract_window_set` call, which stacks their channels into blocks of at
+most ``_BLOCK_SAMPLES`` window samples and runs each feature kernel once
+per block; each trial's block is then a slice of that call's rows. A
+level's blocks are freed before the next level's are built.
+
 Scoring works on class codes. Each fold maps its model's class list onto the
 dataset's class indices once, and its raw decisions are that map applied to
 the argmax of the discriminants. One majority vote smooths every fold's
@@ -45,11 +53,17 @@ import numpy as np
 
 from .dataio import Dataset, Trial, csv_prefix, write_output
 from .noise import derive_seed, derive_seeds, fill_wgn, signal_power, snr_sigma, stream_words
-from .registry import FeatureDescriptor, extract_segments, peak_amplitude, resolve_hemg_peak
-from .signals import SegmentationConfig, Signal, segment_offsets
+from .registry import FeatureDescriptor, _extract_stack, peak_amplitude, resolve_hemg_peak
+from .signals import SegmentationConfig, segment_offsets
 
 DEFAULT_VOTE_WINDOW = 5  # ~512 ms of context at 256/64 ms windowing
 DEFAULT_RIDGE = 1e-6
+# The most window samples (windows x width) that one stacked extraction
+# covers: enough that a kernel's fixed cost is shared by a few short
+# channels, few enough that a block's intermediates (each at most this many
+# floats, 512 KiB) keep the process's peak memory within about 1 MB of
+# extracting one channel at a time.
+_BLOCK_SAMPLES = 2 ** 16
 
 
 @dataclass
@@ -200,29 +214,57 @@ def extract_window_set(trials: list[Trial], rate: float,
 
     Feature columns are channel-major: all descriptors of channel 1, then
     channel 2, and so on; vector features contribute one column per component.
+    Rows follow the trials, each trial's windows in time order. The channels
+    of consecutive trials with the same window count are extracted in
+    stacked blocks of at most ``_BLOCK_SAMPLES`` window samples (a block may
+    end inside a trial), each written straight into its rows and channel's
+    columns; every value equals that channel's `extract_segments`.
     """
     if not trials:
         raise ValueError("no trials to extract features from")
+    channels = len(trials[0].channels)
+    if any(len(trial.channels) != channels for trial in trials):
+        raise ValueError("trials must share one channel layout")
     feature_names = [f"{ch_name}:{c}" for ch_name in trials[0].channels
                      for desc in descriptors for c in desc.component_names()]
 
-    blocks, labels, trial_ids, starts = [], [], [], []
-    for trial in trials:
-        offsets = segment_offsets(trial.signal(0, rate), segmentation)
-        blocks.append(np.hstack([
-            extract_segments(descriptors,
-                             Signal(np.ascontiguousarray(trial.data[:, ch]), rate),
-                             segmentation)
-            for ch in range(len(trial.channels))
-        ]))
-        labels.extend([class_names.index(trial.label)] * offsets.size)
-        trial_ids.extend([trial.trial_id] * offsets.size)
-        starts.append(offsets * 1000.0 / rate)
+    offsets = [segment_offsets(trial.signal(0, rate), segmentation) for trial in trials]
+    first_row = np.cumsum([0] + [o.size for o in offsets])
+    width = segmentation.window_samples(rate)
+    features = np.empty((first_row[-1], channels,
+                         sum(d.component_count() for d in descriptors)))
+    signals = [(t, ch) for t in range(len(trials)) for ch in range(channels)]
+    for block in _blocks([offsets[t].size * width for t, _ in signals]):
+        span = offsets[signals[block.start][0]][-1] + width
+        stack = np.empty((len(block), span))
+        for row, (t, ch) in zip(stack, (signals[i] for i in block)):
+            row[:] = trials[t].data[:span, ch]
+        for values, i in zip(_extract_stack(descriptors, stack, rate, segmentation), block):
+            t, ch = signals[i]
+            features[first_row[t]:first_row[t + 1], ch] = values
     return LabeledWindowSet(
-        features=np.vstack(blocks), labels=np.array(labels),
-        trial_ids=trial_ids, class_names=list(class_names),
-        window_start_ms=np.concatenate(starts), feature_names=feature_names,
+        features=features.reshape(first_row[-1], -1),
+        labels=np.repeat([class_names.index(t.label) for t in trials], np.diff(first_row)),
+        trial_ids=[t.trial_id for t, o in zip(trials, offsets) for _ in range(o.size)],
+        class_names=list(class_names),
+        window_start_ms=np.concatenate(offsets) * 1000.0 / rate, feature_names=feature_names,
     )
+
+
+def _blocks(sizes) -> list[range]:
+    """Consecutive index ranges over signals of ``sizes`` window samples each.
+
+    A range holds signals of one size (one window count, so they stack) and
+    at most ``_BLOCK_SAMPLES`` window samples in all; a signal over the
+    budget forms a range of its own.
+    """
+    blocks: list[range] = []
+    for i, size in enumerate(sizes):
+        if blocks and sizes[i - 1] == size and (len(blocks[-1]) + 1) * size <= _BLOCK_SAMPLES:
+            blocks[-1] = range(blocks[-1].start, i + 1)
+        else:
+            blocks.append(range(i, i + 1))
+    return blocks
 
 
 @dataclass(eq=False)
@@ -261,25 +303,50 @@ class ClassificationReport:
     decisions: DecisionStream
 
 
+@dataclass
 class _TrialBlock:
-    """One trial's windows and its feature matrix for each of several descriptor lists.
+    """One trial's windows and its feature matrix for each of several descriptor lists."""
 
-    ``lists`` maps a small int key to a descriptor list. The trial is
-    extracted once, over the union of the lists (each descriptor once, in
-    first-seen order). ``features[key]`` is a channel-major column selection
-    from that block, so it equals what extracting that list alone would give.
+    windows: LabeledWindowSet
+    features: dict[int, np.ndarray]
+
+
+def _trial_blocks(trials: list[Trial], lists: list[dict | None], dataset: Dataset,
+                  segmentation: SegmentationConfig) -> list[_TrialBlock | None]:
+    """Each trial's `_TrialBlock` for its descriptor lists, None where they are None.
+
+    ``lists[i]`` maps small int keys to descriptor lists. Trial ``i`` is
+    extracted once, over the union of its lists (each descriptor once, in
+    first-seen order), and the trials that share a union are extracted in one
+    `extract_window_set` call, in trial order. ``features[key]`` is a
+    channel-major column selection from the union's matrix, so it equals what
+    extracting that list alone would give.
     """
-
-    def __init__(self, trial: Trial, lists: dict[int, list[FeatureDescriptor]],
-                 dataset: Dataset, segmentation: SegmentationConfig):
-        union = list(dict.fromkeys(d for descriptors in lists.values() for d in descriptors))
-        self.windows = extract_window_set([trial], dataset.rate, union,
-                                          segmentation, dataset.classes)
+    groups: dict[tuple, list[int]] = {}
+    for i, per_key in enumerate(lists):
+        if per_key is not None:
+            union = tuple(dict.fromkeys(d for descriptors in per_key.values()
+                                        for d in descriptors))
+            groups.setdefault(union, []).append(i)
+    blocks: list[_TrialBlock | None] = [None] * len(trials)
+    for union, members in groups.items():
+        windows = extract_window_set([trials[i] for i in members], dataset.rate, list(union),
+                                     segmentation, dataset.classes)
         starts = np.cumsum([0] + [d.component_count() for d in union]).tolist()
         span = {d: np.arange(a, b) for d, a, b in zip(union, starts, starts[1:])}
-        by_channel = self.windows.features.reshape(len(self.windows), -1, starts[-1])
-        self.features = {key: by_channel[:, :, np.concatenate([span[d] for d in descriptors])]
-                         .reshape(len(self.windows), -1) for key, descriptors in lists.items()}
+        by_channel = windows.features.reshape(len(windows), -1, starts[-1])
+        keyed = {key: descriptors for i in members for key, descriptors in lists[i].items()}
+        features = {key: by_channel[:, :, np.concatenate([span[d] for d in descriptors])]
+                    .reshape(len(windows), -1) for key, descriptors in keyed.items()}
+        rows = np.cumsum([0] + [segment_offsets(trials[i].signal(0, dataset.rate),
+                                                segmentation).size for i in members])
+        for i, a, b in zip(members, rows.tolist(), rows[1:].tolist()):
+            blocks[i] = _TrialBlock(
+                replace(windows, features=windows.features[a:b], labels=windows.labels[a:b],
+                        trial_ids=windows.trial_ids[a:b],
+                        window_start_ms=windows.window_start_ms[a:b]),
+                {key: matrix[a:b] for key, matrix in features.items()})
+    return blocks
 
 
 def _train_folds(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
@@ -304,8 +371,8 @@ def _train_folds(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
     set_keys = [[keys.setdefault(tuple(descriptors), len(keys)) for descriptors in per_fold]
                 for per_fold in resolved]
     lists = {key: descriptors for descriptors, key in keys.items()}
-    blocks = [_TrialBlock(trial, lists, dataset, segmentation) if used else None
-              for trial, used in zip(trials, train.any(axis=0))]
+    blocks = _trial_blocks(trials, [lists if used else None for used in train.any(axis=0)],
+                           dataset, segmentation)
     folds = [[] for _ in feature_sets]
     for i, mask in enumerate(train):
         fold_blocks = [b for b, used in zip(blocks, mask) if used]
@@ -393,14 +460,13 @@ def _evaluate(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
                                        segmentation, ridge)
     test_lists = [{key: descriptors for _, descriptors, key in per_fold}
                   for per_fold in zip(*folds)]
-    by_level = []
-    for level, level_seed in zip(levels, level_seeds):
-        tests = clean_blocks if level is None else [
-            _TrialBlock(trial, lists, dataset, segmentation)
-            for trial, lists in zip(_test_trials(dataset, level, level_seed), test_lists)]
-        by_level.append([_score_folds(dataset, per_set, tests, vote_window)
-                         for per_set in folds])
-    return by_level
+
+    def scored(tests):  # a level's blocks are freed before the next level's are built
+        return [_score_folds(dataset, per_set, tests, vote_window) for per_set in folds]
+
+    return [scored(clean_blocks if level is None else _trial_blocks(
+                _test_trials(dataset, level, level_seed), test_lists, dataset, segmentation))
+            for level, level_seed in zip(levels, level_seeds)]
 
 
 def leave_one_out(dataset: Dataset, features: list[FeatureDescriptor],

@@ -13,6 +13,13 @@ index) once over its source and hands each kernel its windows of it: over a
 signal whose windows overlap, every sample is transformed once, not once per
 window that holds it.
 
+Equal-length signals can be extracted as one stack. A kernel pass has a
+fixed cost (dispatch, small temporaries) that dwarfs its work on one 3 s
+channel, so the recognition pipeline stacks short channels into blocks (see
+`recognition.extract_window_set`) and extracts each block in one pass.
+``extract_segments`` runs the same code on a stack of one signal, and each
+row of a stack gets the values it would get alone, bit for bit.
+
 For percentage-error benchmarking a vector feature is reduced to one
 scalar, by default the component the robustness study singles out:
 histogram bin 2 (of the 3-bin histogram) and AR coefficient a_1. Components
@@ -61,24 +68,28 @@ class _Intermediates:
     """The windows of one extraction and the arrays several kernels share.
 
     ``source`` is either a (windows, samples) matrix, one window per row
-    (``slide`` is None: the windowing is the identity), or the 1-D span of
-    one signal that its windows of ``width`` samples every ``slide`` cover;
-    trailing samples that do not fill a window are not part of the span.
-    Every elementwise intermediate is computed once over the source: those
-    that several families read (|x|, x^2, the differences and their
-    magnitudes) on first use, kept until no later descriptor reads them;
-    the event masks and the HEMG bin index, which depend on a descriptor's
-    parameters, by its kernel. `windows` gives a kernel each window's part
-    of one as a view, and `counts` counts a mask's events per window, so a
-    sample that several windows hold is transformed once.
+    (``slide`` is None: the windowing is the identity), or a (signals, span)
+    stack of equal-length signals that each hold ``count`` windows of
+    ``width`` samples every ``slide``; trailing samples that do not fill a
+    window are not part of the span. One signal is a stack of one. Every
+    elementwise intermediate is computed once over the source: those that
+    several families read (|x|, x^2, the differences and their magnitudes)
+    on first use, kept until no later descriptor reads them; the event masks
+    and the HEMG bin index, which depend on a descriptor's parameters, by
+    its kernel. `windows` gives a kernel each window's part of one as a
+    (signals, count, width) view, and `counts` counts a mask's events per
+    (signal, window), so a sample that several windows hold is transformed
+    once. Kernels reduce the last axis, so each window is reduced in the same
+    order whether its signal is extracted alone or in a stack.
     """
 
     def __init__(self, source, width: int, slide: int | None, rate: float):
         self.source, self.width, self.slide, self.rate = source, width, slide, rate
         if slide is None:
-            self.count = source.shape[0]
+            self.count = self.total = source.shape[0]
         else:
-            self.count = (source.size - width) // slide + 1
+            self.count = (source.shape[-1] - width) // slide + 1
+            self.total = source.shape[0] * self.count  # windows over every signal
             self.starts = np.arange(self.count) * slide
 
     def _width_of(self, values):
@@ -87,20 +98,21 @@ class _Intermediates:
         return self.width - (self.source.shape[-1] - values.shape[-1])
 
     def windows(self, values):
-        """One row per window of an intermediate over the source, as a view."""
+        """Each signal's windows of an intermediate over the source, as a view."""
         if self.slide is None:
             return values
         step = values.strides[-1]
-        return as_strided(values, (self.count, self._width_of(values)),
-                          (self.slide * step, step), writeable=False)
+        return as_strided(values, values.shape[:-1] + (self.count, self._width_of(values)),
+                          values.strides[:-1] + (self.slide * step, step), writeable=False)
 
     def counts(self, events):
         """Each window's count of a boolean mask over the source (samples last).
 
-        Over a signal, a window's count is the number of events before its
+        Over a stack, a window's count is the number of events before its
         end minus the number before its start, both found by binary search in
         the sorted positions of every event, so each sample is read once
-        however many windows hold it.
+        however many windows hold it. The windows' counts replace the
+        samples axis.
         """
         if self.slide is None:
             return np.count_nonzero(events, axis=-1)
@@ -109,17 +121,18 @@ class _Intermediates:
         positions = np.flatnonzero(events)
         totals = (np.searchsorted(positions, starts + self._width_of(events))
                   - np.searchsorted(positions, starts))
-        return totals.reshape(events.shape[:-1] + (self.count,)).T
+        return totals.reshape(events.shape[:-1] + (self.count,))
 
     def bin_counts(self, idx, bins: int):
         """Each window's sample count per bin, from every sample's bin index."""
         if self.slide is None:
             return tf._bin_counts(idx, bins)
-        return self.counts(tf._bin_events(idx, bins))
+        return np.swapaxes(self.counts(tf._bin_events(idx, bins)), -1, -2)
 
     @functools.cached_property
     def rows(self):
-        return self.windows(self.source)
+        """Every window as a row of a (windows, width) matrix, signal by signal."""
+        return self.windows(self.source).reshape(self.total, self.width)
 
     @functools.cached_property
     def abs(self):
@@ -294,11 +307,21 @@ def extract_segments(descriptors, signal: Signal, cfg: SegmentationConfig) -> np
     same values in the same order, and each count comes from the positions
     of the events. Samples after the last whole window are never read.
     """
-    offsets = segment_offsets(signal, cfg)  # raises when the signal is too short
-    width = cfg.window_samples(signal.rate)
-    span = signal.samples[:offsets[-1] + width]
-    return _columns(descriptors, _Intermediates(span, width, cfg.slide_samples(signal.rate),
-                                                signal.rate))
+    return _extract_stack(descriptors, signal.samples[np.newaxis], signal.rate, cfg)[0]
+
+
+def _extract_stack(descriptors, signals, rate: float, cfg: SegmentationConfig) -> np.ndarray:
+    """`extract_segments` of every row of a (signals, samples) stack, bit for bit.
+
+    Returns a (signals, windows, columns) array. One pass of each kernel
+    covers the whole stack, so its fixed cost is paid once per stack rather
+    than once per signal.
+    """
+    offsets = segment_offsets(Signal(signals[0], rate), cfg)  # raises when too short
+    width = cfg.window_samples(rate)
+    shared = _Intermediates(signals[:, :offsets[-1] + width], width, cfg.slide_samples(rate),
+                            rate)
+    return _columns(descriptors, shared).reshape(len(signals), offsets.size, -1)
 
 
 def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
@@ -316,7 +339,7 @@ def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
         if desc.name in tf._MIN_SAMPLES:  # checked first, as the feature function does
             tf._check_length(shared.width, tf._MIN_SAMPLES[desc.name])
         value = _KERNELS[desc.name](shared, **desc.param_dict)
-        columns.append(np.asarray(value, dtype=float).reshape(shared.count, -1))
+        columns.append(np.asarray(value, dtype=float).reshape(shared.total, -1))
         for name in _READS.get(desc.name, ()):
             if last_reader[name] == i:
                 vars(shared).pop(name, None)

@@ -21,6 +21,13 @@ repetition), so serial and parallel evaluation orders give bit-identical
 grids. All stream seeds and streams are seeded in one batch before the
 record loop (see `noise.derive_seeds` and `noise.stream_words`), and each
 copy is drawn straight into its row of the record's matrix.
+
+Records are extracted one at a time, not in the stacked blocks that the
+recognition pipeline uses: a block of a few records' copy matrices makes
+every intermediate a 0.25-0.5 MB array, and in a fresh process glibc's
+allocator hands such arrays back to the system after each block and faults
+them in again on the next, which on the default panel cost more than
+sharing the kernels' fixed cost saved.
 """
 from __future__ import annotations
 
@@ -257,3 +264,10 @@ def grid_csv_rows(grid: RobustnessGrid) -> list[list]:
         [row.feature, row.parameters, row.group, row.motion, f"{row.snr_db:g}",
          f"{row.mean_pe:.10g}", f"{row.std_pe:.10g}", row.n, row.excluded]
         for row in grid.rows]
+
+
+def grid_json_rows(grid: RobustnessGrid) -> list[dict]:
+    """The grid's rows as JSON objects. A cell with no PE (``n == 0``) has a
+    null ``mean_pe`` and ``std_pe``, since JSON has no NaN."""
+    return [vars(row) | ({"mean_pe": None, "std_pe": None} if row.n == 0 else {})
+            for row in grid.rows]

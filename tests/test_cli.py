@@ -372,6 +372,43 @@ class TestRobustness:
         # 2 classes x 2 trials x 2 channels, one window each: 4 records per motion.
         assert counts == {("rms", "8", "0"), ("mavslp", "8", "0"), ("wamp", "0", "8")}
 
+    def test_json_writes_null_where_a_cell_has_no_pe(self, runner, dataset_dir, tmp_path):
+        # mavslp's default 3 segments do not split 256-sample windows, so its
+        # cells have n == 0 and no mean or spread.
+        out = tmp_path / "grid"
+        result = runner.invoke(main, [
+            "robustness", "--data", str(dataset_dir / "manifest.json"),
+            "--features", "rms,mavslp", "--reps", "1", "--snr", "20", "--out", str(out)])
+        assert result.exit_code == 1  # mavslp is unscored; the grid is written anyway
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        rows = json.loads((tmp_path / "grid.json").read_text(), parse_constant=reject)["rows"]
+        empty = [row for row in rows if row["n"] == 0]
+        assert {row["feature"] for row in empty} == {"mavslp"}
+        assert all(row["mean_pe"] is None and row["std_pe"] is None for row in empty)
+        assert all(isinstance(row["mean_pe"], float) for row in rows if row["n"] > 0)
+        with (tmp_path / "grid.csv").open() as fh:
+            empty_csv = [r for r in csv.DictReader(fh) if r["n"] == "0"]
+        assert len(empty_csv) == len(empty)
+        assert {(r["mean_pe"], r["std_pe"]) for r in empty_csv} == {("nan", "nan")}
+
+    @pytest.mark.parametrize("option", [
+        ["--features", "rms,wamp,rms"],
+        ["--features", "wamp:threshold=10,WAMP"],
+        ["--sweep", "wamp:threshold=10,10"],
+        ["--sweep", "hemg:bins=3,5,3.0"],
+    ])
+    def test_repeated_feature_is_usage_error_before_loading(self, runner, tmp_path, option):
+        # The manifest does not exist, so exit 2 shows the check ran before loading.
+        result = runner.invoke(main, [
+            "robustness", "--data", str(tmp_path / "ghost.json"), *option,
+            "--out", str(tmp_path / "grid")])
+        assert result.exit_code == 2
+        assert "a feature (or sweep value) is listed twice" in result.output
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("option, message", [
         (["--snr", "20,inf"], "snr_db must be finite"),
         (["--reps", "0"], "need at least one repetition"),

@@ -3,6 +3,7 @@ import csv
 from collections import Counter
 from dataclasses import fields, replace
 from functools import reduce
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from myobench.recognition import (DEFAULT_RIDGE, CrTable, LabeledWindowSet,
                                   _test_trials, _train_folds, decisions_to_csv,
                                   evaluate_feature_sets, extract_window_set, lda_scores,
                                   lda_train, leave_one_out, majority_vote)
-from myobench.registry import (feature_set, parse_features, peak_amplitude,
-                               resolve_hemg_peak)
-from myobench.signals import SegmentationConfig
+from myobench.registry import (extract, extract_segments, feature_set, parse_features,
+                               peak_amplitude, resolve_hemg_peak)
+from myobench.signals import SegmentationConfig, segment
 
 
 def window_set(X, labels, class_names, trial_ids=None):
@@ -128,6 +129,83 @@ def scaled_trial(trial, factor):
 def assert_same_model(a, b):
     for attr in ("means", "covariance", "priors", "_coef", "_intercept"):
         np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+
+
+# Every family, with parameters that change what its kernel computes; the
+# 8-sample windows split into mavslp's 2 and 4 segments.
+EVERY_FAMILY = parse_features(
+    "iemg,mav,mmav1,mmav2,mavslp:segments=2,mavslp:segments=4,ssi,var,rms,wl,"
+    "zc:threshold=0,zc:threshold=0.3,ssc:threshold=0,ssc:threshold=0.05,"
+    "wamp:threshold=0,wamp:threshold=0.5,hemg:bins=1:limit=1,hemg:bins=3:limit=0.5,"
+    "hemg:bins=4:limit=2,ar:order=1,ar:order=3,mnf:dc=0,mnf,mdf:dc=0,mdf,mmnf:dc=0,"
+    "mmnf,mmdf:dc=0,mmdf")
+BLOCK_SEG = SegmentationConfig(window_ms=8, slide_ms=2)  # at 1 kHz: 8-sample windows
+
+
+def noise_trials(seed, lengths, channels):
+    rng = np.random.default_rng(seed)
+    return [Trial(trial_id=f"t{i}", label="a" if i % 2 else "b", subject="s", group="g",
+                  channels=[f"ch{c}" for c in range(channels)],
+                  data=rng.standard_normal((n, channels)))
+            for i, n in enumerate(lengths)]
+
+
+def per_channel_rows(extract_channel, trials, descriptors, seg, rate=1000.0):
+    """The feature matrix from one extraction per channel and trial."""
+    return np.vstack([np.hstack([extract_channel(descriptors, t.signal(ch, rate), seg)
+                                 for ch in range(len(t.channels))]) for t in trials])
+
+
+def extract_windows(descriptors, signal, seg):
+    """The matrix path on the signal's windows: no stacked intermediates."""
+    return extract(descriptors, segment(signal, seg), signal.rate)
+
+
+class TestBlockExtraction:
+    """Stacked blocks give each channel what extracting it alone gives, bit for bit."""
+
+    @given(channels=st.integers(1, 3), lengths=st.lists(st.sampled_from([12, 20, 30]),
+                                                          min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), budget=st.integers(1, 400),
+           order=st.permutations(range(len(EVERY_FAMILY))))
+    # Channels of 3 windows (24 window samples) in blocks of three: the first
+    # block ends inside trial 1; trial 2's channels (12 windows, 96 window
+    # samples) exceed the budget, so each forms a block of its own.
+    @example(channels=2, lengths=[12, 12, 30], seed=1, budget=72,
+             order=list(range(len(EVERY_FAMILY))))
+    @example(channels=1, lengths=[12], seed=2, budget=1, order=list(range(len(EVERY_FAMILY))))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_equal_one_signal_at_a_time(self, channels, lengths, seed, budget, order):
+        lengths = lengths[:max(1, 6 // channels)]  # 1 to 6 signals
+        trials = noise_trials(seed, lengths, channels)
+        descriptors = [EVERY_FAMILY[i] for i in order]
+        with patch.object(recognition, "_BLOCK_SAMPLES", budget):
+            windows = extract_window_set(trials, 1000.0, descriptors, BLOCK_SEG, ["a", "b"])
+        for extract_channel in (extract_segments, extract_windows):
+            np.testing.assert_array_equal(
+                windows.features, per_channel_rows(extract_channel, trials, descriptors,
+                                                   BLOCK_SEG))
+
+    def test_trials_of_two_lengths_equal_the_stacked_per_trial_sets(self):
+        trials = noise_trials(5, [30, 20, 20, 30, 12], channels=2)
+        descriptors = parse_features("rms,wamp:threshold=0.5,hemg:limit=2,ar:order=2,mmnf")
+        whole = extract_window_set(trials, 1000.0, descriptors, BLOCK_SEG, ["a", "b"])
+        parts = [extract_window_set([t], 1000.0, descriptors, BLOCK_SEG, ["a", "b"])
+                 for t in trials]
+        np.testing.assert_array_equal(whole.features, np.vstack([p.features for p in parts]))
+        np.testing.assert_array_equal(whole.labels, np.concatenate([p.labels for p in parts]))
+        np.testing.assert_array_equal(whole.window_start_ms,
+                                      np.concatenate([p.window_start_ms for p in parts]))
+        assert whole.trial_ids == [tid for p in parts for tid in p.trial_ids]
+        assert whole.feature_names == parts[0].feature_names
+
+    def test_a_short_trial_or_a_mixed_layout_is_rejected(self):
+        trials = noise_trials(6, [20, 6], channels=2)
+        with pytest.raises(ValueError, match="signal too short to segment"):
+            extract_window_set(trials, 1000.0, parse_features("rms"), BLOCK_SEG, ["a", "b"])
+        mixed = noise_trials(6, [20], channels=2) + noise_trials(7, [20], channels=1)
+        with pytest.raises(ValueError, match="one channel layout"):
+            extract_window_set(mixed, 1000.0, parse_features("rms"), BLOCK_SEG, ["a", "b"])
 
 
 class TestLdaTrain:
@@ -490,17 +568,30 @@ class TestCachedFolds:
     @pytest.mark.parametrize("set_names", [["robust"], ["hudgins", "oskoei", "robust"]])
     def test_one_extraction_per_trial_and_level(self, monkeypatch, set_names):
         dataset = self.peak_dataset()
-        extracted = []
+        levels = [[]]  # the trial ids of each call, level by level
 
         def counting_extract(trials, *args):
-            extracted.append([t.trial_id for t in trials])
+            levels[-1].append([t.trial_id for t in trials])
             return extract_window_set(trials, *args)
 
+        def marking_test_trials(*args):
+            levels.append([])
+            return _test_trials(*args)
+
         monkeypatch.setattr(recognition, "extract_window_set", counting_extract)
+        monkeypatch.setattr(recognition, "_test_trials", marking_test_trials)
         sets = dict(map(feature_set, set_names))
         evaluate_feature_sets(dataset, sets, [None, 20.0, 10.0], SEG, seed=1)
         ids = [t.trial_id for t in dataset.trials]
-        assert extracted == [[tid] for tid in ids] * 3
+        assert len(levels) == 3
+        for calls in levels:
+            # each trial once per level, each call's trials in trial order
+            assert sorted(sum(calls, []), key=ids.index) == ids
+            assert all(call == sorted(call, key=ids.index) for call in calls)
+        # one call per (level, descriptor union): every fold trains on the same
+        # lists; at a noisy level trial 2's fold resolves its own HEMG range
+        assert [len(calls) for calls in levels] == [1, 2, 2]
+        assert levels[1] == [ids[:2] + ids[3:], ids[2:3]]
 
     def test_noisy_trials_equal_inject_at_snr(self):
         dataset = small_dataset(n_classes=2, trials_per_class=2, seed=13, channels=3)

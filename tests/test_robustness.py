@@ -1,6 +1,7 @@
 """Percentage-error benchmark: counting, determinism, exclusions, trends."""
 import csv
 import json
+import math
 from dataclasses import replace
 from functools import reduce
 
@@ -16,7 +17,8 @@ from myobench.noise import NoiseSpec, derive_seed, inject_at_snr
 from myobench.registry import (default_panel, extract, make_descriptor, parse_features,
                                resolve_hemg_peak)
 from myobench.robustness import (GridRow, RobustnessConfig, TrialRecord, grid_csv_rows,
-                                 percentage_error, records_from_dataset, run_grid)
+                                 grid_json_rows, percentage_error, records_from_dataset,
+                                 run_grid)
 from myobench.signals import SegmentationConfig, Signal
 from myobench.time_features import rms
 
@@ -382,6 +384,26 @@ class TestEmission:
             == grid.rows
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
             ["grid.csv", "grid.csv.config.json", "grid.json"]
+
+
+    def test_cells_without_pe_are_null_in_json(self, tmp_path):
+        rng = np.random.default_rng(15)
+        cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, seed=3)
+        # 3 segments do not split a 256-sample window: every mavslp cell has n == 0
+        grid = run_grid(make_records(rng, count=1), parse_features("rms,mavslp"), cfg)
+        with pytest.raises(ValueError):
+            write_output(tmp_path / "nan.json", {"rows": [vars(row) for row in grid.rows]})
+        assert not (tmp_path / "nan.json").exists()
+        rows = grid_json_rows(grid)
+        assert [row["n"] for row in rows] == [row.n for row in grid.rows]
+        for row, grid_row in zip(rows, grid.rows):
+            if grid_row.n == 0:
+                assert (row["mean_pe"], row["std_pe"]) == (None, None)
+                assert math.isnan(grid_row.mean_pe)
+            else:
+                assert row == vars(grid_row)
+        assert any(row.n == 0 for row in grid.rows) and any(row.n > 0 for row in grid.rows)
+        write_output(tmp_path / "grid.json", {"rows": rows})
 
 
 class TestConfigValidation:
