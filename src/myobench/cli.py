@@ -10,12 +10,13 @@ Exit codes: 0 on success, 1 on runtime/data errors, 2 on usage errors.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .dataio import (ClassSpec, Dataset, DatasetError, SynthConfig, csv_prefix, csv_rows,
+from .dataio import (Dataset, DatasetError, SynthConfig, csv_prefix, csv_rows,
                      default_class_specs, load_dataset, save_dataset, synthesize_emg,
                      write_output)
 from .recognition import (DEFAULT_VOTE_WINDOW, CrTable, check_vote_window, decisions_to_csv,
@@ -76,30 +77,26 @@ def _segmentation(window_ms: float, slide_ms: float) -> SegmentationConfig:
 @click.option("--out", required=True, type=click.Path(), help="Output directory.")
 def synth(n_classes, channels, trials, duration_ms, rate, seed, bands, amplitudes, out):
     """Generate a synthetic labeled sEMG dataset (manifest + trial CSVs)."""
-    specs = default_class_specs(n_classes)
-    if bands:
-        if len(bands) != n_classes:
-            raise click.BadParameter(f"need {n_classes} --band options, got {len(bands)}")
-        parsed = [_parse_band(b) for b in bands]
-        specs = [ClassSpec(name=s.name, band=band, amplitude=s.amplitude, group=s.group)
-                 for s, band in zip(specs, parsed)]
-    if amplitudes:
-        if len(amplitudes) != n_classes:
-            raise click.BadParameter(
-                f"need {n_classes} --amplitude options, got {len(amplitudes)}")
-        specs = [ClassSpec(name=s.name, band=s.band, amplitude=a, group=s.group)
-                 for s, a in zip(specs, amplitudes)]
-    config = {
-        "command": "synth", "seed": seed, "rate_hz": rate,
-        "channels": channels, "trials_per_class": trials,
-        "duration_ms": duration_ms,
-        "classes": [{"name": s.name, "band_hz": list(s.band),
-                     "amplitude_mv": s.amplitude, "group": s.group} for s in specs],
-    }
+    for given, what in [(bands, "--band"), (amplitudes, "--amplitude")]:
+        if given and len(given) != n_classes:
+            raise click.BadParameter(f"need {n_classes} {what} options, got {len(given)}")
+    parsed = [_parse_band(b) for b in bands]
     try:
+        specs = default_class_specs(n_classes)
+        if bands:
+            specs = [replace(s, band=band) for s, band in zip(specs, parsed)]
+        if amplitudes:
+            specs = [replace(s, amplitude=a) for s, a in zip(specs, amplitudes)]
         cfg = SynthConfig(classes=tuple(specs), channels=channels,
                           trials_per_class=trials, trial_ms=duration_ms,
                           rate=rate, seed=seed)
+        config = {
+            "command": "synth", "seed": seed, "rate_hz": rate,
+            "channels": channels, "trials_per_class": trials,
+            "duration_ms": duration_ms,
+            "classes": [{"name": s.name, "band_hz": list(s.band),
+                         "amplitude_mv": s.amplitude, "group": s.group} for s in specs],
+        }
         dataset = synthesize_emg(cfg)
         manifest = save_dataset(dataset, out, config)
     except ValueError as exc:

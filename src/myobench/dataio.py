@@ -367,8 +367,8 @@ class SynthConfig:
             raise ValueError("need at least one class spec")
         if self.channels < 1 or self.trials_per_class < 1:
             raise ValueError("channels and trials_per_class must be >= 1")
-        if not (self.trial_ms > 0 and self.rate > 0):
-            raise ValueError("trial_ms and rate must be positive")
+        if not (0 < self.trial_ms < math.inf and 0 < self.rate < math.inf):
+            raise ValueError("trial_ms and rate must be positive and finite")
         for spec in self.classes:
             if spec.band[1] >= self.rate / 2.0:
                 raise ValueError(

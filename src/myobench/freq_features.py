@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from .signals import PowerSpectrum, Spectrum
-from .time_features import _per_window
 
 
 def ar_coefficients(window, order: int = 1) -> np.ndarray:
@@ -81,6 +80,11 @@ def levinson_durbin(windows, order: int = 1) -> np.ndarray:
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # A stack of vector @ vector products runs np.dot's BLAS kernel per row.
     return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
+
+
+def _per_window(values):
+    """A single spectrum's 0-d result as a Python float; per-row results as is."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _moment_arrays(freqs, weights, include_dc: bool):

@@ -350,7 +350,7 @@ def _trial_blocks(trials: list[Trial], lists: list[dict | None], dataset: Datase
 
 
 def _train_folds(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
-                 held_out, segmentation: SegmentationConfig, ridge: float):
+                 held_out, segmentation: SegmentationConfig):
     """Each set's (model, resolved descriptors, column key) per held-out trial
     index, and the clean per-trial blocks (None for a trial that no fold
     trains on).
@@ -384,7 +384,7 @@ def _train_folds(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
             train_set = LabeledWindowSet(
                 features=np.vstack([b.features[per_fold_keys[i]] for b in fold_blocks]),
                 class_names=list(dataset.classes), **rows)
-            set_folds.append((lda_train(train_set, ridge=ridge), per_fold[i], per_fold_keys[i]))
+            set_folds.append((lda_train(train_set), per_fold[i], per_fold_keys[i]))
     return folds, blocks
 
 
@@ -439,8 +439,8 @@ def _score_folds(dataset: Dataset, folds, tests: list[_TrialBlock],
 
 def _evaluate(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
               levels: list, level_seeds: list[int],
-              segmentation: SegmentationConfig | None, vote_window: int,
-              ridge: float) -> list[list[ClassificationReport]]:
+              segmentation: SegmentationConfig,
+              vote_window: int) -> list[list[ClassificationReport]]:
     """The report of every feature set at every noise level, level by level.
 
     Every set scores the clean level from the training blocks, and each
@@ -455,9 +455,8 @@ def _evaluate(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
         raise ValueError(
             f"leave-one-out needs every class in >= 2 trials; short: {thin}"
         )
-    segmentation = segmentation or SegmentationConfig()
     folds, clean_blocks = _train_folds(dataset, feature_sets, range(len(dataset.trials)),
-                                       segmentation, ridge)
+                                       segmentation)
     test_lists = [{key: descriptors for _, descriptors, key in per_fold}
                   for per_fold in zip(*folds)]
 
@@ -470,9 +469,8 @@ def _evaluate(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
 
 
 def leave_one_out(dataset: Dataset, features: list[FeatureDescriptor],
-                  segmentation: SegmentationConfig | None = None, *,
+                  segmentation: SegmentationConfig, *,
                   vote_window: int = DEFAULT_VOTE_WINDOW,
-                  ridge: float = DEFAULT_RIDGE,
                   noise_snr_db: float | None = None,
                   noise_seed: int = 0) -> ClassificationReport:
     """Leave-one-trial-out validation with majority-vote post-processing.
@@ -483,7 +481,7 @@ def leave_one_out(dataset: Dataset, features: list[FeatureDescriptor],
     reproducible and all feature sets evaluated at a level share the noise.
     """
     return _evaluate(dataset, [features], [noise_snr_db], [noise_seed], segmentation,
-                     vote_window, ridge)[0][0]
+                     vote_window)[0][0]
 
 
 @dataclass
@@ -517,9 +515,8 @@ class CrTable:
 
 def evaluate_feature_sets(dataset: Dataset,
                           feature_sets: dict[str, list[FeatureDescriptor]],
-                          noise_levels, segmentation: SegmentationConfig | None = None,
-                          *, vote_window: int = DEFAULT_VOTE_WINDOW,
-                          ridge: float = DEFAULT_RIDGE, seed: int = 0) -> CrTable:
+                          noise_levels, segmentation: SegmentationConfig,
+                          *, vote_window: int = DEFAULT_VOTE_WINDOW, seed: int = 0) -> CrTable:
     """Score every feature set at every noise level (None or an SNR in dB).
 
     Models always train on clean data; the noise stream at a level is shared
@@ -532,7 +529,7 @@ def evaluate_feature_sets(dataset: Dataset,
     set_names = list(feature_sets)
     by_level = _evaluate(dataset, [feature_sets[name] for name in set_names], levels,
                          [derive_seed(seed, l_idx) for l_idx in range(len(levels))],
-                         segmentation, vote_window, ridge)
+                         segmentation, vote_window)
     cr = np.array([[report.cr for report in row] for row in by_level]).T
     reports = {(name, label): row[s_idx]
                for s_idx, name in enumerate(set_names) for label, row in zip(labels, by_level)}

@@ -171,20 +171,22 @@ def _moment(moment, by_power: bool):
 # kernels reduce windows of the shared intermediates; the spectral moments
 # and AR read the window rows.
 _KERNELS = dict(
-    iemg=lambda shared: tf._iemg(shared.windows(shared.abs)),
-    mav=lambda shared: tf._mav(shared.windows(shared.abs)),
+    iemg=lambda shared: np.sum(shared.windows(shared.abs), axis=-1),
+    mav=lambda shared: np.mean(shared.windows(shared.abs), axis=-1),
     mmav1=lambda shared: tf._mmav1(shared.windows(shared.abs)),
     mmav2=lambda shared: tf._mmav2(shared.windows(shared.abs)),
     mavslp=lambda shared, segments: tf._mavslp(shared.windows(shared.abs), segments),
-    ssi=lambda shared: tf._ssi(shared.windows(shared.squares)),
-    var=lambda shared: tf._var(shared.windows(shared.squares)),
-    rms=lambda shared: tf._rms(shared.windows(shared.squares)),
-    wl=lambda shared: tf._wl(shared.windows(shared.abs_diff)),
+    ssi=lambda shared: np.sum(shared.windows(shared.squares), axis=-1),
+    var=lambda shared: np.sum(shared.windows(shared.squares), axis=-1) / (shared.width - 1),
+    rms=lambda shared: np.sqrt(np.mean(shared.windows(shared.squares), axis=-1)),
+    wl=lambda shared: np.sum(shared.windows(shared.abs_diff), axis=-1),
+    # event counters: zc gates sign changes by |d_n| >= threshold, wamp counts
+    # those jumps alone, ssc counts turns whose curvature product clears it
     zc=lambda shared, threshold: shared.counts(
-        tf._crossings(shared.source) & tf._jumps(shared.abs_diff, threshold)),
+        tf._crossings(shared.source) & (shared.abs_diff >= threshold)),
     ssc=lambda shared, threshold: shared.counts(
-        tf._turns(tf._slope_products(shared.diff), threshold)),
-    wamp=lambda shared, threshold: shared.counts(tf._jumps(shared.abs_diff, threshold)),
+        tf._slope_products(shared.diff) <= -threshold),
+    wamp=lambda shared, threshold: shared.counts(shared.abs_diff >= threshold),
     hemg=lambda shared, bins, limit: shared.bin_counts(
         tf._hemg_bins(shared.source, bins, limit), int(bins)),
     ar=lambda shared, order: ff.levinson_durbin(shared.rows, order),
@@ -203,8 +205,8 @@ _READS = (dict.fromkeys(("iemg", "mav", "mmav1", "mmav2", "mavslp"), ("abs",))
 
 _COUNTS = {"segments", "bins", "order"}
 _INT_PARAMS = _COUNTS | {"dc"}
-# parameter -> (its valid values, as a test and as words); the kernels check
-# the same bounds, but only once the data has loaded
+# parameter -> (its valid values, as a test and as words). FeatureDescriptor
+# checks them when it is built, so every kernel takes its parameters as valid.
 _DOMAINS = {
     "segments": (lambda v: v >= 2, "at least 2"),
     "bins": (lambda v: v >= 1, "at least 1"),
@@ -230,12 +232,38 @@ class FeatureDescriptor:
     """One named feature with pinned parameters.
 
     ``scalar_component`` picks the 1-based component used when a single value
-    is needed (percentage error).
+    is needed (percentage error). Every parameter is checked when the
+    descriptor is built, however it is built: ``segments``, ``bins`` and
+    ``order`` must be whole numbers, at least 2, 1 and 1; ``dc`` 0 or 1;
+    ``threshold`` non-negative; ``limit`` positive and finite, or None until
+    it is resolved from the data. Any other value is a ValueError naming
+    ``name:key=value``; so is a parameter the family lacks, or one it needs
+    that is missing.
     """
 
     name: str
     params: tuple[tuple[str, float], ...] = ()
     scalar_component: int = 1
+
+    def __post_init__(self):
+        if self.name not in _FAMILIES:
+            raise ValueError(
+                f"unknown feature {self.name!r}; valid names: {', '.join(FEATURE_NAMES)}"
+            )
+        for key, value in self.params:
+            if key not in _FAMILIES[self.name]:
+                raise ValueError(f"feature {self.name!r} has no parameter {key!r}")
+            if value is None and key == "limit":  # hemg's range, resolved later
+                continue
+            where = f"{self.name}:{key}={value:g}: {key} must be"
+            if key in _COUNTS and not float(value).is_integer():  # also rejects inf and nan
+                raise ValueError(f"{where} a whole number")
+            valid, must_be = _DOMAINS[key]
+            if not valid(value):
+                raise ValueError(f"{where} {must_be}")
+        needs = sorted(_FAMILIES[self.name])
+        if len(dict(self.params)) != len(needs):  # no key is unknown, so one is missing
+            raise ValueError(f"feature {self.name!r} needs parameters {needs}")
 
     @property
     def param_dict(self) -> dict:
@@ -336,10 +364,12 @@ def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
     for i, desc in enumerate(descriptors):
         if desc.needs_resolution():
             raise ValueError("hemg descriptor used before its range was resolved")
-        if desc.name in tf._MIN_SAMPLES:  # checked first, as the feature function does
-            tf._check_length(shared.width, tf._MIN_SAMPLES[desc.name])
-        value = _KERNELS[desc.name](shared, **desc.param_dict)
-        columns.append(np.asarray(value, dtype=float).reshape(shared.total, -1))
+        min_len = tf._MIN_SAMPLES.get(desc.name, 0)  # the spectral kernels check their own
+        if shared.width < min_len:
+            raise ValueError(
+                f"need a 1-D window or (windows, samples) matrix of at least {min_len} samples")
+        value = np.asarray(_KERNELS[desc.name](shared, **desc.param_dict), dtype=float)
+        columns.append(value.reshape(shared.total, desc.component_count()))
         for name in _READS.get(desc.name, ()):
             if last_reader[name] == i:
                 vars(shared).pop(name, None)
@@ -349,28 +379,16 @@ def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
 def make_descriptor(name: str, params: dict | None = None) -> FeatureDescriptor:
     """Build a descriptor from a family name and parameter overrides.
 
-    ``segments``, ``bins`` and ``order`` must be whole numbers, at least 2, 1
-    and 1; ``dc`` 0 or 1; ``threshold`` non-negative; ``limit`` positive and
-    finite. Any other value is a ValueError naming ``name:key=value``.
+    Each override is taken as a float, and a whole-numbered count or ``dc``
+    as an int; `FeatureDescriptor` checks every value.
     """
-    if name not in _FAMILIES:
-        raise ValueError(
-            f"unknown feature {name!r}; valid names: {', '.join(FEATURE_NAMES)}"
-        )
-    merged = dict(_FAMILIES[name])
+    merged = dict(_FAMILIES.get(name, {}))
     for key, value in (params or {}).items():
-        if key not in merged:
-            raise ValueError(f"feature {name!r} has no parameter {key!r}")
         value = float(value)
-        if key in _COUNTS and not value.is_integer():  # also rejects inf and nan
-            raise ValueError(f"{name}:{key}={value:g}: {key} must be a whole number")
-        valid, must_be = _DOMAINS[key]
-        if not valid(value):
-            raise ValueError(f"{name}:{key}={value:g}: {key} must be {must_be}")
-        merged[key] = int(value) if key in _INT_PARAMS else value
+        merged[key] = int(value) if key in _INT_PARAMS and value.is_integer() else value
     return FeatureDescriptor(
         name=name,
-        params=tuple(sorted(merged.items(), key=lambda kv: kv[0])),
+        params=tuple(sorted(merged.items())),
         scalar_component=_DEFAULT_SCALAR_COMPONENT.get(name, 1),
     )
 
@@ -424,6 +442,8 @@ def resolve_hemg_peak(descriptors, peak: float) -> list[FeatureDescriptor]:
         return list(descriptors)
     if peak <= 0:
         raise ValueError("cannot resolve hemg range: clean data is all zero")
+    if peak == math.inf:  # the histogram would reject the sample; do so first
+        raise ValueError("hemg needs finite samples")
     return [d.resolved(peak) for d in descriptors]
 
 

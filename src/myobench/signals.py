@@ -45,8 +45,8 @@ class SegmentationConfig:
     slide_ms: float = 64.0
 
     def __post_init__(self):
-        if not self.window_ms > 0:
-            raise ValueError("window length must be positive")
+        if not 0 < self.window_ms < np.inf:  # NaN fails too
+            raise ValueError("window length must be positive and finite")
         if not 0 < self.slide_ms <= self.window_ms:
             raise ValueError("slide must satisfy 0 < slide <= window length")
 

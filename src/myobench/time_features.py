@@ -4,7 +4,8 @@ Thirteen amplitude- and event-based features computed over a window of
 samples x_1..x_N. Every function reduces over the last axis: one 1-D window
 gives a scalar, except ``mavslp`` (k-1 slope values) and ``hemg`` (one count
 per histogram bin); a (windows, samples) matrix gives one such result per
-row.
+row. Each function is one ``registry.extract`` call, so it gives exactly the
+column that the CLI, the robustness grid and the recognition pipeline get.
 
 Threshold units are the same as the sample units (mV as stored); the usual
 working range for the event counters is 10-50 mV depending on amplifier gain.
@@ -25,32 +26,33 @@ _MIN_SAMPLES = dict(iemg=1, mav=1, mmav1=4, mmav2=4, mavslp=1, ssi=1, var=2, rms
                     zc=2, ssc=3, wamp=2, hemg=1)
 
 
-def _window(x, feature: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    _check_length(x.shape[-1] if x.ndim in (1, 2) else -1, _MIN_SAMPLES[feature])
-    return x
+def _feature(name: str, window, **params):
+    """``registry.extract`` of one descriptor, in the shape and type of a feature.
 
-
-def _check_length(samples: int, min_len: int):
-    if samples < min_len:
-        raise ValueError(
-            f"need a 1-D window or (windows, samples) matrix of at least {min_len} samples"
-        )
-
-
-def _per_window(values, cast=float):
-    """A single window's 0-d result as a Python scalar; per-row results as is."""
-    return cast(values) if np.ndim(values) == 0 else values
+    A 1-D window gives a Python float (an int for zc, ssc and wamp), or a
+    vector for ``mavslp`` and ``hemg``; a matrix gives one such result per
+    row. HEMG counts are ints.
+    """
+    # Imported here: the registry imports this module for its kernels.
+    from .registry import extract, make_descriptor
+    values = extract([make_descriptor(name, params)], window, 1.0)
+    if name in ("zc", "ssc", "wamp", "hemg"):
+        values = values.astype(int)
+    if name not in ("mavslp", "hemg"):
+        values = values[:, 0]
+    if np.ndim(window) != 1:
+        return values
+    return values[0] if values.ndim == 2 else values[0].item()
 
 
 def iemg(window) -> float:
     """Integrated EMG: sum of absolute sample values."""
-    return _per_window(_iemg(np.abs(_window(window, "iemg"))))
+    return _feature("iemg", window)
 
 
 def mav(window) -> float:
     """Mean absolute value: iemg / N."""
-    return _per_window(_mav(np.abs(_window(window, "mav"))))
+    return _feature("mav", window)
 
 
 def mmav1(window) -> float:
@@ -59,7 +61,7 @@ def mmav1(window) -> float:
     Samples in the central half of the window (0.25N <= n <= 0.75N, 1-based)
     get weight 1, the rest weight 0.5.
     """
-    return _per_window(_mmav1(np.abs(_window(window, "mmav1"))))
+    return _feature("mmav1", window)
 
 
 def mmav2(window) -> float:
@@ -69,7 +71,7 @@ def mmav2(window) -> float:
     trailing quarter ramps down as 4(N-n)/N, so weights stay non-negative and
     taper smoothly to the window edges.
     """
-    return _per_window(_mmav2(np.abs(_window(window, "mmav2"))))
+    return _feature("mmav2", window)
 
 
 def mavslp(window, segments: int = DEFAULT_MAVSLP_SEGMENTS) -> np.ndarray:
@@ -78,31 +80,27 @@ def mavslp(window, segments: int = DEFAULT_MAVSLP_SEGMENTS) -> np.ndarray:
     The window is split into ``segments`` equal parts (its length must divide
     evenly); returns the segments-1 values MAV_{i+1} - MAV_i.
     """
-    return _mavslp(np.abs(_window(window, "mavslp")), segments)
+    return _feature("mavslp", window, segments=segments)
 
 
 def ssi(window) -> float:
     """Simple square integral: total energy sum(x_n^2)."""
-    x = _window(window, "ssi")
-    return _per_window(_ssi(x * x))
+    return _feature("ssi", window)
 
 
 def var(window) -> float:
     """Signal power as sum(x_n^2) / (N-1); no mean subtraction (EMG is ~zero-mean)."""
-    x = _window(window, "var")
-    return _per_window(_var(x * x))
+    return _feature("var", window)
 
 
 def rms(window) -> float:
     """Root mean square amplitude."""
-    x = _window(window, "rms")
-    return _per_window(_rms(x * x))
+    return _feature("rms", window)
 
 
 def wl(window) -> float:
     """Waveform length: cumulative absolute sample-to-sample change."""
-    x = _window(window, "wl")
-    return _per_window(_wl(np.abs(_diff(x))))
+    return _feature("wl", window)
 
 
 def zc(window, threshold: float = DEFAULT_ZC_THRESHOLD) -> int:
@@ -111,9 +109,7 @@ def zc(window, threshold: float = DEFAULT_ZC_THRESHOLD) -> int:
     Counts n where x_n * x_{n+1} < 0 and |x_n - x_{n+1}| >= threshold; the
     amplitude gate suppresses crossings caused by background noise.
     """
-    x = _window(window, "zc")
-    events = _crossings(x) & _jumps(np.abs(_diff(x)), threshold)
-    return _per_window(np.count_nonzero(events, axis=-1), int)
+    return _feature("zc", window, threshold=threshold)
 
 
 def ssc(window, threshold: float = DEFAULT_SSC_THRESHOLD) -> int:
@@ -122,15 +118,12 @@ def ssc(window, threshold: float = DEFAULT_SSC_THRESHOLD) -> int:
     Counts interior n where (x_n - x_{n-1}) * (x_n - x_{n+1}) >= threshold,
     i.e. local turns whose curvature product clears the gate.
     """
-    x = _window(window, "ssc")
-    events = _turns(_slope_products(_diff(x)), threshold)
-    return _per_window(np.count_nonzero(events, axis=-1), int)
+    return _feature("ssc", window, threshold=threshold)
 
 
 def wamp(window, threshold: float = DEFAULT_WAMP_THRESHOLD) -> int:
     """Willison amplitude: adjacent-sample differences at or above the threshold."""
-    x = _window(window, "wamp")
-    return _per_window(np.count_nonzero(_jumps(np.abs(_diff(x)), threshold), axis=-1), int)
+    return _feature("wamp", window, threshold=threshold)
 
 
 def hemg(window, bins: int = DEFAULT_HEMG_BINS, limit: float = 1.0) -> np.ndarray:
@@ -141,33 +134,21 @@ def hemg(window, bins: int = DEFAULT_HEMG_BINS, limit: float = 1.0) -> np.ndarra
     nearest edge bin, so the counts always sum to N. A non-finite sample has
     no bin and is rejected.
     """
-    return _bin_counts(_hemg_bins(_window(window, "hemg"), bins, limit), int(bins))
+    return _feature("hemg", window, bins=bins, limit=limit)
 
 
-# The kernels below take elementwise intermediates precomputed: |x|, x^2, the
-# differences d_n = x_{n+1} - x_n and their magnitudes, each event mask and
-# the HEMG bin index. The public features above compute them per window;
-# `registry.extract_segments` computes each once over a whole signal and
-# hands every kernel its windows of them, so overlapping windows share one
-# pass. A float kernel reduces each window's values in the order a copy of
-# that window would; an event mask is counted per window by the caller.
+# The kernels below take elementwise intermediates precomputed: |x|, the
+# differences d_n = x_{n+1} - x_n, the products of neighbouring differences
+# and the HEMG bin index. `registry` computes each once over its source (a
+# window matrix, or a whole signal whose overlapping windows share one pass)
+# and hands every kernel its windows of them. A float kernel reduces each
+# window's values in the order a copy of that window would; an event mask is
+# counted per window by the caller. Parameters arrive checked: a
+# `registry.FeatureDescriptor` cannot hold a value outside its domain.
 
 def _diff(x):
     """d_n = x_{n+1} - x_n along the last axis."""
     return x[..., 1:] - x[..., :-1]
-
-
-def _check_threshold(threshold: float):
-    if not threshold >= 0:  # NaN fails this too
-        raise ValueError("threshold must be non-negative")
-
-
-def _iemg(abs_x):
-    return np.sum(abs_x, axis=-1)
-
-
-def _mav(abs_x):
-    return np.mean(abs_x, axis=-1)
 
 
 def _mmav1(abs_x):
@@ -190,41 +171,17 @@ def _mmav2(abs_x):
 
 def _mavslp(abs_x, segments: int):
     k = int(segments)
-    if k < 2:
-        raise ValueError("mavslp needs at least 2 segments")
     if abs_x.shape[-1] % k != 0:
         raise ValueError(
             f"window of {abs_x.shape[-1]} samples does not divide into {k} equal segments"
         )
-    mavs = abs_x.reshape(abs_x.shape[:-1] + (k, -1)).mean(axis=-1)
+    mavs = abs_x.reshape(abs_x.shape[:-1] + (k, abs_x.shape[-1] // k)).mean(axis=-1)
     return np.diff(mavs, axis=-1)
-
-
-def _ssi(squares):
-    return np.sum(squares, axis=-1)
-
-
-def _var(squares):
-    return np.sum(squares, axis=-1) / (squares.shape[-1] - 1)
-
-
-def _rms(squares):
-    return np.sqrt(np.mean(squares, axis=-1))
-
-
-def _wl(abs_diff):
-    return np.sum(abs_diff, axis=-1)
 
 
 def _crossings(x):
     """Sign changes between neighbours, x_n * x_{n+1} < 0 (zc's ungated events)."""
     return x[..., :-1] * x[..., 1:] < 0
-
-
-def _jumps(abs_diff, threshold: float):
-    """|d_n| >= threshold: wamp's events, and zc's amplitude gate."""
-    _check_threshold(threshold)
-    return abs_diff >= threshold
 
 
 def _slope_products(diff):
@@ -233,19 +190,9 @@ def _slope_products(diff):
     return diff[..., :-1] * diff[..., 1:]
 
 
-def _turns(slope_products, threshold: float):
-    """ssc's events: interior turns whose curvature product clears the threshold."""
-    _check_threshold(threshold)
-    return slope_products <= -threshold
-
-
 def _hemg_bins(x, bins: int, limit: float):
     """Each sample's histogram bin in [0, bins) over [-limit, +limit]."""
     b = int(bins)
-    if b < 1:
-        raise ValueError("hemg needs at least 1 bin")
-    if not limit > 0:
-        raise ValueError("hemg range limit must be positive")
     if not np.isfinite(x).all():
         raise ValueError("hemg needs finite samples")
     # Clamp in float first: a far-out sample's bin index would overflow int64.

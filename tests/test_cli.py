@@ -65,6 +65,24 @@ def test_negative_seed_is_usage_error(runner, tmp_path, command):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command, option", [
+    ("extract", "--window-ms"), ("robustness", "--window-ms"), ("classify", "--window-ms"),
+    ("synth", "--duration-ms"), ("synth", "--rate"),
+])
+def test_non_finite_length_or_rate_is_usage_error(runner, dataset_dir, tmp_path, command,
+                                                  option, value):
+    if command == "synth":
+        args = synth_args(tmp_path / "d")
+    else:
+        args = [command, "--data", str(dataset_dir / "manifest.json"),
+                "--out", str(tmp_path / "o")]
+    result = runner.invoke(main, args + [option, value])
+    assert result.exit_code == 2, result.output
+    assert "must be positive and finite" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 class TestSynth:
     def test_writes_manifest_and_trials(self, runner, tmp_path):
         out = tmp_path / "d"
@@ -93,6 +111,19 @@ class TestSynth:
         result = runner.invoke(main, synth_args(tmp_path / "d", classes=2)
                                + ["--band", "20-100"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("options, message", [
+        (["--amplitude", "0", "--amplitude", "1"], "amplitude must be positive"),
+        (["--amplitude", "-5", "--amplitude", "nan"], "amplitude must be positive"),
+        (["--band", "10-5", "--band", "20-100"], "degenerate band"),
+        (["--band", "5-600", "--band", "20-100"], "outside 10-500 Hz"),
+        (["--classes", "0"], "need at least one class"),
+    ])
+    def test_bad_class_option_is_usage_error(self, runner, tmp_path, options, message):
+        result = runner.invoke(main, synth_args(tmp_path / "d", classes=2) + options)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not list(tmp_path.iterdir())
 
 
 def reference_extract_csv(dataset, windows, path):
@@ -236,6 +267,21 @@ class TestExtract:
             "--features", "hemg", "--out", str(out)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip() == "Error: hemg needs finite samples"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_sample_fails_hemg(self, runner, dataset_dir, tmp_path, value):
+        # The peak that sets the histogram range is then infinite too.
+        trial_csv = sorted(dataset_dir.glob("*.csv"))[1]
+        lines = trial_csv.read_text().splitlines()
+        lines[10] = value + "," + lines[10].split(",", 1)[1]
+        trial_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "extract", "--data", str(dataset_dir / "manifest.json"),
+            "--features", "rms,hemg", "--out", str(out)])
+        assert result.exit_code == 1
         assert result.output.strip() == "Error: hemg needs finite samples"
         assert not out.exists()
 

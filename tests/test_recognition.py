@@ -115,7 +115,7 @@ def top_class(model, x):
 
 def fold_model(dataset, features, held_out):
     """The model and resolved descriptors of the fold that holds out trial index ``held_out``."""
-    folds, _ = _train_folds(dataset, [features], [held_out], SEG, DEFAULT_RIDGE)
+    folds, _ = _train_folds(dataset, [features], [held_out], SEG)
     model, resolved, _ = folds[0][0]
     return model, resolved
 
@@ -503,7 +503,7 @@ class TestCachedFolds:
         dataset = self.peak_dataset()
         features = parse_features("mmnf,hemg,wamp")
         folds, _ = _train_folds(dataset, [features, parse_features("rms,hemg:bins=5")],
-                                range(len(dataset.trials)), SEG, DEFAULT_RIDGE)
+                                range(len(dataset.trials)), SEG)
         limits = set()
         for i, (trial, (model, resolved, _)) in enumerate(zip(dataset.trials, folds[0])):
             fresh_model, fresh_resolved = fold_model(dataset, features, i)
@@ -541,8 +541,7 @@ class TestCachedFolds:
         trials = [base.trials[0]] + [scaled_trial(t, 0.0) for t in base.trials[1:]]
         dataset = Dataset(classes=base.classes, rate=base.rate, trials=trials)
         with pytest.raises(ValueError, match="all zero"):
-            _train_folds(dataset, [parse_features("hemg")], range(len(trials)), SEG,
-                         DEFAULT_RIDGE)
+            _train_folds(dataset, [parse_features("hemg")], range(len(trials)), SEG)
 
     def test_feature_set_cells_equal_leave_one_out(self):
         dataset = self.peak_dataset()

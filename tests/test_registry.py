@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myobench.freq_features import ar_coefficients
-from myobench.registry import (FEATURE_NAMES, FEATURE_SETS, default_panel, extract,
-                               extract_segments, feature_set, make_descriptor,
+from myobench.registry import (FEATURE_NAMES, FEATURE_SETS, FeatureDescriptor, default_panel,
+                               extract, extract_segments, feature_set, make_descriptor,
                                parse_feature, parse_features, peak_amplitude,
                                resolve_hemg_peak)
 from myobench.robustness import _scalar_picks
@@ -75,6 +75,21 @@ class TestParsing:
         assert make_descriptor("hemg", {"bins": 5.0}).param_dict["bins"] == 5
         with pytest.raises(ValueError, match="whole number"):
             make_descriptor("ar", {"order": 1.5})  # the sweep path
+
+    def test_a_descriptor_checks_its_parameters_however_it_is_built(self):
+        with pytest.raises(ValueError, match="^ar:order=0: order must be at least 1$"):
+            FeatureDescriptor("ar", (("order", 0),))
+        with pytest.raises(ValueError, match="^ar:order=1.5: order must be a whole number$"):
+            FeatureDescriptor("ar", (("order", 1.5),))
+        with pytest.raises(ValueError, match="feature 'rms' has no parameter 'bins'"):
+            FeatureDescriptor("rms", (("bins", 3),))
+        with pytest.raises(ValueError, match=re.escape("needs parameters ['bins', 'limit']")):
+            FeatureDescriptor("hemg", (("bins", 3),))
+        with pytest.raises(ValueError, match="valid names"):
+            FeatureDescriptor("sparkle")
+        with pytest.raises(ValueError, match="^hemg:limit=inf: limit must be positive"):
+            parse_feature("hemg").resolved(float("inf"))
+        assert FeatureDescriptor("hemg", (("bins", 3), ("limit", None))).needs_resolution()
 
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(ValueError, match="valid names.*rms"):
@@ -193,16 +208,20 @@ class TestJointExtraction:
         for token, samples in [("wl", 1), ("zc", 1), ("wamp", 1), ("ssc", 2)]:
             with pytest.raises(ValueError, match="at least"):
                 extract(parse_features(f"rms,{token}"), np.ones((2, samples)), 1000.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            extract([parse_feature("wl"), unchecked("ssc", threshold=-1.0)], np.ones((2, 8)),
-                    1000.0)
+        assert_rejected_when_built("ssc", "threshold", -1.0)
 
 
-def unchecked(name, **params):
-    """A descriptor built without `make_descriptor`'s parameter checks, so
-    that the kernel's own check is the one that rejects it."""
+def assert_rejected_when_built(name, key, value):
+    """A bad parameter set by `replace`, around `make_descriptor`, fails when
+    the descriptor is built, with the message `parse_feature` gives for it."""
+    token = f"{name}:{key}={value:g}"
+    with pytest.raises(ValueError) as parsed:
+        parse_feature(token)
     desc = make_descriptor(name)
-    return replace(desc, params=tuple(sorted({**desc.param_dict, **params}.items())))
+    with pytest.raises(ValueError) as replaced:
+        replace(desc, params=tuple(sorted({**desc.param_dict, key: value}.items())))
+    assert str(replaced.value) == str(parsed.value)
+    assert str(replaced.value).startswith(token + ": ")
 
 
 def outcome(compute):
@@ -290,14 +309,14 @@ class TestExtractSegments:
         with_nan[20] = np.nan
         cases = [(parse_features("rms,wl"), x[:11], "signal too short"),
                  (parse_features("rms,hemg:limit=1"), with_nan, "hemg needs finite samples"),
-                 (parse_features("mav,mavslp:segments=5"), x, "does not divide"),
-                 ([parse_feature("wl"), unchecked("ssc", threshold=-1.0)], x, "non-negative"),
-                 ([unchecked("hemg", bins=0, limit=1.0)], x, "at least 1 bin")]
+                 (parse_features("mav,mavslp:segments=5"), x, "does not divide")]
         for descriptors, samples, message in cases:
             signal = Signal(samples, 1000.0)
             got = outcome(lambda: extract_segments(descriptors, signal, cfg))
             assert message in got
             assert got == windows_outcome(descriptors, signal, cfg)
+        assert_rejected_when_built("ssc", "threshold", -1.0)
+        assert_rejected_when_built("hemg", "bins", 0)
         for token, width, message in [("mmav1", 3.0, "at least 4"), ("ssc", 2.0, "at least 3")]:
             short, signal = SegmentationConfig(window_ms=width, slide_ms=1.0), Signal(x, 1000.0)
             got = outcome(lambda: extract_segments(parse_features(token), signal, short))
@@ -375,6 +394,11 @@ class TestResolveLimit:
     def test_all_zero_data_rejected(self):
         with pytest.raises(ValueError, match="all zero"):
             resolve_hemg_peak(parse_features("hemg"), peak_amplitude([np.zeros(5)])[0])
+
+    def test_infinite_peak_rejected(self):
+        with pytest.raises(ValueError, match="^hemg needs finite samples$"):
+            resolve_hemg_peak(parse_features("hemg"),
+                              peak_amplitude([np.array([1.0, -np.inf])])[0])
 
     def test_no_hemg_is_a_passthrough(self):
         descs = parse_features("rms,mmnf")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myobench.time_features import (hemg, iemg, mav, mavslp, mmav1, mmav2,
+from myobench.registry import extract, make_descriptor
+from myobench.time_features import (_MIN_SAMPLES, hemg, iemg, mav, mavslp, mmav1, mmav2,
                                     rms, ssc, ssi, var, wamp, wl, zc)
 
 # ---------------------------------------------------------------- oracles
@@ -254,6 +255,51 @@ class TestProperties:
         np.testing.assert_array_equal(hemg(x, bins=3, limit=1.0), [0, 12, 0])
 
 
+# ---------------------------------------------------------------- the registry path
+
+_THRESHOLDS = st.sampled_from([0.0, 0.5, 1.0, 10.0])
+PUBLIC = [(iemg, {}), (mav, {}), (mmav1, {}), (mmav2, {}), (ssi, {}), (var, {}), (rms, {}),
+          (wl, {}), (zc, {"threshold": _THRESHOLDS}), (ssc, {"threshold": _THRESHOLDS}),
+          (wamp, {"threshold": _THRESHOLDS}), (mavslp, {"segments": st.integers(2, 4)}),
+          (hemg, {"bins": st.integers(1, 5), "limit": st.sampled_from([0.5, 1.0, 3.0])})]
+COUNTERS = (zc, ssc, wamp)
+
+
+class TestRegistryPath:
+    """Each function gives exactly `extract`'s column of its descriptor, in
+    the shape and type the function documents."""
+
+    def test_covers_every_function(self):
+        assert {function.__name__ for function, _ in PUBLIC} == set(_MIN_SAMPLES)
+
+    @given(case=st.sampled_from(PUBLIC).flatmap(
+               lambda case: st.tuples(st.just(case[0]), st.fixed_dictionaries(case[1]))),
+           rows=st.integers(0, 3), width=st.sampled_from([12, 24, 36]),
+           quantum=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_extract_column(self, case, rows, width, quantum, seed):
+        function, params = case
+        x = np.random.default_rng(seed).standard_normal((rows, width))
+        if quantum:  # ties, zeros and zero differences
+            x = np.round(x / quantum) * quantum
+        column = extract([make_descriptor(function.__name__, params)], x, 1.0)
+        vector = function in (mavslp, hemg)
+        dtype = int if function in COUNTERS or function is hemg else float
+
+        matrix = function(x, **params)
+        assert isinstance(matrix, np.ndarray) and matrix.dtype == dtype
+        assert matrix.shape == ((rows, column.shape[1]) if vector else (rows,))
+        assert np.array_equal(matrix.reshape(column.shape), column)
+        for row, expected in zip(x, column):
+            one = function(row, **params)
+            if vector:
+                assert isinstance(one, np.ndarray) and one.dtype == dtype
+                assert np.array_equal(one, expected)
+            else:
+                assert type(one) is dtype
+                assert one == expected[0]
+
+
 # ---------------------------------------------------------------- errors
 
 class TestErrors:
@@ -275,6 +321,15 @@ class TestErrors:
             hemg([1.0], bins=0, limit=1.0)
         with pytest.raises(ValueError):
             hemg([1.0], bins=3, limit=0.0)
+
+    def test_counts_must_be_whole(self):
+        # The descriptor checks a count before anything converts it to an int.
+        with pytest.raises(ValueError, match="^hemg:bins=3.7: bins must be a whole number$"):
+            hemg([1.0, 2.0], bins=3.7)
+        with pytest.raises(ValueError,
+                           match="^mavslp:segments=2.5: segments must be a whole number$"):
+            mavslp(np.ones(10), segments=2.5)
+        np.testing.assert_array_equal(hemg([0.5, -0.5], bins=2.0), [1, 1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_hemg_rejects_non_finite_samples(self, bad):
