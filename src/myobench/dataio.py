@@ -16,14 +16,20 @@ controllable enough to separate classes.
 
 Every file the package writes goes through `write_output`: a dataset's
 manifest and trial CSVs, and each command's outputs with their
-``<file>.config.json`` sidecars.
+``<file>.config.json`` sidecars. The one exception is the binary parse
+cache: loading a trial CSV stores its parsed samples as
+``<trial dir>/.myobench-cache/<csv name>.<sha256 of the CSV>.npy``, and a
+later load of the same bytes reads that entry instead of parsing the text.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -174,12 +180,21 @@ def _number(value) -> float:
         return math.nan
 
 
+_CACHE_DIR = ".myobench-cache"
+
+
 def _read_trial_csv(path: Path):
+    """A trial file's channel names and samples; the samples come from the
+    parse cache when it holds an entry for the file's current bytes."""
     with path.open() as fh:
         header = fh.readline()
         if not header:
             raise DatasetError(f"trial file is empty: {path}")
         channels = header.rstrip("\r\n").split(",")
+        entry = path.parent / _CACHE_DIR / f"{path.name}.{_sha256(path)}.npy"
+        data = _cached(entry, len(channels))
+        if data is not None:
+            return channels, data
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -190,7 +205,60 @@ def _read_trial_csv(path: Path):
         raise DatasetError(f"trial file has no samples: {path}")
     if data is None or data.shape[1] != len(channels):
         raise _row_error(path, len(channels))
+    _store(entry, data)
     return channels, data
+
+
+def _sha256(path: Path) -> str:
+    """Hex SHA-256 of a file, read in fixed chunks so that memory stays flat."""
+    digest = hashlib.sha256()
+    buf = bytearray(1 << 20)
+    view = memoryview(buf)
+    with path.open("rb") as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
+    return digest.hexdigest()
+
+
+def _cached(entry: Path, n_columns: int):
+    """The samples stored in a cache entry, or None when it is missing or unusable.
+
+    Only the .npy format is read (never a pickle), and an entry must hold a
+    non-empty float64 table with one column per channel.
+    """
+    try:
+        with entry.open("rb") as fh:
+            data = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    if (data.dtype == np.float64 and data.ndim == 2 and data.shape[0] > 0
+            and data.shape[1] == n_columns):
+        return data
+    return None
+
+
+def _store(entry: Path, data: np.ndarray) -> None:
+    """Cache parsed samples under ``entry`` and drop the trial's older entries.
+
+    The entry is written to a per-process temporary file and renamed into
+    place, so a concurrent load never reads half of it. The cache only saves
+    time: when it cannot be written (a read-only dataset, a full disk) the
+    load goes on without it.
+    """
+    tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        with tmp.open("wb") as fh:  # np.save given a path would append ".npy"
+            np.save(fh, data, allow_pickle=False)
+        os.replace(tmp, entry)
+        key = len(".") + 64 + len(".npy")  # the digest part of an entry's name
+        for old in entry.parent.iterdir():
+            if (len(old.name) == len(entry.name) and old.name[:-key] == entry.name[:-key]
+                    and old.name.endswith(".npy") and old != entry):
+                old.unlink()
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def _row_error(path: Path, n_columns: int) -> DatasetError:
@@ -229,7 +297,7 @@ def save_dataset(dataset: Dataset, out_dir, config: dict | None = None) -> Path:
     for trial in dataset.trials:
         fname = f"{trial.trial_id}.csv"
         lines = [",".join(trial.channels)]
-        lines.extend(",".join(repr(float(v)) for v in row) for row in trial.data)
+        lines.extend(",".join(map(repr, row)) for row in trial.data.tolist())
         write_output(out_dir / fname, "\n".join(lines) + "\n")
         entries.append({
             "path": fname,
@@ -369,6 +437,14 @@ class SynthConfig:
             raise ValueError("channels and trials_per_class must be >= 1")
         if not (0 < self.trial_ms < math.inf and 0 < self.rate < math.inf):
             raise ValueError("trial_ms and rate must be positive and finite")
+        samples = self.trial_ms * self.rate / 1000.0
+        # the largest arrays `synthesize_emg` makes: a trial's (samples, channels)
+        # table, and the about 2 x samples of noise each channel is filtered from
+        if samples * max(self.channels, 2) * 8 > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"--duration-ms {self.trial_ms:g} at --rate {self.rate:g} gives "
+                f"{samples:.3g} samples per trial, too many for an array of "
+                f"{self.channels} channel(s)")
         for spec in self.classes:
             if spec.band[1] >= self.rate / 2.0:
                 raise ValueError(

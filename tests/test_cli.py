@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from functools import reduce
@@ -123,6 +124,16 @@ class TestSynth:
         result = runner.invoke(main, synth_args(tmp_path / "d", classes=2) + options)
         assert result.exit_code == 2, result.output
         assert message in result.output
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option", ["--duration-ms", "--rate"])
+    def test_trial_too_long_for_an_array_is_usage_error(self, runner, tmp_path, option):
+        # 1e300 fails before anything is allocated; never try a large but
+        # allocatable length here.
+        result = runner.invoke(main, synth_args(tmp_path / "d") + [option, "1e300"])
+        assert result.exit_code == 2, result.output
+        assert "--duration-ms" in result.output and "--rate" in result.output
+        assert "too many for an array" in result.output
         assert not list(tmp_path.iterdir())
 
 
@@ -625,6 +636,42 @@ CONFIG_KEYS = {
     "classify": ["command", "data", "sets", "noise", "vote_window", "window_ms", "slide_ms",
                  "seed"],
 }
+
+
+def test_outputs_do_not_depend_on_the_parse_cache(runner, dataset_dir, tmp_path, monkeypatch):
+    """extract, robustness and classify write the same bytes, sidecars included,
+    on a cold cache, on a warm one, and when cache entries cannot be written."""
+    manifest = str(dataset_dir / "manifest.json")
+    cache = dataset_dir / ".myobench-cache"
+    commands = [
+        ["extract", "--data", manifest, "--features", "rms,hemg,mnf", "--out", "{out}/f.csv"],
+        ["robustness", "--data", manifest, "--features", "rms,zc,mmnf", "--snr", "20,5",
+         "--reps", "2", "--max-windows", "2", "--out", "{out}/grid"],
+        ["classify", "--data", manifest, "--sets", "hudgins", "--noise", "clean,10",
+         "--out", "{out}/clf"],
+    ]
+
+    def run_all(out, before_each=lambda: None):
+        for args in commands:
+            before_each()
+            result = runner.invoke(main, [a.format(out=out) for a in args])
+            assert result.exit_code == 0, result.output
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    cold = run_all(tmp_path / "cold", lambda: shutil.rmtree(cache, ignore_errors=True))
+    assert len(cold) == 10
+    assert len(list(cache.iterdir())) == 4  # one entry per trial
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "loadtxt", None)  # a warm load parses no text
+        warm = run_all(tmp_path / "warm")
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+    shutil.rmtree(cache)
+    monkeypatch.setattr(os, "replace", refuse)
+    failing = run_all(tmp_path / "failing")
+    assert list(cache.iterdir()) == []
+    assert cold == warm == failing
 
 
 def sidecar(path) -> dict:

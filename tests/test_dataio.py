@@ -1,5 +1,9 @@
-"""Dataset round-trips, loader validation, decimation, and the synthesizer."""
+"""Dataset round-trips, loader validation, the parse cache, decimation, and the
+synthesizer."""
+import hashlib
+import io
 import json
+import os
 import re
 
 import numpy as np
@@ -56,6 +60,16 @@ class TestRoundTrip:
         loaded = load_dataset(save_dataset(dataset, tmp_path / "d"))
         for a, b in zip(loaded.trials, dataset.trials):
             assert a.data.tobytes() == b.data.tobytes()
+
+    def test_samples_render_as_repr(self, tmp_path):
+        data = np.array([[-0.0, 5e-324], [0.1, 1e-05], [1e16, -0.0]])
+        dataset = Dataset(classes=["rest"], rate=1000.0, trials=[
+            Trial(trial_id="x", label="rest", subject="", group="",
+                  channels=["a", "b"], data=data)])
+        save_dataset(dataset, tmp_path / "d")
+        text = (tmp_path / "d" / "x.csv").read_text()
+        assert text == "a,b\n-0.0,5e-324\n0.1,1e-05\n1e+16,-0.0\n"
+        assert text.splitlines()[1:] == [",".join(repr(float(v)) for v in row) for row in data]
 
 
 class TestLoaderErrors:
@@ -203,6 +217,100 @@ class TestLoaderErrors:
         path, _ = self.edit_trial_rows(tmp_path, edit)
         with pytest.raises(DatasetError, match="no samples"):
             load_dataset(path)
+
+
+def cache_entries(data_dir) -> list[str]:
+    cache = data_dir / ".myobench-cache"
+    return sorted(p.name for p in cache.iterdir()) if cache.exists() else []
+
+
+def entry_name(trial_file) -> str:
+    return f"{trial_file.name}.{hashlib.sha256(trial_file.read_bytes()).hexdigest()}.npy"
+
+
+def no_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt called on a warm cache")
+
+
+def npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    return buf.getvalue()
+
+
+class TestParseCache:
+    def saved(self, tmp_path):
+        """A saved tiny dataset: (manifest path, first trial file)."""
+        manifest = save_dataset(tiny_dataset(), tmp_path / "d")
+        return manifest, manifest.parent / "t0.csv"
+
+    def test_warm_load_equals_cold_and_skips_parsing(self, tmp_path, monkeypatch):
+        manifest, _ = self.saved(tmp_path)
+        cold = load_dataset(manifest)
+        assert cache_entries(manifest.parent) == sorted(
+            entry_name(manifest.parent / f"t{i}.csv") for i in range(4))
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        warm = load_dataset(manifest)
+        for a, b in zip(cold.trials, warm.trials):
+            assert a.data.dtype == b.data.dtype == np.float64
+            assert np.array_equal(a.data, b.data)
+
+    def test_csv_edited_in_place_is_parsed_again(self, tmp_path):
+        manifest, trial_file = self.saved(tmp_path)
+        load_dataset(manifest)
+        text = trial_file.read_text()
+        digit = next(i for i in range(text.index("\n"), len(text)) if text[i] in "123456789")
+        edited = text[:digit] + ("1" if text[digit] != "1" else "2") + text[digit + 1:]
+        trial_file.write_text(edited)
+        assert trial_file.stat().st_size == len(text.encode())
+        expected = np.loadtxt(trial_file, delimiter=",", skiprows=1, ndmin=2)
+        assert not np.array_equal(expected, tiny_dataset().trials[0].data)
+        np.testing.assert_array_equal(load_dataset(manifest).trials[0].data, expected)
+        entries = cache_entries(manifest.parent)
+        assert [e for e in entries if e.startswith("t0.csv.")] == [entry_name(trial_file)]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data, raw: raw[:-8],                      # truncated
+        lambda data, raw: b"",                           # empty
+        lambda data, raw: b"not an npy file",
+        lambda data, raw: npy_bytes(data[:, :1]),        # too few columns
+        lambda data, raw: npy_bytes(data[:0]),           # no rows
+        lambda data, raw: npy_bytes(data.ravel()),       # 1-D
+        lambda data, raw: npy_bytes(data.astype(np.float32)),
+        lambda data, raw: npy_bytes(data.astype(">f8")),
+    ], ids=["truncated", "empty", "not-npy", "columns", "rows", "1d", "float32", "big-endian"])
+    def test_unusable_entry_is_parsed_again_and_rewritten(self, tmp_path, corrupt):
+        manifest, trial_file = self.saved(tmp_path)
+        load_dataset(manifest)
+        entry = manifest.parent / ".myobench-cache" / entry_name(trial_file)
+        original = tiny_dataset().trials[0].data
+        entry.write_bytes(corrupt(original, entry.read_bytes()))
+        loaded = load_dataset(manifest).trials[0].data
+        assert loaded.tobytes() == original.tobytes()
+        assert entry.read_bytes() == npy_bytes(original)
+
+    def test_failed_cache_write_still_loads(self, tmp_path, monkeypatch):
+        manifest, _ = self.saved(tmp_path)
+
+        def refuse(src, dst):
+            raise OSError(30, "Read-only file system")
+        monkeypatch.setattr(os, "replace", refuse)
+        loaded = load_dataset(manifest)
+        for a, b in zip(loaded.trials, tiny_dataset().trials):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert cache_entries(manifest.parent) == []
+
+    def test_malformed_csv_keeps_its_error_and_writes_no_entry(self, tmp_path):
+        manifest, trial_file = self.saved(tmp_path)
+        load_dataset(manifest)
+        before = cache_entries(manifest.parent)
+        lines = trial_file.read_text().splitlines()
+        lines[6] = "1.0,2.0,3.0"
+        trial_file.write_text("\n".join(lines) + "\n")
+        where = re.escape(str(trial_file))
+        with pytest.raises(DatasetError, match=f"^{where}:7: expected 2 values, got 3$"):
+            load_dataset(manifest)
+        assert cache_entries(manifest.parent) == before
 
 
 class TestDecimate:
