@@ -101,6 +101,9 @@ def synth(n_classes, channels, trials, duration_ms, rate, seed, bands, amplitude
         manifest = save_dataset(dataset, out, config)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
+    except MemoryError:
+        raise click.ClickException(f"--duration-ms {duration_ms:g} at --rate {rate:g} "
+                                   "gives trials too large to allocate")
     click.echo(f"wrote {manifest} ({len(dataset.trials)} trials)")
 
 
@@ -164,7 +167,7 @@ def _parse_sweep(text: str):
             values = [start + i * step for i in range(count)]
         else:
             values = [float(v) for v in values_text.split(",")]
-    except ValueError:
+    except (ValueError, OverflowError):  # an infinite value count overflows int()
         raise click.BadParameter(
             f"sweep must look like 'wamp:threshold=10..50:10' or "
             f"'hemg:bins=3,5,7,9,11', got {text!r}"

@@ -20,6 +20,7 @@ manifest and trial CSVs, and each command's outputs with their
 cache: loading a trial CSV stores its parsed samples as
 ``<trial dir>/.myobench-cache/<csv name>.<sha256 of the CSV>.npy``, and a
 later load of the same bytes reads that entry instead of parsing the text.
+Storing an entry drops the entries of CSVs that are gone from the directory.
 """
 from __future__ import annotations
 
@@ -238,7 +239,8 @@ def _cached(entry: Path, n_columns: int):
 
 
 def _store(entry: Path, data: np.ndarray) -> None:
-    """Cache parsed samples under ``entry`` and drop the trial's older entries.
+    """Cache parsed samples under ``entry`` and drop stale entries: the
+    trial's older ones, and those of CSVs no longer in the trial directory.
 
     The entry is written to a per-process temporary file and renamed into
     place, so a concurrent load never reads half of it. The cache only saves
@@ -251,10 +253,11 @@ def _store(entry: Path, data: np.ndarray) -> None:
         with tmp.open("wb") as fh:  # np.save given a path would append ".npy"
             np.save(fh, data, allow_pickle=False)
         os.replace(tmp, entry)
-        key = len(".") + 64 + len(".npy")  # the digest part of an entry's name
+        csv_name = entry.name.removesuffix(".npy").rpartition(".")[0]
         for old in entry.parent.iterdir():
-            if (len(old.name) == len(entry.name) and old.name[:-key] == entry.name[:-key]
-                    and old.name.endswith(".npy") and old != entry):
+            source, _, digest = old.name.removesuffix(".npy").rpartition(".")
+            if (old.name.endswith(".npy") and len(digest) == 64 and old != entry
+                    and (source == csv_name or not (entry.parent.parent / source).is_file())):
                 old.unlink()
     except OSError:
         with contextlib.suppress(OSError):

@@ -14,26 +14,23 @@ trial can influence its fold's model.
 
 Folds and feature sets share work. Each trial's clean peak |amplitude| is
 taken once, and each fold resolves every set's descriptors from the peaks of
-its own training trials. Each trial is then extracted once, clean, over the
-union of the descriptors that any (set, fold) needs from it; a set's matrix
-is a channel-major column selection from that block, and a fold's training
-matrix stacks its training trials' selections in trial order, which is the
-matrix a fresh extraction of that set would build. Held-out data cannot leak
-through the shared blocks: a fold reads only its training trials' blocks,
-under descriptors resolved without the held-out trial, so a fold whose
-held-out trial holds the peak amplitude selects columns of its own histogram
-range. The clean level scores each held-out trial from its own clean block.
-At each noise level every held-out trial is made noisy once and extracted
-once, over the union of its fold's descriptors across the sets, and every
-set scores its own columns of that block.
-
-Extraction runs in stacked blocks. The trials that share a descriptor union
-at a level (at the clean level every trial; at a noisy level every trial
-whose fold resolves the same HEMG range) go through one
-`extract_window_set` call, which stacks their channels into blocks of at
-most ``_BLOCK_SAMPLES`` window samples and runs each feature kernel once
-per block; each trial's block is then a slice of that call's rows. A
-level's blocks are freed before the next level's are built.
+its own training trials. Each level is then one `extract_window_set` call
+over every trial, clean or noisy, over the union of the descriptors that any
+(set, fold) resolves (each once, in first-seen order). A (set, fold) keeps
+the channel-major columns of its own descriptors in that union: it trains on
+its training trials' rows of the clean matrix, and scores its held-out
+trial's rows of each level's matrix, which are the matrices a fresh
+extraction of that set would build. Held-out data cannot leak through the
+shared matrix: a fold trains only on its training trials' rows, under
+descriptors resolved without the held-out trial, so a fold whose held-out
+trial holds the peak amplitude selects the columns of its own histogram
+range. At each noise level every trial is made noisy once; it also gets the
+other folds' HEMG-range columns, which only those folds read. The clean
+matrix serves every fold and level, and the labels, window starts and trial
+row offsets come from it once; a noisy level's matrix is freed before the
+next level's is built. Each call stacks its trials' channels into blocks of
+at most ``_BLOCK_SAMPLES`` window samples and runs each feature kernel once
+per block.
 
 Scoring works on class codes. Each fold maps its model's class list onto the
 dataset's class indices once, and its raw decisions are that map applied to
@@ -303,89 +300,47 @@ class ClassificationReport:
     decisions: DecisionStream
 
 
-@dataclass
-class _TrialBlock:
-    """One trial's windows and its feature matrix for each of several descriptor lists."""
-
-    windows: LabeledWindowSet
-    features: dict[int, np.ndarray]
-
-
-def _trial_blocks(trials: list[Trial], lists: list[dict | None], dataset: Dataset,
-                  segmentation: SegmentationConfig) -> list[_TrialBlock | None]:
-    """Each trial's `_TrialBlock` for its descriptor lists, None where they are None.
-
-    ``lists[i]`` maps small int keys to descriptor lists. Trial ``i`` is
-    extracted once, over the union of its lists (each descriptor once, in
-    first-seen order), and the trials that share a union are extracted in one
-    `extract_window_set` call, in trial order. ``features[key]`` is a
-    channel-major column selection from the union's matrix, so it equals what
-    extracting that list alone would give.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, per_key in enumerate(lists):
-        if per_key is not None:
-            union = tuple(dict.fromkeys(d for descriptors in per_key.values()
-                                        for d in descriptors))
-            groups.setdefault(union, []).append(i)
-    blocks: list[_TrialBlock | None] = [None] * len(trials)
-    for union, members in groups.items():
-        windows = extract_window_set([trials[i] for i in members], dataset.rate, list(union),
-                                     segmentation, dataset.classes)
-        starts = np.cumsum([0] + [d.component_count() for d in union]).tolist()
-        span = {d: np.arange(a, b) for d, a, b in zip(union, starts, starts[1:])}
-        by_channel = windows.features.reshape(len(windows), -1, starts[-1])
-        keyed = {key: descriptors for i in members for key, descriptors in lists[i].items()}
-        features = {key: by_channel[:, :, np.concatenate([span[d] for d in descriptors])]
-                    .reshape(len(windows), -1) for key, descriptors in keyed.items()}
-        rows = np.cumsum([0] + [segment_offsets(trials[i].signal(0, dataset.rate),
-                                                segmentation).size for i in members])
-        for i, a, b in zip(members, rows.tolist(), rows[1:].tolist()):
-            blocks[i] = _TrialBlock(
-                replace(windows, features=windows.features[a:b], labels=windows.labels[a:b],
-                        trial_ids=windows.trial_ids[a:b],
-                        window_start_ms=windows.window_start_ms[a:b]),
-                {key: matrix[a:b] for key, matrix in features.items()})
-    return blocks
-
-
 def _train_folds(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
                  held_out, segmentation: SegmentationConfig):
-    """Each set's (model, resolved descriptors, column key) per held-out trial
-    index, and the clean per-trial blocks (None for a trial that no fold
-    trains on).
+    """Each set's (model, resolved descriptors, columns) per held-out trial
+    index, the union of those descriptors, the clean window set over the
+    union, and its trial offsets: trial ``i`` holds rows
+    ``offsets[i]:offsets[i + 1]``.
 
     Training uses clean data only, so the same fold models can score any
     noise level. A fold resolves its descriptors from the peak |amplitude| of
-    its own training trials, and each distinct resolved list gets one int
-    key into the blocks. Each trial that some fold trains on is extracted
-    once, over every fold's descriptor lists: those the other folds train on
-    it with, and its own fold's, with which it is scored clean.
+    its own training trials, and ``columns`` are their channel-major columns
+    in the union's matrix, so a fold's training rows at those columns are
+    what extracting its descriptors alone would give.
     """
     trials = dataset.trials
     train = np.arange(len(trials)) != np.array(held_out)[:, np.newaxis]
     fold_peaks = peak_amplitude([t.data for t in trials], train).tolist()
     resolved = [[resolve_hemg_peak(features, peak) for peak in fold_peaks]
                 for features in feature_sets]
-    keys: dict[tuple, int] = {}
-    set_keys = [[keys.setdefault(tuple(descriptors), len(keys)) for descriptors in per_fold]
-                for per_fold in resolved]
-    lists = {key: descriptors for descriptors, key in keys.items()}
-    blocks = _trial_blocks(trials, [lists if used else None for used in train.any(axis=0)],
-                           dataset, segmentation)
+    union = list(dict.fromkeys(d for per_fold in resolved for descriptors in per_fold
+                               for d in descriptors))
+    clean = extract_window_set(trials, dataset.rate, union, segmentation, dataset.classes)
+    # Each trial's windows start at 0 ms, and no other window does.
+    offsets = np.append(np.flatnonzero(clean.window_start_ms == 0), len(clean))
+    starts = np.cumsum([0] + [d.component_count() for d in union]).tolist()
+    span = {d: range(a, b) for d, a, b in zip(union, starts, starts[1:])}
+    by_channel = np.arange(clean.features.shape[1]).reshape(-1, starts[-1])
     folds = [[] for _ in feature_sets]
-    for i, mask in enumerate(train):
-        fold_blocks = [b for b, used in zip(blocks, mask) if used]
-        rows = dict(labels=np.concatenate([b.windows.labels for b in fold_blocks]),
-                    trial_ids=[tid for b in fold_blocks for tid in b.windows.trial_ids],
-                    window_start_ms=np.concatenate([b.windows.window_start_ms
-                                                    for b in fold_blocks]))
-        for set_folds, per_fold, per_fold_keys in zip(folds, resolved, set_keys):
-            train_set = LabeledWindowSet(
-                features=np.vstack([b.features[per_fold_keys[i]] for b in fold_blocks]),
-                class_names=list(dataset.classes), **rows)
-            set_folds.append((lda_train(train_set), per_fold[i], per_fold_keys[i]))
-    return folds, blocks
+    for i, *per_set in zip(held_out, *resolved):
+        a, b = offsets[i], offsets[i + 1]  # a fold trains on every row but these
+        rows = dict(labels=np.concatenate([clean.labels[:a], clean.labels[b:]]),
+                    window_start_ms=np.concatenate([clean.window_start_ms[:a],
+                                                    clean.window_start_ms[b:]]),
+                    trial_ids=clean.trial_ids[:a] + clean.trial_ids[b:],
+                    class_names=clean.class_names)
+        for set_folds, descriptors in zip(folds, per_set):
+            columns = by_channel[:, [c for d in descriptors for c in span[d]]].ravel()
+            selected = clean.features[:, columns]
+            train_set = LabeledWindowSet(features=np.concatenate([selected[:a], selected[b:]]),
+                                         **rows)
+            set_folds.append((lda_train(train_set), descriptors, columns))
+    return folds, union, clean, offsets
 
 
 def _test_trials(dataset: Dataset, noise_snr_db: float, noise_seed: int) -> list[Trial]:
@@ -410,29 +365,30 @@ def _test_trials(dataset: Dataset, noise_snr_db: float, noise_seed: int) -> list
     return noisy_trials
 
 
-def _score_folds(dataset: Dataset, folds, tests: list[_TrialBlock],
-                 vote_window: int) -> ClassificationReport:
-    k = len(dataset.classes)
-    class_index = {name: i for i, name in enumerate(dataset.classes)}
+def _score_folds(folds, clean: LabeledWindowSet, offsets: np.ndarray,
+                 features: np.ndarray, vote_window: int) -> ClassificationReport:
+    """Fold ``i`` scores rows ``offsets[i]:offsets[i + 1]`` of ``features``,
+    a level's matrix over the rows and columns of ``clean``, whose labels
+    and window starts the report keeps."""
+    k = len(clean.class_names)
+    class_index = {name: i for i, name in enumerate(clean.class_names)}
+    bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
     raw = []
-    for (model, _, key), test in zip(folds, tests):
+    for (model, _, columns), (a, b) in zip(folds, bounds):
         to_dataset = np.array([class_index[name] for name in model.class_names])
-        raw.append(to_dataset[np.argmax(lda_scores(model, test.features[key]), axis=1)])
-    offsets = np.cumsum([0] + [codes.size for codes in raw])
+        raw.append(to_dataset[np.argmax(lda_scores(model, features[a:b, columns]), axis=1)])
     raw = np.concatenate(raw)
-    true = np.concatenate([test.windows.labels for test in tests])
+    true = clean.labels
     mv = _vote(raw, k, vote_window, offsets)
     confusion = np.bincount(true * k + mv, minlength=k * k).reshape(k, k)
     hits = np.concatenate([[0], np.cumsum(mv == true)])
-    correct = (hits[offsets[1:]] - hits[offsets[:-1]]).tolist()
-    fold_crs = [(trial.trial_id, 100.0 * c / n) for trial, c, n
-                in zip(dataset.trials, correct, np.diff(offsets).tolist())]
+    fold_crs = [(clean.trial_ids[a], 100.0 * int(hits[b] - hits[a]) / (b - a))
+                for a, b in bounds]
     cr = 100.0 * float(np.trace(confusion)) / int(confusion.sum())
-    decisions = DecisionStream(
-        offsets=offsets, true=true, raw=raw, mv=mv,
-        window_start_ms=np.concatenate([test.windows.window_start_ms for test in tests]))
+    decisions = DecisionStream(offsets=offsets, true=true, raw=raw, mv=mv,
+                               window_start_ms=clean.window_start_ms)
     return ClassificationReport(
-        class_names=list(dataset.classes), cr=cr, confusion=confusion,
+        class_names=list(clean.class_names), cr=cr, confusion=confusion,
         fold_crs=fold_crs, decisions=decisions,
     )
 
@@ -443,8 +399,9 @@ def _evaluate(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
               vote_window: int) -> list[list[ClassificationReport]]:
     """The report of every feature set at every noise level, level by level.
 
-    Every set scores the clean level from the training blocks, and each
-    noisy level from one extraction per held-out trial over all sets.
+    Every set scores the clean level from the clean window set, and each
+    noisy level from one extraction of every noisy trial over the same
+    descriptor union.
     """
     check_vote_window(vote_window)
     if len(dataset.trials) < 2:
@@ -455,16 +412,16 @@ def _evaluate(dataset: Dataset, feature_sets: list[list[FeatureDescriptor]],
         raise ValueError(
             f"leave-one-out needs every class in >= 2 trials; short: {thin}"
         )
-    folds, clean_blocks = _train_folds(dataset, feature_sets, range(len(dataset.trials)),
-                                       segmentation)
-    test_lists = [{key: descriptors for _, descriptors, key in per_fold}
-                  for per_fold in zip(*folds)]
+    folds, union, clean, offsets = _train_folds(dataset, feature_sets,
+                                                range(len(dataset.trials)), segmentation)
 
-    def scored(tests):  # a level's blocks are freed before the next level's are built
-        return [_score_folds(dataset, per_set, tests, vote_window) for per_set in folds]
+    def scored(features):  # a level's matrix is freed before the next level's is built
+        return [_score_folds(per_set, clean, offsets, features, vote_window)
+                for per_set in folds]
 
-    return [scored(clean_blocks if level is None else _trial_blocks(
-                _test_trials(dataset, level, level_seed), test_lists, dataset, segmentation))
+    return [scored(clean.features if level is None else extract_window_set(
+                _test_trials(dataset, level, level_seed), dataset.rate, union, segmentation,
+                dataset.classes).features)
             for level, level_seed in zip(levels, level_seeds)]
 
 

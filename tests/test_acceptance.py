@@ -424,14 +424,14 @@ def test_criterion_09_invariant_suites():
     # Train/test hygiene: mutating the held-out trial leaves the model alone.
     from myobench.dataio import Dataset, Trial
     held_out = dataset.trials[0].trial_id
-    fold_a, _ = _train_folds(dataset, [features], [0], SEG)
+    fold_a, *_ = _train_folds(dataset, [features], [0], SEG)
     mutated = Dataset(
         classes=dataset.classes, rate=dataset.rate,
         trials=[Trial(trial_id=t.trial_id, label=t.label, subject=t.subject,
                       group=t.group, channels=t.channels,
                       data=t.data * 3.0 - 1.0 if t.trial_id == held_out else t.data)
                 for t in dataset.trials])
-    fold_b, _ = _train_folds(mutated, [features], [0], SEG)
+    fold_b, *_ = _train_folds(mutated, [features], [0], SEG)
     model_a, model_b = fold_a[0][0][0], fold_b[0][0][0]
     np.testing.assert_array_equal(model_a.means, model_b.means)
     np.testing.assert_array_equal(model_a.covariance, model_b.covariance)

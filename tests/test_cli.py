@@ -136,6 +136,17 @@ class TestSynth:
         assert "too many for an array" in result.output
         assert not list(tmp_path.iterdir())
 
+    def test_unallocatable_trial_is_runtime_error(self, runner, tmp_path):
+        # 1e17 samples pass the intp check, and numpy refuses the 1.4 EiB
+        # table before allocating anything; never try a large but
+        # allocatable length here.
+        result = runner.invoke(main, ["synth", "--classes", "1", "--trials", "1",
+                                      "--duration-ms", "1e17", "--out", str(tmp_path / "d")])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+        assert "--duration-ms" in result.output and "--rate" in result.output
+        assert not list(tmp_path.iterdir())
+
 
 def reference_extract_csv(dataset, windows, path):
     """The extract CSV as csv.writer writes it, one row per window."""
@@ -496,6 +507,8 @@ class TestRobustness:
         ("wamp:threshold=-10..10:10", "wamp:threshold=-10: threshold must be non-negative"),
         ("glitter:bins=1,2", "unknown feature 'glitter'"),
         ("wamp:bins=1,2", "feature 'wamp' has no parameter 'bins'"),
+        ("wamp:threshold=0..inf:1", "sweep must look like 'wamp:threshold=10..50:10'"),
+        ("wamp:threshold=0..1e300:1e-300", "sweep must look like 'wamp:threshold=10..50:10'"),
     ])
     def test_bad_sweep_is_usage_error(self, runner, tmp_path, sweep, message):
         # The manifest does not exist, so exit 2 shows the check ran before loading.

@@ -269,6 +269,19 @@ class TestParseCache:
         entries = cache_entries(manifest.parent)
         assert [e for e in entries if e.startswith("t0.csv.")] == [entry_name(trial_file)]
 
+    def test_entry_of_a_renamed_csv_is_dropped(self, tmp_path):
+        manifest, trial_file = self.saved(tmp_path)
+        load_dataset(manifest)
+        renamed = trial_file.rename(trial_file.with_name("t0-renamed.csv"))
+        doc = json.loads(manifest.read_text())
+        assert doc["trials"][0]["path"] == trial_file.name
+        doc["trials"][0]["path"] = renamed.name
+        manifest.write_text(json.dumps(doc))
+        load_dataset(manifest)
+        csvs = sorted(manifest.parent.glob("*.csv"))
+        assert [c.name for c in csvs] == ["t0-renamed.csv", "t1.csv", "t2.csv", "t3.csv"]
+        assert cache_entries(manifest.parent) == sorted(entry_name(c) for c in csvs)
+
     @pytest.mark.parametrize("corrupt", [
         lambda data, raw: raw[:-8],                      # truncated
         lambda data, raw: b"",                           # empty

@@ -71,16 +71,18 @@ def tied_windows(stream, vote_window):
     return ties
 
 
-def reference_score_folds(dataset, folds, tests, vote_window):
-    """Per-window scoring: one (trial_id, start, true, raw, mv) label record
-    per window, voted by the Counter reference."""
+def reference_score_folds(dataset, folds, tested_trials, vote_window):
+    """Per-window scoring: each held-out trial of ``tested_trials`` extracted
+    on its own over its fold's resolved descriptors, one (trial_id, start,
+    true, raw, mv) label record per window, voted by the Counter reference."""
     k = len(dataset.classes)
     class_index = {name: i for i, name in enumerate(dataset.classes)}
     confusion = np.zeros((k, k), dtype=int)
     fold_crs = []
     decisions = []
-    for trial, (model, _, key), test in zip(dataset.trials, folds, tests):
-        scores = lda_scores(model, test.features[key])
+    for trial, tested, (model, resolved, _) in zip(dataset.trials, tested_trials, folds):
+        test = extract_window_set([tested], dataset.rate, resolved, SEG, dataset.classes)
+        scores = lda_scores(model, test.features)
         raw = [model.class_names[i] for i in np.argmax(scores, axis=1)]
         smoothed = counter_majority_vote(raw, vote_window)
 
@@ -90,9 +92,9 @@ def reference_score_folds(dataset, folds, tests, vote_window):
         correct = int(np.count_nonzero(predicted == true_idx))
         decisions.extend(
             (trial.trial_id, start, trial.label, raw_label, mv_label)
-            for start, raw_label, mv_label in zip(test.windows.window_start_ms.tolist(),
+            for start, raw_label, mv_label in zip(test.window_start_ms.tolist(),
                                                   raw, smoothed))
-        fold_crs.append((trial.trial_id, 100.0 * correct / len(test.windows)))
+        fold_crs.append((trial.trial_id, 100.0 * correct / len(test)))
 
     cr = 100.0 * float(np.trace(confusion)) / int(confusion.sum())
     return cr, confusion, fold_crs, decisions
@@ -115,7 +117,7 @@ def top_class(model, x):
 
 def fold_model(dataset, features, held_out):
     """The model and resolved descriptors of the fold that holds out trial index ``held_out``."""
-    folds, _ = _train_folds(dataset, [features], [held_out], SEG)
+    folds, *_ = _train_folds(dataset, [features], [held_out], SEG)
     model, resolved, _ = folds[0][0]
     return model, resolved
 
@@ -502,8 +504,8 @@ class TestCachedFolds:
     def test_every_fold_matches_brute_force(self):
         dataset = self.peak_dataset()
         features = parse_features("mmnf,hemg,wamp")
-        folds, _ = _train_folds(dataset, [features, parse_features("rms,hemg:bins=5")],
-                                range(len(dataset.trials)), SEG)
+        folds, *_ = _train_folds(dataset, [features, parse_features("rms,hemg:bins=5")],
+                                 range(len(dataset.trials)), SEG)
         limits = set()
         for i, (trial, (model, resolved, _)) in enumerate(zip(dataset.trials, folds[0])):
             fresh_model, fresh_resolved = fold_model(dataset, features, i)
@@ -567,11 +569,11 @@ class TestCachedFolds:
     @pytest.mark.parametrize("set_names", [["robust"], ["hudgins", "oskoei", "robust"]])
     def test_one_extraction_per_trial_and_level(self, monkeypatch, set_names):
         dataset = self.peak_dataset()
-        levels = [[]]  # the trial ids of each call, level by level
+        levels = [[]]  # the (trial ids, descriptors) of each call, level by level
 
-        def counting_extract(trials, *args):
-            levels[-1].append([t.trial_id for t in trials])
-            return extract_window_set(trials, *args)
+        def counting_extract(trials, rate, descriptors, *args):
+            levels[-1].append(([t.trial_id for t in trials], descriptors))
+            return extract_window_set(trials, rate, descriptors, *args)
 
         def marking_test_trials(*args):
             levels.append([])
@@ -582,15 +584,13 @@ class TestCachedFolds:
         sets = dict(map(feature_set, set_names))
         evaluate_feature_sets(dataset, sets, [None, 20.0, 10.0], SEG, seed=1)
         ids = [t.trial_id for t in dataset.trials]
-        assert len(levels) == 3
-        for calls in levels:
-            # each trial once per level, each call's trials in trial order
-            assert sorted(sum(calls, []), key=ids.index) == ids
-            assert all(call == sorted(call, key=ids.index) for call in calls)
-        # one call per (level, descriptor union): every fold trains on the same
-        # lists; at a noisy level trial 2's fold resolves its own HEMG range
-        assert [len(calls) for calls in levels] == [1, 2, 2]
-        assert levels[1] == [ids[:2] + ids[3:], ids[2:3]]
+        # one call per level, over every trial once, in trial order
+        assert [[trial_ids for trial_ids, _ in calls] for calls in levels] == [[ids]] * 3
+        # every level extracts one union: trial 2's fold resolves its own HEMG
+        # range, so every trial also gets that range's columns
+        unions = [descriptors for calls in levels for _, descriptors in calls]
+        assert unions == [unions[0]] * 3
+        assert [d.name for d in unions[0]].count("hemg") == 2
 
     def test_noisy_trials_equal_inject_at_snr(self):
         dataset = small_dataset(n_classes=2, trials_per_class=2, seed=13, channels=3)
@@ -639,9 +639,13 @@ class TestDecisionStreamOracle:
         oracle = []
         score = recognition._score_folds
 
-        def scoring_both(dataset, folds, tests, vote_window):
-            oracle.append(reference_score_folds(dataset, folds, tests, vote_window))
-            return score(dataset, folds, tests, vote_window)
+        def scoring_both(folds, *args):
+            # sets are scored level by level; the oracle draws its own noisy trials
+            l_idx = len(oracle) // len(sets)
+            tested = (dataset.trials if levels[l_idx] is None
+                      else _test_trials(dataset, levels[l_idx], derive_seed(3, l_idx)))
+            oracle.append(reference_score_folds(dataset, folds, tested, vote_window))
+            return score(folds, *args)
 
         monkeypatch.setattr(recognition, "_score_folds", scoring_both)
         sets = {"robust": parse_features("mmnf,hemg,wamp"), "amp": parse_features("rms,wl")}
