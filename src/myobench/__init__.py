@@ -3,8 +3,7 @@ windowed LDA gesture recognition."""
 
 __version__ = "0.1.0"
 
-from .signals import (Signal, SegmentationConfig, Spectrum, PowerSpectrum,
-                      segment, segment_offsets, amplitude_spectrum, power_spectrum)
+from .signals import Signal, SegmentationConfig, segment, segment_offsets, amplitude_spectrum
 from .time_features import (iemg, mav, mmav1, mmav2, mavslp, ssi, var, rms, wl,
                             zc, ssc, wamp, hemg)
 from .freq_features import ar_coefficients, mnf, mdf, mmnf, mmdf

@@ -28,6 +28,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -98,8 +99,10 @@ def load_dataset(manifest_path) -> Dataset:
     missing, unreadable or non-UTF-8 trial file, per-trial rate differing
     from the dataset rate, a label outside the declared class set, channel
     names in a CSV not matching the manifest, a sample row that is ragged or
-    not numeric (named by file and line), a repeated trial id (a file stem)
-    or a channel layout that differs between trials.
+    not numeric (named by file and line), a NaN or infinite sample (named by
+    file, line and channel), a repeated trial id (a file stem) or a channel
+    layout that differs between trials. Samples read from the parse cache
+    are checked as parsed ones are.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -186,27 +189,31 @@ _CACHE_DIR = ".myobench-cache"
 
 def _read_trial_csv(path: Path):
     """A trial file's channel names and samples; the samples come from the
-    parse cache when it holds an entry for the file's current bytes."""
+    parse cache when it holds an entry for the file's current bytes. A NaN
+    or infinite sample fails parsed or cached samples alike, and samples
+    that fail are not stored."""
     with path.open() as fh:
         header = fh.readline()
         if not header:
             raise DatasetError(f"trial file is empty: {path}")
         channels = header.rstrip("\r\n").split(",")
         entry = path.parent / _CACHE_DIR / f"{path.name}.{_sha256(path)}.npy"
-        data = _cached(entry, len(channels))
-        if data is not None:
-            return channels, data
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            data = None
+        data = cached = _cached(entry, len(channels))
+        if cached is None:
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                data = None
     if data is not None and data.shape[0] == 0:
         raise DatasetError(f"trial file has no samples: {path}")
     if data is None or data.shape[1] != len(channels):
         raise _row_error(path, len(channels))
-    _store(entry, data)
+    if not np.isfinite(data).all():
+        raise _non_finite_error(path, channels, data)
+    if cached is None:
+        _store(entry, data)
     return channels, data
 
 
@@ -286,6 +293,23 @@ def _row_error(path: Path, n_columns: int) -> DatasetError:
             except ValueError:
                 return DatasetError(f"{path}:{lineno}: non-numeric sample in {line!r}")
     return DatasetError(f"{path}: samples do not form a {n_columns}-column table")
+
+
+def _non_finite_error(path: Path, channels: list[str], data: np.ndarray) -> DatasetError:
+    """Name the file line and channel of the first NaN or infinite sample.
+
+    Runs only after the finite check on the whole table failed. Row k of the
+    table is the k-th non-blank line after the header, as the bulk parse
+    reads the file.
+    """
+    row, column = np.argwhere(~np.isfinite(data))[0]
+    with path.open() as fh:
+        next(fh)
+        rows = ((n, line) for n, line in enumerate(fh, start=2) if line.rstrip("\r\n"))
+        lineno, line = next(itertools.islice(rows, row, None))
+    cell = line.rstrip("\r\n").split(",")[column].strip()
+    return DatasetError(
+        f"{path}:{lineno}: non-finite sample {cell!r} in channel {channels[column]!r}")
 
 
 def save_dataset(dataset: Dataset, out_dir, config: dict | None = None) -> Path:

@@ -14,32 +14,33 @@ amplitude spectrum (mmnf, mmdf). The amplitude-based pair is the
 noise-robust variant: squaring the spectrum amplifies bin-to-bin variation,
 so moments of A_j move less under broadband noise than moments of A_j^2.
 
-Every feature takes one window (or its spectrum) or a (windows, samples)
-matrix (or a spectrum with one row per window) and gives one result per row.
-To get several moments of the same windows from one spectrum, name them in
-one ``registry.extract`` call, e.g. ``parse_features("mnf,mdf,mmnf,mmdf")``:
-it computes the spectrum and its square once and shares them.
+Every feature takes one window or a (windows, samples) matrix and is one
+``registry.extract`` call on its descriptor, as the time-domain features
+are: a 1-D window gives a float (the coefficient vector for
+``ar_coefficients``), a matrix one result per row. The moments take the
+sampling rate that sets their frequency axis, and ``dc=0`` leaves the DC
+bin out of them. To get several moments of the same windows from one
+spectrum, name them in one ``registry.extract`` call, e.g.
+``parse_features("mnf,mdf,mmnf,mmdf")``: it computes the spectrum and its
+square once and shares them.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .signals import PowerSpectrum, Spectrum
+from .time_features import _feature
 
 
 def ar_coefficients(window, order: int = 1) -> np.ndarray:
     """Fit an AR(order) model by Yule-Walker / Levinson-Durbin.
 
-    Returns the (order,) coefficients a_1..a_p. Uses the biased
-    autocorrelation estimate r_k = sum(x_n x_{n+k}) / N with no mean
-    removal, so for order 1 the result is exactly a_1 = -r_1/r_0. Raises on
-    an identically-zero window (singular autocorrelation) and when
-    order >= window length.
+    Returns the (order,) coefficients a_1..a_p, or one row of them per
+    window of a matrix. Uses the biased autocorrelation estimate
+    r_k = sum(x_n x_{n+k}) / N with no mean removal, so for order 1 the
+    result is exactly a_1 = -r_1/r_0. Raises on an identically-zero window
+    (singular autocorrelation) and when order >= window length.
     """
-    x = np.asarray(window, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("need a 1-D window")
-    return levinson_durbin(x[np.newaxis], order)[0]
+    return _feature("ar", window, order=order)
 
 
 def levinson_durbin(windows, order: int = 1) -> np.ndarray:
@@ -82,13 +83,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
 
 
-def _per_window(values):
-    """A single spectrum's 0-d result as a Python float; per-row results as is."""
-    return float(values) if np.ndim(values) == 0 else values
-
-
-def _moment_arrays(freqs, weights, include_dc: bool):
-    if not include_dc:
+def _moment_arrays(freqs, weights, dc):
+    if not dc:
         keep = freqs != 0.0
         freqs, weights = freqs[keep], weights[..., keep]
     total = np.sum(weights, axis=-1)
@@ -97,37 +93,37 @@ def _moment_arrays(freqs, weights, include_dc: bool):
     return freqs, weights, total
 
 
-def _centroid(freqs, weights, include_dc: bool) -> float:
-    freqs, weights, total = _moment_arrays(freqs, weights, include_dc)
-    return _per_window(np.sum(freqs * weights, axis=-1) / total)
+def _centroid(freqs, weights, dc):
+    freqs, weights, total = _moment_arrays(freqs, weights, dc)
+    return np.sum(freqs * weights, axis=-1) / total
 
 
-def _median_bin(freqs, weights, include_dc: bool) -> float:
+def _median_bin(freqs, weights, dc):
     # Discrete rule: smallest bin whose cumulative weight reaches half the
     # total; exact half-splits land on the lower-frequency candidate. The
     # cumulative sum never decreases, so counting the bins below half the
     # total is a per-row searchsorted.
-    freqs, weights, total = _moment_arrays(freqs, weights, include_dc)
+    freqs, weights, total = _moment_arrays(freqs, weights, dc)
     below = np.cumsum(weights, axis=-1) < 0.5 * total[..., np.newaxis]
     idx = np.minimum(np.count_nonzero(below, axis=-1), freqs.size - 1)
-    return _per_window(freqs[idx])
+    return freqs[idx]
 
 
-def mnf(spectrum: PowerSpectrum, include_dc: bool = True) -> float:
-    """Mean frequency: power-weighted centroid sum(f_j P_j) / sum(P_j)."""
-    return _centroid(spectrum.freqs, spectrum.powers, include_dc)
+def mnf(window, rate: float, dc: int = 1) -> float:
+    """Mean frequency: power-weighted centroid sum(f_j P_j) / sum(P_j), P_j = A_j^2."""
+    return _feature("mnf", window, rate, dc=dc)
 
 
-def mdf(spectrum: PowerSpectrum, include_dc: bool = True) -> float:
+def mdf(window, rate: float, dc: int = 1) -> float:
     """Median frequency: bin splitting the cumulative power in half."""
-    return _median_bin(spectrum.freqs, spectrum.powers, include_dc)
+    return _feature("mdf", window, rate, dc=dc)
 
 
-def mmnf(spectrum: Spectrum, include_dc: bool = True) -> float:
+def mmnf(window, rate: float, dc: int = 1) -> float:
     """Modified mean frequency: amplitude-weighted centroid sum(f_j A_j) / sum(A_j)."""
-    return _centroid(spectrum.freqs, spectrum.amplitudes, include_dc)
+    return _feature("mmnf", window, rate, dc=dc)
 
 
-def mmdf(spectrum: Spectrum, include_dc: bool = True) -> float:
+def mmdf(window, rate: float, dc: int = 1) -> float:
     """Modified median frequency: bin splitting the cumulative amplitude in half."""
-    return _median_bin(spectrum.freqs, spectrum.amplitudes, include_dc)
+    return _feature("mmdf", window, rate, dc=dc)

@@ -152,17 +152,18 @@ class _Intermediates:
 
     @functools.cached_property
     def spectrum(self):
+        """The (freqs, amplitudes) pair of every window row."""
         return amplitude_spectrum(self.rows, self.rate)
 
     @functools.cached_property
     def powers(self):
-        return self.spectrum.amplitudes ** 2
+        return self.spectrum[1] ** 2
 
 
 def _moment(moment, by_power: bool):
     def kernel(shared, dc):
-        weights = shared.powers if by_power else shared.spectrum.amplitudes
-        return moment(shared.spectrum.freqs, weights, bool(dc))
+        freqs, amplitudes = shared.spectrum
+        return moment(freqs, shared.powers if by_power else amplitudes, dc)
     return kernel
 
 

@@ -4,7 +4,9 @@ Everything downstream (time-domain features, spectral moments, the noise
 benchmark, the recognition pipeline) works on the primitives defined here:
 a sampled signal, fixed-length windows cut from it, and a one-sided DFT
 amplitude spectrum whose normalization is pinned so that the summed power
-spectrum equals the signal energy (Parseval).
+spectrum equals the signal energy (Parseval). The spectrum is a plain
+``(freqs, amplitudes)`` pair; the spectral moments square the amplitudes
+for their power-weighted forms (see `freq_features`).
 """
 from __future__ import annotations
 
@@ -94,67 +96,18 @@ def segment(signal: Signal, cfg: SegmentationConfig) -> np.ndarray:
     return windows[::cfg.slide_samples(signal.rate)]
 
 
-@dataclass
-class Spectrum:
-    """One-sided amplitude spectrum: A_j (mV per bin) on frequency axis f_j (Hz).
-
-    ``amplitudes`` holds one spectrum, or one row per window over the shared
-    frequency axis.
-    """
-
-    freqs: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.freqs, self.amplitudes = _on_axis(self.freqs, self.amplitudes, "amplitudes")
-        if np.any(self.amplitudes < 0):
-            raise ValueError("amplitudes must be non-negative")
-
-    @classmethod
-    def _unchecked(cls, freqs: np.ndarray, amplitudes: np.ndarray) -> "Spectrum":
-        """A spectrum whose arrays are valid by construction, built without the checks."""
-        spectrum = cls.__new__(cls)
-        spectrum.freqs, spectrum.amplitudes = freqs, amplitudes
-        return spectrum
-
-
-@dataclass
-class PowerSpectrum:
-    """One-sided power spectrum: P_j = A_j^2 on the same frequency axis."""
-
-    freqs: np.ndarray
-    powers: np.ndarray
-
-    def __post_init__(self):
-        self.freqs, self.powers = _on_axis(self.freqs, self.powers, "powers")
-
-
-def _on_axis(freqs, values, what: str):
-    freqs = np.asarray(freqs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if freqs.ndim != 1 or values.ndim not in (1, 2) or values.shape[-1:] != freqs.shape:
-        raise ValueError(f"freqs must be 1-D and {what} 1-D or 2-D over the same bins")
-    return freqs, values
-
-
-def amplitude_spectrum(window, rate: float | None = None) -> Spectrum:
+def amplitude_spectrum(window, rate: float):
     """One-sided DFT magnitude spectrum of a window (rectangular taper).
 
-    Bins run j = 0..floor(N/2) so the axis spans [0, rate/2]. Amplitudes are
-    scaled so that sum(A_j^2) == sum(x_n^2): the two-sided energy of each
-    interior bin is folded into its one-sided value (factor sqrt(2)), while
-    the DC bin and, for even N, the Nyquist bin appear once and get no fold.
-
-    Accepts a Signal (rate taken from it), or a bare window or
-    (windows, samples) matrix plus ``rate``; a matrix gives one spectrum row
-    per window.
+    Returns ``(freqs, amplitudes)``: bins j = 0..floor(N/2) on an axis that
+    spans [0, rate/2], and their amplitudes A_j (mV per bin), scaled so that
+    sum(A_j^2) == sum(x_n^2): the two-sided energy of each interior bin is
+    folded into its one-sided value (factor sqrt(2)), while the DC bin and,
+    for even N, the Nyquist bin appear once and get no fold. A
+    (windows, samples) matrix gives one row of amplitudes per window over
+    the shared axis.
     """
-    if isinstance(window, Signal):
-        samples, rate = window.samples, window.rate
-    else:
-        samples = np.asarray(window, dtype=float)
-        if rate is None:
-            raise ValueError("rate is required when window is a bare sample array")
+    samples = np.asarray(window, dtype=float)
     if samples.ndim not in (1, 2) or samples.shape[-1] < 2:
         raise ValueError("spectrum needs a window (or window matrix) of at least 2 samples")
     n = samples.shape[-1]
@@ -165,10 +118,4 @@ def amplitude_spectrum(window, rate: float | None = None) -> Spectrum:
     if n % 2 == 0:
         fold[-1] = 1.0
     mags *= fold
-    # Magnitudes times positive folds on rfftfreq's axis: nothing to check.
-    return Spectrum._unchecked(np.fft.rfftfreq(n, d=1.0 / rate), mags)
-
-
-def power_spectrum(spectrum: Spectrum) -> PowerSpectrum:
-    """Square the amplitude of each bin; the frequency axis is unchanged."""
-    return PowerSpectrum(freqs=spectrum.freqs, powers=spectrum.amplitudes ** 2)
+    return np.fft.rfftfreq(n, d=1.0 / rate), mags

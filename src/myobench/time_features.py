@@ -26,19 +26,20 @@ _MIN_SAMPLES = dict(iemg=1, mav=1, mmav1=4, mmav2=4, mavslp=1, ssi=1, var=2, rms
                     zc=2, ssc=3, wamp=2, hemg=1)
 
 
-def _feature(name: str, window, **params):
+def _feature(name: str, window, rate: float = 1.0, **params):
     """``registry.extract`` of one descriptor, in the shape and type of a feature.
 
     A 1-D window gives a Python float (an int for zc, ssc and wamp), or a
-    vector for ``mavslp`` and ``hemg``; a matrix gives one such result per
-    row. HEMG counts are ints.
+    vector for ``mavslp``, ``hemg`` and ``ar``; a matrix gives one such
+    result per row. HEMG counts are ints. Only the spectral moments read
+    ``rate``.
     """
     # Imported here: the registry imports this module for its kernels.
     from .registry import extract, make_descriptor
-    values = extract([make_descriptor(name, params)], window, 1.0)
+    values = extract([make_descriptor(name, params)], window, rate)
     if name in ("zc", "ssc", "wamp", "hemg"):
         values = values.astype(int)
-    if name not in ("mavslp", "hemg"):
+    if name not in ("mavslp", "hemg", "ar"):
         values = values[:, 0]
     if np.ndim(window) != 1:
         return values

@@ -14,14 +14,15 @@ import pytest
 from scipy.signal import lfilter
 
 from myobench.dataio import ClassSpec, SynthConfig, default_class_specs, synthesize_emg
+from myobench import freq_features as ff
 from myobench.freq_features import ar_coefficients, mdf, mmdf, mmnf, mnf
 from myobench.noise import NoiseSpec, inject_at_snr, signal_power
 from myobench.recognition import _train_folds, evaluate_feature_sets, leave_one_out, majority_vote
 from myobench.registry import extract, feature_set, parse_features
 from myobench.robustness import (RobustnessConfig, percentage_error,
                                  records_from_dataset, run_grid)
-from myobench.signals import (SegmentationConfig, Signal, amplitude_spectrum,
-                              power_spectrum, segment, segment_offsets)
+from myobench.signals import (SegmentationConfig, Signal, amplitude_spectrum, segment,
+                              segment_offsets)
 from myobench import robustness
 from myobench import time_features as tf
 
@@ -153,15 +154,14 @@ def test_criterion_01_feature_oracle_equivalence():
         o_ar = oracle_ar(x, 4)
         o_freqs, o_amps = oracle_dft_spectrum(x, rate)
 
-        spec = amplitude_spectrum(x, rate)
-        ps = power_spectrum(spec)
         one_window = {
             "iemg": tf.iemg(x), "mav": tf.mav(x), "mmav1": tf.mmav1(x),
             "mmav2": tf.mmav2(x), "mavslp": tf.mavslp(x, k), "ssi": tf.ssi(x),
             "var": tf.var(x), "rms": tf.rms(x), "wl": tf.wl(x),
             "zc": tf.zc(x, zc_th), "ssc": tf.ssc(x, ssc_th), "wamp": tf.wamp(x, wamp_th),
             "hemg": tf.hemg(x, bins, limit), "ar": ar_coefficients(x, 4),
-            "mnf": mnf(ps), "mdf": mdf(ps), "mmnf": mmnf(spec), "mmdf": mmdf(spec),
+            "mnf": mnf(x, rate), "mdf": mdf(x, rate), "mmnf": mmnf(x, rate),
+            "mmdf": mmdf(x, rate),
         }
         matrix_row = {d.name: v if d.component_count() > 1 else v[0]
                       for d, v in zip(descriptors, np.split(row, splits))}
@@ -210,16 +210,14 @@ def test_criterion_02_hand_value_suite():
     assert tf.wamp([0, 3, 0], 2.0) == 2
     np.testing.assert_array_equal(tf.hemg([-2.5, 0.1, 2.9, 0.2], 3, 3.0), [1, 2, 1])
 
-    from myobench.signals import PowerSpectrum, Spectrum
-    two = Spectrum(freqs=np.array([100.0, 200.0]), amplitudes=np.array([1.0, 3.0]))
-    assert mnf(power_spectrum(two)) == pytest.approx(190.0)
-    assert mmnf(two) == pytest.approx(175.0)
-    stepped_p = PowerSpectrum(freqs=np.array([100.0, 200.0, 300.0]),
-                              powers=np.array([1.0, 1.0, 2.0]))
-    assert mdf(stepped_p) == 200.0
-    stepped_a = Spectrum(freqs=np.array([100.0, 200.0, 300.0]),
-                         amplitudes=np.array([1.0, 1.0, 2.0]))
-    assert mmdf(stepped_a) == 200.0
+    # Hand-built spectra through the moment kernels: mnf and mdf weigh by
+    # A_j^2, mmnf and mmdf by A_j.
+    two_freqs, two = np.array([100.0, 200.0]), np.array([1.0, 3.0])
+    assert ff._centroid(two_freqs, two ** 2, 1) == pytest.approx(190.0)
+    assert ff._centroid(two_freqs, two, 1) == pytest.approx(175.0)
+    stepped_freqs, stepped = np.array([100.0, 200.0, 300.0]), np.array([1.0, 1.0, 2.0])
+    # the stepped weights as powers (mdf) and as amplitudes (mmdf): one kernel call
+    assert ff._median_bin(stepped_freqs, stepped, 1) == 200.0
 
     assert signal_power([1.0, -2.0, 3.0]) == pytest.approx(14.0 / 3.0)
     assert percentage_error(10.0, 9.0) == pytest.approx(10.0)
@@ -388,19 +386,18 @@ def test_criterion_09_invariant_suites():
         c = float(rng.uniform(0.05, 8.0))
         assert tf.rms(c * x) == pytest.approx(c * tf.rms(x), rel=1e-9)
         assert tf.ssi(c * x) == pytest.approx(c * c * tf.ssi(x), rel=1e-9)
-        spec = amplitude_spectrum(x, 1000.0)
-        assert np.sum(spec.amplitudes ** 2) == pytest.approx(np.sum(x * x), rel=1e-6)
-        scaled = amplitude_spectrum(c * x, 1000.0)
-        np.testing.assert_allclose(scaled.amplitudes, c * spec.amplitudes,
-                                   rtol=1e-9, atol=1e-12)
+        _, amplitudes = amplitude_spectrum(x, 1000.0)
+        assert np.sum(amplitudes ** 2) == pytest.approx(np.sum(x * x), rel=1e-6)
+        _, scaled = amplitude_spectrum(c * x, 1000.0)
+        np.testing.assert_allclose(scaled, c * amplitudes, rtol=1e-9, atol=1e-12)
 
     # Median-bin property on both spectra.
     for _ in range(50):
         x = rng.standard_normal(128)
-        spec = amplitude_spectrum(x, 1000.0)
-        for weights, med in [(spec.amplitudes, mmdf(spec)),
-                             (spec.amplitudes ** 2, mdf(power_spectrum(spec)))]:
-            idx = int(np.where(spec.freqs == med)[0][0])
+        freqs, amplitudes = amplitude_spectrum(x, 1000.0)
+        for weights, med in [(amplitudes, mmdf(x, 1000.0)),
+                             (amplitudes ** 2, mdf(x, 1000.0))]:
+            idx = int(np.where(freqs == med)[0][0])
             assert weights[:idx].sum() < 0.5 * weights.sum() <= weights[:idx + 1].sum()
 
     # Confusion accounting and pipeline determinism.

@@ -274,11 +274,13 @@ class TestExtract:
             "extract", "--data", str(dataset_dir / "manifest.json"), "--out", str(out)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
-        assert result.output.strip() == "Error: feature matrix contains non-finite values"
+        assert result.output.strip() == \
+            f"Error: {trial_csv}:11: non-finite sample 'nan' in channel 'ch1'"
         assert not out.exists()
 
     def test_nan_sample_fails_hemg(self, runner, dataset_dir, tmp_path):
-        # The NaN used to land in bin 0 of the first windows' histograms, with exit 0.
+        # The NaN used to land in bin 0 of the first windows' histograms, with
+        # exit 0; it now fails the load, before any feature reads it.
         trial_csv = sorted(dataset_dir.glob("*.csv"))[0]
         lines = trial_csv.read_text().splitlines()
         lines[10] = "nan," + lines[10].split(",", 1)[1]
@@ -289,12 +291,14 @@ class TestExtract:
             "--features", "hemg", "--out", str(out)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
-        assert result.output.strip() == "Error: hemg needs finite samples"
+        assert result.output.strip() == \
+            f"Error: {trial_csv}:11: non-finite sample 'nan' in channel 'ch1'"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "-inf"])
     def test_infinite_sample_fails_hemg(self, runner, dataset_dir, tmp_path, value):
-        # The peak that sets the histogram range is then infinite too.
+        # The peak that sets the histogram range would be infinite too; the
+        # load refuses the sample first.
         trial_csv = sorted(dataset_dir.glob("*.csv"))[1]
         lines = trial_csv.read_text().splitlines()
         lines[10] = value + "," + lines[10].split(",", 1)[1]
@@ -304,7 +308,8 @@ class TestExtract:
             "extract", "--data", str(dataset_dir / "manifest.json"),
             "--features", "rms,hemg", "--out", str(out)])
         assert result.exit_code == 1
-        assert result.output.strip() == "Error: hemg needs finite samples"
+        assert result.output.strip() == \
+            f"Error: {trial_csv}:11: non-finite sample '{value}' in channel 'ch1'"
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
@@ -390,7 +395,7 @@ class TestRobustness:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.output.strip() == \
-            "Error: record hand_close_01/ch1/w0 has non-finite samples"
+            f"Error: {trial_csv}:11: non-finite sample 'nan' in channel 'ch1'"
         assert not (tmp_path / "grid.csv").exists()
 
     def test_zero_power_window_is_excluded_not_fatal(self, runner, dataset_dir, tmp_path):

@@ -211,6 +211,18 @@ class TestLoaderErrors:
         loaded = load_dataset(path)
         np.testing.assert_array_equal(loaded.trials[0].data, tiny_dataset().trials[0].data)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_sample_names_its_file_line_and_channel(self, tmp_path, cell):
+        # A blank line before it, as above, and a later NaN that is not the first.
+        def edit(lines):
+            lines[3] = ""
+            lines[6] = "1.0," + cell
+            lines[9] = "nan,1.0"
+        path, trial_file = self.edit_trial_rows(tmp_path, edit)
+        where = re.escape(f"{trial_file}:7: non-finite sample '{cell}' in channel 'ch2'")
+        with pytest.raises(DatasetError, match=f"^{where}$"):
+            load_dataset(path)
+
     def test_header_only_file_has_no_samples(self, tmp_path):
         def edit(lines):
             del lines[1:]
@@ -325,6 +337,27 @@ class TestParseCache:
             load_dataset(manifest)
         assert cache_entries(manifest.parent) == before
 
+    def test_non_finite_sample_fails_parsed_or_cached_and_is_not_stored(self, tmp_path,
+                                                                        monkeypatch):
+        manifest, trial_file = self.saved(tmp_path)
+        load_dataset(manifest)
+        before = cache_entries(manifest.parent)
+        lines = trial_file.read_text().splitlines()
+        lines[4] = "nan," + lines[4].split(",")[1]
+        trial_file.write_text("\n".join(lines) + "\n")
+        message = f"^{re.escape(str(trial_file))}:5: non-finite sample 'nan' in channel 'ch1'$"
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(manifest)
+        assert cache_entries(manifest.parent) == before
+        # An entry for these bytes written by a version without the check.
+        samples = tiny_dataset().trials[0].data.copy()
+        samples[3, 0] = np.nan
+        (manifest.parent / ".myobench-cache" / entry_name(trial_file)).write_bytes(
+            npy_bytes(samples))
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(manifest)
+
 
 class TestDecimate:
     def test_factor_one_is_identity(self):
@@ -342,8 +375,8 @@ class TestDecimate:
         # Trim filter edges, then compare RMS against the ideal tone level.
         core = out.samples[100:-100]
         assert rms(core) == pytest.approx(1.0 / np.sqrt(2.0), rel=0.02)
-        spec = amplitude_spectrum(core, out.rate)
-        assert spec.freqs[np.argmax(spec.amplitudes)] == pytest.approx(100.0, abs=2.0)
+        freqs, amplitudes = amplitude_spectrum(core, out.rate)
+        assert freqs[np.argmax(amplitudes)] == pytest.approx(100.0, abs=2.0)
 
     def test_stopband_tone_is_suppressed(self):
         rate = 3000.0
@@ -381,9 +414,9 @@ class TestSynthesize:
                           trial_ms=2000, seed=5)
         dataset = synthesize_emg(cfg)
         for trial in dataset.trials:
-            s = amplitude_spectrum(trial.data[:, 0], dataset.rate)
-            power = s.amplitudes ** 2
-            outside = (s.freqs < 20.0) | (s.freqs > 450.0)
+            freqs, amplitudes = amplitude_spectrum(trial.data[:, 0], dataset.rate)
+            power = amplitudes ** 2
+            outside = (freqs < 20.0) | (freqs > 450.0)
             assert power[outside].sum() < 0.05 * power.sum()
 
     def test_trials_hit_the_class_amplitude(self):

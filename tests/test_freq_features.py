@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from myobench import freq_features as ff
 from myobench.freq_features import ar_coefficients, mdf, mmdf, mmnf, mnf
 from myobench.registry import extract, parse_features
-from myobench.signals import (PowerSpectrum, Spectrum, amplitude_spectrum,
-                              power_spectrum)
+from myobench.signals import amplitude_spectrum
 
 MOMENTS = parse_features("mnf,mdf,mmnf,mmdf")
 
@@ -91,52 +91,48 @@ class TestArCoefficients:
 
 
 class TestSpectralMomentHandValues:
+    # Hand-built spectra go straight to the two moment kernels that every
+    # moment runs: the centroid (mnf over A_j^2, mmnf over A_j) and the
+    # median bin (mdf over A_j^2, mmdf over A_j).
     def test_single_line_degenerates_to_its_frequency(self):
-        ps = PowerSpectrum(freqs=np.array([0.0, 100.0, 200.0]),
-                           powers=np.array([0.0, 0.0, 4.0]))
-        spec = Spectrum(freqs=ps.freqs, amplitudes=np.array([0.0, 0.0, 2.0]))
-        assert mnf(ps) == mdf(ps) == mmnf(spec) == mmdf(spec) == 200.0
+        freqs = np.array([0.0, 100.0, 200.0])
+        amplitudes = np.array([0.0, 0.0, 2.0])
+        powers = amplitudes ** 2
+        assert (ff._centroid(freqs, powers, 1) == ff._median_bin(freqs, powers, 1)
+                == ff._centroid(freqs, amplitudes, 1) == ff._median_bin(freqs, amplitudes, 1)
+                == 200.0)
 
     def test_mnf_symmetry_and_weighting(self):
-        two = PowerSpectrum(freqs=np.array([100.0, 200.0]), powers=np.array([3.0, 3.0]))
-        assert mnf(two) == pytest.approx(150.0)
-        spec = Spectrum(freqs=np.array([100.0, 200.0]), amplitudes=np.array([1.0, 3.0]))
-        ps = power_spectrum(spec)
-        assert mnf(ps) == pytest.approx(190.0)
-        assert mmnf(spec) == pytest.approx(175.0)
+        freqs = np.array([100.0, 200.0])
+        assert ff._centroid(freqs, np.array([3.0, 3.0]), 1) == pytest.approx(150.0)
+        amplitudes = np.array([1.0, 3.0])
+        assert ff._centroid(freqs, amplitudes ** 2, 1) == pytest.approx(190.0)
+        assert ff._centroid(freqs, amplitudes, 1) == pytest.approx(175.0)
 
     def test_mdf_flat_and_stepped(self):
-        flat = PowerSpectrum(freqs=np.array([100.0, 200, 300, 400, 500]),
-                             powers=np.ones(5))
-        assert mdf(flat) == 300.0
-        stepped = PowerSpectrum(freqs=np.array([100.0, 200.0, 300.0]),
-                                powers=np.array([1.0, 1.0, 2.0]))
-        assert mdf(stepped) == 200.0
+        flat = np.array([100.0, 200, 300, 400, 500])
+        assert ff._median_bin(flat, np.ones(5), 1) == 300.0
+        stepped = np.array([100.0, 200.0, 300.0])
+        assert ff._median_bin(stepped, np.array([1.0, 1.0, 2.0]), 1) == 200.0
 
     def test_mmdf_flat_and_stepped(self):
-        flat = Spectrum(freqs=np.array([10.0, 20, 30, 40, 50, 60, 70]),
-                        amplitudes=np.ones(7))
-        assert mmdf(flat) == 40.0
-        stepped = Spectrum(freqs=np.array([100.0, 200.0, 300.0]),
-                           amplitudes=np.array([1.0, 1.0, 2.0]))
-        assert mmdf(stepped) == 200.0
+        flat = np.array([10.0, 20, 30, 40, 50, 60, 70])
+        assert ff._median_bin(flat, np.ones(7), 1) == 40.0
+        stepped = np.array([100.0, 200.0, 300.0])
+        assert ff._median_bin(stepped, np.array([1.0, 1.0, 2.0]), 1) == 200.0
 
     def test_flat_amplitude_gives_mean_frequency(self):
         freqs = np.linspace(0, 500, 33)
-        spec = Spectrum(freqs=freqs, amplitudes=np.ones(33))
-        assert mmnf(spec) == pytest.approx(np.mean(freqs))
+        assert ff._centroid(freqs, np.ones(33), 1) == pytest.approx(np.mean(freqs))
 
     def test_all_zero_spectrum_rejected(self):
-        dead = Spectrum(freqs=np.array([1.0, 2.0]), amplitudes=np.zeros(2))
-        with pytest.raises(ValueError):
-            mmnf(dead)
-        with pytest.raises(ValueError):
-            mmdf(dead)
-        dead_p = PowerSpectrum(freqs=np.array([1.0, 2.0]), powers=np.zeros(2))
-        with pytest.raises(ValueError):
-            mnf(dead_p)
-        with pytest.raises(ValueError):
-            mdf(dead_p)
+        freqs = np.array([1.0, 2.0])
+        for moment in (ff._centroid, ff._median_bin):
+            with pytest.raises(ValueError, match="no mass"):
+                moment(freqs, np.zeros(2), 1)
+        for feature in (mnf, mdf, mmnf, mmdf):
+            with pytest.raises(ValueError, match="no mass"):
+                feature(np.zeros(64), 1000.0)
 
 
 class TestMomentProperties:
@@ -162,10 +158,10 @@ class TestMomentProperties:
         rng = np.random.default_rng(53)
         for _ in range(50):
             x = rng.standard_normal(128)
-            spec = amplitude_spectrum(x, 1000.0)
-            for freqs, weights, med in [
-                (spec.freqs, spec.amplitudes, mmdf(spec)),
-                (spec.freqs, spec.amplitudes ** 2, mdf(power_spectrum(spec))),
+            freqs, amplitudes = amplitude_spectrum(x, 1000.0)
+            for weights, med in [
+                (amplitudes, mmdf(x, 1000.0)),
+                (amplitudes ** 2, mdf(x, 1000.0)),
             ]:
                 idx = int(np.where(freqs == med)[0][0])
                 total = weights.sum()
@@ -173,10 +169,14 @@ class TestMomentProperties:
                 assert weights[:idx + 1].sum() >= 0.5 * total
 
     def test_dc_exclusion_flag(self):
-        spec = Spectrum(freqs=np.array([0.0, 100.0]), amplitudes=np.array([3.0, 1.0]))
-        assert mmnf(spec) == pytest.approx(25.0)
-        assert mmnf(spec, include_dc=False) == pytest.approx(100.0)
-        assert mmdf(spec, include_dc=False) == 100.0
+        freqs, amplitudes = np.array([0.0, 100.0]), np.array([3.0, 1.0])
+        assert ff._centroid(freqs, amplitudes, 1) == pytest.approx(25.0)
+        assert ff._centroid(freqs, amplitudes, 0) == pytest.approx(100.0)
+        assert ff._median_bin(freqs, amplitudes, 0) == 100.0
+        x = 5.0 + np.sin(2 * np.pi * 125.0 * np.arange(256) / 1000.0)  # DC plus bin 32
+        assert mmnf(x, 1000.0) < 20.0
+        assert mmnf(x, 1000.0, dc=0) == pytest.approx(125.0)
+        assert mdf(x, 1000.0, dc=0) == 125.0
 
 
 class TestSpectralMomentsBundle:
@@ -202,9 +202,7 @@ class TestSpectralMomentsBundle:
         rng = np.random.default_rng(55)
         x = rng.standard_normal(300)
         m = moments(x)
-        spec = amplitude_spectrum(x, 1000.0)
-        ps = power_spectrum(spec)
-        assert m["mnf"] == mnf(ps)
-        assert m["mdf"] == mdf(ps)
-        assert m["mmnf"] == mmnf(spec)
-        assert m["mmdf"] == mmdf(spec)
+        assert m["mnf"] == mnf(x, 1000.0)
+        assert m["mdf"] == mdf(x, 1000.0)
+        assert m["mmnf"] == mmnf(x, 1000.0)
+        assert m["mmdf"] == mmdf(x, 1000.0)

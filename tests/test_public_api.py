@@ -3,9 +3,11 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import myobench
+from myobench.registry import FEATURE_NAMES, extract, make_descriptor
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -23,20 +25,20 @@ REMOVED = [
     ("recognition", "table_to_csv"),        # dataio.write_output(csv_rows(table_csv_rows))
     ("recognition", "table_to_json"),       # dataio.write_output(table_payload)
     ("recognition", "report_to_dict"),      # recognition.table_payload
+    ("signals", "Spectrum"),                # amplitude_spectrum's (freqs, amplitudes)
+    ("signals", "PowerSpectrum"),           # the moments square the amplitudes
+    ("signals", "power_spectrum"),
 ]
 REMOVED_MEMBERS = [
     ("registry", "FeatureDescriptor", "scalarize"),  # robustness._scalar_picks
     ("signals", "Signal", "duration_ms"),
-    ("signals", "Spectrum", "bins"),
-    ("signals", "PowerSpectrum", "bins"),
     ("dataio", "Dataset", "channel_count"),
     ("recognition", "LdaModel", "dim"),
     ("robustness", "RobustnessConfig", "dry_run"),  # a zero-draw stub in the tests
 ]
 
 EXPORTED = """
-    Signal SegmentationConfig Spectrum PowerSpectrum segment segment_offsets
-    amplitude_spectrum power_spectrum
+    Signal SegmentationConfig segment segment_offsets amplitude_spectrum
     iemg mav mmav1 mmav2 mavslp ssi var rms wl zc ssc wamp hemg
     ar_coefficients mnf mdf mmnf mmdf
     NoiseSpec generate_wgn signal_power inject_at_snr
@@ -74,3 +76,43 @@ def test_readme_quick_start_imports_resolve():
     names = [n.strip() for n in block.group(1).split(",") if n.strip()]
     assert "extract" in names
     assert [n for n in names if not hasattr(myobench, n)] == []
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    block = re.search(r"## Quick start \(library\)\s*```python\n(.*?)```", README.read_text(),
+                      re.S)
+    assert block is not None
+    np.savetxt(tmp_path / "channel.txt", np.random.default_rng(7).standard_normal(3000) * 50.0)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block.group(1), str(README), "exec"), {})
+
+
+# Parameters the feature functions and their descriptors both get; the
+# spectral moments also take the sampling rate.
+FEATURE_PARAMS = {"hemg": {"limit": 60.0}, "ar": {"order": 3}}
+SPECTRAL = ("mnf", "mdf", "mmnf", "mmdf")
+COUNTS = ("zc", "ssc", "wamp", "hemg")
+VECTORS = ("mavslp", "hemg", "ar")
+
+
+@pytest.mark.parametrize("shape", [(240,), (5, 240)], ids=["window", "matrix"])
+@pytest.mark.parametrize("name", FEATURE_NAMES)
+def test_feature_function_is_its_extract_column(name, shape):
+    x = np.random.default_rng(16).standard_normal(shape) * 25.0
+    params = FEATURE_PARAMS.get(name, {})
+    function = getattr(myobench, "ar_coefficients" if name == "ar" else name)
+    got = function(x, 1000.0, **params) if name in SPECTRAL else function(x, **params)
+    expected = extract([make_descriptor(name, params)], x, 1000.0)
+    if name not in VECTORS:
+        expected = expected[:, 0]
+    if x.ndim == 1:
+        expected = expected[0]
+    kind = int if name in COUNTS else float
+    if np.ndim(expected) == 0:  # a scalar feature of one window: a Python number
+        assert type(got) is kind
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == kind
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)

@@ -615,7 +615,7 @@ class TestDecisionStreamOracle:
     records written through csv.writer give."""
 
     @staticmethod
-    def quoted_dataset():
+    def quoted_dataset(spike_trial=None):
         # Names that csv must quote, overlapping bands so that decisions mix,
         # and a declared class no trial has, so every model's class list
         # skips dataset code 0.
@@ -624,18 +624,25 @@ class TestDecisionStreamOracle:
                  ClassSpec(name="plain", band=(150.0, 300.0), amplitude=50.0))
         base = synthesize_emg(SynthConfig(classes=specs, channels=2, trials_per_class=2,
                                           trial_ms=1500, seed=15))
+        if spike_trial is not None:
+            # One sample at 10x the class RMS: every fold that trains on this
+            # trial resolves a HEMG range of 500, the fold that holds it out
+            # one of 205.1, and the hemg set's decisions on that fold depend
+            # on which range it is scored at.
+            base.trials[spike_trial].data[200, 0] = 500.0
         return Dataset(classes=["unused"] + base.classes, rate=base.rate,
                        trials=base.trials)
 
-    @pytest.mark.parametrize("vote_window, levels, tied", [
-        (5, [None, 20.0], False),
-        (1, [None, 10.0], False),
-        (3, [0.0, -5.0], True),     # mixed decisions: some windows tie
-        (5, [20.0, 10.0], False),   # no clean level
+    @pytest.mark.parametrize("vote_window, levels, tied, spike_trial", [
+        (5, [None, 20.0], False, None),
+        (1, [None, 10.0], False, None),
+        (3, [0.0, -5.0], True, None),     # mixed decisions: some windows tie
+        (5, [20.0, 10.0], False, None),   # no clean level
+        (5, [None, 20.0], False, 3),      # one fold's range differs from the others'
     ])
     def test_reports_and_csv_bytes_equal_the_per_window_loop(
-            self, monkeypatch, tmp_path, vote_window, levels, tied):
-        dataset = self.quoted_dataset()
+            self, monkeypatch, tmp_path, vote_window, levels, tied, spike_trial):
+        dataset = self.quoted_dataset(spike_trial)
         oracle = []
         score = recognition._score_folds
 
@@ -648,7 +655,11 @@ class TestDecisionStreamOracle:
             return score(folds, *args)
 
         monkeypatch.setattr(recognition, "_score_folds", scoring_both)
-        sets = {"robust": parse_features("mmnf,hemg,wamp"), "amp": parse_features("rms,wl")}
+        # hemg alone: its decisions move with the HEMG range each fold resolves
+        # (205.1, or 180.3 for the fold holding out the peak trial, on the
+        # unspiked data), where the robust set's do not.
+        sets = {"robust": parse_features("mmnf,hemg,wamp"), "amp": parse_features("rms,wl"),
+                "hemg": parse_features("hemg")}
         table = evaluate_feature_sets(dataset, sets, levels, SEG, vote_window=vote_window,
                                       seed=3)
         paths = decisions_to_csv(table, tmp_path / "new")
