@@ -3,7 +3,7 @@ windowed LDA gesture recognition."""
 
 __version__ = "0.1.0"
 
-from .signals import Signal, SegmentationConfig, segment, segment_offsets, amplitude_spectrum
+from .signals import SegmentationConfig, segment, segment_offsets, amplitude_spectrum
 from .time_features import (iemg, mav, mmav1, mmav2, mavslp, ssi, var, rms, wl,
                             zc, ssc, wamp, hemg)
 from .freq_features import ar_coefficients, mnf, mdf, mmnf, mmdf
@@ -19,4 +19,4 @@ from .recognition import (LabeledWindowSet, LdaModel, ClassificationReport,
                           leave_one_out, evaluate_feature_sets)
 from .dataio import (Dataset, Trial, DatasetError, ClassSpec, SynthConfig,
                      default_class_specs, load_dataset, save_dataset,
-                     decimate, synthesize_emg)
+                     synthesize_emg)

@@ -1,4 +1,4 @@
-"""Dataset ingestion, output files, decimation, and synthetic sEMG generation.
+"""Dataset ingestion, output files, and synthetic sEMG generation.
 
 On-disk layout: a JSON manifest plus one CSV per trial.
 
@@ -12,7 +12,9 @@ On-disk layout: a JSON manifest plus one CSV per trial.
 The synthetic generator stands in for real recordings: per class and channel
 it shapes white Gaussian noise with a band-pass filter and scales it to the
 class RMS amplitude, giving stationary trials whose spectra and levels are
-controllable enough to separate classes.
+controllable enough to separate classes. `synthesize_emg` is the package's
+one user of scipy, which it imports on first call, so that importing
+myobench skips scipy.
 
 Every file the package writes goes through `write_output`: a dataset's
 manifest and trial CSVs, and each command's outputs with their
@@ -38,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signals import Signal
+from .signals import _check_rate
 
 
 class DatasetError(Exception):
@@ -61,9 +63,6 @@ class Trial:
         if self.data.ndim != 2 or self.data.shape[1] != len(self.channels):
             raise ValueError("trial data must be (n_samples, n_channels)")
 
-    def signal(self, channel: int, rate: float) -> Signal:
-        return Signal(samples=self.data[:, channel], rate=rate)
-
 
 @dataclass
 class Dataset:
@@ -74,8 +73,7 @@ class Dataset:
     trials: list[Trial]
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("sampling rate must be positive")
+        _check_rate(self.rate)
         ids = [t.trial_id for t in self.trials]
         if len(set(ids)) != len(ids):
             raise ValueError("trial ids must be unique")
@@ -95,7 +93,9 @@ def load_dataset(manifest_path) -> Dataset:
     Distinct failures raise DatasetError naming the problem: a manifest that
     is not a JSON object, a missing manifest key or trial entry key, a class
     or trial list that is not a list, a trial entry that is not an object, a
-    repeated class name, a rate that is not a positive finite number, a
+    class name, trial path, label, subject or group that is not a string, a
+    trial's channel list that is not a list, a repeated class name, a rate
+    that is not a positive finite number (a bool is not a number), a
     missing, unreadable or non-UTF-8 trial file, per-trial rate differing
     from the dataset rate, a label outside the declared class set, channel
     names in a CSV not matching the manifest, a sample row that is ragged or
@@ -120,6 +120,9 @@ def load_dataset(manifest_path) -> Dataset:
         if key != "sampling_rate_hz" and not isinstance(manifest[key], list):
             raise DatasetError(f"manifest {key!r} must be a list, got {manifest[key]!r}")
     classes = manifest["classes"]
+    for index, name in enumerate(classes):
+        if not isinstance(name, str):
+            raise DatasetError(f"manifest class {index}: expected a string, got {name!r}")
     repeated = [c for i, c in enumerate(classes) if c in classes[:i]]
     if repeated:
         raise DatasetError(f"manifest repeats class name {repeated[0]!r}")
@@ -136,6 +139,13 @@ def load_dataset(manifest_path) -> Dataset:
         for key in ("path", "label", "channels"):
             if key not in entry:
                 raise DatasetError(f"trial entry {index}: missing required key {key!r}")
+        for key in ("path", "label", "subject", "group"):
+            if not isinstance(entry.get(key, ""), str):
+                raise DatasetError(f"trial entry {index}: {key!r} must be a string, "
+                                   f"got {entry[key]!r}")
+        if not isinstance(entry["channels"], list):
+            raise DatasetError(f"trial entry {index}: 'channels' must be a list, "
+                               f"got {entry['channels']!r}")
         path = base / entry["path"]
         label = entry["label"]
         if label not in classes:
@@ -177,7 +187,9 @@ def load_dataset(manifest_path) -> Dataset:
 
 
 def _number(value) -> float:
-    """``value`` as a float, or NaN when it is not a number."""
+    """``value`` as a float, or NaN when it is not a number (a bool is not)."""
+    if isinstance(value, bool):
+        return math.nan
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -372,33 +384,6 @@ def csv_prefix(values) -> str:
     """``values`` as csv.writer writes them at the start of a row, each
     followed by a comma, so that the rest of the row can be appended."""
     return csv_rows([[*values, ""]])[:-len("\r\n")]
-
-
-def decimate(signal: Signal, factor: int) -> Signal:
-    """Anti-alias low-pass then keep every factor-th sample.
-
-    The FIR filter is linear phase (applied centered, so no net delay) with
-    passband edge at 0.8x the new Nyquist and >= 60 dB attenuation at and
-    beyond the new Nyquist, which is where aliases would fold from.
-    """
-    factor = int(factor)
-    if factor < 1:
-        raise ValueError("decimation factor must be >= 1")
-    if factor == 1:
-        return Signal(samples=signal.samples.copy(), rate=signal.rate)
-    from scipy import signal as sps  # here, so that importing myobench skips scipy
-    new_nyq = signal.rate / factor / 2.0
-    width = 0.2 * new_nyq
-    numtaps, beta = sps.kaiserord(65.0, width / (signal.rate / 2.0))
-    numtaps |= 1  # odd length -> symmetric taps, integer group delay
-    if len(signal) < numtaps:
-        raise ValueError(
-            f"signal too short to decimate: {len(signal)} samples, "
-            f"anti-alias filter needs {numtaps}"
-        )
-    taps = sps.firwin(numtaps, 0.9 * new_nyq, window=("kaiser", beta), fs=signal.rate)
-    filtered = np.convolve(signal.samples, taps, mode="same")
-    return Signal(samples=filtered[::factor], rate=signal.rate / factor)
 
 
 # Default gesture vocabulary for synthetic classes.

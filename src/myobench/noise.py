@@ -26,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import Signal
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -55,9 +53,9 @@ def generate_wgn(n: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(n)
 
 
-def signal_power(signal) -> float:
+def signal_power(samples) -> float:
     """Mean square amplitude (1/N) sum(x_n^2); equals rms^2."""
-    x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, dtype=float)
+    x = np.asarray(samples, dtype=float)
     if x.size < 1:
         raise ValueError("need at least one sample")
     return float(np.mean(x * x))
@@ -70,11 +68,13 @@ def snr_sigma(p_clean: float, snr_db: float) -> float:
     return math.sqrt(p_clean * 10.0 ** (-snr_db / 10.0))
 
 
-def inject_at_snr(signal: Signal, spec: NoiseSpec) -> Signal:
-    """Add WGN scaled for the target SNR; the clean signal is left untouched."""
-    sigma = snr_sigma(signal_power(signal), spec.snr_db)
-    noise = generate_wgn(len(signal), (spec.seed, spec.repetition_index))
-    return Signal(samples=signal.samples + sigma * noise, rate=signal.rate)
+def inject_at_snr(samples, spec: NoiseSpec) -> np.ndarray:
+    """Add WGN scaled for the target SNR; the clean samples are left untouched."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:  # a (n, 1) column would broadcast against the draws
+        raise ValueError("inject_at_snr needs a 1-D sample array")
+    sigma = snr_sigma(signal_power(x), spec.snr_db)
+    return x + sigma * generate_wgn(x.size, (spec.seed, spec.repetition_index))
 
 
 def derive_seed(*key: int) -> int:

@@ -225,7 +225,7 @@ def extract_window_set(trials: list[Trial], rate: float,
     feature_names = [f"{ch_name}:{c}" for ch_name in trials[0].channels
                      for desc in descriptors for c in desc.component_names()]
 
-    offsets = [segment_offsets(trial.signal(0, rate), segmentation) for trial in trials]
+    offsets = [segment_offsets(len(trial.data), rate, segmentation) for trial in trials]
     first_row = np.cumsum([0] + [o.size for o in offsets])
     width = segmentation.window_samples(rate)
     features = np.empty((first_row[-1], channels,

@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import freq_features as ff
 from . import time_features as tf
-from .signals import SegmentationConfig, Signal, amplitude_spectrum, segment_offsets
+from .signals import SegmentationConfig, amplitude_spectrum, segment_offsets
 
 # name -> default params; ints where the feature needs counts/orders
 _FAMILIES: dict[str, dict] = {
@@ -328,15 +328,18 @@ def extract(descriptors, windows, rate: float) -> np.ndarray:
     return _columns(descriptors, _Intermediates(rows, rows.shape[-1], None, rate))
 
 
-def extract_segments(descriptors, signal: Signal, cfg: SegmentationConfig) -> np.ndarray:
-    """``extract(descriptors, segment(signal, cfg), signal.rate)``, bit for bit.
+def extract_segments(descriptors, samples, rate: float, cfg: SegmentationConfig) -> np.ndarray:
+    """``extract(descriptors, segment(samples, rate, cfg), rate)``, bit for bit.
 
     The elementwise intermediates are computed once over the samples the
     windows cover, not once per overlapping window: each window sums the
     same values in the same order, and each count comes from the positions
     of the events. Samples after the last whole window are never read.
     """
-    return _extract_stack(descriptors, signal.samples[np.newaxis], signal.rate, cfg)[0]
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("extract_segments needs a 1-D sample array")
+    return _extract_stack(descriptors, x[np.newaxis], rate, cfg)[0]
 
 
 def _extract_stack(descriptors, signals, rate: float, cfg: SegmentationConfig) -> np.ndarray:
@@ -346,7 +349,7 @@ def _extract_stack(descriptors, signals, rate: float, cfg: SegmentationConfig) -
     covers the whole stack, so its fixed cost is paid once per stack rather
     than once per signal.
     """
-    offsets = segment_offsets(Signal(signals[0], rate), cfg)  # raises when too short
+    offsets = segment_offsets(signals.shape[1], rate, cfg)  # raises when too short
     width = cfg.window_samples(rate)
     shared = _Intermediates(signals[:, :offsets[-1] + width], width, cfg.slide_samples(rate),
                             rate)

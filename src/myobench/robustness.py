@@ -39,7 +39,7 @@ import numpy as np
 from .dataio import Dataset
 from .noise import derive_seeds, fill_wgn, signal_power, snr_sigma, stream_words
 from .registry import FeatureDescriptor, extract, peak_amplitude, resolve_hemg_peak
-from .signals import SegmentationConfig, Signal, segment
+from .signals import SegmentationConfig, segment
 
 
 def percentage_error(clean_value, noisy_value):
@@ -76,9 +76,11 @@ class RobustnessConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One clean signal under test, with its labels for aggregation."""
+    """One clean signal under test (samples at ``rate`` Hz), with its labels
+    for aggregation."""
 
-    signal: Signal
+    samples: np.ndarray
+    rate: float
     motion: str
     group: str
     trial_id: str
@@ -121,12 +123,12 @@ def records_from_dataset(dataset: Dataset, segmentation: SegmentationConfig,
     records = []
     for trial in dataset.trials:
         for ch, ch_name in enumerate(trial.channels):
-            windows = segment(trial.signal(ch, dataset.rate), segmentation)
+            windows = segment(trial.data[:, ch], dataset.rate, segmentation)
             if max_windows is not None:
                 windows = windows[:max_windows]
             for w_idx, window in enumerate(windows):
                 records.append(TrialRecord(
-                    signal=Signal(samples=window, rate=dataset.rate),
+                    samples=window, rate=dataset.rate,
                     motion=trial.label, group=trial.group,
                     trial_id=f"{trial.trial_id}/{ch_name}/w{w_idx}",
                 ))
@@ -148,10 +150,10 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
     if len(set(features)) != len(features):
         raise ValueError("a feature (or sweep value) is listed twice")
     for record in records:
-        if not np.all(np.isfinite(record.signal.samples)):
+        if not np.all(np.isfinite(record.samples)):
             raise ValueError(f"record {record.trial_id} has non-finite samples")
     features = resolve_hemg_peak(features,
-                                 peak_amplitude([r.signal.samples for r in records])[0])
+                                 peak_amplitude([r.samples for r in records])[0])
 
     reps = cfg.repetitions
     n_snr = len(cfg.snr_grid)
@@ -163,7 +165,7 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
     words = stream_words(stream_seeds.ravel(), range(reps))
     words = words.reshape(len(records), n_snr * reps, -1)
     for r_idx, record in enumerate(records):
-        clean = record.signal.samples
+        clean = record.samples
         matrix = np.empty((1 + n_snr * reps, clean.size))  # row 0 is the clean signal
         matrix[0] = clean
         p_clean = signal_power(clean)
@@ -177,7 +179,7 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
         noisy = fill_wgn(words[r_idx], matrix[1:]).reshape(n_snr, reps, clean.size)
         noisy *= sigmas[:, np.newaxis, np.newaxis]
         noisy += clean
-        values, ok = _scalar_values(features, picks, in_range, matrix, record.signal.rate,
+        values, ok = _scalar_values(features, picks, in_range, matrix, record.rate,
                                     reasons)
         ok &= values[0] != 0
         for d_idx in np.flatnonzero(~ok):

@@ -1,12 +1,14 @@
-"""Signal container, sliding-window segmentation, and spectrum estimation.
+"""Sliding-window segmentation and spectrum estimation.
 
 Everything downstream (time-domain features, spectral moments, the noise
 benchmark, the recognition pipeline) works on the primitives defined here:
-a sampled signal, fixed-length windows cut from it, and a one-sided DFT
+fixed-length windows cut from a 1-D sample array, and a one-sided DFT
 amplitude spectrum whose normalization is pinned so that the summed power
-spectrum equals the signal energy (Parseval). The spectrum is a plain
-``(freqs, amplitudes)`` pair; the spectral moments square the amplitudes
-for their power-weighted forms (see `freq_features`).
+spectrum equals the signal energy (Parseval). Samples are plain arrays, and
+an entry point that needs the sampling rate (Hz) takes it as a ``rate``
+argument, checked by `_check_rate` wherever it is used. The spectrum is a
+plain ``(freqs, amplitudes)`` pair; the spectral moments square the
+amplitudes for their power-weighted forms (see `freq_features`).
 """
 from __future__ import annotations
 
@@ -14,24 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-
-@dataclass
-class Signal:
-    """One channel of sampled amplitude (mV) with its sampling rate (Hz)."""
-
-    samples: np.ndarray
-    rate: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1 or self.samples.size < 1:
-            raise ValueError("signal needs a 1-D sample array with at least one sample")
-        if not self.rate > 0:
-            raise ValueError(f"sampling rate must be positive, got {self.rate}")
-
-    def __len__(self) -> int:
-        return self.samples.size
 
 
 @dataclass(frozen=True)
@@ -59,7 +43,13 @@ class SegmentationConfig:
         return _ms_to_samples(self.slide_ms, rate, "slide", minimum=1)
 
 
+def _check_rate(rate: float) -> None:
+    if not 0 < rate < np.inf:  # NaN fails too
+        raise ValueError(f"sampling rate must be positive and finite, got {rate}")
+
+
 def _ms_to_samples(ms: float, rate: float, what: str, minimum: int) -> int:
+    _check_rate(rate)
     exact = ms * rate / 1000.0
     n = int(round(exact))
     if abs(exact - n) > 1e-9:
@@ -71,29 +61,33 @@ def _ms_to_samples(ms: float, rate: float, what: str, minimum: int) -> int:
     return n
 
 
-def segment_offsets(signal: Signal, cfg: SegmentationConfig) -> np.ndarray:
-    """Start indices (in samples) of every full window; trailing partial dropped."""
-    w = cfg.window_samples(signal.rate)
-    s = cfg.slide_samples(signal.rate)
-    n = len(signal)
-    if n < w:
+def segment_offsets(n_samples: int, rate: float, cfg: SegmentationConfig) -> np.ndarray:
+    """Start indices (in samples) of every full window over ``n_samples``
+    samples at ``rate`` Hz; a trailing partial window is dropped."""
+    w = cfg.window_samples(rate)
+    s = cfg.slide_samples(rate)
+    if n_samples < w:
         raise ValueError(
-            f"signal too short to segment: {n} samples, window needs {w}"
+            f"signal too short to segment: {n_samples} samples, window needs {w}"
         )
-    count = (n - w) // s + 1
+    count = (n_samples - w) // s + 1
     return np.arange(count) * s
 
 
-def segment(signal: Signal, cfg: SegmentationConfig) -> np.ndarray:
-    """Cut a signal into sliding windows.
+def segment(samples, rate: float, cfg: SegmentationConfig) -> np.ndarray:
+    """Cut a 1-D sample array, sampled at ``rate`` Hz, into sliding windows.
 
-    Returns a read-only (n_windows, window_samples) view of the signal's
-    samples; nothing is copied. Window k starts at sample k * slide; any
-    trailing samples that do not fill a window are discarded.
+    Returns a read-only (n_windows, window_samples) view of the samples
+    (of a float copy when they are not float); nothing else is copied.
+    Window k starts at sample k * slide; any trailing samples that do not
+    fill a window are discarded.
     """
-    segment_offsets(signal, cfg)  # raises when the signal is too short
-    windows = sliding_window_view(signal.samples, cfg.window_samples(signal.rate))
-    return windows[::cfg.slide_samples(signal.rate)]
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1:
+        raise ValueError("segment needs a 1-D sample array")
+    segment_offsets(samples.size, rate, cfg)  # raises when the signal is too short
+    windows = sliding_window_view(samples, cfg.window_samples(rate))
+    return windows[::cfg.slide_samples(rate)]
 
 
 def amplitude_spectrum(window, rate: float):
@@ -107,6 +101,7 @@ def amplitude_spectrum(window, rate: float):
     (windows, samples) matrix gives one row of amplitudes per window over
     the shared axis.
     """
+    _check_rate(rate)
     samples = np.asarray(window, dtype=float)
     if samples.ndim not in (1, 2) or samples.shape[-1] < 2:
         raise ValueError("spectrum needs a window (or window matrix) of at least 2 samples")

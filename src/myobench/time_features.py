@@ -90,7 +90,7 @@ def ssi(window) -> float:
 
 
 def var(window) -> float:
-    """Signal power as sum(x_n^2) / (N-1); no mean subtraction (EMG is ~zero-mean)."""
+    """Variance as sum(x_n^2) / (N-1); no mean subtraction (EMG is ~zero-mean)."""
     return _feature("var", window)
 
 

@@ -42,7 +42,7 @@ def dataset_dir(tmp_path, runner):
 
 def test_cli_import_leaves_scipy_signal_unloaded():
     # scipy.signal costs every command about a second of import; only
-    # synthesis and decimation need it.
+    # synthesis needs it.
     code = "import sys, myobench.cli; print('scipy.signal' in sys.modules)"
     src = Path(myobench.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -81,6 +81,26 @@ def test_non_finite_length_or_rate_is_usage_error(runner, dataset_dir, tmp_path,
     result = runner.invoke(main, args + [option, value])
     assert result.exit_code == 2, result.output
     assert "must be positive and finite" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
+@pytest.mark.parametrize("command", ["extract", "robustness", "classify"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m["classes"].append(["rest"]),
+     "manifest class 2: expected a string, got ['rest']"),
+    (lambda m: m["trials"][0].update(path=5), "trial entry 0: 'path' must be a string, got 5"),
+], ids=["class-list", "path-int"])
+def test_manifest_value_of_the_wrong_json_type_is_runtime_error(
+        runner, dataset_dir, tmp_path, command, edit, message):
+    manifest_path = dataset_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    result = runner.invoke(main, [command, "--data", str(manifest_path),
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.strip() == f"Error: {message}"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 

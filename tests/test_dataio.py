@@ -1,5 +1,4 @@
-"""Dataset round-trips, loader validation, the parse cache, decimation, and the
-synthesizer."""
+"""Dataset round-trips, loader validation, the parse cache, and the synthesizer."""
 import hashlib
 import io
 import json
@@ -10,9 +9,9 @@ import numpy as np
 import pytest
 
 from myobench.dataio import (ClassSpec, Dataset, DatasetError, SynthConfig, Trial,
-                             decimate, default_class_specs, load_dataset,
-                             save_dataset, synthesize_emg)
-from myobench.signals import SegmentationConfig, Signal, amplitude_spectrum, segment
+                             default_class_specs, load_dataset, save_dataset,
+                             synthesize_emg)
+from myobench.signals import SegmentationConfig, amplitude_spectrum, segment
 from myobench.time_features import rms
 
 
@@ -158,6 +157,38 @@ class TestLoaderErrors:
         path, _ = self.write_manifest(tmp_path, sampling_rate_hz=rate)
         with pytest.raises(DatasetError, match="positive finite"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("name", [["hand_open"], 5, None, {"name": "x"}])
+    def test_class_name_must_be_a_string(self, tmp_path, name):
+        path, _ = self.write_manifest(tmp_path, classes=["hand_close", "hand_open", name])
+        message = f"manifest class 2: expected a string, got {name!r}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("path", 5), ("path", ["t1.csv"]), ("label", ["hand_open"]), ("label", 1),
+        ("subject", 3), ("group", ["strong"]), ("channels", 5), ("channels", "ch1,ch2"),
+    ])
+    def test_trial_field_of_the_wrong_json_type(self, tmp_path, key, value):
+        path, manifest = self.write_manifest(tmp_path)
+        manifest["trials"][1][key] = value
+        path.write_text(json.dumps(manifest))
+        kind = "a list" if key == "channels" else "a string"
+        message = f"trial entry 1: {key!r} must be {kind}, got {value!r}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            load_dataset(path)
+
+    def test_bool_rate_is_not_a_number(self, tmp_path):
+        path, _ = self.write_manifest(tmp_path, sampling_rate_hz=True)
+        with pytest.raises(DatasetError, match="^sampling_rate_hz must be a positive "
+                                               "finite number, got True$"):
+            load_dataset(path)
+        for rate in (1.0, 1000.0):  # True == 1.0: a bool would pass as a 1 Hz rate
+            path, manifest = self.write_manifest(tmp_path, sampling_rate_hz=rate)
+            manifest["trials"][0]["sampling_rate_hz"] = True
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(DatasetError, match=r"^trial t0\.csv: rate mismatch \(True Hz"):
+                load_dataset(path)
 
     def edit_trial_rows(self, tmp_path, edit):
         """Apply ``edit`` to the first trial file's lines; return (manifest, file)."""
@@ -359,40 +390,6 @@ class TestParseCache:
             load_dataset(manifest)
 
 
-class TestDecimate:
-    def test_factor_one_is_identity(self):
-        sig = Signal(np.sin(np.arange(500) * 0.01), 3000.0)
-        out = decimate(sig, 1)
-        np.testing.assert_array_equal(out.samples, sig.samples)
-        assert out.rate == sig.rate
-
-    def test_passband_tone_survives(self):
-        rate = 3000.0
-        t = np.arange(int(rate)) / rate
-        sig = Signal(np.sin(2 * np.pi * 100.0 * t), rate)
-        out = decimate(sig, 3)
-        assert out.rate == 1000.0
-        # Trim filter edges, then compare RMS against the ideal tone level.
-        core = out.samples[100:-100]
-        assert rms(core) == pytest.approx(1.0 / np.sqrt(2.0), rel=0.02)
-        freqs, amplitudes = amplitude_spectrum(core, out.rate)
-        assert freqs[np.argmax(amplitudes)] == pytest.approx(100.0, abs=2.0)
-
-    def test_stopband_tone_is_suppressed(self):
-        rate = 3000.0
-        t = np.arange(int(rate)) / rate
-        sig = Signal(np.sin(2 * np.pi * 1400.0 * t), rate)
-        out = decimate(sig, 3)
-        in_power = np.mean(sig.samples ** 2)
-        out_power = np.mean(out.samples[100:-100] ** 2)
-        assert out_power < 0.01 * in_power
-
-    def test_bad_factor(self):
-        sig = Signal(np.ones(100), 3000.0)
-        with pytest.raises(ValueError):
-            decimate(sig, 0)
-
-
 class TestSynthesize:
     def test_same_seed_is_bit_identical(self):
         cfg = SynthConfig(classes=tuple(default_class_specs(2)), channels=2,
@@ -436,7 +433,7 @@ class TestSynthesize:
         cfg = SegmentationConfig(window_ms=256, slide_ms=64)
         for trial in dataset.trials:
             amp = by_name[trial.label].amplitude
-            for window in segment(trial.signal(0, dataset.rate), cfg):
+            for window in segment(trial.data[:, 0], dataset.rate, cfg):
                 assert abs(rms(window) - amp) < 0.30 * amp
 
     def test_group_tags_and_labels(self):

@@ -1,12 +1,15 @@
 """The package's public surface: one name per concept, and the documented names."""
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import myobench
+from myobench.cli import main
 from myobench.registry import FEATURE_NAMES, extract, make_descriptor
 
 README = Path(__file__).parents[1] / "README.md"
@@ -28,17 +31,19 @@ REMOVED = [
     ("signals", "Spectrum"),                # amplitude_spectrum's (freqs, amplitudes)
     ("signals", "PowerSpectrum"),           # the moments square the amplitudes
     ("signals", "power_spectrum"),
+    ("signals", "Signal"),                  # a sample array plus a rate argument
+    ("dataio", "decimate"),                 # no command or README example used it
 ]
 REMOVED_MEMBERS = [
     ("registry", "FeatureDescriptor", "scalarize"),  # robustness._scalar_picks
-    ("signals", "Signal", "duration_ms"),
     ("dataio", "Dataset", "channel_count"),
     ("recognition", "LdaModel", "dim"),
     ("robustness", "RobustnessConfig", "dry_run"),  # a zero-draw stub in the tests
+    ("dataio", "Trial", "signal"),                  # trial.data[:, channel]
 ]
 
 EXPORTED = """
-    Signal SegmentationConfig segment segment_offsets amplitude_spectrum
+    SegmentationConfig segment segment_offsets amplitude_spectrum
     iemg mav mmav1 mmav2 mavslp ssi var rms wl zc ssc wamp hemg
     ar_coefficients mnf mdf mmnf mmdf
     NoiseSpec generate_wgn signal_power inject_at_snr
@@ -49,7 +54,7 @@ EXPORTED = """
     LabeledWindowSet LdaModel ClassificationReport CrTable lda_train lda_scores
     majority_vote extract_window_set leave_one_out evaluate_feature_sets
     Dataset Trial DatasetError ClassSpec SynthConfig default_class_specs load_dataset
-    save_dataset decimate synthesize_emg
+    save_dataset synthesize_emg
 """.split()
 
 
@@ -85,6 +90,21 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch):
     np.savetxt(tmp_path / "channel.txt", np.random.default_rng(7).standard_normal(3000) * 50.0)
     monkeypatch.chdir(tmp_path)
     exec(compile(block.group(1), str(README), "exec"), {})
+
+
+def test_readme_cli_quick_start_runs(tmp_path, monkeypatch):
+    block = re.search(r"## Quick start \(CLI\)\s*```sh\n(.*?)```", README.read_text(), re.S)
+    assert block is not None
+    text = re.sub(r"\\\n\s*", " ", block.group(1))  # join continued lines
+    commands = [shlex.split(line) for line in text.splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
+    assert {args[0] for args in commands} == {"myobench"}
+    assert {args[1] for args in commands} == {"synth", "extract", "robustness", "classify"}
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    for args in commands:
+        result = runner.invoke(main, args[1:])
+        assert result.exit_code == 0, (args, result.output)
 
 
 # Parameters the feature functions and their descriptors both get; the

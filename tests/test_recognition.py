@@ -154,13 +154,13 @@ def noise_trials(seed, lengths, channels):
 
 def per_channel_rows(extract_channel, trials, descriptors, seg, rate=1000.0):
     """The feature matrix from one extraction per channel and trial."""
-    return np.vstack([np.hstack([extract_channel(descriptors, t.signal(ch, rate), seg)
+    return np.vstack([np.hstack([extract_channel(descriptors, t.data[:, ch], rate, seg)
                                  for ch in range(len(t.channels))]) for t in trials])
 
 
-def extract_windows(descriptors, signal, seg):
+def extract_windows(descriptors, samples, rate, seg):
     """The matrix path on the signal's windows: no stacked intermediates."""
-    return extract(descriptors, segment(signal, seg), signal.rate)
+    return extract(descriptors, segment(samples, rate, seg), rate)
 
 
 class TestBlockExtraction:
@@ -601,7 +601,7 @@ class TestCachedFolds:
             assert (tested.label, tested.channels) == (trial.label, trial.channels)
             for ch in range(len(trial.channels)):
                 spec = NoiseSpec(snr_db=15.0, seed=derive_seed(level_seed, fold, ch))
-                expected = inject_at_snr(trial.signal(ch, dataset.rate), spec).samples
+                expected = inject_at_snr(trial.data[:, ch], spec)
                 np.testing.assert_array_equal(tested.data[:, ch], expected)
 
     def test_non_finite_snr_rejected(self):

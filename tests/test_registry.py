@@ -13,7 +13,7 @@ from myobench.registry import (FEATURE_NAMES, FEATURE_SETS, FeatureDescriptor, d
                                parse_feature, parse_features, peak_amplitude,
                                resolve_hemg_peak)
 from myobench.robustness import _scalar_picks
-from myobench.signals import SegmentationConfig, Signal, segment
+from myobench.signals import SegmentationConfig, segment
 from myobench.time_features import rms, ssc, wamp, zc
 
 
@@ -241,9 +241,9 @@ def assert_same_outcome(got, expected):
         assert np.array_equal(got, expected, equal_nan=True)
 
 
-def windows_outcome(descriptors, signal, cfg):
+def windows_outcome(descriptors, samples, cfg, rate=1000.0):
     """What `extract` gives on a contiguous copy of the signal's windows."""
-    return outcome(lambda: extract(descriptors, np.array(segment(signal, cfg)), signal.rate))
+    return outcome(lambda: extract(descriptors, np.array(segment(samples, rate, cfg)), rate))
 
 
 # Every family with non-default parameters: zero and clamping thresholds and
@@ -286,9 +286,9 @@ class TestExtractSegments:
         data = rng.standard_normal((n, channels))
         if quantum:  # repeated samples: zero differences, ties and zeros
             data = np.round(data / quantum) * quantum
-        signal = Signal(data[:, -1], 1000.0)  # a strided column when channels > 1
+        signal = data[:, -1]  # a strided column when channels > 1
         cfg = SegmentationConfig(window_ms=float(width), slide_ms=float(slide))
-        assert_same_outcome(outcome(lambda: extract_segments(descriptors, signal, cfg)),
+        assert_same_outcome(outcome(lambda: extract_segments(descriptors, signal, 1000.0, cfg)),
                             windows_outcome(descriptors, signal, cfg))
 
     @pytest.mark.parametrize("width, slide", [(16, 16), (16, 4), (16, 5), (16, 1), (3, 2)])
@@ -298,8 +298,8 @@ class TestExtractSegments:
                        for name in FEATURE_NAMES if name != "mavslp"]
         cfg = SegmentationConfig(window_ms=float(width), slide_ms=float(slide))
         for n in (width, width + slide - 1, 3 * slide + width, 3 * slide + width + slide - 1):
-            signal = Signal(rng.standard_normal(n), 1000.0)
-            got = outcome(lambda: extract_segments(descriptors, signal, cfg))
+            signal = rng.standard_normal(n)
+            got = outcome(lambda: extract_segments(descriptors, signal, 1000.0, cfg))
             assert_same_outcome(got, windows_outcome(descriptors, signal, cfg))
 
     def test_errors_match(self):
@@ -311,17 +311,16 @@ class TestExtractSegments:
                  (parse_features("rms,hemg:limit=1"), with_nan, "hemg needs finite samples"),
                  (parse_features("mav,mavslp:segments=5"), x, "does not divide")]
         for descriptors, samples, message in cases:
-            signal = Signal(samples, 1000.0)
-            got = outcome(lambda: extract_segments(descriptors, signal, cfg))
+            got = outcome(lambda: extract_segments(descriptors, samples, 1000.0, cfg))
             assert message in got
-            assert got == windows_outcome(descriptors, signal, cfg)
+            assert got == windows_outcome(descriptors, samples, cfg)
         assert_rejected_when_built("ssc", "threshold", -1.0)
         assert_rejected_when_built("hemg", "bins", 0)
         for token, width, message in [("mmav1", 3.0, "at least 4"), ("ssc", 2.0, "at least 3")]:
-            short, signal = SegmentationConfig(window_ms=width, slide_ms=1.0), Signal(x, 1000.0)
-            got = outcome(lambda: extract_segments(parse_features(token), signal, short))
+            short = SegmentationConfig(window_ms=width, slide_ms=1.0)
+            got = outcome(lambda: extract_segments(parse_features(token), x, 1000.0, short))
             assert message in got
-            assert got == windows_outcome(parse_features(token), signal, short)
+            assert got == windows_outcome(parse_features(token), x, short)
 
     def test_nan_in_the_trailing_partial_window_is_never_read(self):
         cfg = SegmentationConfig(window_ms=12.0, slide_ms=5.0)
@@ -330,9 +329,9 @@ class TestExtractSegments:
         descriptors = [make_descriptor(name, {"limit": 1.0} if name == "hemg" else
                                        {"segments": 4} if name == "mavslp" else {})
                        for name in FEATURE_NAMES]
-        got = extract_segments(descriptors, Signal(x, 1000.0), cfg)
+        got = extract_segments(descriptors, x, 1000.0, cfg)
         assert np.isfinite(got).all()
-        assert_same_outcome(got, windows_outcome(descriptors, Signal(x, 1000.0), cfg))
+        assert_same_outcome(got, windows_outcome(descriptors, x, cfg))
 
 
 class TestScalarize:

@@ -19,19 +19,19 @@ from myobench.registry import (default_panel, extract, make_descriptor, parse_fe
 from myobench.robustness import (GridRow, RobustnessConfig, TrialRecord, grid_csv_rows,
                                  grid_json_rows, percentage_error, records_from_dataset,
                                  run_grid)
-from myobench.signals import SegmentationConfig, Signal
+from myobench.signals import SegmentationConfig
 from myobench.time_features import rms
 
 
 def band_limited(rng, n=256, band=(20.0, 450.0), amp=50.0, rate=1000.0):
     sos = sps.butter(4, band, btype="bandpass", fs=rate, output="sos")
     x = sps.sosfiltfilt(sos, rng.standard_normal(n + 512))[256:256 + n]
-    return Signal(x * (amp / np.sqrt(np.mean(x * x))), rate)
+    return x * (amp / np.sqrt(np.mean(x * x)))
 
 
 def make_records(rng, count=2, amp=50.0):
     return [
-        TrialRecord(signal=band_limited(rng, amp=amp), motion=f"m{i % 2}",
+        TrialRecord(samples=band_limited(rng, amp=amp), rate=1000.0, motion=f"m{i % 2}",
                     group="strong", trial_id=f"r{i}")
         for i in range(count)
     ]
@@ -52,22 +52,21 @@ def reference_rows(records, features, cfg):
     range, excludes the record. The HEMG range is the largest record peak,
     a NaN peak skipped.
     """
-    peak = reduce(max, (float(np.max(np.abs(r.signal.samples))) for r in records), 0.0)
+    peak = reduce(max, (float(np.max(np.abs(r.samples))) for r in records), 0.0)
     features = resolve_hemg_peak(features, peak)
     reps = cfg.repetitions
     pes = {}  # (feature index, record index) -> (SNR, repetition) PE matrix
     for r_idx, record in enumerate(records):
-        signal = record.signal
-        copies = [signal.samples]
+        copies = [record.samples]
         for s_idx, snr in enumerate(cfg.snr_grid):
             stream_seed = derive_seed(cfg.seed, r_idx, s_idx)
             for rep in range(reps):
                 spec = NoiseSpec(snr_db=snr, seed=stream_seed, repetition_index=rep)
-                copies.append(inject_at_snr(signal, spec).samples)
+                copies.append(inject_at_snr(record.samples, spec))
         matrix = np.vstack(copies)
         for d_idx, desc in enumerate(features):
             try:
-                values = extract([desc], matrix, signal.rate)
+                values = extract([desc], matrix, record.rate)
                 if not 1 <= desc.scalar_component <= values.shape[1]:
                     raise ValueError("scalar component out of range")
                 values = values[:, desc.scalar_component - 1]
@@ -199,7 +198,7 @@ class TestRunGrid:
     def test_non_finite_clean_sample_is_an_error(self):
         rng = np.random.default_rng(11)
         records = make_records(rng, count=3)
-        records[1].signal.samples[10] = np.nan
+        records[1].samples[10] = np.nan
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, seed=0)
         with pytest.raises(ValueError, match="record r1 has non-finite samples"):
             run_grid(records, parse_features("rms"), cfg)
@@ -209,7 +208,7 @@ class TestRunGrid:
         # stream and the hemg range as they were.
         rng = np.random.default_rng(15)
         records = make_records(rng, count=3)
-        flat = TrialRecord(signal=Signal(np.zeros(256), 1000.0), motion="m0",
+        flat = TrialRecord(samples=np.zeros(256), rate=1000.0, motion="m0",
                            group="strong", trial_id="flat")
         cfg = RobustnessConfig(snr_grid=(20.0, 10.0, 20.0), repetitions=3, seed=4)
         base = run_grid(records, default_panel(), cfg)
@@ -240,7 +239,7 @@ class TestRunGrid:
 
     def test_unscored_reasons(self):
         rng = np.random.default_rng(22)
-        flat = [TrialRecord(signal=Signal(np.zeros(256), 1000.0), motion="m0",
+        flat = [TrialRecord(samples=np.zeros(256), rate=1000.0, motion="m0",
                             group="strong", trial_id=f"flat{i}") for i in range(2)]
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=2, seed=0)
         grid = run_grid(flat, parse_features("rms,mmnf"), cfg)
@@ -254,7 +253,7 @@ class TestRunGrid:
     def test_group_filter(self):
         rng = np.random.default_rng(9)
         records = make_records(rng, count=2) + [
-            TrialRecord(signal=band_limited(rng, amp=10.0), motion="m0",
+            TrialRecord(samples=band_limited(rng, amp=10.0), rate=1000.0, motion="m0",
                         group="weak", trial_id="w0")
         ]
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, seed=0,
@@ -271,9 +270,9 @@ class TestRunGrid:
         sigma = 5.0
         pes = {}
         for name, sig in [("strong", strong), ("weak", weak)]:
-            clean = rms(sig.samples)
+            clean = rms(sig)
             samples = [
-                percentage_error(clean, rms(sig.samples + sigma * rng.standard_normal(len(sig))))
+                percentage_error(clean, rms(sig + sigma * rng.standard_normal(len(sig))))
                 for _ in range(40)
             ]
             pes[name] = np.mean(samples)
@@ -302,7 +301,7 @@ class TestGridOracle:
         records = make_records(np.random.default_rng(19), count=2)
         features = parse_features("rms,mavslp:segments=7")
         with pytest.raises(ValueError):
-            extract(features, records[0].signal.samples, 1000.0)
+            extract(features, records[0].samples, 1000.0)
         cfg = RobustnessConfig(snr_grid=(20.0, 0.0), repetitions=3, seed=8)
         grid = run_grid(records, features, cfg)
         same_rows(grid.rows, reference_rows(records, features, cfg))
@@ -351,7 +350,7 @@ class TestRecordsFromDataset:
             trials_per_class=1, trial_ms=1000, seed=0))
         records = records_from_dataset(dataset, SegmentationConfig(), max_windows=1)
         assert len(records) == 2 * 2  # trials x channels, one window each
-        assert all(len(r.signal) == 256 for r in records)
+        assert all(len(r.samples) == 256 and r.rate == dataset.rate for r in records)
         all_windows = records_from_dataset(dataset, SegmentationConfig(), max_windows=None)
         assert len(all_windows) == 2 * 2 * 12
         with pytest.raises(ValueError, match="max_windows"):

@@ -1,8 +1,13 @@
-"""Segmentation and spectrum estimation against independent oracles."""
+"""Segmentation and spectrum estimation against independent oracles, plus
+the input checks the entry points share: one sampling-rate check, and a
+1-D (one channel) sample array."""
 import numpy as np
 import pytest
 
-from myobench.signals import (SegmentationConfig, Signal, amplitude_spectrum, segment,
+from myobench.freq_features import mmdf, mnf
+from myobench.noise import NoiseSpec, inject_at_snr
+from myobench.registry import extract_segments, parse_features
+from myobench.signals import (SegmentationConfig, amplitude_spectrum, segment,
                               segment_offsets)
 
 
@@ -26,44 +31,43 @@ def naive_amplitude_spectrum(x, rate):
 
 class TestSegment:
     def test_window_count_and_starts(self):
-        sig = Signal(np.arange(1000, dtype=float), 1000.0)
+        x = np.arange(1000, dtype=float)
         cfg = SegmentationConfig(window_ms=256, slide_ms=64)
-        windows = segment(sig, cfg)
+        windows = segment(x, 1000.0, cfg)
         assert windows.shape == (12, 256)
-        assert list(segment_offsets(sig, cfg)) == list(range(0, 705, 64))
+        assert list(segment_offsets(x.size, 1000.0, cfg)) == list(range(0, 705, 64))
 
     def test_exact_fit_gives_one_window(self):
-        sig = Signal(np.arange(256, dtype=float), 1000.0)
-        windows = segment(sig, SegmentationConfig(window_ms=256, slide_ms=64))
+        x = np.arange(256, dtype=float)
+        windows = segment(x, 1000.0, SegmentationConfig(window_ms=256, slide_ms=64))
         assert windows.shape == (1, 256)
-        np.testing.assert_array_equal(windows[0], sig.samples)
+        np.testing.assert_array_equal(windows[0], x)
 
     def test_too_short_reports_lengths(self):
-        sig = Signal(np.arange(255, dtype=float), 1000.0)
+        x = np.arange(255, dtype=float)
         with pytest.raises(ValueError, match="255.*256"):
-            segment(sig, SegmentationConfig(window_ms=256, slide_ms=64))
+            segment(x, 1000.0, SegmentationConfig(window_ms=256, slide_ms=64))
 
     def test_windows_copy_signal_slices(self):
-        sig = Signal(np.arange(1000, dtype=float), 1000.0)
+        x = np.arange(1000, dtype=float)
         cfg = SegmentationConfig(window_ms=100, slide_ms=50)
-        windows = segment(sig, cfg)
-        for k, off in enumerate(segment_offsets(sig, cfg)):
-            np.testing.assert_array_equal(windows[k], sig.samples[off:off + 100])
+        windows = segment(x, 1000.0, cfg)
+        for k, off in enumerate(segment_offsets(x.size, 1000.0, cfg)):
+            np.testing.assert_array_equal(windows[k], x[off:off + 100])
 
     def test_shift_consistency(self):
         # Window k equals window k-1 of the signal with one slide chopped off.
         rng = np.random.default_rng(7)
-        sig = Signal(rng.standard_normal(2000), 1000.0)
+        x = rng.standard_normal(2000)
         cfg = SegmentationConfig(window_ms=256, slide_ms=64)
-        shifted = Signal(sig.samples[64:], 1000.0)
-        full = segment(sig, cfg)
-        tail = segment(shifted, cfg)
+        full = segment(x, 1000.0, cfg)
+        tail = segment(x[64:], 1000.0, cfg)
         np.testing.assert_array_equal(full[1:], tail[: full.shape[0] - 1])
 
     def test_non_integer_window_rejected(self):
-        sig = Signal(np.arange(1000, dtype=float), 3000.0)
+        x = np.arange(1000, dtype=float)
         with pytest.raises(ValueError, match="integer"):
-            segment(sig, SegmentationConfig(window_ms=100.1, slide_ms=50))
+            segment(x, 3000.0, SegmentationConfig(window_ms=100.1, slide_ms=50))
 
     def test_invalid_slide_rejected(self):
         with pytest.raises(ValueError):
@@ -124,3 +128,35 @@ class TestAmplitudeSpectrum:
         with pytest.raises(ValueError):
             amplitude_spectrum(np.ones(1), 1000.0)
 
+
+
+class TestSampleInput:
+    CFG = SegmentationConfig(window_ms=64, slide_ms=32)
+
+    @pytest.mark.parametrize("rate", [-1000.0, 0.0, float("nan"), float("inf")])
+    def test_bad_rate_is_refused_by_every_entry_point(self, rate):
+        x = np.random.default_rng(0).standard_normal(256)
+        features = parse_features("rms,mnf")
+        calls = {
+            "mnf": lambda: mnf(x, rate),
+            "mmdf": lambda: mmdf(x, rate),
+            "amplitude_spectrum": lambda: amplitude_spectrum(x, rate),
+            "segment": lambda: segment(x, rate, self.CFG),
+            "segment_offsets": lambda: segment_offsets(x.size, rate, self.CFG),
+            "extract_segments": lambda: extract_segments(features, x, rate, self.CFG),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == \
+                f"sampling rate must be positive and finite, got {rate}", name
+
+    @pytest.mark.parametrize("shape", [(2, 256), (256, 1)])
+    def test_two_dimensional_samples_are_refused(self, shape):
+        x = np.ones(shape)
+        with pytest.raises(ValueError, match="^segment needs a 1-D sample array$"):
+            segment(x, 1000.0, self.CFG)
+        with pytest.raises(ValueError, match="^extract_segments needs a 1-D sample array$"):
+            extract_segments(parse_features("rms"), x, 1000.0, self.CFG)
+        with pytest.raises(ValueError, match="^inject_at_snr needs a 1-D sample array$"):
+            inject_at_snr(x, NoiseSpec(snr_db=10.0, seed=1))
