@@ -6,7 +6,9 @@ its fully resolved configuration here and hands it, with each output, to
 ``.config.json`` sidecar, and the per-cell decision CSVs of ``classify``
 carry none (the table's sidecar and the report cover them). Feature tokens,
 sweeps and the options of ``classify`` are checked before the data loads.
-Exit codes: 0 on success, 1 on runtime/data errors, 2 on usage errors.
+Exit codes: 0 on success, 1 on runtime/data errors, 2 on usage errors. A
+window or slide that does not fit the dataset's rate is a usage error too,
+though it can only be checked once the manifest is read.
 """
 from __future__ import annotations
 
@@ -54,11 +56,18 @@ def _load(path: str) -> Dataset:
         _fail(exc)
 
 
-def _segmentation(window_ms: float, slide_ms: float) -> SegmentationConfig:
+def _load_segmented(data: str, window_ms: float,
+                    slide_ms: float) -> tuple[Dataset, SegmentationConfig]:
+    """The dataset and its segmentation. A window or slide that is not a
+    positive finite length (checked before the load) or not a whole number of
+    samples at the dataset's rate is a usage error."""
     try:
-        return SegmentationConfig(window_ms=window_ms, slide_ms=slide_ms)
+        seg_cfg = SegmentationConfig(window_ms=window_ms, slide_ms=slide_ms)
+        dataset = _load(data)
+        seg_cfg.window_samples(dataset.rate), seg_cfg.slide_samples(dataset.rate)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
+    return dataset, seg_cfg
 
 
 @main.command()
@@ -120,8 +129,7 @@ def extract(data, features, window_ms, slide_ms, out):
         descriptors = parse_features(features)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
-    dataset = _load(data)
-    seg_cfg = _segmentation(window_ms, slide_ms)
+    dataset, seg_cfg = _load_segmented(data, window_ms, slide_ms)
     try:
         if any(d.needs_resolution() for d in descriptors):  # else skip the peak scan
             descriptors = resolve_hemg_peak(
@@ -218,8 +226,7 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
             raise click.BadParameter(str(exc))
     if len(set(descriptors)) != len(descriptors):
         raise click.BadParameter("a feature (or sweep value) is listed twice")
-    dataset = _load(data)
-    seg_cfg = _segmentation(window_ms, slide_ms)
+    dataset, seg_cfg = _load_segmented(data, window_ms, slide_ms)
     try:
         cfg = RobustnessConfig(
             snr_grid=snr_grid, repetitions=reps, seed=seed,
@@ -289,8 +296,7 @@ def classify(data, sets, noise, vote, window_ms, slide_ms, seed, out):
         check_vote_window(vote)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
-    dataset = _load(data)
-    seg_cfg = _segmentation(window_ms, slide_ms)
+    dataset, seg_cfg = _load_segmented(data, window_ms, slide_ms)
     try:
         table = evaluate_feature_sets(dataset, feature_sets, levels, seg_cfg,
                                       vote_window=vote, seed=seed)

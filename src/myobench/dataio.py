@@ -95,7 +95,8 @@ def load_dataset(manifest_path) -> Dataset:
     or trial list that is not a list, a trial entry that is not an object, a
     class name, trial path, label, subject or group that is not a string, a
     trial's channel list that is not a list, a repeated class name, a rate
-    that is not a positive finite number (a bool is not a number), a
+    that is not a positive finite JSON number (a bool or a string is not
+    one, and an integer too large for a float is an error of its own), a
     missing, unreadable or non-UTF-8 trial file, per-trial rate differing
     from the dataset rate, a label outside the declared class set, channel
     names in a CSV not matching the manifest, a sample row that is ragged or
@@ -126,7 +127,7 @@ def load_dataset(manifest_path) -> Dataset:
     repeated = [c for i, c in enumerate(classes) if c in classes[:i]]
     if repeated:
         raise DatasetError(f"manifest repeats class name {repeated[0]!r}")
-    rate = _number(manifest["sampling_rate_hz"])
+    rate = _number(manifest["sampling_rate_hz"], "manifest")
     if not (math.isfinite(rate) and rate > 0):
         raise DatasetError("sampling_rate_hz must be a positive finite number, "
                            f"got {manifest['sampling_rate_hz']!r}")
@@ -154,7 +155,7 @@ def load_dataset(manifest_path) -> Dataset:
                 f"(declared classes: {classes})"
             )
         declared_rate = entry.get("sampling_rate_hz")
-        if declared_rate is not None and _number(declared_rate) != rate:
+        if declared_rate is not None and _number(declared_rate, f"trial {entry['path']}") != rate:
             raise DatasetError(
                 f"trial {entry['path']}: rate mismatch "
                 f"({declared_rate} Hz declared vs {rate} Hz dataset)"
@@ -186,14 +187,16 @@ def load_dataset(manifest_path) -> Dataset:
         raise DatasetError(str(exc)) from exc
 
 
-def _number(value) -> float:
-    """``value`` as a float, or NaN when it is not a number (a bool is not)."""
-    if isinstance(value, bool):
+def _number(value, entry: str) -> float:
+    """A JSON number as a float, or NaN when ``value`` is not one (a bool or a
+    string is not). An int too large for a float is an error naming ``entry``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         return math.nan
     try:
         return float(value)
-    except (TypeError, ValueError):
-        return math.nan
+    except OverflowError:
+        raise DatasetError(f"{entry}: sampling_rate_hz is an integer too large for a float") \
+            from None
 
 
 _CACHE_DIR = ".myobench-cache"

@@ -1,5 +1,12 @@
 """Named feature descriptors shared by the benchmark, pipeline, and CLI.
 
+Each feature family is defined once: one `_Family` record in `_FAMILIES`
+holds its kernel, parameter defaults, the cached intermediates it reads, its
+shortest window, its component count and scalar component, and whether it
+counts events, and one public wrapper in `time_features` or `freq_features`
+gives its values in the shape and type of a feature. Nothing else in the
+package names a family.
+
 A descriptor is a feature name plus concrete parameters. Two entry points
 evaluate a list of descriptors and return one row per window: one column
 per scalar feature, one per bin/coefficient/segment-difference for vector
@@ -21,9 +28,9 @@ channel, so the recognition pipeline stacks short channels into blocks (see
 row of a stack gets the values it would get alone, bit for bit.
 
 For percentage-error benchmarking a vector feature is reduced to one
-scalar, by default the component the robustness study singles out:
-histogram bin 2 (of the 3-bin histogram) and AR coefficient a_1. Components
-are numbered from 1.
+scalar, the component its record names, which the robustness study singles
+out: histogram bin 2 (of the 3-bin histogram) and AR coefficient a_1.
+Components are numbered from 1.
 
 Descriptor strings use ``name:key=value:key=value``, e.g. ``wamp:threshold=20``
 or ``ar:order=2``; feature lists are comma separated.
@@ -33,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -40,28 +48,6 @@ from numpy.lib.stride_tricks import as_strided
 from . import freq_features as ff
 from . import time_features as tf
 from .signals import SegmentationConfig, amplitude_spectrum, segment_offsets
-
-# name -> default params; ints where the feature needs counts/orders
-_FAMILIES: dict[str, dict] = {
-    "iemg": {},
-    "mav": {},
-    "mmav1": {},
-    "mmav2": {},
-    "mavslp": {"segments": tf.DEFAULT_MAVSLP_SEGMENTS},
-    "ssi": {},
-    "var": {},
-    "rms": {},
-    "wl": {},
-    "zc": {"threshold": tf.DEFAULT_ZC_THRESHOLD},
-    "ssc": {"threshold": tf.DEFAULT_SSC_THRESHOLD},
-    "wamp": {"threshold": tf.DEFAULT_WAMP_THRESHOLD},
-    "hemg": {"bins": tf.DEFAULT_HEMG_BINS, "limit": None},
-    "ar": {"order": 1},
-    "mnf": {"dc": 1},
-    "mdf": {"dc": 1},
-    "mmnf": {"dc": 1},
-    "mmdf": {"dc": 1},
-}
 
 
 class _Intermediates:
@@ -160,49 +146,68 @@ class _Intermediates:
         return self.spectrum[1] ** 2
 
 
-def _moment(moment, by_power: bool):
-    def kernel(shared, dc):
-        freqs, amplitudes = shared.spectrum
-        return moment(freqs, shared.powers if by_power else amplitudes, dc)
-    return kernel
+@dataclass(frozen=True)
+class _Family:
+    """Everything the package decides per feature family, in one record.
+
+    ``kernel`` takes an `_Intermediates` and the parameters as keywords and
+    gives one result per window. ``params`` holds the defaults (ints where
+    the feature needs counts or orders); a None default is resolved from the
+    data, as hemg's ``limit`` is. ``reads`` names the cached intermediates
+    the kernel reads, ``min_samples`` the shortest window it takes (0: the
+    kernel checks its own length, as AR and the spectral moments do),
+    ``size`` the component count from the parameters (None: one scalar),
+    ``scalar`` the 1-based component percentage error uses, and ``counts``
+    whether the values are integer counts.
+    """
+
+    kernel: Callable
+    params: dict
+    reads: tuple[str, ...] = ()
+    min_samples: int = 0
+    size: Callable[[dict], int] | None = None
+    scalar: int = 1
+    counts: bool = False
 
 
-# name -> kernel over an _Intermediates, called with the descriptor's
-# parameters as keywords; it gives one result per window. The time-domain
-# kernels reduce windows of the shared intermediates; the spectral moments
-# and AR read the window rows.
-_KERNELS = dict(
-    iemg=lambda shared: np.sum(shared.windows(shared.abs), axis=-1),
-    mav=lambda shared: np.mean(shared.windows(shared.abs), axis=-1),
-    mmav1=lambda shared: tf._mmav1(shared.windows(shared.abs)),
-    mmav2=lambda shared: tf._mmav2(shared.windows(shared.abs)),
-    mavslp=lambda shared, segments: tf._mavslp(shared.windows(shared.abs), segments),
-    ssi=lambda shared: np.sum(shared.windows(shared.squares), axis=-1),
-    var=lambda shared: np.sum(shared.windows(shared.squares), axis=-1) / (shared.width - 1),
-    rms=lambda shared: np.sqrt(np.mean(shared.windows(shared.squares), axis=-1)),
-    wl=lambda shared: np.sum(shared.windows(shared.abs_diff), axis=-1),
-    # event counters: zc gates sign changes by |d_n| >= threshold, wamp counts
-    # those jumps alone, ssc counts turns whose curvature product clears it
-    zc=lambda shared, threshold: shared.counts(
-        tf._crossings(shared.source) & (shared.abs_diff >= threshold)),
-    ssc=lambda shared, threshold: shared.counts(
-        tf._slope_products(shared.diff) <= -threshold),
-    wamp=lambda shared, threshold: shared.counts(shared.abs_diff >= threshold),
-    hemg=lambda shared, bins, limit: shared.bin_counts(
-        tf._hemg_bins(shared.source, bins, limit), int(bins)),
-    ar=lambda shared, order: ff.levinson_durbin(shared.rows, order),
-    mnf=_moment(ff._centroid, by_power=True),
-    mdf=_moment(ff._median_bin, by_power=True),
-    mmnf=_moment(ff._centroid, by_power=False),
-    mmdf=_moment(ff._median_bin, by_power=False),
-)
+_ABS, _SQUARES = ("abs",), ("squares",)
+_DIFFS, _POWERS = ("diff", "abs_diff"), ("spectrum", "powers")
 
-# family -> the cached intermediates its kernel reads
-_READS = (dict.fromkeys(("iemg", "mav", "mmav1", "mmav2", "mavslp"), ("abs",))
-          | dict.fromkeys(("ssi", "var", "rms"), ("squares",))
-          | dict.fromkeys(("wl", "zc", "wamp"), ("diff", "abs_diff")) | {"ssc": ("diff",)}
-          | dict.fromkeys(("mnf", "mdf"), ("spectrum", "powers"))
-          | dict.fromkeys(("mmnf", "mmdf"), ("spectrum",)))
+# The time-domain kernels reduce windows of the shared intermediates; the
+# spectral moments and AR read the window rows. Event counters: zc gates sign
+# changes by |d_n| >= threshold, wamp counts those jumps alone, ssc counts
+# turns whose curvature product clears it.
+_FAMILIES: dict[str, _Family] = {
+    "iemg": _Family(lambda s: np.sum(s.windows(s.abs), axis=-1), {}, _ABS, 1),
+    "mav": _Family(lambda s: np.mean(s.windows(s.abs), axis=-1), {}, _ABS, 1),
+    "mmav1": _Family(lambda s: tf._mmav1(s.windows(s.abs)), {}, _ABS, 4),
+    "mmav2": _Family(lambda s: tf._mmav2(s.windows(s.abs)), {}, _ABS, 4),
+    "mavslp": _Family(lambda s, segments: tf._mavslp(s.windows(s.abs), segments),
+                      {"segments": tf.DEFAULT_MAVSLP_SEGMENTS}, _ABS, 1,
+                      size=lambda p: int(p["segments"]) - 1),
+    "ssi": _Family(lambda s: np.sum(s.windows(s.squares), axis=-1), {}, _SQUARES, 1),
+    "var": _Family(lambda s: np.sum(s.windows(s.squares), axis=-1) / (s.width - 1), {},
+                   _SQUARES, 2),
+    "rms": _Family(lambda s: np.sqrt(np.mean(s.windows(s.squares), axis=-1)), {}, _SQUARES, 1),
+    "wl": _Family(lambda s: np.sum(s.windows(s.abs_diff), axis=-1), {}, _DIFFS, 2),
+    "zc": _Family(lambda s, threshold: s.counts(tf._crossings(s.source)
+                                                & (s.abs_diff >= threshold)),
+                  {"threshold": tf.DEFAULT_ZC_THRESHOLD}, _DIFFS, 2, counts=True),
+    "ssc": _Family(lambda s, threshold: s.counts(tf._slope_products(s.diff) <= -threshold),
+                   {"threshold": tf.DEFAULT_SSC_THRESHOLD}, ("diff",), 3, counts=True),
+    "wamp": _Family(lambda s, threshold: s.counts(s.abs_diff >= threshold),
+                    {"threshold": tf.DEFAULT_WAMP_THRESHOLD}, _DIFFS, 2, counts=True),
+    "hemg": _Family(lambda s, bins, limit: s.bin_counts(tf._hemg_bins(s.source, bins, limit),
+                                                        int(bins)),
+                    {"bins": tf.DEFAULT_HEMG_BINS, "limit": None}, (), 1,
+                    size=lambda p: int(p["bins"]), scalar=2, counts=True),
+    "ar": _Family(lambda s, order: ff.levinson_durbin(s.rows, order), {"order": 1},
+                  size=lambda p: int(p["order"])),
+    "mnf": _Family(lambda s, dc: ff._centroid(s.spectrum[0], s.powers, dc), {"dc": 1}, _POWERS),
+    "mdf": _Family(lambda s, dc: ff._median_bin(s.spectrum[0], s.powers, dc), {"dc": 1}, _POWERS),
+    "mmnf": _Family(lambda s, dc: ff._centroid(*s.spectrum, dc), {"dc": 1}, ("spectrum",)),
+    "mmdf": _Family(lambda s, dc: ff._median_bin(*s.spectrum, dc), {"dc": 1}, ("spectrum",)),
+}
 
 _COUNTS = {"segments", "bins", "order"}
 _INT_PARAMS = _COUNTS | {"dc"}
@@ -216,7 +221,6 @@ _DOMAINS = {
     "threshold": (lambda v: v >= 0, "non-negative"),  # NaN fails too
     "limit": (lambda v: 0 < v < math.inf, "positive and finite"),
 }
-_DEFAULT_SCALAR_COMPONENT = {"hemg": 2, "ar": 1, "mavslp": 1}
 
 FEATURE_NAMES = tuple(_FAMILIES)
 
@@ -232,39 +236,40 @@ FEATURE_SETS = {
 class FeatureDescriptor:
     """One named feature with pinned parameters.
 
-    ``scalar_component`` picks the 1-based component used when a single value
-    is needed (percentage error). Every parameter is checked when the
-    descriptor is built, however it is built: ``segments``, ``bins`` and
-    ``order`` must be whole numbers, at least 2, 1 and 1; ``dc`` 0 or 1;
-    ``threshold`` non-negative; ``limit`` positive and finite, or None until
-    it is resolved from the data. Any other value is a ValueError naming
+    Every parameter is checked when the descriptor is built, however it is
+    built: it must be an int or float (not a bool), and ``segments``,
+    ``bins`` and ``order`` whole numbers, at least 2, 1 and 1; ``dc`` 0 or 1;
+    ``threshold`` non-negative; ``limit`` positive and finite. Only a
+    parameter the family resolves from data (hemg's ``limit``) may be None
+    until it is resolved. Any other value is a ValueError naming
     ``name:key=value``; so is a parameter the family lacks, or one it needs
     that is missing.
     """
 
     name: str
     params: tuple[tuple[str, float], ...] = ()
-    scalar_component: int = 1
 
     def __post_init__(self):
         if self.name not in _FAMILIES:
             raise ValueError(
                 f"unknown feature {self.name!r}; valid names: {', '.join(FEATURE_NAMES)}"
             )
+        defaults = _FAMILIES[self.name].params
         for key, value in self.params:
-            if key not in _FAMILIES[self.name]:
+            if key not in defaults:
                 raise ValueError(f"feature {self.name!r} has no parameter {key!r}")
-            if value is None and key == "limit":  # hemg's range, resolved later
+            if value is None and defaults[key] is None:  # resolved from the data later
                 continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{self.name}:{key}={value!r}: {key} must be a number")
             where = f"{self.name}:{key}={value:g}: {key} must be"
             if key in _COUNTS and not float(value).is_integer():  # also rejects inf and nan
                 raise ValueError(f"{where} a whole number")
             valid, must_be = _DOMAINS[key]
             if not valid(value):
                 raise ValueError(f"{where} {must_be}")
-        needs = sorted(_FAMILIES[self.name])
-        if len(dict(self.params)) != len(needs):  # no key is unknown, so one is missing
-            raise ValueError(f"feature {self.name!r} needs parameters {needs}")
+        if len(dict(self.params)) != len(defaults):  # no key is unknown, so one is missing
+            raise ValueError(f"feature {self.name!r} needs parameters {sorted(defaults)}")
 
     @property
     def param_dict(self) -> dict:
@@ -272,7 +277,7 @@ class FeatureDescriptor:
 
     @property
     def label(self) -> str:
-        shown = [(k, v) for k, v in self.params if v != _FAMILIES[self.name].get(k)]
+        shown = [(k, v) for k, v in self.params if v != _FAMILIES[self.name].params.get(k)]
         if not shown:
             return self.name
         return self.name + "(" + ",".join(f"{k}={v:g}" for k, v in shown) + ")"
@@ -282,27 +287,25 @@ class FeatureDescriptor:
         return ";".join(f"{k}={'auto' if v is None else format(v, 'g')}"
                         for k, v in self.params)
 
-    def needs_resolution(self) -> bool:
-        """True while a data-dependent parameter (hemg limit) is still unset."""
-        return self.name == "hemg" and self.param_dict.get("limit") is None
+    @property
+    def scalar_component(self) -> int:
+        """The 1-based component used when one value is needed (percentage error)."""
+        return _FAMILIES[self.name].scalar
 
-    def resolved(self, hemg_limit: float) -> "FeatureDescriptor":
-        """Fill the histogram range from the clean data it will describe."""
+    def needs_resolution(self) -> bool:
+        """True while a parameter resolved from data (hemg's limit) is still unset."""
+        return any(v is None for _, v in self.params)
+
+    def resolved(self, peak: float) -> "FeatureDescriptor":
+        """Fill the parameters resolved from data (the histogram range) with ``peak``."""
         if not self.needs_resolution():
             return self
-        params = self.param_dict
-        params["limit"] = float(hemg_limit)
+        params = {k: float(peak) if v is None else v for k, v in self.params}
         return replace(self, params=tuple(sorted(params.items())))
 
     def component_count(self) -> int:
-        p = self.param_dict
-        if self.name == "hemg":
-            return int(p["bins"])
-        if self.name == "ar":
-            return int(p["order"])
-        if self.name == "mavslp":
-            return int(p["segments"]) - 1
-        return 1
+        size = _FAMILIES[self.name].size
+        return 1 if size is None else size(self.param_dict)
 
     def component_names(self) -> list[str]:
         count = self.component_count()
@@ -360,21 +363,21 @@ def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
     # Each cached array is dropped after the last descriptor that reads it, so
     # few are alive at once and the allocator reuses their memory instead of
     # returning it to the system and faulting it in again on the next call. A
-    # wrong entry in _READS only costs a recomputation.
+    # missing name in a family's ``reads`` only costs a recomputation.
+    families = [_FAMILIES[desc.name] for desc in descriptors]
     last_reader = {}
-    for i, desc in enumerate(descriptors):
-        last_reader.update(dict.fromkeys(_READS.get(desc.name, ()), i))
+    for i, family in enumerate(families):
+        last_reader.update(dict.fromkeys(family.reads, i))
     columns = []
-    for i, desc in enumerate(descriptors):
+    for i, (desc, family) in enumerate(zip(descriptors, families)):
         if desc.needs_resolution():
-            raise ValueError("hemg descriptor used before its range was resolved")
-        min_len = tf._MIN_SAMPLES.get(desc.name, 0)  # the spectral kernels check their own
-        if shared.width < min_len:
-            raise ValueError(
-                f"need a 1-D window or (windows, samples) matrix of at least {min_len} samples")
-        value = np.asarray(_KERNELS[desc.name](shared, **desc.param_dict), dtype=float)
+            raise ValueError(f"{desc.name} descriptor used before its range was resolved")
+        if shared.width < family.min_samples:
+            raise ValueError("need a 1-D window or (windows, samples) matrix of at least "
+                             f"{family.min_samples} samples")
+        value = np.asarray(family.kernel(shared, **desc.param_dict), dtype=float)
         columns.append(value.reshape(shared.total, desc.component_count()))
-        for name in _READS.get(desc.name, ()):
+        for name in family.reads:
             if last_reader[name] == i:
                 vars(shared).pop(name, None)
     return np.hstack(columns)
@@ -386,15 +389,11 @@ def make_descriptor(name: str, params: dict | None = None) -> FeatureDescriptor:
     Each override is taken as a float, and a whole-numbered count or ``dc``
     as an int; `FeatureDescriptor` checks every value.
     """
-    merged = dict(_FAMILIES.get(name, {}))
+    merged = dict(_FAMILIES[name].params if name in _FAMILIES else {})
     for key, value in (params or {}).items():
         value = float(value)
         merged[key] = int(value) if key in _INT_PARAMS and value.is_integer() else value
-    return FeatureDescriptor(
-        name=name,
-        params=tuple(sorted(merged.items())),
-        scalar_component=_DEFAULT_SCALAR_COMPONENT.get(name, 1),
-    )
+    return FeatureDescriptor(name, tuple(sorted(merged.items())))
 
 
 def parse_feature(token: str) -> FeatureDescriptor:

@@ -32,9 +32,10 @@ class SegmentationConfig:
 
     def __post_init__(self):
         if not 0 < self.window_ms < np.inf:  # NaN fails too
-            raise ValueError("window length must be positive and finite")
+            raise ValueError(f"window length must be positive and finite, got {self.window_ms} ms")
         if not 0 < self.slide_ms <= self.window_ms:
-            raise ValueError("slide must satisfy 0 < slide <= window length")
+            raise ValueError("slide must satisfy 0 < slide <= window length, "
+                             f"got {self.slide_ms} ms for {self.window_ms} ms")
 
     def window_samples(self, rate: float) -> int:
         return _ms_to_samples(self.window_ms, rate, "window", minimum=2)

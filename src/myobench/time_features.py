@@ -21,25 +21,22 @@ DEFAULT_WAMP_THRESHOLD = 10.0
 DEFAULT_MAVSLP_SEGMENTS = 3
 DEFAULT_HEMG_BINS = 3
 
-# The fewest samples a window needs, per feature.
-_MIN_SAMPLES = dict(iemg=1, mav=1, mmav1=4, mmav2=4, mavslp=1, ssi=1, var=2, rms=1, wl=2,
-                    zc=2, ssc=3, wamp=2, hemg=1)
-
 
 def _feature(name: str, window, rate: float = 1.0, **params):
     """``registry.extract`` of one descriptor, in the shape and type of a feature.
 
-    A 1-D window gives a Python float (an int for zc, ssc and wamp), or a
-    vector for ``mavslp``, ``hemg`` and ``ar``; a matrix gives one such
-    result per row. HEMG counts are ints. Only the spectral moments read
-    ``rate``.
+    A 1-D window gives a Python float (an int for a family that counts
+    events), or a vector for a family whose record gives a component count
+    (mavslp, hemg, and ar even at order 1); a matrix gives one such result
+    per row. Only the spectral moments read ``rate``.
     """
     # Imported here: the registry imports this module for its kernels.
-    from .registry import extract, make_descriptor
+    from .registry import _FAMILIES, extract, make_descriptor
     values = extract([make_descriptor(name, params)], window, rate)
-    if name in ("zc", "ssc", "wamp", "hemg"):
+    family = _FAMILIES[name]
+    if family.counts:
         values = values.astype(int)
-    if name not in ("mavslp", "hemg", "ar"):
+    if family.size is None:
         values = values[:, 0]
     if np.ndim(window) != 1:
         return values

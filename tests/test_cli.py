@@ -85,6 +85,41 @@ def test_non_finite_length_or_rate_is_usage_error(runner, dataset_dir, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["extract", "robustness", "classify"])
+def test_window_that_is_not_a_length_is_usage_error_before_loading(runner, tmp_path, command):
+    # The manifest does not exist, so exit 2 shows the check ran before loading.
+    result = runner.invoke(main, [command, "--data", str(tmp_path / "ghost.json"),
+                                  "--window-ms", "inf", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert "window length must be positive and finite, got inf ms" in result.output
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["extract", "robustness", "classify"])
+def test_slide_of_no_whole_samples_is_usage_error(runner, dataset_dir, tmp_path, command):
+    result = runner.invoke(main, [command, "--data", str(dataset_dir / "manifest.json"),
+                                  "--slide-ms", "64.3", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert "slide of 64.3 ms is not an integer number of samples at 1000.0 Hz" \
+        in " ".join(result.output.split())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
+@pytest.mark.parametrize("command", ["extract", "robustness", "classify"])
+def test_rate_too_large_for_a_float_is_runtime_error(runner, dataset_dir, tmp_path, command):
+    manifest_path = dataset_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["sampling_rate_hz"] = 10 ** 400
+    manifest_path.write_text(json.dumps(manifest))
+    result = runner.invoke(main, [command, "--data", str(manifest_path),
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.strip() == \
+        "Error: manifest: sampling_rate_hz is an integer too large for a float"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
+@pytest.mark.parametrize("command", ["extract", "robustness", "classify"])
 @pytest.mark.parametrize("edit, message", [
     (lambda m: m["classes"].append(["rest"]),
      "manifest class 2: expected a string, got ['rest']"),

@@ -190,6 +190,31 @@ class TestLoaderErrors:
             with pytest.raises(DatasetError, match=r"^trial t0\.csv: rate mismatch \(True Hz"):
                 load_dataset(path)
 
+    def test_rate_must_be_a_json_number(self, tmp_path):
+        # A string that float() reads as 1000 Hz is not a JSON number.
+        path, _ = self.write_manifest(tmp_path, sampling_rate_hz="1e3")
+        with pytest.raises(DatasetError, match="^sampling_rate_hz must be a positive "
+                                               "finite number, got '1e3'$"):
+            load_dataset(path)
+        path, manifest = self.write_manifest(tmp_path, sampling_rate_hz=1000.0)
+        manifest["trials"][0]["sampling_rate_hz"] = " 1000 "
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match=r"^trial t0\.csv: rate mismatch \( 1000  Hz"):
+            load_dataset(path)
+
+    def test_rate_too_large_for_a_float_names_its_entry(self, tmp_path):
+        huge = 10 ** 400
+        path, _ = self.write_manifest(tmp_path, sampling_rate_hz=huge)
+        with pytest.raises(DatasetError, match="^manifest: sampling_rate_hz is an integer "
+                                               "too large for a float$"):
+            load_dataset(path)
+        path, manifest = self.write_manifest(tmp_path, sampling_rate_hz=1000.0)
+        manifest["trials"][0]["sampling_rate_hz"] = huge
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match=r"^trial t0\.csv: sampling_rate_hz is an "
+                                               "integer too large for a float$"):
+            load_dataset(path)
+
     def edit_trial_rows(self, tmp_path, edit):
         """Apply ``edit`` to the first trial file's lines; return (manifest, file)."""
         path, manifest = self.write_manifest(tmp_path)

@@ -1,12 +1,17 @@
 """Feature descriptors: parsing, defaults, computation, scalarization."""
+import ast
+import functools
+import inspect
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from myobench import registry
 from myobench.freq_features import ar_coefficients
 from myobench.registry import (FEATURE_NAMES, FEATURE_SETS, FeatureDescriptor, default_panel,
                                extract, extract_segments, feature_set, make_descriptor,
@@ -75,6 +80,18 @@ class TestParsing:
         assert make_descriptor("hemg", {"bins": 5.0}).param_dict["bins"] == 5
         with pytest.raises(ValueError, match="whole number"):
             make_descriptor("ar", {"order": 1.5})  # the sweep path
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("wamp", "threshold", None), ("hemg", "bins", None), ("hemg", "bins", "3"),
+        ("ar", "order", True), ("mnf", "dc", False), ("hemg", "limit", "1.0"),
+        ("zc", "threshold", [10.0]), ("mavslp", "segments", 3j),
+    ])
+    def test_a_parameter_value_must_be_a_number(self, name, key, value):
+        # Only a parameter resolved from the data (hemg's limit) may be None.
+        params = {**make_descriptor(name).param_dict, key: value}
+        message = f"{name}:{key}={value!r}: {key} must be a number"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            FeatureDescriptor(name, tuple(sorted(params.items())))
 
     def test_a_descriptor_checks_its_parameters_however_it_is_built(self):
         with pytest.raises(ValueError, match="^ar:order=0: order must be at least 1$"):
@@ -348,11 +365,55 @@ class TestScalarize:
         assert values[picks[0]] == 2.0
 
     def test_out_of_range_component(self):
-        from dataclasses import replace
-        desc = replace(parse_feature("rms"), scalar_component=4)
+        desc = parse_feature("hemg:bins=1:limit=1")  # scalar component 2 of 1 bin
         _, reasons = _scalar_picks([parse_feature("wamp"), desc])
         assert list(reasons) == [1]
         assert "out of range" in reasons[1]
+
+
+class TestFamilyRecords:
+    """Each family is one `_FAMILIES` record; nothing else names it."""
+
+    def test_only_the_registry_names_a_family(self):
+        # A string constant or dict(...) keyword equal to a family name outside
+        # the keys of the _FAMILIES literal and the first argument of a public
+        # wrapper's _feature(...) call is a second place that decides for it.
+        found = []
+        for path in sorted(Path(registry.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            allowed = set()
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Dict)
+                        and getattr(node.target, "id", None) == "_FAMILIES"):
+                    allowed.update(map(id, node.value.keys))
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_feature"
+                        and node.args):
+                    allowed.add(id(node.args[0]))
+            for node in ast.walk(tree):
+                names = []
+                if isinstance(node, ast.Constant) and id(node) not in allowed:
+                    names = [node.value]
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+                    names = [keyword.arg for keyword in node.keywords]
+                found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                          if isinstance(name, str) and name in FEATURE_NAMES]
+        assert found == []
+
+    @pytest.mark.parametrize("name", FEATURE_NAMES)
+    def test_a_record_agrees_with_its_kernel(self, name):
+        family = registry._FAMILIES[name]
+        kernel_params = list(inspect.signature(family.kernel).parameters)[1:]
+        assert sorted(kernel_params) == sorted(family.params)
+        for intermediate in family.reads:  # a misspelt name would only be recomputed
+            assert isinstance(vars(registry._Intermediates).get(intermediate),
+                              functools.cached_property)
+        desc = make_descriptor(name, {"limit": 1.0} if name == "hemg" else {})
+        x = np.random.default_rng(9).standard_normal((3, 24))
+        values = extract([desc], x, 1000.0)
+        assert values.shape == (3, desc.component_count())
+        assert 1 <= desc.scalar_component <= desc.component_count()  # at the defaults
+        if family.counts:
+            assert np.array_equal(values, np.round(values))
 
 
 class TestSetsAndPanel:

@@ -220,17 +220,17 @@ class TestRunGrid:
                 extra = 3 * (2 if row.snr_db == 20.0 else 1)
             same_rows([row], [replace(before, excluded=before.excluded + extra)])
 
-    @pytest.mark.parametrize("tokens", ["rms,wamp,mmnf", "rms,mavslp,wamp,mmnf"])
+    @pytest.mark.parametrize("tokens", ["rms,hemg:bins=1,mmnf", "rms,mavslp,hemg:bins=1,mmnf"])
     def test_out_of_range_component_excludes_only_its_feature(self, tokens):
         # Without mavslp the joint extraction succeeds; with it (256 samples
         # do not split into 3 segments) each feature is extracted on its own.
         records = make_records(np.random.default_rng(21), count=3)
-        features = parse_features(tokens)
-        features[-2] = replace(features[-2], scalar_component=2)  # wamp has 1 component
+        features = parse_features(tokens)  # hemg's scalar component 2 of 1 bin
         cfg = RobustnessConfig(snr_grid=(20.0, 5.0), repetitions=3, seed=6)
         grid = run_grid(records, features, cfg)
         same_rows(grid.rows, reference_rows(records, features, cfg))
-        assert grid.unscored.pop("wamp") == "scalar component 2 out of range for 1 components"
+        assert grid.unscored.pop(grid.features[-2].label) == \
+            "scalar component 2 out of range for 1 components"
         if "mavslp" in tokens:
             assert grid.unscored.pop("mavslp") == \
                 "window of 256 samples does not divide into 3 equal segments"

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myobench.registry import extract, make_descriptor
-from myobench.time_features import (_MIN_SAMPLES, hemg, iemg, mav, mavslp, mmav1, mmav2,
-                                    rms, ssc, ssi, var, wamp, wl, zc)
+from myobench import time_features
+from myobench.registry import _FAMILIES, extract, make_descriptor
+from myobench.time_features import (hemg, iemg, mav, mavslp, mmav1, mmav2, rms, ssc, ssi, var,
+                                    wamp, wl, zc)
 
 # ---------------------------------------------------------------- oracles
 # Deliberately written as plain loops over 1-based formulas; these are the
@@ -270,7 +271,9 @@ class TestRegistryPath:
     the shape and type the function documents."""
 
     def test_covers_every_function(self):
-        assert {function.__name__ for function, _ in PUBLIC} == set(_MIN_SAMPLES)
+        # the time-domain families are those whose record gives a shortest window
+        assert {function.__name__ for function, _ in PUBLIC} == \
+            {name for name, family in _FAMILIES.items() if family.min_samples}
 
     @given(case=st.sampled_from(PUBLIC).flatmap(
                lambda case: st.tuples(st.just(case[0]), st.fixed_dictionaries(case[1]))),
@@ -339,6 +342,15 @@ class TestErrors:
             hemg(np.array([[0.5, 0.1], [0.2, bad]]), bins=3, limit=1.0)
 
     def test_short_windows_rejected(self):
+        # every family with a shortest window, one sample short of it, as a
+        # window and as a matrix
+        for name, family in _FAMILIES.items():
+            if family.min_samples:
+                for short in (np.ones(family.min_samples - 1),
+                              np.ones((2, family.min_samples - 1))):
+                    with pytest.raises(ValueError,
+                                       match=f"of at least {family.min_samples} samples$"):
+                        getattr(time_features, name)(short)
         with pytest.raises(ValueError):
             var([1.0])
         with pytest.raises(ValueError):
