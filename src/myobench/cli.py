@@ -6,12 +6,19 @@ its fully resolved configuration here and hands it, with each output, to
 ``.config.json`` sidecar, and the per-cell decision CSVs of ``classify``
 carry none (the table's sidecar and the report cover them). Feature tokens,
 sweeps and the options of ``classify`` are checked before the data loads.
-Exit codes: 0 on success, 1 on runtime/data errors, 2 on usage errors. A
-window or slide that does not fit the dataset's rate is a usage error too,
-though it can only be checked once the manifest is read.
+
+Exit codes: 0 on success, 2 on a usage error, 1 on a runtime or data error.
+They are decided in two places. A `_usage` block turns a ValueError in an
+option's parse into a usage error; `_load_segmented` holds the load in one,
+so a window or slide that does not fit the dataset's rate is one too. The
+group, `_Commands`, turns a ValueError or DatasetError raised anywhere else
+in a command into ``Error: <message>`` and exit 1. DatasetError is not a
+ValueError, so a bad manifest is exit 1 even inside a `_usage` block. A few
+checks raise their own click errors, with messages naming the option.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,14 +38,29 @@ from .robustness import (RobustnessConfig, grid_csv_rows, grid_json_rows, record
 from .signals import SegmentationConfig
 
 
-@click.group()
+class _Commands(click.Group):
+    """Runs each command; a runtime error it raises is exit 1, without a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, DatasetError) as exc:
+            raise click.ClickException(str(exc))
+
+
+@click.group(cls=_Commands)
 @click.version_option(__version__, prog_name="myobench")
 def main():
     """sEMG feature extraction, WGN robustness benchmarking, and LDA recognition."""
 
 
-def _fail(exc: Exception):
-    raise click.ClickException(str(exc))
+@contextmanager
+def _usage():
+    """A ValueError raised in the block is a usage error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
 
 
 def _parse_band(text: str) -> tuple[float, float]:
@@ -49,24 +71,15 @@ def _parse_band(text: str) -> tuple[float, float]:
         raise click.BadParameter(f"band must look like '20-450', got {text!r}")
 
 
-def _load(path: str) -> Dataset:
-    try:
-        return load_dataset(path)
-    except DatasetError as exc:
-        _fail(exc)
-
-
 def _load_segmented(data: str, window_ms: float,
                     slide_ms: float) -> tuple[Dataset, SegmentationConfig]:
     """The dataset and its segmentation. A window or slide that is not a
     positive finite length (checked before the load) or not a whole number of
     samples at the dataset's rate is a usage error."""
-    try:
+    with _usage():
         seg_cfg = SegmentationConfig(window_ms=window_ms, slide_ms=slide_ms)
-        dataset = _load(data)
+        dataset = load_dataset(data)
         seg_cfg.window_samples(dataset.rate), seg_cfg.slide_samples(dataset.rate)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
     return dataset, seg_cfg
 
 
@@ -125,19 +138,14 @@ def synth(n_classes, channels, trials, duration_ms, rate, seed, bands, amplitude
 @click.option("--out", required=True, type=click.Path(), help="Output CSV.")
 def extract(data, features, window_ms, slide_ms, out):
     """Window every trial and write one feature row per window."""
-    try:
+    with _usage():
         descriptors = parse_features(features)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
     dataset, seg_cfg = _load_segmented(data, window_ms, slide_ms)
-    try:
-        if any(d.needs_resolution() for d in descriptors):  # else skip the peak scan
-            descriptors = resolve_hemg_peak(
-                descriptors, peak_amplitude([t.data for t in dataset.trials])[0])
-        windows = extract_window_set(dataset.trials, dataset.rate, descriptors,
-                                     seg_cfg, dataset.classes)
-    except ValueError as exc:
-        _fail(exc)
+    if any(d.needs_resolution() for d in descriptors):  # else skip the peak scan
+        descriptors = resolve_hemg_peak(
+            descriptors, peak_amplitude([t.data for t in dataset.trials])[0])
+    windows = extract_window_set(dataset.trials, dataset.rate, descriptors,
+                                 seg_cfg, dataset.classes)
     prefixes = {t.trial_id: csv_prefix([t.trial_id, t.label, t.group])
                 for t in dataset.trials}
     row_format = "%s" + ",".join(["%g"] + ["%.10g"] * windows.features.shape[1]) + "\r\n"
@@ -181,10 +189,8 @@ def _parse_sweep(text: str):
             f"'hemg:bins=3,5,7,9,11', got {text!r}"
         )
     family, param = family.strip(), param.strip()
-    try:
+    with _usage():
         descriptors = [make_descriptor(family, {param: value}) for value in values]
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
     return {"feature": family, "parameter": param, "values": values}, descriptors
 
 
@@ -220,23 +226,18 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
     if sweep is not None:
         sweep_config, descriptors = _parse_sweep(sweep)
     else:
-        try:
+        with _usage():
             descriptors = default_panel() if features is None else parse_features(features)
-        except ValueError as exc:
-            raise click.BadParameter(str(exc))
     if len(set(descriptors)) != len(descriptors):
         raise click.BadParameter("a feature (or sweep value) is listed twice")
     dataset, seg_cfg = _load_segmented(data, window_ms, slide_ms)
-    try:
-        cfg = RobustnessConfig(
-            snr_grid=snr_grid, repetitions=reps, seed=seed,
-            groups=tuple(g.strip() for g in groups.split(",")) if groups else None,
-        )
-        records = records_from_dataset(
-            dataset, seg_cfg, max_windows=None if max_windows == 0 else max_windows)
-        grid = run_grid(records, descriptors, cfg)
-    except ValueError as exc:
-        _fail(exc)
+    cfg = RobustnessConfig(
+        snr_grid=snr_grid, repetitions=reps, seed=seed,
+        groups=tuple(g.strip() for g in groups.split(",")) if groups else None,
+    )
+    records = records_from_dataset(
+        dataset, seg_cfg, max_windows=None if max_windows == 0 else max_windows)
+    grid = run_grid(records, descriptors, cfg)
     config = {
         "snr_grid_db": list(cfg.snr_grid), "repetitions": cfg.repetitions, "seed": cfg.seed,
         "groups": list(cfg.groups) if cfg.groups is not None else None,
@@ -253,9 +254,9 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
     written = f"{out.with_suffix('.csv')} and {out.with_suffix('.json')}"
     if grid.unscored:
         # The grid is still written, so the features that were scored keep their rows.
-        _fail(ValueError("; ".join(f"{label}: every record excluded ({reason})"
-                                   for label, reason in grid.unscored.items())
-                         + f"; wrote {written} anyway"))
+        raise click.ClickException("; ".join(f"{label}: every record excluded ({reason})"
+                                             for label, reason in grid.unscored.items())
+                                   + f"; wrote {written} anyway")
     click.echo(f"wrote {written} ({len(grid.rows)} cells)")
 
 
@@ -275,7 +276,7 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
                    "and per-cell decision CSVs.")
 def classify(data, sets, noise, vote, window_ms, slide_ms, seed, out):
     """Leave-one-out recognition of feature sets across noise levels."""
-    try:
+    with _usage():
         named_sets = [feature_set(token) for token in sets.split(",") if token.strip()]
         if not named_sets:
             raise ValueError("empty feature-set list")
@@ -294,14 +295,9 @@ def classify(data, sets, noise, vote, window_ms, slide_ms, seed, out):
             raise ValueError("empty noise-level list")
         CrTable.level_labels(levels)
         check_vote_window(vote)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
     dataset, seg_cfg = _load_segmented(data, window_ms, slide_ms)
-    try:
-        table = evaluate_feature_sets(dataset, feature_sets, levels, seg_cfg,
-                                      vote_window=vote, seed=seed)
-    except ValueError as exc:
-        _fail(exc)
+    table = evaluate_feature_sets(dataset, feature_sets, levels, seg_cfg,
+                                  vote_window=vote, seed=seed)
     config = {
         "command": "classify", "data": str(data), "sets": sets, "noise": noise,
         "vote_window": vote, "window_ms": window_ms, "slide_ms": slide_ms,

@@ -415,11 +415,11 @@ class ClassSpec:
             raise ValueError(f"class {self.name}: amplitude must be positive")
 
 
-def default_class_specs(n_classes: int, low: float = 30.0,
-                        high: float = 450.0) -> list[ClassSpec]:
-    """Disjoint bands spread over [low, high] with alternating strong/weak levels."""
+def default_class_specs(n_classes: int) -> list[ClassSpec]:
+    """Disjoint bands spread over 30-450 Hz with alternating strong/weak levels."""
     if n_classes < 1:
         raise ValueError("need at least one class")
+    low, high = 30.0, 450.0
     span = (high - low) / n_classes
     gap = min(20.0, 0.2 * span)
     specs = []

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -242,8 +243,8 @@ class FeatureDescriptor:
     ``threshold`` non-negative; ``limit`` positive and finite. Only a
     parameter the family resolves from data (hemg's ``limit``) may be None
     until it is resolved. Any other value is a ValueError naming
-    ``name:key=value``; so is a parameter the family lacks, or one it needs
-    that is missing.
+    ``name:key=value``; so is a parameter the family lacks, one given twice,
+    or one it needs that is missing.
     """
 
     name: str
@@ -255,9 +256,12 @@ class FeatureDescriptor:
                 f"unknown feature {self.name!r}; valid names: {', '.join(FEATURE_NAMES)}"
             )
         defaults = _FAMILIES[self.name].params
+        keys = [key for key, _ in self.params]
         for key, value in self.params:
             if key not in defaults:
                 raise ValueError(f"feature {self.name!r} has no parameter {key!r}")
+            if keys.count(key) > 1:
+                raise ValueError(f"feature {self.name!r} has parameter {key!r} twice")
             if value is None and defaults[key] is None:  # resolved from the data later
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -268,7 +272,7 @@ class FeatureDescriptor:
             valid, must_be = _DOMAINS[key]
             if not valid(value):
                 raise ValueError(f"{where} {must_be}")
-        if len(dict(self.params)) != len(defaults):  # no key is unknown, so one is missing
+        if len(keys) != len(defaults):  # no key is unknown or repeated, so one is missing
             raise ValueError(f"feature {self.name!r} needs parameters {sorted(defaults)}")
 
     @property
@@ -386,13 +390,17 @@ def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
 def make_descriptor(name: str, params: dict | None = None) -> FeatureDescriptor:
     """Build a descriptor from a family name and parameter overrides.
 
-    Each override is taken as a float, and a whole-numbered count or ``dc``
-    as an int; `FeatureDescriptor` checks every value.
+    Each real-number override (a Python or numpy int or float, not a bool) is
+    taken as a float, and a whole-numbered count or ``dc`` as an int. Any
+    other value is passed on as it is, and `FeatureDescriptor` checks every
+    value, so a string or a bool is refused rather than converted.
     """
     merged = dict(_FAMILIES[name].params if name in _FAMILIES else {})
     for key, value in (params or {}).items():
-        value = float(value)
-        merged[key] = int(value) if key in _INT_PARAMS and value.is_integer() else value
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            value = float(value)
+            value = int(value) if key in _INT_PARAMS and value.is_integer() else value
+        merged[key] = value
     return FeatureDescriptor(name, tuple(sorted(merged.items())))
 
 

@@ -13,9 +13,10 @@ import pytest
 from click.testing import CliRunner
 
 import myobench
+from myobench import cli
 from myobench.cli import main
-from myobench.dataio import (ClassSpec, SynthConfig, load_dataset, save_dataset,
-                             synthesize_emg)
+from myobench.dataio import (ClassSpec, DatasetError, SynthConfig, load_dataset,
+                             save_dataset, synthesize_emg)
 from myobench.recognition import extract_window_set
 from myobench.registry import parse_features, resolve_hemg_peak
 from myobench.signals import SegmentationConfig
@@ -136,6 +137,23 @@ def test_manifest_value_of_the_wrong_json_type_is_runtime_error(
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.output.strip() == f"Error: {message}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
+@pytest.mark.parametrize("error", [ValueError, DatasetError])
+@pytest.mark.parametrize("command, call", [("extract", "extract_window_set"),
+                                           ("robustness", "run_grid"),
+                                           ("classify", "evaluate_feature_sets")])
+def test_runtime_error_of_a_command_is_exit_1_without_a_traceback(
+        runner, dataset_dir, tmp_path, monkeypatch, command, call, error):
+    def fail(*args, **kwargs):
+        raise error("boom")
+    monkeypatch.setattr(cli, call, fail)
+    result = runner.invoke(main, [command, "--data", str(dataset_dir / "manifest.json"),
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output == "Error: boom\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 

@@ -19,7 +19,7 @@ from myobench.registry import (FEATURE_NAMES, FEATURE_SETS, FeatureDescriptor, d
                                resolve_hemg_peak)
 from myobench.robustness import _scalar_picks
 from myobench.signals import SegmentationConfig, segment
-from myobench.time_features import rms, ssc, wamp, zc
+from myobench.time_features import hemg, rms, ssc, wamp, zc
 
 
 class TestParsing:
@@ -92,6 +92,32 @@ class TestParsing:
         message = f"{name}:{key}={value!r}: {key} must be a number"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             FeatureDescriptor(name, tuple(sorted(params.items())))
+
+    @pytest.mark.parametrize("name, params", [
+        ("wamp", (("threshold", 10.0), ("threshold", 20.0))),
+        ("hemg", (("bins", 3), ("bins", 3), ("limit", 1.0))),
+    ])
+    def test_a_parameter_given_twice_is_refused(self, name, params):
+        key = params[0][0]
+        with pytest.raises(ValueError, match=f"^feature '{name}' has parameter '{key}' twice$"):
+            FeatureDescriptor(name, params)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda x: wamp(x, "10"), "wamp:threshold='10': threshold must be a number"),
+        (lambda x: ar_coefficients(x, order=True), "ar:order=True: order must be a number"),
+        (lambda x: hemg(x, limit=None), "hemg descriptor used before its range was resolved"),
+    ], ids=["string", "bool", "none"])
+    def test_a_public_function_converts_only_real_numbers(self, call, message):
+        x = np.random.default_rng(0).normal(size=64)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call(x)
+
+    def test_numpy_scalars_are_numbers(self):
+        x = np.random.default_rng(0).normal(size=64)
+        np.testing.assert_array_equal(hemg(x, bins=np.int64(3), limit=np.float32(2)),
+                                      hemg(x, 3, 2.0))
+        order = make_descriptor("ar", {"order": np.int32(2)}).param_dict["order"]
+        assert order == 2 and type(order) is int
 
     def test_a_descriptor_checks_its_parameters_however_it_is_built(self):
         with pytest.raises(ValueError, match="^ar:order=0: order must be at least 1$"):
