@@ -18,9 +18,9 @@ checks raise their own click errors, with messages naming the option.
 """
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from dataclasses import replace
-from pathlib import Path
 
 import click
 
@@ -248,10 +248,9 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
         config["sweep"] = sweep_config
     config.update(command="robustness", data=str(data), window_ms=window_ms,
                   slide_ms=slide_ms, max_windows=max_windows)
-    out = Path(out)
-    write_output(out.with_suffix(".csv"), csv_rows(grid_csv_rows(grid)), config)
-    write_output(out.with_suffix(".json"), {"config": config, "rows": grid_json_rows(grid)})
-    written = f"{out.with_suffix('.csv')} and {out.with_suffix('.json')}"
+    write_output(f"{out}.csv", csv_rows(grid_csv_rows(grid)), config)
+    write_output(f"{out}.json", {"config": config, "rows": grid_json_rows(grid)})
+    written = f"{out}.csv and {out}.json"
     if grid.unscored:
         # The grid is still written, so the features that were scored keep their rows.
         raise click.ClickException("; ".join(f"{label}: every record excluded ({reason})"
@@ -284,6 +283,9 @@ def classify(data, sets, noise, vote, window_ms, slide_ms, seed, out):
         repeated = [name for i, name in enumerate(names) if name in names[:i]]
         if repeated:
             raise ValueError(f"feature set {repeated[0]!r} is repeated")
+        for name in names:  # a set name is part of its decision files' names
+            if "/" in name or os.sep in name:
+                raise ValueError(f"feature set name {name!r} contains a path separator")
         feature_sets = dict(named_sets)
         levels: list[float | None] = []
         for token in noise.split(","):

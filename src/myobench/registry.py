@@ -237,14 +237,16 @@ FEATURE_SETS = {
 class FeatureDescriptor:
     """One named feature with pinned parameters.
 
-    Every parameter is checked when the descriptor is built, however it is
-    built: it must be an int or float (not a bool), and ``segments``,
+    Every parameter is converted and checked when the descriptor is built,
+    however it is built: it must be a real number (``numbers.Real``, numpy
+    scalars included, not a bool) that a float can hold, and ``segments``,
     ``bins`` and ``order`` whole numbers, at least 2, 1 and 1; ``dc`` 0 or 1;
-    ``threshold`` non-negative; ``limit`` positive and finite. Only a
-    parameter the family resolves from data (hemg's ``limit``) may be None
-    until it is resolved. Any other value is a ValueError naming
-    ``name:key=value``; so is a parameter the family lacks, one given twice,
-    or one it needs that is missing.
+    ``threshold`` non-negative; ``limit`` positive and finite. It is stored
+    as a float, or as an int for a count or ``dc``. Only a parameter the
+    family resolves from data (hemg's ``limit``) may be None until it is
+    resolved. Any other value is a ValueError naming ``name:key``; so is a
+    parameter the family lacks, one given twice, or one it needs that is
+    missing.
     """
 
     name: str
@@ -257,23 +259,35 @@ class FeatureDescriptor:
             )
         defaults = _FAMILIES[self.name].params
         keys = [key for key, _ in self.params]
+        params = []
         for key, value in self.params:
             if key not in defaults:
                 raise ValueError(f"feature {self.name!r} has no parameter {key!r}")
             if keys.count(key) > 1:
                 raise ValueError(f"feature {self.name!r} has parameter {key!r} twice")
-            if value is None and defaults[key] is None:  # resolved from the data later
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{self.name}:{key}={value!r}: {key} must be a number")
-            where = f"{self.name}:{key}={value:g}: {key} must be"
-            if key in _COUNTS and not float(value).is_integer():  # also rejects inf and nan
-                raise ValueError(f"{where} a whole number")
-            valid, must_be = _DOMAINS[key]
-            if not valid(value):
-                raise ValueError(f"{where} {must_be}")
+            if value is not None or defaults[key] is not None:  # else resolved from data
+                value = self._number(key, value)
+            params.append((key, value))
+        object.__setattr__(self, "params", tuple(params))
         if len(keys) != len(defaults):  # no key is unknown or repeated, so one is missing
             raise ValueError(f"feature {self.name!r} needs parameters {sorted(defaults)}")
+
+    def _number(self, key: str, value):
+        """``value`` as the float, or the int for a count or ``dc``, that
+        ``key`` is stored as, once it is checked against the key's domain."""
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{self.name}:{key}={value!r}: {key} must be a number")
+        try:
+            number = float(value)
+        except OverflowError:  # an int too large for a float, perhaps too long to print
+            raise ValueError(f"{self.name}:{key}: {key} is too large for a float") from None
+        where = f"{self.name}:{key}={number:g}: {key} must be"
+        if key in _COUNTS and not number.is_integer():  # also rejects inf and nan
+            raise ValueError(f"{where} a whole number")
+        valid, must_be = _DOMAINS[key]
+        if not valid(number):
+            raise ValueError(f"{where} {must_be}")
+        return int(number) if key in _INT_PARAMS else number
 
     @property
     def param_dict(self) -> dict:
@@ -388,19 +402,11 @@ def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
 
 
 def make_descriptor(name: str, params: dict | None = None) -> FeatureDescriptor:
-    """Build a descriptor from a family name and parameter overrides.
-
-    Each real-number override (a Python or numpy int or float, not a bool) is
-    taken as a float, and a whole-numbered count or ``dc`` as an int. Any
-    other value is passed on as it is, and `FeatureDescriptor` checks every
-    value, so a string or a bool is refused rather than converted.
-    """
+    """Build a descriptor from a family name and parameter overrides, merged
+    over the family's defaults; `FeatureDescriptor` converts and checks every
+    value, so a string or a bool is refused rather than converted."""
     merged = dict(_FAMILIES[name].params if name in _FAMILIES else {})
-    for key, value in (params or {}).items():
-        if isinstance(value, numbers.Real) and not isinstance(value, bool):
-            value = float(value)
-            value = int(value) if key in _INT_PARAMS and value.is_integer() else value
-        merged[key] = value
+    merged.update(params or {})
     return FeatureDescriptor(name, tuple(sorted(merged.items())))
 
 

@@ -432,6 +432,17 @@ class TestRobustness:
         payload = json.loads((tmp_path / "grid.json").read_text())
         assert payload["config"]["snr_grid_db"] == [20.0, 10.0]
 
+    @pytest.mark.parametrize("prefix", ["run.v2", "grid.csv"])
+    def test_out_is_a_prefix_even_with_a_dot(self, runner, dataset_dir, tmp_path, prefix):
+        out = tmp_path / "out" / prefix
+        result = runner.invoke(main, [
+            "robustness", "--data", str(dataset_dir / "manifest.json"),
+            "--features", "rms", "--snr", "20", "--reps", "1", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(f"wrote {out}.csv and {out}.json (")
+        assert sorted(f.name for f in out.parent.iterdir()) == [
+            f"{prefix}.csv", f"{prefix}.csv.config.json", f"{prefix}.json"]
+
     def test_cell_counting(self, runner, dataset_dir, tmp_path):
         result = runner.invoke(main, [
             "robustness", "--data", str(dataset_dir / "manifest.json"),
@@ -697,6 +708,8 @@ class TestClassify:
         ("--vote", "-3", "odd positive count, got -3"),
         ("--sets", "x=ar:order=inf", "ar:order=inf: order must be a whole number"),
         ("--sets", "x=rms+mmnf:dc=2", "mmnf:dc=2: dc must be 0 or 1"),
+        ("--sets", "x/../../x=rms", "feature set name 'x/../../x' contains a path separator"),
+        ("--sets", "hudgins,a/b=rms", "feature set name 'a/b' contains a path separator"),
     ])
     def test_bad_option_is_usage_error_before_loading(self, runner, tmp_path, option,
                                                       value, message):

@@ -14,24 +14,12 @@ from myobench import recognition
 from myobench.dataio import (ClassSpec, Dataset, SynthConfig, Trial,
                              default_class_specs, synthesize_emg)
 from myobench.noise import NoiseSpec, derive_seed, inject_at_snr
-from myobench.recognition import (DEFAULT_RIDGE, CrTable, LabeledWindowSet,
-                                  _test_trials, _train_folds, decisions_to_csv,
-                                  evaluate_feature_sets, extract_window_set, lda_scores,
-                                  lda_train, leave_one_out, majority_vote)
+from myobench.recognition import (DEFAULT_RIDGE, CrTable, _test_trials, _train_folds,
+                                  decisions_to_csv, evaluate_feature_sets, extract_window_set,
+                                  lda_scores, lda_train, leave_one_out, majority_vote)
 from myobench.registry import (extract, extract_segments, feature_set, parse_features,
                                peak_amplitude, resolve_hemg_peak)
 from myobench.signals import SegmentationConfig, segment
-
-
-def window_set(X, labels, class_names, trial_ids=None):
-    n = len(labels)
-    return LabeledWindowSet(
-        features=np.asarray(X, dtype=float),
-        labels=np.asarray(labels),
-        trial_ids=list(trial_ids) if trial_ids is not None else [f"t{i}" for i in range(n)],
-        class_names=class_names,
-        window_start_ms=np.zeros(n),
-    )
 
 
 def scan_peak(signals):
@@ -200,6 +188,12 @@ class TestBlockExtraction:
                                       np.concatenate([p.window_start_ms for p in parts]))
         assert whole.trial_ids == [tid for p in parts for tid in p.trial_ids]
         assert whole.feature_names == parts[0].feature_names
+        # 8-sample windows every 2 samples: 12, 7, 7, 12 and 3 windows
+        assert whole.trial_rows.tolist() == [0, 12, 19, 26, 38, 41]
+        for i, p in enumerate(parts):
+            assert p.trial_rows.tolist() == [0, len(p)]
+            np.testing.assert_array_equal(
+                whole.features[whole.trial_rows[i]:whole.trial_rows[i + 1]], p.features)
 
     def test_a_short_trial_or_a_mixed_layout_is_rejected(self):
         trials = noise_trials(6, [20, 6], channels=2)
@@ -213,8 +207,7 @@ class TestBlockExtraction:
 class TestLdaTrain:
     def test_symmetric_1d_boundary_at_zero(self):
         X = [[-1.02], [-0.98], [-1.0], [0.98], [1.02], [1.0]]
-        ws = window_set(X, [0, 0, 0, 1, 1, 1], ["neg", "pos"])
-        model = lda_train(ws)
+        model = lda_train(X, [0, 0, 0, 1, 1, 1], ["neg", "pos"])
         assert top_class(model, [-0.1]) == "neg"
         assert top_class(model, [0.1]) == "pos"
 
@@ -222,7 +215,7 @@ class TestLdaTrain:
         rng = np.random.default_rng(20)
         X = np.vstack([rng.normal(0, 1, (30, 3)), rng.normal(4, 1, (25, 3))])
         labels = np.array([0] * 30 + [1] * 25)
-        model = lda_train(window_set(X, labels, ["a", "b"]))
+        model = lda_train(X, labels, ["a", "b"])
         np.testing.assert_array_equal(model.means[0], X[:30].mean(axis=0))
         np.testing.assert_array_equal(model.means[1], X[30:].mean(axis=0))
         np.testing.assert_allclose(model.priors, [30 / 55, 25 / 55])
@@ -231,7 +224,7 @@ class TestLdaTrain:
         # Classes 0 and 2 present, class 1 absent: the model covers the two present.
         X = np.array([[0.0, 1.0], [0.5, 1.5], [0.2, 0.9], [4.0, 3.0], [4.5, 3.5]])
         labels = np.array([0, 0, 0, 2, 2])
-        model = lda_train(window_set(X, labels, ["a", "b", "c"]))
+        model = lda_train(X, labels, ["a", "b", "c"])
         assert model.class_names == ["a", "c"]
         np.testing.assert_array_equal(model.means[0], X[:3].mean(axis=0))
         np.testing.assert_array_equal(model.means[1], X[3:].mean(axis=0))
@@ -239,18 +232,22 @@ class TestLdaTrain:
         assert top_class(model, [4.2, 3.2]) == "c"
 
     def test_needs_two_windows_per_class(self):
-        ws = window_set([[0.0], [1.0], [2.0]], [0, 1, 1], ["a", "b"])
         with pytest.raises(ValueError, match="at least 2"):
-            lda_train(ws)
+            lda_train([[0.0], [1.0], [2.0]], [0, 1, 1], ["a", "b"])
 
     def test_needs_two_classes(self):
-        ws = window_set([[0.0], [1.0]], [0, 0], ["a", "b"])
         with pytest.raises(ValueError, match="2 classes"):
-            lda_train(ws)
+            lda_train([[0.0], [1.0]], [0, 0], ["a", "b"])
 
     def test_non_finite_features_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            window_set([[np.nan], [1.0], [0.5], [0.2]], [0, 0, 1, 1], ["a", "b"])
+            lda_train([[np.nan], [1.0], [0.5], [0.2]], [0, 0, 1, 1], ["a", "b"])
+
+    def test_a_1d_matrix_or_a_label_per_row_missing_is_rejected(self):
+        with pytest.raises(ValueError, match="2-D matrix"):
+            lda_train([0.0, 0.1, 1.0, 1.1], [0, 0, 1, 1], ["a", "b"])
+        with pytest.raises(ValueError, match="labels must match row count"):
+            lda_train([[0.0], [0.1], [1.0], [1.1]], [0, 0, 1], ["a", "b"])
 
 
 class TestLdaPredict:
@@ -258,18 +255,18 @@ class TestLdaPredict:
         rng = np.random.default_rng(21)
         X = np.vstack([rng.normal(-5, 0.5, (20, 2)), rng.normal(5, 0.5, (20, 2))])
         labels = np.array([0] * 20 + [1] * 20)
-        model = lda_train(window_set(X, labels, ["a", "b"]))
+        model = lda_train(X, labels, ["a", "b"])
         assert top_class(model, model.means[0]) == "a"
         assert top_class(model, model.means[1]) == "b"
 
     def test_midpoint_tie_breaks_to_lowest_index(self):
         X = [[-1.1], [-0.9], [0.9], [1.1]]  # means exactly -1 and +1
-        model = lda_train(window_set(X, [0, 0, 1, 1], ["first", "second"]), ridge=0.0)
+        model = lda_train(X, [0, 0, 1, 1], ["first", "second"], ridge=0.0)
         assert top_class(model, [0.0]) == "first"
 
     def test_identical_class_distributions_fall_to_tie_break(self):
         X = [[1.0], [2.0], [1.0], [2.0]]
-        model = lda_train(window_set(X, [0, 0, 1, 1], ["a", "b"]))
+        model = lda_train(X, [0, 0, 1, 1], ["a", "b"])
         assert top_class(model, [1.5]) == "a"
 
     def test_well_separated_blobs_above_99_percent(self):
@@ -278,15 +275,14 @@ class TestLdaPredict:
         train_b = rng.normal(6.0, 1.0, (250, 2))  # 6 sigma apart
         X = np.vstack([train_a, train_b])
         labels = np.array([0] * 250 + [1] * 250)
-        model = lda_train(window_set(X, labels, ["a", "b"]))
+        model = lda_train(X, labels, ["a", "b"])
         test = np.vstack([rng.normal(0.0, 1.0, (250, 2)), rng.normal(6.0, 1.0, (250, 2))])
         truth = np.array([0] * 250 + [1] * 250)
         pred = np.argmax(lda_scores(model, test), axis=1)
         assert np.mean(pred == truth) >= 0.99
 
     def test_dimension_mismatch_rejected(self):
-        model = lda_train(window_set([[0.0], [0.1], [1.0], [1.1]],
-                                     [0, 0, 1, 1], ["a", "b"]))
+        model = lda_train([[0.0], [0.1], [1.0], [1.1]], [0, 0, 1, 1], ["a", "b"])
         with pytest.raises(ValueError, match="expected 1 features"):
             lda_scores(model, [0.0, 1.0])
 
@@ -297,8 +293,8 @@ class TestLdaPredict:
         test = rng.normal(2.5, 2.0, (200, 2))
         M = np.array([[2.0, 0.3], [-0.5, 1.5]])
         b = np.array([7.0, -4.0])
-        base = lda_train(window_set(X, labels, ["a", "b"]), ridge=0.0)
-        mapped = lda_train(window_set(X @ M.T + b, labels, ["a", "b"]), ridge=0.0)
+        base = lda_train(X, labels, ["a", "b"], ridge=0.0)
+        mapped = lda_train(X @ M.T + b, labels, ["a", "b"], ridge=0.0)
         pred_base = np.argmax(lda_scores(base, test), axis=1)
         pred_mapped = np.argmax(lda_scores(mapped, test @ M.T + b), axis=1)
         np.testing.assert_array_equal(pred_base, pred_mapped)
@@ -474,8 +470,8 @@ class TestLeaveOneOut:
         features = parse_features("hemg,wamp,mmnf")
         fitted = []
 
-        def recording_lda_train(data, ridge=DEFAULT_RIDGE):
-            fitted.append(lda_train(data, ridge=ridge))
+        def recording_lda_train(features, labels, class_names, ridge=DEFAULT_RIDGE):
+            fitted.append(lda_train(features, labels, class_names, ridge=ridge))
             return fitted[-1]
 
         monkeypatch.setattr(recognition, "lda_train", recording_lda_train)
@@ -516,8 +512,8 @@ class TestCachedFolds:
             brute = resolve_hemg_peak(features, scan_peak(t.data[:, ch] for t in train
                                                           for ch in range(len(t.channels))))
             assert resolved == brute
-            assert_same_model(model, lda_train(extract_window_set(
-                train, dataset.rate, brute, SEG, dataset.classes)))
+            fresh = extract_window_set(train, dataset.rate, brute, SEG, dataset.classes)
+            assert_same_model(model, lda_train(fresh.features, fresh.labels, dataset.classes))
             limits.add(tuple(resolved))
         assert len(limits) == 2
 

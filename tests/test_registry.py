@@ -119,6 +119,25 @@ class TestParsing:
         order = make_descriptor("ar", {"order": np.int32(2)}).param_dict["order"]
         assert order == 2 and type(order) is int
 
+    def test_a_descriptor_built_directly_converts_real_numbers(self):
+        # Stored as make_descriptor stores them: an int for a count or dc, else a float.
+        built = FeatureDescriptor("ar", (("order", np.int64(2)),))
+        assert built == make_descriptor("ar", {"order": 2})
+        assert type(built.param_dict["order"]) is int
+        built = FeatureDescriptor("wamp", (("threshold", np.float32(20)),))
+        assert built.params == (("threshold", 20.0),)
+        assert type(built.param_dict["threshold"]) is float
+        assert built.label == "wamp(threshold=20)" and built.param_text == "threshold=20"
+        assert FeatureDescriptor("mnf", (("dc", np.int8(0)),)).param_dict == {"dc": 0}
+
+    def test_an_int_too_large_for_a_float_names_its_parameter(self):
+        x = np.random.default_rng(0).normal(size=64)
+        message = "wamp:threshold: threshold is too large for a float"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            wamp(x, 10**400)
+        with pytest.raises(ValueError, match="^ar:order: order is too large"):
+            FeatureDescriptor("ar", (("order", 10**5000),))
+
     def test_a_descriptor_checks_its_parameters_however_it_is_built(self):
         with pytest.raises(ValueError, match="^ar:order=0: order must be at least 1$"):
             FeatureDescriptor("ar", (("order", 0),))
