@@ -230,11 +230,11 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
             descriptors = default_panel() if features is None else parse_features(features)
     if len(set(descriptors)) != len(descriptors):
         raise click.BadParameter("a feature (or sweep value) is listed twice")
-    dataset, seg_cfg = _load_segmented(data, window_ms, slide_ms)
-    cfg = RobustnessConfig(
+    cfg = RobustnessConfig(  # a bad grid shape is exit 1, reported before the load
         snr_grid=snr_grid, repetitions=reps, seed=seed,
         groups=tuple(g.strip() for g in groups.split(",")) if groups else None,
     )
+    dataset, seg_cfg = _load_segmented(data, window_ms, slide_ms)
     records = records_from_dataset(
         dataset, seg_cfg, max_windows=None if max_windows == 0 else max_windows)
     grid = run_grid(records, descriptors, cfg)

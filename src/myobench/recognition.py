@@ -32,8 +32,8 @@ row ranges come from it once: `extract_window_set` records where each trial's
 rows begin (``trial_rows``) as it lays them out, so no window's start time
 has to mark a trial boundary. A noisy level's matrix is freed before the next
 level's is built. Each call stacks its trials' channels into blocks of at
-most ``_BLOCK_SAMPLES`` window samples and runs each feature kernel once per
-block.
+most ``registry._BLOCK_SAMPLES`` window samples and runs each feature kernel
+once per block.
 
 Scoring works on class codes. Each fold maps its model's class list onto the
 dataset's class indices once, and its raw decisions are that map applied to
@@ -53,17 +53,12 @@ import numpy as np
 
 from .dataio import Dataset, Trial, csv_prefix, write_output
 from .noise import derive_seed, derive_seeds, fill_wgn, signal_power, snr_sigma, stream_words
-from .registry import FeatureDescriptor, _extract_stack, peak_amplitude, resolve_hemg_peak
+from .registry import (FeatureDescriptor, _blocks, _extract_stack, peak_amplitude,
+                       resolve_hemg_peak)
 from .signals import SegmentationConfig, segment_offsets
 
 DEFAULT_VOTE_WINDOW = 5  # ~512 ms of context at 256/64 ms windowing
 DEFAULT_RIDGE = 1e-6
-# The most window samples (windows x width) that one stacked extraction
-# covers: enough that a kernel's fixed cost is shared by a few short
-# channels, few enough that a block's intermediates (each at most this many
-# floats, 512 KiB) keep the process's peak memory within about 1 MB of
-# extracting one channel at a time.
-_BLOCK_SAMPLES = 2 ** 16
 
 
 @dataclass
@@ -101,8 +96,8 @@ def lda_train(features, labels, class_names: list[str],
     """Fit class means, pooled within-class covariance, and empirical priors.
 
     ``features`` is an (n, d) matrix of finite values and ``labels`` holds
-    one index into ``class_names`` per row. The covariance is pooled with
-    n - K degrees of freedom and stabilized as
+    one index into ``class_names`` per row; any other label is a ValueError.
+    The covariance is pooled with n - K degrees of freedom and stabilized as
     cov + ridge * (trace(cov)/d) * I. Every class present must contribute at
     least two windows.
     """
@@ -113,6 +108,10 @@ def lda_train(features, labels, class_names: list[str],
         raise ValueError("labels must match row count")
     if not np.all(np.isfinite(X)):
         raise ValueError("feature matrix contains non-finite values")
+    outside = y[(y < 0) | (y >= len(class_names))]
+    if outside.size:
+        raise ValueError(f"label {outside[0]} is not an index into "
+                         f"{len(class_names)} class names")
     present = np.flatnonzero(np.bincount(y))
     if present.size < 2:
         raise ValueError("LDA needs at least 2 classes in the training data")
@@ -216,9 +215,9 @@ def extract_window_set(trials: list[Trial], rate: float,
     Rows follow the trials, each trial's windows in time order, and
     ``trial_rows`` records where each trial's rows begin. The channels
     of consecutive trials with the same window count are extracted in
-    stacked blocks of at most ``_BLOCK_SAMPLES`` window samples (a block may
-    end inside a trial), each written straight into its rows and channel's
-    columns; every value equals that channel's `extract_segments`.
+    stacked blocks of at most ``registry._BLOCK_SAMPLES`` window samples (a
+    block may end inside a trial), each written straight into its rows and
+    channel's columns; every value equals that channel's `extract_segments`.
     """
     if not trials:
         raise ValueError("no trials to extract features from")
@@ -250,22 +249,6 @@ def extract_window_set(trials: list[Trial], rate: float,
         window_start_ms=np.concatenate(offsets) * 1000.0 / rate, trial_rows=first_row,
         feature_names=feature_names,
     )
-
-
-def _blocks(sizes) -> list[range]:
-    """Consecutive index ranges over signals of ``sizes`` window samples each.
-
-    A range holds signals of one size (one window count, so they stack) and
-    at most ``_BLOCK_SAMPLES`` window samples in all; a signal over the
-    budget forms a range of its own.
-    """
-    blocks: list[range] = []
-    for i, size in enumerate(sizes):
-        if blocks and sizes[i - 1] == size and (len(blocks[-1]) + 1) * size <= _BLOCK_SAMPLES:
-            blocks[-1] = range(blocks[-1].start, i + 1)
-        else:
-            blocks.append(range(i, i + 1))
-    return blocks
 
 
 @dataclass(eq=False)

@@ -23,7 +23,9 @@ window that holds it.
 Equal-length signals can be extracted as one stack. A kernel pass has a
 fixed cost (dispatch, small temporaries) that dwarfs its work on one 3 s
 channel, so the recognition pipeline stacks short channels into blocks (see
-`recognition.extract_window_set`) and extracts each block in one pass.
+`recognition.extract_window_set`) and the robustness grid stacks records'
+copy matrices (see `robustness.run_grid`), each under one budget,
+``_BLOCK_SAMPLES``, and each block is extracted in one pass.
 ``extract_segments`` runs the same code on a stack of one signal, and each
 row of a stack gets the values it would get alone, bit for bit.
 
@@ -375,6 +377,32 @@ def _extract_stack(descriptors, signals, rate: float, cfg: SegmentationConfig) -
     shared = _Intermediates(signals[:, :offsets[-1] + width], width, cfg.slide_samples(rate),
                             rate)
     return _columns(descriptors, shared).reshape(len(signals), offsets.size, -1)
+
+
+# The most window samples (windows x width) that one stacked extraction
+# covers: enough that a kernel's fixed cost is shared by a few short signals
+# or robustness records, few enough that a block's intermediates (each at
+# most this many floats, 512 KiB) keep the process's peak memory within
+# about 1 MB of extracting one at a time.
+_BLOCK_SAMPLES = 2 ** 16
+
+
+def _blocks(sizes, kinds=None) -> list[range]:
+    """Consecutive index ranges over items of ``sizes`` window samples each.
+
+    A range holds items of one kind, which have one size (by default the
+    kind is the size: one window count, so they stack), and at most
+    ``_BLOCK_SAMPLES`` window samples in all; an item over the budget forms
+    a range of its own.
+    """
+    kinds = sizes if kinds is None else kinds
+    blocks: list[range] = []
+    for i, (size, kind) in enumerate(zip(sizes, kinds)):
+        if blocks and kinds[i - 1] == kind and (len(blocks[-1]) + 1) * size <= _BLOCK_SAMPLES:
+            blocks[-1] = range(blocks[-1].start, i + 1)
+        else:
+            blocks.append(range(i, i + 1))
+    return blocks
 
 
 def _columns(descriptors, shared: _Intermediates) -> np.ndarray:

@@ -7,27 +7,31 @@ percentage error
     PE = |(feature_clean - feature_noise) / feature_clean| * 100
 
 Results aggregate to mean/std PE per (feature, group, motion, SNR). Each
-record's clean signal and noisy copies fill one matrix, and the whole
-feature panel is extracted from it in one call, so a (record, feature) pair
-whose clean value is zero (PE undefined) or whose extraction fails is left
-out as a whole: its attempts are not averaged but counted in the
-``excluded`` column instead. A record whose clean power is zero (SNR
+record's clean signal and noisy copies are scored together, so a (record,
+feature) pair whose clean value is zero (PE undefined) or whose extraction
+fails is left out as a whole: its attempts are not averaged but counted in
+the ``excluded`` column instead. A record whose clean power is zero (SNR
 undefined) is left out the same way for every feature. A feature that no
-record gives a PE for is named, with the reason, in the grid's ``unscored``.
+record gives a PE for is named, with the reason, in the grid's ``unscored``:
+the reason of the first record, in record order, that excluded it.
 
 All features at a given (record, SNR, repetition) see the same noise draw,
 and each draw's stream is keyed by (seed, record index, SNR index,
 repetition), so serial and parallel evaluation orders give bit-identical
 grids. All stream seeds and streams are seeded in one batch before the
-record loop (see `noise.derive_seeds` and `noise.stream_words`), and each
-copy is drawn straight into its row of the record's matrix.
+record loop (see `noise.derive_seeds` and `noise.stream_words`).
 
-Records are extracted one at a time, not in the stacked blocks that the
-recognition pipeline uses: a block of a few records' copy matrices makes
-every intermediate a 0.25-0.5 MB array, and in a fresh process glibc's
-allocator hands such arrays back to the system after each block and faults
-them in again on the next, which on the default panel cost more than
-sharing the kernels' fixed cost saved.
+Consecutive records of one length and rate are extracted in stacked blocks
+under the budget the recognition pipeline uses, ``registry._BLOCK_SAMPLES``
+window samples: at the default 6 SNR levels x 10 repetitions a 256-sample
+record fills 61 rows, so a block holds 4 records. Each copy is drawn
+straight into its row of the block's matrix, the whole feature panel is
+extracted from the block in one call, and each record's PE is scored from
+its rows. A record whose clean power is zero stays out of every block. If a
+block's joint extraction raises, its records are extracted one at a time,
+so a failure that only one record causes excludes only that record. Every
+value, and so every row and every ``unscored`` reason, is what extracting
+each record alone gives.
 """
 from __future__ import annotations
 
@@ -38,7 +42,8 @@ import numpy as np
 
 from .dataio import Dataset
 from .noise import derive_seeds, fill_wgn, signal_power, snr_sigma, stream_words
-from .registry import FeatureDescriptor, extract, peak_amplitude, resolve_hemg_peak
+from .registry import (FeatureDescriptor, _blocks, extract, peak_amplitude,
+                       resolve_hemg_peak)
 from .signals import SegmentationConfig, segment
 
 
@@ -157,6 +162,7 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
 
     reps = cfg.repetitions
     n_snr = len(cfg.snr_grid)
+    copies = 1 + n_snr * reps  # a record's rows: its clean signal, then its noisy copies
     picks, reasons = _scalar_picks(features)
     in_range = np.array([d_idx not in reasons for d_idx in range(len(features))])
     pe = np.zeros((len(records), n_snr, reps, len(features)))
@@ -164,30 +170,40 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
     stream_seeds = derive_seeds([cfg.seed], range(len(records)), range(n_snr))
     words = stream_words(stream_seeds.ravel(), range(reps))
     words = words.reshape(len(records), n_snr * reps, -1)
+    sigmas, zero_power = {}, {}
     for r_idx, record in enumerate(records):
-        clean = record.samples
-        matrix = np.empty((1 + n_snr * reps, clean.size))  # row 0 is the clean signal
-        matrix[0] = clean
-        p_clean = signal_power(clean)
+        p_clean = signal_power(record.samples)
         try:
-            sigmas = np.array([snr_sigma(p_clean, snr) for snr in cfg.snr_grid])
+            sigmas[r_idx] = np.array([snr_sigma(p_clean, snr) for snr in cfg.snr_grid])
         except ValueError as exc:  # zero clean power: excluded for every feature
+            zero_power[r_idx] = str(exc)
+    # A block holds records of one length and rate, all of nonzero power or all of zero.
+    kinds = [(r.samples.size, r.rate, r_idx in sigmas) for r_idx, r in enumerate(records)]
+    for block in _blocks([copies * r.samples.size for r in records], kinds):
+        if block.start in zero_power:  # each record of the block has this reason
             for d_idx in range(len(features)):
-                reasons.setdefault(d_idx, str(exc))
+                reasons.setdefault(d_idx, zero_power[block.start])
             continue
-        # clean + sigma * draw, as two broadcasts over the draws made in place
-        noisy = fill_wgn(words[r_idx], matrix[1:]).reshape(n_snr, reps, clean.size)
-        noisy *= sigmas[:, np.newaxis, np.newaxis]
-        noisy += clean
-        values, ok = _scalar_values(features, picks, in_range, matrix, record.rate,
-                                    reasons)
-        ok &= values[0] != 0
-        for d_idx in np.flatnonzero(~ok):
-            reasons.setdefault(d_idx, "its clean value is zero")
-        kept = np.flatnonzero(ok)
-        pe[r_idx][..., kept] = percentage_error(values[0, kept], values[1:, kept]) \
-            .reshape(n_snr, reps, kept.size)
-        valid[r_idx] = ok
+        width, rate = kinds[block.start][:2]
+        matrix = np.empty((len(block), copies, width))
+        for r_idx, rows in zip(block, matrix):
+            clean = records[r_idx].samples
+            rows[0] = clean
+            # clean + sigma * draw, as two broadcasts over the draws made in place
+            noisy = fill_wgn(words[r_idx], rows[1:]).reshape(n_snr, reps, width)
+            noisy *= sigmas[r_idx][:, np.newaxis, np.newaxis]
+            noisy += clean
+        values, failures = _scalar_values(features, picks, in_range, matrix, rate)
+        for r_idx, record_values, failed in zip(block, values, failures):
+            ok = in_range & (record_values[0] != 0)  # a failed descriptor's values are zero
+            for d_idx, reason in failed.items():
+                reasons.setdefault(d_idx, reason)
+            for d_idx in np.flatnonzero(~ok):
+                reasons.setdefault(d_idx, "its clean value is zero")
+            kept = np.flatnonzero(ok)
+            pe[r_idx][..., kept] = percentage_error(
+                record_values[0, kept], record_values[1:, kept]).reshape(n_snr, reps, kept.size)
+            valid[r_idx] = ok
 
     buckets: dict[tuple[str, str], list[int]] = {}
     for r_idx, record in enumerate(records):
@@ -235,29 +251,38 @@ def _scalar_picks(features):
     return picks, reasons
 
 
-def _scalar_values(features, picks, in_range, matrix, rate, reasons):
-    """Every descriptor's scalar over the rows of ``matrix``, and which ones exist.
+def _scalar_values(features, picks, in_range, block, rate):
+    """Every descriptor's scalar over each record's rows of ``block``, and which fail.
 
-    One joint extraction shares intermediates (differences, the spectrum)
-    among the descriptors. If it raises, each descriptor is extracted on its
-    own, so a failing one fails only itself; its error message goes into
-    ``reasons``. A descriptor whose scalar component is out of range
-    (``in_range`` False) never exists.
+    ``block`` is a (records, rows, samples) array. Returns the (records,
+    rows, descriptors) values and, per record, {descriptor index: error
+    message} for the descriptors whose extraction raised on that record.
+    One joint extraction covers the whole block and shares intermediates
+    (differences, the spectrum) among the descriptors. If it raises, each
+    record is extracted on its own, and where that raises, each descriptor
+    on its own, so a failure excludes only its own (record, descriptor)
+    pairs. The values of a failed descriptor are zero, and so are those of a
+    descriptor whose scalar component is out of range (``in_range`` False)
+    wherever descriptors are extracted on their own.
     """
-    ok = in_range.copy()
     try:
-        return extract(features, matrix, rate)[:, picks], ok
+        values = extract(features, block.reshape(-1, block.shape[-1]), rate)[:, picks]
+        return values.reshape(block.shape[:2] + (-1,)), [{} for _ in block]
     except ValueError:
         pass
-    values = np.zeros((matrix.shape[0], len(features)))
-    for d_idx in np.flatnonzero(ok):
+    if len(block) > 1:
+        parts = [_scalar_values(features, picks, in_range, rows[np.newaxis], rate)
+                 for rows in block]
+        return np.concatenate([v for v, _ in parts]), [f for _, (f,) in parts]
+    values = np.zeros(block.shape[:2] + (len(features),))
+    failures = {}
+    for d_idx in np.flatnonzero(in_range):
         desc = features[d_idx]
         try:
-            values[:, d_idx] = extract([desc], matrix, rate)[:, desc.scalar_component - 1]
+            values[0, :, d_idx] = extract([desc], block[0], rate)[:, desc.scalar_component - 1]
         except ValueError as exc:
-            ok[d_idx] = False
-            reasons.setdefault(d_idx, str(exc))
-    return values, ok
+            failures[d_idx] = str(exc)
+    return values, [failures]
 
 
 def grid_csv_rows(grid: RobustnessGrid) -> list[list]:

@@ -579,6 +579,20 @@ class TestRobustness:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.output.strip() == f"Error: {message}"
 
+    @pytest.mark.parametrize("option, message", [
+        (["--snr", "20,inf"], "snr_db must be finite"),
+        (["--reps", "0"], "need at least one repetition"),
+    ])
+    def test_bad_grid_shape_is_reported_before_loading(self, runner, tmp_path, option,
+                                                       message):
+        # The manifest does not exist, so the grid's error shows it was checked first.
+        result = runner.invoke(main, [
+            "robustness", "--data", str(tmp_path / "ghost.json"), *option,
+            "--out", str(tmp_path / "grid")])
+        assert result.exit_code == 1
+        assert result.output.strip() == f"Error: {message}"
+        assert not list(tmp_path.iterdir())
+
     def test_negative_max_windows_is_usage_error(self, runner, dataset_dir, tmp_path):
         result = runner.invoke(main, [
             "robustness", "--data", str(dataset_dir / "manifest.json"),

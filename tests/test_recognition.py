@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from myobench import recognition
+from myobench import recognition, registry
 from myobench.dataio import (ClassSpec, Dataset, SynthConfig, Trial,
                              default_class_specs, synthesize_emg)
 from myobench.noise import NoiseSpec, derive_seed, inject_at_snr
@@ -169,7 +169,7 @@ class TestBlockExtraction:
         lengths = lengths[:max(1, 6 // channels)]  # 1 to 6 signals
         trials = noise_trials(seed, lengths, channels)
         descriptors = [EVERY_FAMILY[i] for i in order]
-        with patch.object(recognition, "_BLOCK_SAMPLES", budget):
+        with patch.object(registry, "_BLOCK_SAMPLES", budget):
             windows = extract_window_set(trials, 1000.0, descriptors, BLOCK_SEG, ["a", "b"])
         for extract_channel in (extract_segments, extract_windows):
             np.testing.assert_array_equal(
@@ -248,6 +248,12 @@ class TestLdaTrain:
             lda_train([0.0, 0.1, 1.0, 1.1], [0, 0, 1, 1], ["a", "b"])
         with pytest.raises(ValueError, match="labels must match row count"):
             lda_train([[0.0], [0.1], [1.0], [1.1]], [0, 0, 1], ["a", "b"])
+
+    @pytest.mark.parametrize("labels, bad", [([0, 0, 5, 5], 5), ([0, 0, -1, -1], -1),
+                                             ([0, 2, 1, 1], 2)])
+    def test_a_label_outside_the_class_names_is_rejected(self, labels, bad):
+        with pytest.raises(ValueError, match=f"^label {bad} is not an index into 2 class names$"):
+            lda_train([[0.0], [0.1], [1.0], [1.1]], labels, ["a", "b"])
 
 
 class TestLdaPredict:

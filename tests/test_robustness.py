@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
-from myobench import robustness
+from myobench import registry, robustness
 from myobench.cli import _parse_sweep
 from myobench.dataio import (SynthConfig, csv_rows, default_class_specs, synthesize_emg,
                              write_output)
@@ -316,6 +316,94 @@ class TestGridOracle:
         cfg = RobustnessConfig(snr_grid=(10.0, 0.0, 10.0), repetitions=12, seed=2**64 + 5)
         same_rows(run_grid(records, default_panel(), cfg).rows,
                   reference_rows(records, default_panel(), cfg))
+
+
+def layout_records(rng, layout, lengths=None, rates=None):
+    """One record per letter: ``n`` band-limited, ``c`` constant nonzero, ``0`` all zero."""
+    records = []
+    for i, kind in enumerate(layout):
+        n = 256 if lengths is None else lengths[i]
+        rate = 1000.0 if rates is None else rates[i]
+        samples = {"n": lambda: band_limited(rng, n=n, rate=rate),
+                   "c": lambda: np.full(n, 3.0), "0": lambda: np.zeros(n)}[kind]()
+        records.append(TrialRecord(samples=samples, rate=rate, motion=f"m{i % 2}",
+                                   group="strong", trial_id=f"{kind}{i}"))
+    return records
+
+
+def blocked_and_alone(monkeypatch, records, features, cfg):
+    """run_grid under the default budget and with each record a block of its own,
+    with the record count of every `_scalar_values` call of each run."""
+    calls = []
+    scalar_values = robustness._scalar_values
+
+    def counted(features, picks, in_range, block, rate):
+        calls[-1].append(len(block))
+        return scalar_values(features, picks, in_range, block, rate)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(robustness, "_scalar_values", counted)
+        calls.append([])
+        blocked = run_grid(records, features, cfg)
+        patch.setattr(registry, "_BLOCK_SAMPLES", 1)
+        calls.append([])
+        alone = run_grid(records, features, cfg)
+    return blocked, alone, calls
+
+
+class TestBlocks:
+    """Records extracted in stacked blocks score what one-record blocks score."""
+
+    FEATURES = "rms,zc,mnf:dc=0,mmnf,hemg,ar,wamp:threshold=1e6"
+
+    def test_blocks_equal_one_record_blocks(self, monkeypatch):
+        # 61 rows of 256 samples: at most 4 records per default block. The
+        # constant records fail mnf:dc=0 (their clean spectrum has no mass
+        # without DC), which sends their block to one record at a time, and
+        # their clean zc is zero. Blocks: [c0 n1 c2 n3] with a constant
+        # record at the start and inside; the flat 04 alone, kept out of
+        # every block; [n5 n6 n7 c8] ending in one; then the partial [n9 c10].
+        records = layout_records(np.random.default_rng(30), "cncn0nnncnc")
+        cfg = RobustnessConfig(seed=12)
+        blocked, alone, calls = blocked_and_alone(monkeypatch, records,
+                                                  parse_features(self.FEATURES), cfg)
+        assert calls == [[4, 1, 1, 1, 1, 4, 1, 1, 1, 1, 2, 1, 1], [1] * 10]
+        same_rows(blocked.rows, alone.rows)
+        assert blocked.unscored == alone.unscored == \
+            {"wamp(threshold=1e+06)": "its clean value is zero"}
+        zc = [row for row in blocked.rows if row.feature == "zc"]
+        assert [(row.motion, row.excluded) for row in zc if row.snr_db == 0.0] == \
+            [("m0", 5 * 10), ("m1", 0)]  # c0, c2, 04, c8 and c10, all m0
+        # a block that extracts jointly gives what one-record blocks give
+        rms = [records[i] for i in (1, 3, 5, 6, 7, 9)]
+        blocked, alone, calls = blocked_and_alone(monkeypatch, rms, parse_features("rms"),
+                                                  cfg)
+        assert calls == [[4, 2], [1] * 6]
+        same_rows(blocked.rows, alone.rows)
+
+    @pytest.mark.parametrize("layout, reason", [
+        ("c0c", "spectrum has no mass; mean/median frequency undefined"),
+        ("0cc", "signal power is zero; SNR is undefined"),
+    ])
+    def test_unscored_reason_is_the_first_records(self, monkeypatch, layout, reason):
+        records = layout_records(np.random.default_rng(31), layout)
+        cfg = RobustnessConfig(snr_grid=(20.0, 0.0), repetitions=2, seed=1)
+        blocked, alone, _ = blocked_and_alone(monkeypatch, records,
+                                              parse_features("mnf:dc=0,rms"), cfg)
+        same_rows(blocked.rows, alone.rows)
+        assert blocked.unscored == alone.unscored == {"mnf(dc=0)": reason}
+
+    def test_blocks_split_where_the_length_or_rate_changes(self, monkeypatch):
+        lengths = [256, 256, 200, 200, 200, 256, 256, 256]
+        rates = [1000.0] * 5 + [2000.0, 2000.0, 1000.0]
+        records = layout_records(np.random.default_rng(32), "n" * 8, lengths, rates)
+        features = parse_features(self.FEATURES)
+        cfg = RobustnessConfig(snr_grid=(20.0, 5.0), repetitions=3, seed=4)
+        blocked, alone, calls = blocked_and_alone(monkeypatch, records, features, cfg)
+        assert calls == [[2, 3, 2, 1], [1] * 8]
+        same_rows(blocked.rows, alone.rows)
+        assert blocked.unscored == alone.unscored
+        same_rows(blocked.rows, reference_rows(records, features, cfg))
 
 
 class TestSweep:
