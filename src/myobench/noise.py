@@ -36,8 +36,7 @@ class NoiseSpec:
     repetition_index: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
+        snr_factor(self.snr_db)
         if self.repetition_index < 0:
             raise ValueError("repetition_index must be >= 0")
 
@@ -61,11 +60,30 @@ def signal_power(samples) -> float:
     return float(np.mean(x * x))
 
 
+ZERO_POWER = "signal power is zero; SNR is undefined"
+
+
+def snr_factor(snr_db: float) -> float:
+    """The noise power per unit of clean power at ``snr_db``: 10^(-snr_db/10).
+
+    A level that is not finite, or so low that the factor overflows a float,
+    is a ValueError.
+    """
+    snr_db = float(snr_db)  # a numpy float's power would overflow to inf, not raise
+    if not math.isfinite(snr_db):
+        raise ValueError("snr_db must be finite")
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SNR {snr_db:g} dB is too low: 10^(-SNR/10) overflows a float") \
+            from None
+
+
 def snr_sigma(p_clean: float, snr_db: float) -> float:
     """Noise standard deviation that puts WGN ``snr_db`` below a clean power."""
     if p_clean <= 0:
-        raise ValueError("signal power is zero; SNR is undefined")
-    return math.sqrt(p_clean * 10.0 ** (-snr_db / 10.0))
+        raise ValueError(ZERO_POWER)
+    return math.sqrt(p_clean * snr_factor(snr_db))
 
 
 def inject_at_snr(samples, spec: NoiseSpec) -> np.ndarray:

@@ -52,7 +52,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import Dataset, Trial, csv_prefix, write_output
-from .noise import derive_seed, derive_seeds, fill_wgn, signal_power, snr_sigma, stream_words
+from .noise import (derive_seed, derive_seeds, fill_wgn, signal_power, snr_factor, snr_sigma,
+                    stream_words)
 from .registry import (FeatureDescriptor, _blocks, _extract_stack, peak_amplitude,
                        resolve_hemg_peak)
 from .signals import SegmentationConfig, segment_offsets
@@ -330,8 +331,7 @@ def _test_trials(dataset: Dataset, noise_snr_db: float, noise_seed: int) -> list
     so every feature set tested at a level sees the same noisy trials. The
     draws are written in place and then scaled and offset by the clean signal.
     """
-    if not np.isfinite(noise_snr_db):
-        raise ValueError("snr_db must be finite")
+    snr_factor(noise_snr_db)  # refuses a level that is not finite, or too low, before drawing
     trials = dataset.trials
     seeds = derive_seeds([noise_seed], range(len(trials)), range(len(trials[0].channels)))
     words = stream_words(seeds.ravel(), [0]).reshape(seeds.shape[1:] + (-1,))

@@ -15,8 +15,8 @@ one window (the robustness grid's clean and noisy copies). ``extract_segments``
 takes one channel signal and a segmentation, and gives exactly what
 ``extract`` gives on that signal's windows. Both run the same kernels in the
 same loop over an ``_Intermediates``, which computes each elementwise
-intermediate (|x|, x^2, the differences, the event masks, the HEMG bin
-index) once over its source and hands each kernel its windows of it: over a
+intermediate (|x|, x^2, the differences, the event masks, the HEMG edge
+masks) once over its source and hands each kernel its windows of it: over a
 signal whose windows overlap, every sample is transformed once, not once per
 window that holds it.
 
@@ -64,7 +64,7 @@ class _Intermediates:
     elementwise intermediate is computed once over the source: those that
     several families read (|x|, x^2, the differences and their magnitudes)
     on first use, kept until no later descriptor reads them; the event masks
-    and the HEMG bin index, which depend on a descriptor's parameters, by
+    and the HEMG edge masks, which depend on a descriptor's parameters, by
     its kernel. `windows` gives a kernel each window's part of one as a
     (signals, count, width) view, and `counts` counts a mask's events per
     (signal, window), so a sample that several windows hold is transformed
@@ -111,12 +111,6 @@ class _Intermediates:
         totals = (np.searchsorted(positions, starts + self._width_of(events))
                   - np.searchsorted(positions, starts))
         return totals.reshape(events.shape[:-1] + (self.count,))
-
-    def bin_counts(self, idx, bins: int):
-        """Each window's sample count per bin, from every sample's bin index."""
-        if self.slide is None:
-            return tf._bin_counts(idx, bins)
-        return np.swapaxes(self.counts(tf._bin_events(idx, bins)), -1, -2)
 
     @functools.cached_property
     def rows(self):
@@ -200,9 +194,7 @@ _FAMILIES: dict[str, _Family] = {
                    {"threshold": tf.DEFAULT_SSC_THRESHOLD}, ("diff",), 3, counts=True),
     "wamp": _Family(lambda s, threshold: s.counts(s.abs_diff >= threshold),
                     {"threshold": tf.DEFAULT_WAMP_THRESHOLD}, _DIFFS, 2, counts=True),
-    "hemg": _Family(lambda s, bins, limit: s.bin_counts(tf._hemg_bins(s.source, bins, limit),
-                                                        int(bins)),
-                    {"bins": tf.DEFAULT_HEMG_BINS, "limit": None}, (), 1,
+    "hemg": _Family(tf._hemg, {"bins": tf.DEFAULT_HEMG_BINS, "limit": None}, (), 1,
                     size=lambda p: int(p["bins"]), scalar=2, counts=True),
     "ar": _Family(lambda s, order: ff.levinson_durbin(s.rows, order), {"order": 1},
                   size=lambda p: int(p["order"])),
@@ -243,12 +235,13 @@ class FeatureDescriptor:
     however it is built: it must be a real number (``numbers.Real``, numpy
     scalars included, not a bool) that a float can hold, and ``segments``,
     ``bins`` and ``order`` whole numbers, at least 2, 1 and 1; ``dc`` 0 or 1;
-    ``threshold`` non-negative; ``limit`` positive and finite. It is stored
-    as a float, or as an int for a count or ``dc``. Only a parameter the
-    family resolves from data (hemg's ``limit``) may be None until it is
-    resolved. Any other value is a ValueError naming ``name:key``; so is a
-    parameter the family lacks, one given twice, or one it needs that is
-    missing.
+    ``threshold`` non-negative; ``limit`` positive and finite, with a bin
+    width ``2 * limit / bins`` that is positive and finite too (an error
+    naming ``limit``). It is stored as a float, or as an int for a count or
+    ``dc``. Only a parameter the family resolves from data (hemg's
+    ``limit``) may be None until it is resolved. Any other value is a
+    ValueError naming ``name:key``; so is a parameter the family lacks, one
+    given twice, or one it needs that is missing.
     """
 
     name: str
@@ -273,6 +266,12 @@ class FeatureDescriptor:
         object.__setattr__(self, "params", tuple(params))
         if len(keys) != len(defaults):  # no key is unknown or repeated, so one is missing
             raise ValueError(f"feature {self.name!r} needs parameters {sorted(defaults)}")
+        values = dict(params)
+        if values.get("limit") is not None:  # hemg's bin formula must stay finite and monotone
+            width = 2.0 * values["limit"] / values["bins"]
+            if not 0 < width < math.inf:
+                raise ValueError(f"{self.name}:limit={values['limit']:g}: the bin width "
+                                 f"2*limit/bins must be positive and finite, got {width:g}")
 
     def _number(self, key: str, value):
         """``value`` as the float, or the int for a count or ``dc``, that

@@ -35,13 +35,12 @@ each record alone gives.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dataio import Dataset
-from .noise import derive_seeds, fill_wgn, signal_power, snr_sigma, stream_words
+from .noise import ZERO_POWER, derive_seeds, fill_wgn, snr_factor, stream_words
 from .registry import (FeatureDescriptor, _blocks, extract, peak_amplitude,
                        resolve_hemg_peak)
 from .signals import SegmentationConfig, segment
@@ -75,8 +74,8 @@ class RobustnessConfig:
             raise ValueError("SNR grid must be non-empty")
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
-        if not all(math.isfinite(s) for s in self.snr_grid):
-            raise ValueError("snr_db must be finite")
+        for snr in self.snr_grid:
+            snr_factor(snr)  # refuses a level that is not finite, or too low
 
 
 @dataclass(frozen=True)
@@ -155,6 +154,8 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
     if len(set(features)) != len(features):
         raise ValueError("a feature (or sweep value) is listed twice")
     for record in records:
+        if not record.samples.size:
+            raise ValueError(f"record {record.trial_id} has no samples")
         if not np.all(np.isfinite(record.samples)):
             raise ValueError(f"record {record.trial_id} has non-finite samples")
     features = resolve_hemg_peak(features,
@@ -170,19 +171,22 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
     stream_seeds = derive_seeds([cfg.seed], range(len(records)), range(n_snr))
     words = stream_words(stream_seeds.ravel(), range(reps))
     words = words.reshape(len(records), n_snr * reps, -1)
-    sigmas, zero_power = {}, {}
+    # sigma = sqrt(P_clean * 10^(-SNR/10)), as `noise.snr_sigma` gives it, for
+    # every record and level at once; the clean powers are taken per length.
+    powers = np.empty(len(records))
+    by_length: dict[int, list[int]] = {}
     for r_idx, record in enumerate(records):
-        p_clean = signal_power(record.samples)
-        try:
-            sigmas[r_idx] = np.array([snr_sigma(p_clean, snr) for snr in cfg.snr_grid])
-        except ValueError as exc:  # zero clean power: excluded for every feature
-            zero_power[r_idx] = str(exc)
+        by_length.setdefault(record.samples.size, []).append(r_idx)
+    for members in by_length.values():
+        clean = np.asarray([records[r_idx].samples for r_idx in members], dtype=float)
+        powers[members] = np.mean(clean * clean, axis=-1)
+    sigmas = np.sqrt(powers[:, np.newaxis] * [snr_factor(snr) for snr in cfg.snr_grid])
     # A block holds records of one length and rate, all of nonzero power or all of zero.
-    kinds = [(r.samples.size, r.rate, r_idx in sigmas) for r_idx, r in enumerate(records)]
+    kinds = [(r.samples.size, r.rate, powers[r_idx] > 0) for r_idx, r in enumerate(records)]
     for block in _blocks([copies * r.samples.size for r in records], kinds):
-        if block.start in zero_power:  # each record of the block has this reason
+        if powers[block.start] == 0:  # zero clean power: excluded for every feature
             for d_idx in range(len(features)):
-                reasons.setdefault(d_idx, zero_power[block.start])
+                reasons.setdefault(d_idx, ZERO_POWER)
             continue
         width, rate = kinds[block.start][:2]
         matrix = np.empty((len(block), copies, width))
@@ -210,22 +214,37 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
         buckets.setdefault((record.group, record.motion), []).append(r_idx)
     levels = {snr: [s for s, level in enumerate(cfg.snr_grid) if level == snr]
               for snr in sorted(set(cfg.snr_grid), reverse=True)}
+    # The cells of levels listed equally often are the rows of one matrix: all
+    # levels, unless one repeats, whose row then pools its grid columns.
+    shapes: dict[int, list[float]] = {}
+    for snr, columns in levels.items():
+        shapes.setdefault(len(columns), []).append(snr)
     rows = []
     for d_idx in sorted(range(len(features)), key=lambda d: features[d].name):
         desc = features[d_idx]
         for (group, motion), members in sorted(buckets.items()):
             kept = [r for r in members if valid[r, d_idx]]
+            stats = dict.fromkeys(levels, (float("nan"), float("nan")))
+            if kept:
+                cells = pe[kept, ..., d_idx]  # (kept records, grid columns, repetitions)
+                for snrs in shapes.values():
+                    # each row lists its level's PEs record by record, then
+                    # column by column, then repetition by repetition
+                    matrix = cells[:, [s for snr in snrs for s in levels[snr]]]
+                    matrix = matrix.reshape(len(kept), len(snrs), -1).swapaxes(0, 1)
+                    matrix = matrix.reshape(len(snrs), -1)
+                    stats.update(zip(snrs, zip(np.mean(matrix, axis=-1).tolist(),
+                                               np.std(matrix, axis=-1).tolist())))
             for snr, columns in levels.items():
-                pes = pe[..., d_idx][np.ix_(kept, columns)].ravel()
                 rows.append(GridRow(
                     feature=desc.name,
                     parameters=desc.param_text,
                     group=group,
                     motion=motion,
                     snr_db=snr,
-                    mean_pe=float(np.mean(pes)) if pes.size else float("nan"),
-                    std_pe=float(np.std(pes)) if pes.size else float("nan"),
-                    n=int(pes.size),
+                    mean_pe=stats[snr][0],
+                    std_pe=stats[snr][1],
+                    n=len(kept) * len(columns) * reps,
                     excluded=(len(members) - len(kept)) * len(columns) * reps,
                 ))
     unscored = {features[d].label: reasons[d] for d in range(len(features))

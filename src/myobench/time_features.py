@@ -12,6 +12,10 @@ working range for the event counters is 10-50 mV depending on amplifier gain.
 """
 from __future__ import annotations
 
+import functools
+import math
+import struct
+
 import numpy as np
 
 # Robustness-suite defaults: ZC and WAMP work best gated at 10 mV, SSC at 30 mV.
@@ -137,11 +141,12 @@ def hemg(window, bins: int = DEFAULT_HEMG_BINS, limit: float = 1.0) -> np.ndarra
 
 # The kernels below take elementwise intermediates precomputed: |x|, the
 # differences d_n = x_{n+1} - x_n, the products of neighbouring differences
-# and the HEMG bin index. `registry` computes each once over its source (a
+# and the HEMG edge masks. `registry` computes each once over its source (a
 # window matrix, or a whole signal whose overlapping windows share one pass)
 # and hands every kernel its windows of them. A float kernel reduces each
 # window's values in the order a copy of that window would; an event mask is
-# counted per window by the caller. Parameters arrive checked: a
+# counted per window by `registry._Intermediates.counts`, which hemg's kernel
+# calls once per bin edge. Parameters arrive checked: a
 # `registry.FeatureDescriptor` cannot hold a value outside its domain.
 
 def _diff(x):
@@ -188,28 +193,75 @@ def _slope_products(diff):
     return diff[..., :-1] * diff[..., 1:]
 
 
-def _hemg_bins(x, bins: int, limit: float):
-    """Each sample's histogram bin in [0, bins) over [-limit, +limit]."""
-    b = int(bins)
-    if not np.isfinite(x).all():
+def _hemg_bin(x: float, bins: int, limit: float) -> int:
+    """One sample's histogram bin in [0, bins) over [-limit, +limit]."""
+    # Clamp first, so a far-out sample counts in an edge bin.
+    scaled = min(max(x, -limit), limit) + limit
+    scaled /= 2.0 * limit / bins
+    return min(math.floor(scaled), bins - 1)  # +limit scales to bins, past the top bin
+
+
+_SIGN = 1 << 63
+_BITS, _FLOAT = struct.Struct("<Q"), struct.Struct("<d")
+
+
+def _ordinal(x: float) -> int:
+    """x's rank among the doubles: consecutive doubles have consecutive ranks,
+    and -0.0 ranks with 0.0."""
+    (bits,) = _BITS.unpack(_FLOAT.pack(x))
+    return bits if bits < _SIGN else _SIGN - bits
+
+
+def _double(rank: int) -> float:
+    """The double of an `_ordinal` rank."""
+    return _FLOAT.unpack(_BITS.pack(rank if rank >= 0 else _SIGN - rank))[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _hemg_edges(bins: int, limit: float) -> tuple[float, ...]:
+    """The lower edges e_1 .. e_{bins-1}: e_j is the least double whose bin is j or more.
+
+    Each step of `_hemg_bin` (clamp, shift, divide, floor, clamp) is
+    non-decreasing in x under IEEE rounding, so a sample's bin is j or more
+    exactly when the sample is e_j or more. Each edge is found by bisection
+    over the doubles in [-limit, +limit], whose bins run from 0 to that of
+    +limit; a bin that +limit does not reach has the edge inf, which no
+    finite sample reaches. A `registry.FeatureDescriptor` keeps 2 * limit
+    finite and the bin width above 0, so the formula is finite there.
+    """
+    edges = []
+    lo, top = _ordinal(-limit), _ordinal(limit)  # the bin of lo stays below j
+    top_bin = _hemg_bin(limit, bins, limit)
+    for j in range(1, top_bin + 1):
+        hi = top
+        # e_j lies within a few doubles of -limit + j * width, so narrow the
+        # search to 2**6 doubles on either side of that where the bins allow.
+        near = _ordinal(-limit + j * (2.0 * limit / bins))
+        if lo < near - 2**6 and _hemg_bin(_double(near - 2**6), bins, limit) < j:
+            lo = near - 2**6
+        if near + 2**6 < hi and _hemg_bin(_double(near + 2**6), bins, limit) >= j:
+            hi = near + 2**6
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _hemg_bin(_double(mid), bins, limit) >= j:
+                hi = mid
+            else:
+                lo = mid
+        edges.append(_double(hi))
+    return tuple(edges) + (math.inf,) * (bins - 1 - top_bin)
+
+
+def _hemg(s, bins: int, limit: float):
+    """Each window's sample count per bin, as a (windows, bins) matrix.
+
+    ``s`` is a `registry._Intermediates`. A window's count in bin j is its
+    count of samples at or above e_j minus its count at or above e_{j+1},
+    with every sample at or above e_0 and none at or above e_bins.
+    """
+    if not np.isfinite(s.source).all():
         raise ValueError("hemg needs finite samples")
-    # Clamp in float first: a far-out sample's bin index would overflow int64.
-    scaled = np.clip(x, -limit, limit)
-    scaled += limit
-    scaled /= 2.0 * limit / b
-    idx = np.floor(scaled, out=scaled).astype(int)
-    np.minimum(idx, b - 1, out=idx)  # a sample at +limit scales to b, past the top bin
-    return idx
-
-
-def _bin_counts(idx, bins: int):
-    """Each row's sample count per bin."""
-    # Offset each row's bin indices so one bincount histograms every row.
-    rows = idx.reshape(-1, idx.shape[-1]) + bins * np.arange(idx.size // idx.shape[-1])[:, None]
-    counts = np.bincount(rows.ravel(), minlength=rows.shape[0] * bins)
-    return counts.reshape(idx.shape[:-1] + (bins,))
-
-
-def _bin_events(idx, bins: int):
-    """One mask per bin, on a new axis before the samples: idx == j."""
-    return idx[..., np.newaxis, :] == np.arange(bins)[:, np.newaxis]
+    at_least = np.empty((s.total, bins + 1), dtype=np.intp)
+    at_least[:, 0], at_least[:, bins] = s.width, 0
+    for j, edge in enumerate(_hemg_edges(bins, limit), 1):
+        at_least[:, j] = s.counts(s.source >= edge).reshape(-1)
+    return at_least[:, :-1] - at_least[:, 1:]

@@ -310,6 +310,7 @@ class TestExtract:
         ("ssc:threshold=nan", "threshold must be non-negative"),
         ("wamp:threshold=nan", "threshold must be non-negative"),
         ("hemg:limit=-1", "limit must be positive and finite"),
+        ("hemg:limit=1e+308", "the bin width 2*limit/bins must be positive and finite, got inf"),
     ])
     def test_bad_parameter_is_usage_error_before_loading(self, runner, tmp_path, token,
                                                          message):
@@ -569,6 +570,7 @@ class TestRobustness:
     @pytest.mark.parametrize("option, message", [
         (["--snr", "20,inf"], "snr_db must be finite"),
         (["--reps", "0"], "need at least one repetition"),
+        (["--snr=-4000"], "SNR -4000 dB is too low: 10^(-SNR/10) overflows a float"),
     ])
     def test_bad_grid_shape_is_runtime_error(self, runner, dataset_dir, tmp_path,
                                              option, message):
@@ -582,6 +584,7 @@ class TestRobustness:
     @pytest.mark.parametrize("option, message", [
         (["--snr", "20,inf"], "snr_db must be finite"),
         (["--reps", "0"], "need at least one repetition"),
+        (["--snr=-4000"], "SNR -4000 dB is too low: 10^(-SNR/10) overflows a float"),
     ])
     def test_bad_grid_shape_is_reported_before_loading(self, runner, tmp_path, option,
                                                        message):
@@ -690,6 +693,16 @@ class TestClassify:
              "--noise", "clean,10", "--out", str(tmp_path / "c")],
             capture_output=True, text=True, check=True, env=env).stdout
         assert out.strip().splitlines()[-1] == "False"
+
+    def test_a_noise_level_too_low_for_a_float_is_runtime_error(self, runner, dataset_dir,
+                                                                tmp_path):
+        # 10^(4000/10) overflows: an error message, not an OverflowError's traceback.
+        result = runner.invoke(main, [
+            "classify", "--data", str(dataset_dir / "manifest.json"), "--sets", "hudgins",
+            "--noise=clean,-4000", "--out", str(tmp_path / "c")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == "Error: SNR -4000 dB is too low: 10^(-SNR/10) overflows a float\n"
 
     def test_missing_dataset_path(self, runner, tmp_path):
         result = runner.invoke(main, [

@@ -1,11 +1,13 @@
 """WGN generation and SNR-calibrated injection."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from myobench.noise import (NoiseSpec, derive_seed, derive_seeds, fill_wgn, generate_wgn,
-                            inject_at_snr, signal_power, stream_words)
+                            inject_at_snr, signal_power, snr_factor, snr_sigma, stream_words)
 
 
 def measured_snr_db(clean: np.ndarray, noisy: np.ndarray) -> float:
@@ -109,6 +111,33 @@ class TestInjectAtSnr:
             NoiseSpec(snr_db=float("inf"), seed=1)
         with pytest.raises(ValueError):
             NoiseSpec(snr_db=0.0, seed=1, repetition_index=-1)
+
+
+class TestSnrFactor:
+    def test_hand_values(self):
+        assert snr_factor(0.0) == 1.0
+        assert snr_factor(10) == 0.1
+        assert snr_factor(-10.0) == 10.0
+        assert snr_sigma(4.0, 20.0) == 0.2
+
+    @pytest.mark.parametrize("level", [float("inf"), float("-inf"), float("nan"), np.nan])
+    def test_a_non_finite_level_is_refused(self, level):
+        with pytest.raises(ValueError, match="^snr_db must be finite$"):
+            snr_factor(level)
+
+    @pytest.mark.parametrize("level", [-4000, -4000.0, np.float64(-4000), -3083.0])
+    def test_a_level_whose_factor_overflows_is_refused(self, level):
+        # 10 ** 400 overflows a float: a numpy float would give inf, a Python
+        # float raises OverflowError; both are the same ValueError here.
+        message = f"SNR {float(level):g} dB is too low: 10^(-SNR/10) overflows a float"
+        for call in (lambda: snr_factor(level), lambda: snr_sigma(1.0, level),
+                     lambda: NoiseSpec(snr_db=level, seed=1)):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                call()
+
+    def test_the_lowest_levels_that_fit_a_float(self):
+        assert snr_factor(-3080.0) == 1e308
+        assert snr_factor(4000.0) == 0.0  # no noise at all, and no error
 
 
 class TestDeriveSeed:

@@ -610,6 +610,8 @@ class TestCachedFolds:
         dataset = small_dataset(n_classes=2, trials_per_class=2, seed=14)
         with pytest.raises(ValueError, match="snr_db must be finite"):
             leave_one_out(dataset, parse_features("rms"), SEG, noise_snr_db=np.inf)
+        with pytest.raises(ValueError, match="^SNR -4000 dB is too low"):
+            leave_one_out(dataset, parse_features("rms"), SEG, noise_snr_db=-4000.0)
 
 
 class TestDecisionStreamOracle:

@@ -63,6 +63,7 @@ class TestParsing:
         ("hemg:limit=0", "limit must be positive and finite"),
         ("hemg:limit=inf", "limit must be positive and finite"),
         ("hemg:limit=nan", "limit must be positive and finite"),
+        ("hemg:limit=1e+308", "the bin width 2*limit/bins must be positive and finite, got inf"),
     ])
     def test_parameters_outside_their_domain(self, token, must_be):
         with pytest.raises(ValueError, match="^" + re.escape(f"{token}: {must_be}") + "$"):
@@ -71,8 +72,23 @@ class TestParsing:
     def test_domain_edges_accepted(self):
         for name, key, value in [("hemg", "bins", 1), ("ar", "order", 1),
                                  ("mavslp", "segments", 2), ("wamp", "threshold", 0.0),
-                                 ("zc", "threshold", float("inf")), ("hemg", "limit", 1e-300)]:
+                                 ("zc", "threshold", float("inf")), ("hemg", "limit", 1e-300),
+                                 ("hemg", "limit", np.finfo(float).max / 2)]:
             assert make_descriptor(name, {key: value}).param_dict[key] == value
+
+    @pytest.mark.parametrize("bins, limit, width", [
+        (3, np.nextafter(np.finfo(float).max / 2, np.inf), "inf"),  # 2 * limit overflows
+        (5, 5e-324, "0"),  # 2 * 5e-324 / 5 rounds to 0
+    ])
+    def test_a_hemg_bin_width_must_be_positive_and_finite(self, bins, limit, width):
+        # The edge search needs a finite, monotone bin formula over [-limit, limit].
+        message = (f"hemg:limit={limit:g}: the bin width 2*limit/bins must be positive and "
+                   f"finite, got {width}")
+        for build in (lambda: make_descriptor("hemg", {"bins": bins, "limit": limit}),
+                      lambda: make_descriptor("hemg", {"bins": bins}).resolved(limit),
+                      lambda: hemg(np.zeros(4), bins=bins, limit=limit)):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                build()
 
     def test_whole_valued_counts_accepted(self):
         assert parse_feature("ar:order=2.0").param_dict == {"order": 2}

@@ -49,14 +49,17 @@ def reference_rows(records, features, cfg):
     Each (record, feature) pair's PEs are listed in (SNR, repetition) order
     and pooled per cell in record order, as run_grid lays them out. A
     feature whose extraction raises, or whose scalar component is out of
-    range, excludes the record. The HEMG range is the largest record peak,
-    a NaN peak skipped.
+    range, excludes the record, and so does a record of zero power (its SNR
+    is undefined) for every feature. The HEMG range is the largest record
+    peak, a NaN peak skipped.
     """
     peak = reduce(max, (float(np.max(np.abs(r.samples))) for r in records), 0.0)
     features = resolve_hemg_peak(features, peak)
     reps = cfg.repetitions
     pes = {}  # (feature index, record index) -> (SNR, repetition) PE matrix
     for r_idx, record in enumerate(records):
+        if not np.any(record.samples):
+            continue
         copies = [record.samples]
         for s_idx, snr in enumerate(cfg.snr_grid):
             stream_seed = derive_seed(cfg.seed, r_idx, s_idx)
@@ -318,6 +321,32 @@ class TestGridOracle:
                   reference_rows(records, default_panel(), cfg))
 
 
+    @pytest.mark.parametrize("snr_grid", [(20.0, 5.0, 0.0), (10.0, 10.0, 0.0)])
+    def test_two_lengths_and_a_zero_power_record(self, snr_grid):
+        # Clean powers are taken per length, and the zero-power record
+        # between the lengths is left out of every cell. At (10, 10, 0) the
+        # 10 dB rows pool two grid columns: twice as long as the 0 dB rows.
+        lengths = [256, 256, 256, 200, 200, 200, 200]
+        records = layout_records(np.random.default_rng(21), "nnn0nnn", lengths)
+        cfg = RobustnessConfig(snr_grid=snr_grid, repetitions=5, seed=9)
+        grid = run_grid(records, default_panel(), cfg)
+        same_rows(grid.rows, reference_rows(records, default_panel(), cfg))
+        rms = [row for row in grid.rows if row.feature == "rms" and row.motion == "m1"]
+        assert [(row.snr_db, row.n, row.excluded) for row in rms] == \
+            [(10.0, 2 * 5 * 2, 2 * 5), (0.0, 2 * 5, 5)] if snr_grid[0] == 10.0 else \
+            [(20.0, 2 * 5, 5), (5.0, 2 * 5, 5), (0.0, 2 * 5, 5)]
+
+    def test_a_row_reduction_is_the_reduction_of_the_row(self):
+        # run_grid takes every cell's mean and std as one row of a matrix, so
+        # numpy must reduce a row of a C-contiguous matrix exactly as it
+        # reduces that row alone; its pairwise sums switch at 8 and 128 values.
+        rng = np.random.default_rng(40)
+        for n in [*range(1, 40), 60, 100, 127, 128, 129, 200, 255, 256, 257, 600, 1000, 2401]:
+            matrix = rng.random((6, n)) * 10.0 ** rng.integers(-3, 4, (6, 1))
+            assert np.mean(matrix, axis=-1).tolist() == [float(np.mean(row)) for row in matrix]
+            assert np.std(matrix, axis=-1).tolist() == [float(np.std(row)) for row in matrix]
+
+
 def layout_records(rng, layout, lengths=None, rates=None):
     """One record per letter: ``n`` band-limited, ``c`` constant nonzero, ``0`` all zero."""
     records = []
@@ -506,6 +535,8 @@ class TestConfigValidation:
         for level in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match="snr_db must be finite"):
                 RobustnessConfig(snr_grid=(20.0, level))
+        with pytest.raises(ValueError, match="^SNR -4000 dB is too low"):
+            RobustnessConfig(snr_grid=(20.0, -4000.0))
         # The dry run that once let a non-finite level through is gone.
         with pytest.raises(TypeError, match="dry_run"):
             RobustnessConfig(snr_grid=(20.0, float("inf")), dry_run=True)

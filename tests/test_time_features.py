@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myobench import time_features
-from myobench.registry import _FAMILIES, extract, make_descriptor
+from myobench.registry import _FAMILIES, extract, extract_segments, make_descriptor
+from myobench.signals import SegmentationConfig, segment
 from myobench.time_features import (hemg, iemg, mav, mavslp, mmav1, mmav2, rms, ssc, ssi, var,
                                     wamp, wl, zc)
 
@@ -207,6 +208,100 @@ class TestOracles:
             counts = hemg(x, bins=b, limit=60.0)
             np.testing.assert_array_equal(counts, oracle_hemg(x, b, 60.0))
             assert counts.sum() == len(x)
+
+
+# ---------------------------------------------------------------- HEMG bin edges
+
+def hemg_bin_index(x, bins, limit):
+    """Each sample's bin by the array formula: clip to +-limit, shift, divide
+    by the bin width, floor, and clamp +limit's index into the top bin."""
+    scaled = np.clip(np.asarray(x, dtype=float), -limit, limit)
+    scaled += limit
+    scaled /= 2.0 * limit / bins
+    return np.minimum(np.floor(scaled).astype(np.int64), bins - 1)
+
+
+def hemg_counts_oracle(rows, bins, limit):
+    """Each row's count per bin: every sample's bin index, offset by its row,
+    histogrammed by one bincount."""
+    rows = np.atleast_2d(rows)
+    idx = hemg_bin_index(rows, bins, limit) + bins * np.arange(len(rows))[:, np.newaxis]
+    return np.bincount(idx.ravel(), minlength=len(rows) * bins).reshape(len(rows), bins)
+
+
+HEMG_LIMITS = [1e-3, 0.3, 1.0, 7.0, 123.456, 200.0, 1e300, 4e307]
+
+
+def ulps(x, steps):
+    """The doubles ``steps`` ulps above (or below, for negative steps) x."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.sign(steps) * np.inf)
+    return x
+
+
+def hemg_edge_samples(bins, limit):
+    """Samples at every bin edge and one ulp below it, within 3 ulps of every
+    nominal boundary -limit + j * width, at, inside and beyond +-limit, and
+    +-0.0."""
+    width = 2.0 * limit / bins
+    edges = [e for e in time_features._hemg_edges(bins, limit) if np.isfinite(e)]
+    nominal = [ulps(-limit + j * width, k) for j in range(1, bins) for k in range(-3, 4)]
+    far = np.finfo(float).max
+    return np.array(edges + [np.nextafter(e, -np.inf) for e in edges] + nominal
+                    + [limit, -limit, ulps(limit, -1), ulps(-limit, 1), ulps(limit, 1),
+                       ulps(-limit, -1), 1.5 * limit, -1.5 * limit, far, -far, 0.0, -0.0])
+
+
+class TestHemgEdges:
+    """HEMG counts each window's samples at or above every bin edge; the
+    counts equal the array formula's bin indices histogrammed."""
+
+    @pytest.mark.parametrize("limit", HEMG_LIMITS)
+    def test_each_edge_is_the_least_double_of_its_bin(self, limit):
+        for bins in range(1, 12):
+            edges = time_features._hemg_edges(bins, limit)
+            assert len(edges) == bins - 1
+            for j, edge in enumerate(edges, 1):
+                below, at = hemg_bin_index([np.nextafter(edge, -np.inf), edge], bins, limit)
+                assert below < j <= at, (bins, j, edge)
+
+    def test_an_edge_past_the_top_bin_is_inf(self):
+        # 9 bins of 3.5e-323 are narrower than the subnormal spacing: +limit
+        # scales into bin 7, so no sample reaches bin 8.
+        assert hemg_bin_index([3.5e-323], 9, 3.5e-323)[0] == 7
+        assert time_features._hemg_edges(9, 3.5e-323)[-1] == np.inf
+        x = hemg_edge_samples(9, 3.5e-323)
+        np.testing.assert_array_equal(hemg(x, bins=9, limit=3.5e-323),
+                                      hemg_counts_oracle(x, 9, 3.5e-323)[0])
+
+    @pytest.mark.parametrize("limit", HEMG_LIMITS)
+    def test_the_scalar_bin_is_the_array_formula(self, limit):
+        for bins in range(1, 12):
+            x = hemg_edge_samples(bins, limit)
+            assert [time_features._hemg_bin(float(v), bins, limit) for v in x] == \
+                hemg_bin_index(x, bins, limit).tolist()
+
+    @pytest.mark.parametrize("limit", HEMG_LIMITS)
+    def test_window_matrix_and_overlapping_windows_match_the_oracle(self, limit):
+        rng = np.random.default_rng(int(limit % 1000))
+        cfg = SegmentationConfig(window_ms=8.0, slide_ms=3.0)  # 8 samples every 3 at 1 kHz
+        for bins in range(1, 12):
+            x = hemg_edge_samples(bins, limit)
+            signal = np.concatenate([x, rng.permutation(x)])
+            rows = signal[:signal.size // 8 * 8].reshape(-1, 8)
+            descriptor = [make_descriptor("hemg", {"bins": bins, "limit": limit})]
+            np.testing.assert_array_equal(extract(descriptor, rows, 1000.0),
+                                          hemg_counts_oracle(rows, bins, limit))
+            windows = np.array(segment(signal, 1000.0, cfg))
+            np.testing.assert_array_equal(extract_segments(descriptor, signal, 1000.0, cfg),
+                                          hemg_counts_oracle(windows, bins, limit))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+           st.integers(1, 11), st.sampled_from(HEMG_LIMITS))
+    @settings(max_examples=200, deadline=None)
+    def test_random_finite_samples_match_the_oracle(self, values, bins, limit):
+        np.testing.assert_array_equal(hemg(values, bins=bins, limit=limit),
+                                      hemg_counts_oracle(values, bins, limit)[0])
 
 
 # ---------------------------------------------------------------- properties
