@@ -7,7 +7,7 @@ from .signals import SegmentationConfig, segment, segment_offsets, amplitude_spe
 from .time_features import (iemg, mav, mmav1, mmav2, mavslp, ssi, var, rms, wl,
                             zc, ssc, wamp, hemg)
 from .freq_features import ar_coefficients, mnf, mdf, mmnf, mmdf
-from .noise import NoiseSpec, generate_wgn, signal_power, inject_at_snr
+from .noise import signal_power, inject_at_snr
 from .registry import (FeatureDescriptor, FEATURE_NAMES, FEATURE_SETS, extract,
                        extract_segments, make_descriptor, parse_feature, parse_features,
                        feature_set, default_panel)

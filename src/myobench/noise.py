@@ -6,15 +6,17 @@ Noise sigma is derived from the realized power of the specific clean signal:
 
 The generated noise is not rescaled to hit the target power exactly; the
 calibration is in expectation, and repeated injections average out the
-per-draw variance. Every stream is keyed by (seed, repetition_index) so runs
-are reproducible and repetitions are independent.
+per-draw variance. Every stream is keyed by (seed, repetition) so runs are
+reproducible and repetitions are independent: it is the standard-normal
+stream of ``default_rng((seed, repetition))``.
 
-The robustness grid keys its streams the same way: copy (record r, SNR s,
-repetition rep) draws from ``default_rng((derive_seed(seed, r, s), rep))``.
-It seeds all of a grid's streams in one batch: `derive_seeds` and
-`stream_words` hash every key with numpy's own SeedSequence algorithm,
-vectorised over the keys, and `fill_wgn` hands each precomputed row to
-``PCG64``, so every draw is bit-identical to `generate_wgn` on the same key.
+Every noisy copy, in the robustness grid, the recognition pipeline and
+`inject_at_snr`, is made by `add_wgn`. The grid's copy (record r, SNR s,
+repetition rep) draws from key ``(derive_seed(seed, r, s), rep)``. Keys are
+seeded in one batch: `derive_seeds` and `stream_words` hash every key with
+numpy's own SeedSequence algorithm, vectorised over the keys, and `fill_wgn`
+hands each precomputed row to ``PCG64``, so every draw is bit-identical to
+``default_rng`` on the same key.
 """
 from __future__ import annotations
 
@@ -22,42 +24,22 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """One injection: target SNR plus the seed pair naming its noise stream."""
+def signal_power(samples):
+    """Mean square amplitude (1/N) sum(x_n^2), rms^2, of each row.
 
-    snr_db: float
-    seed: int
-    repetition_index: int = 0
-
-    def __post_init__(self):
-        snr_factor(self.snr_db)
-        if self.repetition_index < 0:
-            raise ValueError("repetition_index must be >= 0")
-
-
-def generate_wgn(n: int, seed) -> np.ndarray:
-    """n i.i.d. standard-normal draws from a generator seeded by ``seed``.
-
-    ``seed`` may be an int or a sequence of ints (a stream key); equal seeds
-    give bit-identical sequences.
+    A 1-D signal gives a float; a matrix gives one power per row (its last
+    axis). The rows are reduced from a C-contiguous copy, so a row's power is
+    its power as a 1-D signal bit for bit, whatever the matrix's strides.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    return np.random.default_rng(seed).standard_normal(n)
-
-
-def signal_power(samples) -> float:
-    """Mean square amplitude (1/N) sum(x_n^2); equals rms^2."""
-    x = np.asarray(samples, dtype=float)
+    x = np.ascontiguousarray(samples, dtype=float)
     if x.size < 1:
         raise ValueError("need at least one sample")
-    return float(np.mean(x * x))
+    power = np.mean(x * x, axis=-1)
+    return float(power) if x.ndim == 1 else power
 
 
 ZERO_POWER = "signal power is zero; SNR is undefined"
@@ -77,22 +59,6 @@ def snr_factor(snr_db: float) -> float:
     except OverflowError:
         raise ValueError(f"SNR {snr_db:g} dB is too low: 10^(-SNR/10) overflows a float") \
             from None
-
-
-def snr_sigma(p_clean: float, snr_db: float) -> float:
-    """Noise standard deviation that puts WGN ``snr_db`` below a clean power."""
-    if p_clean <= 0:
-        raise ValueError(ZERO_POWER)
-    return math.sqrt(p_clean * snr_factor(snr_db))
-
-
-def inject_at_snr(samples, spec: NoiseSpec) -> np.ndarray:
-    """Add WGN scaled for the target SNR; the clean samples are left untouched."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:  # a (n, 1) column would broadcast against the draws
-        raise ValueError("inject_at_snr needs a 1-D sample array")
-    sigma = snr_sigma(signal_power(x), spec.snr_db)
-    return x + sigma * generate_wgn(x.size, (spec.seed, spec.repetition_index))
 
 
 def derive_seed(*key: int) -> int:
@@ -251,10 +217,43 @@ def fill_wgn(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill each row of ``out`` with draws from its own `stream_words` stream.
 
     ``words`` holds one state row per row of the (copies, samples) float
-    array ``out``; each row is drawn in place, and equals ``generate_wgn``
-    of that row's (stream seed, repetition) key. Returns ``out``.
+    array ``out``; each row is drawn in place, and equals
+    ``default_rng((stream seed, repetition)).standard_normal`` of that row's
+    key. Returns ``out``.
     """
     seed_type = _precomputed_seed_type()
-    for row_words, row in zip(words, out):
+    for row_words, row in zip(words, out, strict=True):
         np.random.Generator(np.random.PCG64(seed_type(row_words))).standard_normal(out=row)
     return out
+
+
+def add_wgn(clean, factors, words, out) -> np.ndarray:
+    """Write noisy copies of ``clean`` into the rows of ``out``, in place.
+
+    Row k of the (copies, samples) array ``out`` becomes
+    ``clean + sqrt(P_clean * factors[k]) * draws``, its draws from the
+    stream of state row ``words[k]`` (see `stream_words`) and ``factors[k]``
+    a noise power per unit of clean power (`snr_factor`). ``clean`` is one
+    signal, or one per row. A clean signal of zero power is a ValueError.
+    Returns ``out``.
+    """
+    power = signal_power(clean)
+    if np.any(power == 0):
+        raise ValueError(ZERO_POWER)
+    fill_wgn(words, out)
+    out *= np.sqrt(np.multiply(power, factors))[:, np.newaxis]  # sigma of each row
+    out += clean
+    return out
+
+
+def inject_at_snr(samples, snr_db: float, seed: int, repetition: int = 0) -> np.ndarray:
+    """``samples`` plus WGN ``snr_db`` below their power; the samples are left untouched.
+
+    The noise is drawn from ``default_rng((seed, repetition))``'s stream. A
+    key too wide for the 4-word seed pool, or a negative one, is refused.
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:  # a (n, 1) column would broadcast against the draws
+        raise ValueError("inject_at_snr needs a 1-D sample array")
+    words = stream_words([seed], [repetition])[0]
+    return add_wgn(x, [snr_factor(snr_db)], words, np.empty((1, x.size)))[0]

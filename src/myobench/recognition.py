@@ -52,8 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import Dataset, Trial, csv_prefix, write_output
-from .noise import (derive_seed, derive_seeds, fill_wgn, signal_power, snr_factor, snr_sigma,
-                    stream_words)
+from .noise import add_wgn, derive_seed, derive_seeds, signal_power, snr_factor, stream_words
 from .registry import (FeatureDescriptor, _blocks, _extract_stack, peak_amplitude,
                        resolve_hemg_peak)
 from .signals import SegmentationConfig, segment_offsets
@@ -328,18 +327,21 @@ def _test_trials(dataset: Dataset, noise_snr_db: float, noise_seed: int) -> list
 
     Fold ``i``'s channel ``ch`` draws from the stream keyed by
     (derive_seed(noise_seed, i, ch), 0), as `inject_at_snr` keys that seed,
-    so every feature set tested at a level sees the same noisy trials. The
-    draws are written in place and then scaled and offset by the clean signal.
+    so every feature set tested at a level sees the same noisy trials. A
+    channel of zero power is a ValueError that names its trial and channel.
     """
-    snr_factor(noise_snr_db)  # refuses a level that is not finite, or too low, before drawing
+    factor = snr_factor(noise_snr_db)  # refuses a bad level before drawing
     trials = dataset.trials
     seeds = derive_seeds([noise_seed], range(len(trials)), range(len(trials[0].channels)))
     words = stream_words(seeds.ravel(), [0]).reshape(seeds.shape[1:] + (-1,))
     noisy_trials = []
     for trial, trial_words in zip(trials, words):
-        noisy = fill_wgn(trial_words, np.empty(trial.data.T.shape))
-        noisy *= [[snr_sigma(signal_power(clean), noise_snr_db)] for clean in trial.data.T]
-        noisy += trial.data.T
+        clean = trial.data.T
+        try:
+            noisy = add_wgn(clean, [factor] * len(clean), trial_words, np.empty(clean.shape))
+        except ValueError as exc:  # a channel of zero power: name it
+            channel = trial.channels[np.flatnonzero(signal_power(clean) == 0)[0]]
+            raise ValueError(f"trial {trial.trial_id}, channel {channel}: {exc}") from None
         noisy_trials.append(replace(trial, data=noisy.T))
     return noisy_trials
 

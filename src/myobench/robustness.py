@@ -35,12 +35,13 @@ each record alone gives.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dataio import Dataset
-from .noise import ZERO_POWER, derive_seeds, fill_wgn, snr_factor, stream_words
+from .noise import ZERO_POWER, add_wgn, derive_seeds, signal_power, snr_factor, stream_words
 from .registry import (FeatureDescriptor, _blocks, extract, peak_amplitude,
                        resolve_hemg_peak)
 from .signals import SegmentationConfig, segment
@@ -171,16 +172,10 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
     stream_seeds = derive_seeds([cfg.seed], range(len(records)), range(n_snr))
     words = stream_words(stream_seeds.ravel(), range(reps))
     words = words.reshape(len(records), n_snr * reps, -1)
-    # sigma = sqrt(P_clean * 10^(-SNR/10)), as `noise.snr_sigma` gives it, for
-    # every record and level at once; the clean powers are taken per length.
-    powers = np.empty(len(records))
-    by_length: dict[int, list[int]] = {}
-    for r_idx, record in enumerate(records):
-        by_length.setdefault(record.samples.size, []).append(r_idx)
-    for members in by_length.values():
-        clean = np.asarray([records[r_idx].samples for r_idx in members], dtype=float)
-        powers[members] = np.mean(clean * clean, axis=-1)
-    sigmas = np.sqrt(powers[:, np.newaxis] * [snr_factor(snr) for snr in cfg.snr_grid])
+    factors = np.repeat([snr_factor(snr) for snr in cfg.snr_grid], reps)  # one per copy
+    # the clean powers, one matrix per run of consecutive records of one length
+    powers = np.concatenate([signal_power([r.samples for r in run]) for _, run
+                             in itertools.groupby(records, key=lambda r: r.samples.size)])
     # A block holds records of one length and rate, all of nonzero power or all of zero.
     kinds = [(r.samples.size, r.rate, powers[r_idx] > 0) for r_idx, r in enumerate(records)]
     for block in _blocks([copies * r.samples.size for r in records], kinds):
@@ -191,12 +186,8 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
         width, rate = kinds[block.start][:2]
         matrix = np.empty((len(block), copies, width))
         for r_idx, rows in zip(block, matrix):
-            clean = records[r_idx].samples
-            rows[0] = clean
-            # clean + sigma * draw, as two broadcasts over the draws made in place
-            noisy = fill_wgn(words[r_idx], rows[1:]).reshape(n_snr, reps, width)
-            noisy *= sigmas[r_idx][:, np.newaxis, np.newaxis]
-            noisy += clean
+            rows[0] = records[r_idx].samples
+            add_wgn(rows[0], factors, words[r_idx], rows[1:])
         values, failures = _scalar_values(features, picks, in_range, matrix, rate)
         for r_idx, record_values, failed in zip(block, values, failures):
             ok = in_range & (record_values[0] != 0)  # a failed descriptor's values are zero

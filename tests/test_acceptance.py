@@ -16,14 +16,14 @@ from scipy.signal import lfilter
 from myobench.dataio import ClassSpec, SynthConfig, default_class_specs, synthesize_emg
 from myobench import freq_features as ff
 from myobench.freq_features import ar_coefficients, mdf, mmdf, mmnf, mnf
-from myobench.noise import NoiseSpec, inject_at_snr, signal_power
+from myobench.noise import inject_at_snr, signal_power
 from myobench.recognition import _train_folds, evaluate_feature_sets, leave_one_out, majority_vote
 from myobench.registry import extract, feature_set, parse_features
 from myobench.robustness import (RobustnessConfig, percentage_error,
                                  records_from_dataset, run_grid)
 from myobench.signals import (SegmentationConfig, amplitude_spectrum, segment,
                               segment_offsets)
-from myobench import robustness
+from myobench import noise
 from myobench import time_features as tf
 
 ARTIFACTS = Path(__file__).parent / "_artifacts"
@@ -244,8 +244,7 @@ def test_criterion_03_snr_calibration():
     for target in (20.0, 10.0, 0.0):
         measured = []
         for rep in range(100):
-            noisy = inject_at_snr(sig, NoiseSpec(snr_db=target, seed=12,
-                                                 repetition_index=rep))
+            noisy = inject_at_snr(sig, target, seed=12, repetition=rep)
             p_noise = float(np.mean((noisy - sig) ** 2))
             measured.append(10.0 * math.log10(p_clean / p_noise))
         measured = np.asarray(measured)
@@ -443,7 +442,7 @@ def test_criterion_09_invariant_suites():
     assert grid_a.rows == grid_b.rows
     assert all(row.mean_pe >= 0 for row in grid_a.rows)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(robustness, "fill_wgn", zero_draws)
+        patch.setattr(noise, "fill_wgn", zero_draws)
         dry = run_grid(records, features,
                        RobustnessConfig(snr_grid=(10.0,), repetitions=2, seed=1))
     assert all(row.mean_pe == 0.0 for row in dry.rows)

@@ -704,6 +704,19 @@ class TestClassify:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.output == "Error: SNR -4000 dB is too low: 10^(-SNR/10) overflows a float\n"
 
+    def test_a_channel_of_zero_power_is_named(self, runner, dataset_dir, tmp_path):
+        trial_csv = dataset_dir / "hand_close_02.csv"
+        lines = trial_csv.read_text().splitlines()
+        lines[1:] = [line.split(",")[0] + ",0.0" for line in lines[1:]]
+        trial_csv.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [
+            "classify", "--data", str(dataset_dir / "manifest.json"), "--sets", "r=rms+mav",
+            "--noise", "clean,10", "--out", str(tmp_path / "c")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == ("Error: trial hand_close_02, channel ch2: "
+                                 "signal power is zero; SNR is undefined\n")
+
     def test_missing_dataset_path(self, runner, tmp_path):
         result = runner.invoke(main, [
             "classify", "--data", str(tmp_path / "ghost.json"),

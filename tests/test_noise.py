@@ -1,4 +1,5 @@
 """WGN generation and SNR-calibrated injection."""
+import math
 import re
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from myobench.noise import (NoiseSpec, derive_seed, derive_seeds, fill_wgn, generate_wgn,
-                            inject_at_snr, signal_power, snr_factor, snr_sigma, stream_words)
+from myobench.noise import (ZERO_POWER, add_wgn, derive_seed, derive_seeds, fill_wgn,
+                            inject_at_snr, signal_power, snr_factor, stream_words)
+from wgn_reference import reference_draws, reference_injection
 
 
 def measured_snr_db(clean: np.ndarray, noisy: np.ndarray) -> float:
@@ -15,28 +17,30 @@ def measured_snr_db(clean: np.ndarray, noisy: np.ndarray) -> float:
     return 10.0 * np.log10(np.mean(clean ** 2) / np.mean(added ** 2))
 
 
+def draws(n, seed, rep=0):
+    """`fill_wgn`'s one row of key (seed, rep)."""
+    return fill_wgn(stream_words([seed], [rep])[0], np.empty((1, n)))[0]
+
+
 class TestGenerateWgn:
     def test_standard_normal_statistics(self):
-        w = generate_wgn(100_000, seed=7)
+        w = draws(100_000, seed=7)
         assert abs(np.mean(w)) < 0.02
         assert 0.97 <= np.var(w) <= 1.03
 
     def test_same_seed_is_bit_identical(self):
-        np.testing.assert_array_equal(generate_wgn(1000, seed=42),
-                                      generate_wgn(1000, seed=42))
+        np.testing.assert_array_equal(draws(1000, seed=42), draws(1000, seed=42))
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(generate_wgn(1000, seed=1), generate_wgn(1000, seed=2))
+        assert not np.array_equal(draws(1000, seed=1), draws(1000, seed=2))
 
     def test_stream_keys_are_seeds_too(self):
-        np.testing.assert_array_equal(generate_wgn(10, seed=(3, 4)),
-                                      generate_wgn(10, seed=(3, 4)))
-        assert not np.array_equal(generate_wgn(10, seed=(3, 4)),
-                                  generate_wgn(10, seed=(3, 5)))
+        np.testing.assert_array_equal(draws(10, 3, 4), reference_draws(10, 3, 4))
+        assert not np.array_equal(draws(10, 3, 4), draws(10, 3, 5))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            generate_wgn(0, seed=1)
+        with pytest.raises(ValueError, match="^need at least one sample$"):
+            inject_at_snr(np.empty(0), 10.0, seed=1)
 
 
 class TestSignalPower:
@@ -55,6 +59,18 @@ class TestSignalPower:
         trial = np.full((5, 2), 3.0)
         assert signal_power(trial[:, 1]) == pytest.approx(9.0)
 
+    @pytest.mark.parametrize("n", [100, 257, 1000, 4099, 12_000])
+    def test_each_row_of_a_matrix_is_its_own_power(self, n):
+        # A trial's (samples, channels) data, and its transpose: a strided matrix.
+        data = np.random.default_rng(n).standard_normal((n, 4)) * [1.0, 50.0, 1e-3, 7.0]
+        for matrix in (data.T, np.ascontiguousarray(data.T), data):
+            powers = signal_power(matrix)
+            assert isinstance(powers, np.ndarray) and powers.shape == matrix.shape[:1]
+            for power, row in zip(powers, matrix):
+                assert power == float(np.mean(row * row))  # bit for bit
+                assert power == signal_power(row)
+        assert type(signal_power(data[:, 0])) is float
+
 
 class TestInjectAtSnr:
     def test_noise_variance_inverts_snr(self):
@@ -63,7 +79,7 @@ class TestInjectAtSnr:
         x = rng.standard_normal(200_000)
         sig = x / np.sqrt(np.mean(x * x))
         for snr, expected_var in [(0.0, 1.0), (20.0, 0.01)]:
-            noisy = inject_at_snr(sig, NoiseSpec(snr_db=snr, seed=5))
+            noisy = inject_at_snr(sig, snr, seed=5)
             added = noisy - sig
             assert np.var(added) == pytest.approx(expected_var, rel=0.02)
 
@@ -71,46 +87,85 @@ class TestInjectAtSnr:
         rng = np.random.default_rng(10)
         sig = rng.standard_normal(100_000) * 3.7
         for target in (20.0, 10.0, 0.0):
-            noisy = inject_at_snr(sig, NoiseSpec(snr_db=target, seed=11))
+            noisy = inject_at_snr(sig, target, seed=11)
             assert measured_snr_db(sig, noisy) == pytest.approx(target, abs=0.3)
 
     def test_mean_snr_over_100_injections(self):
         rng = np.random.default_rng(12)
         sig = rng.standard_normal(100_000)
-        measured = [
-            measured_snr_db(sig, inject_at_snr(
-                sig, NoiseSpec(snr_db=10.0, seed=13, repetition_index=rep)))
-            for rep in range(100)
-        ]
+        measured = [measured_snr_db(sig, inject_at_snr(sig, 10.0, seed=13, repetition=rep))
+                    for rep in range(100)]
         assert np.mean(measured) == pytest.approx(10.0, abs=0.1)
 
     def test_determinism_and_repetition_independence(self):
         sig = np.sin(np.arange(1000) * 0.1) + 0.5
-        spec = NoiseSpec(snr_db=5.0, seed=21, repetition_index=3)
-        np.testing.assert_array_equal(inject_at_snr(sig, spec), inject_at_snr(sig, spec))
-        other_rep = NoiseSpec(snr_db=5.0, seed=21, repetition_index=4)
-        assert not np.array_equal(inject_at_snr(sig, spec), inject_at_snr(sig, other_rep))
+        noisy = inject_at_snr(sig, 5.0, seed=21, repetition=3)
+        np.testing.assert_array_equal(noisy, inject_at_snr(sig, 5.0, seed=21, repetition=3))
+        assert not np.array_equal(noisy, inject_at_snr(sig, 5.0, seed=21, repetition=4))
 
     def test_additivity_and_clean_untouched(self):
         sig = np.ones(512)
         before = sig.copy()
-        spec = NoiseSpec(snr_db=0.0, seed=2)
-        noisy = inject_at_snr(sig, spec)
+        noisy = inject_at_snr(sig, 0.0, seed=2)
         np.testing.assert_array_equal(sig, before)
         diff = noisy - sig
-        expected = generate_wgn(512, (2, 0))  # sigma is exactly 1 here
+        expected = reference_draws(512, 2, 0)  # sigma is exactly 1 here
         np.testing.assert_allclose(diff, expected, rtol=0, atol=1e-12)
         assert isinstance(noisy, np.ndarray) and noisy.shape == sig.shape
 
+    @pytest.mark.parametrize("seed, rep", [(42, 0), (2**63 + 5, 3), (0, 0), (2**64 - 1, 2**32),
+                                           (7, 12345)])
+    @pytest.mark.parametrize("snr", [20.0, 3.0, 0.0, -7.5])
+    def test_equals_the_reference(self, seed, rep, snr):
+        sig = np.random.default_rng(31).standard_normal(777) * 40.0 + 3.0
+        np.testing.assert_array_equal(inject_at_snr(sig, snr, seed, rep),
+                                      reference_injection(sig, snr, seed, rep))
+
     def test_zero_power_signal_rejected(self):
         with pytest.raises(ValueError, match="SNR"):
-            inject_at_snr(np.zeros(10), NoiseSpec(snr_db=10, seed=1))
+            inject_at_snr(np.zeros(10), 10, seed=1)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(snr_db=float("inf"), seed=1)
-        with pytest.raises(ValueError):
-            NoiseSpec(snr_db=0.0, seed=1, repetition_index=-1)
+        with pytest.raises(ValueError, match="^snr_db must be finite$"):
+            inject_at_snr(np.ones(4), float("inf"), seed=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            inject_at_snr(np.ones(4), 0.0, seed=1, repetition=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            inject_at_snr(np.ones(4), 0.0, seed=-1)
+
+    @pytest.mark.parametrize("seed, rep", [(2**128, 0), (2**96, 0), (2**64, 2**32)])
+    def test_a_key_wider_than_the_seed_pool_is_refused(self, seed, rep):
+        # default_rng takes these keys; the batched stream hash has a 4-word pool.
+        message = ("a (stream seed, repetition) key needs more words than the 4-word seed "
+                   "pool holds")
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            inject_at_snr(np.ones(4), 0.0, seed, rep)
+
+
+class TestAddWgn:
+    def test_rows_of_one_signal(self):
+        clean = np.random.default_rng(5).standard_normal(300) * 20.0
+        keys = [(3, 0), (3, 1), (8, 0)]
+        snrs = [20.0, 20.0, 0.0]
+        words = np.concatenate([stream_words([seed], [rep])[0] for seed, rep in keys])
+        out = np.full((3, 300), np.nan)
+        assert add_wgn(clean, [snr_factor(s) for s in snrs], words, out) is out
+        for row, snr, key in zip(out, snrs, keys):
+            np.testing.assert_array_equal(row, reference_injection(clean, snr, *key))
+
+    def test_one_signal_per_row(self):
+        trial = np.random.default_rng(6).standard_normal((400, 3)) * [1.0, 30.0, 1e-4]
+        words = stream_words([11, 12, 13], [0]).reshape(3, -1)
+        noisy = add_wgn(trial.T, [snr_factor(5.0)] * 3, words, np.empty((3, 400)))
+        for ch, row in enumerate(noisy):
+            np.testing.assert_array_equal(row, reference_injection(trial[:, ch], 5.0, 11 + ch))
+
+    def test_zero_power_is_refused(self):
+        clean = np.ones((2, 16))
+        clean[1] = 0.0
+        with pytest.raises(ValueError, match="^" + re.escape(ZERO_POWER) + "$"):
+            add_wgn(clean, [1.0, 1.0], stream_words([1, 2], [0]).reshape(2, -1),
+                    np.empty((2, 16)))
 
 
 class TestSnrFactor:
@@ -118,7 +173,7 @@ class TestSnrFactor:
         assert snr_factor(0.0) == 1.0
         assert snr_factor(10) == 0.1
         assert snr_factor(-10.0) == 10.0
-        assert snr_sigma(4.0, 20.0) == 0.2
+        assert math.sqrt(4.0 * snr_factor(20.0)) == 0.2
 
     @pytest.mark.parametrize("level", [float("inf"), float("-inf"), float("nan"), np.nan])
     def test_a_non_finite_level_is_refused(self, level):
@@ -130,8 +185,7 @@ class TestSnrFactor:
         # 10 ** 400 overflows a float: a numpy float would give inf, a Python
         # float raises OverflowError; both are the same ValueError here.
         message = f"SNR {float(level):g} dB is too low: 10^(-SNR/10) overflows a float"
-        for call in (lambda: snr_factor(level), lambda: snr_sigma(1.0, level),
-                     lambda: NoiseSpec(snr_db=level, seed=1)):
+        for call in (lambda: snr_factor(level), lambda: inject_at_snr(np.ones(4), level, 1)):
             with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
                 call()
 
@@ -192,10 +246,10 @@ class TestStreamWords:
 
     @pytest.mark.parametrize("seed, rep", [(0, 0), (2**32 - 1, 7), (2**32, 2**32 - 1),
                                            (2**64 - 1, 3), (derive_seed(4, 1, 2), 11)])
-    def test_seeded_draws_equal_generate_wgn(self, seed, rep):
+    def test_seeded_draws_equal_default_rng(self, seed, rep):
         words = stream_words([seed], [rep])[0, 0]
         drawn = fill_wgn(words[np.newaxis], np.empty((1, 300)))[0]
-        np.testing.assert_array_equal(drawn, generate_wgn(300, (seed, rep)))
+        np.testing.assert_array_equal(drawn, reference_draws(300, seed, rep))
 
 
 class TestDeriveSeeds:
@@ -251,11 +305,18 @@ class TestFillWgn:
         out = np.full((3, 257), np.nan)
         assert fill_wgn(words, out) is out
         for row, key in zip(out, keys):
-            np.testing.assert_array_equal(row, generate_wgn(257, key))
+            np.testing.assert_array_equal(row, reference_draws(257, *key))
 
     def test_fills_row_views_in_place(self):
         words = stream_words([4, 8], [0, 1]).reshape(-1, 4)
         matrix = np.zeros((5, 64))
         fill_wgn(words, matrix[1:])
         assert np.all(matrix[0] == 0)
-        np.testing.assert_array_equal(matrix[3], generate_wgn(64, (8, 0)))
+        np.testing.assert_array_equal(matrix[3], reference_draws(64, 8, 0))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_a_row_count_mismatch_raises(self, rows):
+        # zip would stop at the shorter one and leave a row of np.empty garbage.
+        words = stream_words([4, 8], [0]).reshape(-1, 4)
+        with pytest.raises(ValueError, match="zip"):
+            fill_wgn(words, np.empty((rows, 16)))

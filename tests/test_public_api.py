@@ -21,6 +21,9 @@ REMOVED = [
     ("freq_features", "ArModel"),           # ar_coefficients returns the coefficients
     ("recognition", "train_fold"),          # recognition._train_folds
     ("noise", "stream_wgn"),                # noise.fill_wgn on one row
+    ("noise", "NoiseSpec"),                 # inject_at_snr(samples, snr_db, seed, repetition)
+    ("noise", "generate_wgn"),              # noise.fill_wgn of stream_words([seed], [rep])[0]
+    ("noise", "snr_sigma"),                 # noise.add_wgn scales each copy
     ("registry", "resolve_hemg_limit"),     # resolve_hemg_peak(..., peak_amplitude(...))
     ("robustness", "sweep_parameters"),     # run_grid over one descriptor per value
     ("robustness", "grid_to_csv"),          # dataio.write_output(csv_rows(grid_csv_rows))
@@ -46,7 +49,7 @@ EXPORTED = """
     SegmentationConfig segment segment_offsets amplitude_spectrum
     iemg mav mmav1 mmav2 mavslp ssi var rms wl zc ssc wamp hemg
     ar_coefficients mnf mdf mmnf mmdf
-    NoiseSpec generate_wgn signal_power inject_at_snr
+    signal_power inject_at_snr
     FeatureDescriptor FEATURE_NAMES FEATURE_SETS extract extract_segments make_descriptor
     parse_feature parse_features feature_set default_panel
     RobustnessConfig RobustnessGrid TrialRecord percentage_error run_grid

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from myobench import recognition, registry
 from myobench.dataio import (ClassSpec, Dataset, SynthConfig, Trial,
                              default_class_specs, synthesize_emg)
-from myobench.noise import NoiseSpec, derive_seed, inject_at_snr
+from myobench.noise import derive_seed
 from myobench.recognition import (DEFAULT_RIDGE, CrTable, _test_trials, _train_folds,
                                   decisions_to_csv, evaluate_feature_sets, extract_window_set,
                                   lda_scores, lda_train, leave_one_out, majority_vote)
 from myobench.registry import (extract, extract_segments, feature_set, parse_features,
                                peak_amplitude, resolve_hemg_peak)
 from myobench.signals import SegmentationConfig, segment
+from wgn_reference import reference_injection
 
 
 def scan_peak(signals):
@@ -602,8 +603,8 @@ class TestCachedFolds:
         for fold, (trial, tested) in enumerate(zip(dataset.trials, noisy)):
             assert (tested.label, tested.channels) == (trial.label, trial.channels)
             for ch in range(len(trial.channels)):
-                spec = NoiseSpec(snr_db=15.0, seed=derive_seed(level_seed, fold, ch))
-                expected = inject_at_snr(trial.data[:, ch], spec)
+                seed = derive_seed(level_seed, fold, ch)
+                expected = reference_injection(trial.data[:, ch], 15.0, seed)
                 np.testing.assert_array_equal(tested.data[:, ch], expected)
 
     def test_non_finite_snr_rejected(self):

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
-from myobench import registry, robustness
+from myobench import noise, registry, robustness
 from myobench.cli import _parse_sweep
 from myobench.dataio import (SynthConfig, csv_rows, default_class_specs, synthesize_emg,
                              write_output)
-from myobench.noise import NoiseSpec, derive_seed, inject_at_snr
+from myobench.noise import derive_seed
 from myobench.registry import (default_panel, extract, make_descriptor, parse_features,
                                resolve_hemg_peak)
 from myobench.robustness import (GridRow, RobustnessConfig, TrialRecord, grid_csv_rows,
@@ -21,6 +21,7 @@ from myobench.robustness import (GridRow, RobustnessConfig, TrialRecord, grid_cs
                                  run_grid)
 from myobench.signals import SegmentationConfig
 from myobench.time_features import rms
+from wgn_reference import reference_injection
 
 
 def band_limited(rng, n=256, band=(20.0, 450.0), amp=50.0, rate=1000.0):
@@ -44,7 +45,7 @@ def zero_draws(words, out):
 
 
 def reference_rows(records, features, cfg):
-    """Brute-force grid: one inject_at_snr per noisy copy, one extract per feature.
+    """Brute-force grid: one reference injection per noisy copy, one extract per feature.
 
     Each (record, feature) pair's PEs are listed in (SNR, repetition) order
     and pooled per cell in record order, as run_grid lays them out. A
@@ -64,8 +65,7 @@ def reference_rows(records, features, cfg):
         for s_idx, snr in enumerate(cfg.snr_grid):
             stream_seed = derive_seed(cfg.seed, r_idx, s_idx)
             for rep in range(reps):
-                spec = NoiseSpec(snr_db=snr, seed=stream_seed, repetition_index=rep)
-                copies.append(inject_at_snr(record.samples, spec))
+                copies.append(reference_injection(record.samples, snr, stream_seed, rep))
         matrix = np.vstack(copies)
         for d_idx, desc in enumerate(features):
             try:
@@ -136,7 +136,7 @@ class TestRunGrid:
         assert row.mean_pe >= 0
 
     def test_dry_run_gives_zero_pe(self, monkeypatch):
-        monkeypatch.setattr(robustness, "fill_wgn", zero_draws)
+        monkeypatch.setattr(noise, "fill_wgn", zero_draws)
         rng = np.random.default_rng(2)
         records = make_records(rng, count=2)
         cfg = RobustnessConfig(snr_grid=(20.0, 0.0), repetitions=3, seed=0)

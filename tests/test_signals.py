@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from myobench.freq_features import mmdf, mnf
-from myobench.noise import NoiseSpec, inject_at_snr
+from myobench.noise import inject_at_snr
 from myobench.registry import extract_segments, parse_features
 from myobench.signals import (SegmentationConfig, amplitude_spectrum, segment,
                               segment_offsets)
@@ -159,4 +159,4 @@ class TestSampleInput:
         with pytest.raises(ValueError, match="^extract_segments needs a 1-D sample array$"):
             extract_segments(parse_features("rms"), x, 1000.0, self.CFG)
         with pytest.raises(ValueError, match="^inject_at_snr needs a 1-D sample array$"):
-            inject_at_snr(x, NoiseSpec(snr_db=10.0, seed=1))
+            inject_at_snr(x, 10.0, seed=1)
