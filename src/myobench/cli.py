@@ -151,10 +151,11 @@ def extract(data, features, window_ms, slide_ms, out):
     row_format = "%s" + ",".join(["%g"] + ["%.10g"] * windows.features.shape[1]) + "\r\n"
     text = csv_rows([["trial_id", "label", "group", "window_start_ms",
                       *windows.feature_names]])
-    text += "".join(row_format % (prefixes[trial_id], start, *values)
-                    for trial_id, start, values in zip(windows.trial_ids,
-                                                       windows.window_start_ms.tolist(),
-                                                       windows.features.tolist()))
+    starts, rows = windows.window_start_ms.tolist(), windows.features.tolist()
+    bounds = windows.trial_rows.tolist()
+    text += "".join(row_format % (prefixes[trial_id], starts[i], *rows[i])
+                    for trial_id, a, b in zip(windows.trial_ids, bounds, bounds[1:])
+                    for i in range(a, b))
     config = {"command": "extract", "data": str(data), "features": features,
               "window_ms": window_ms, "slide_ms": slide_ms}
     out_path = write_output(out, text, config)

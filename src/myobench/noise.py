@@ -11,8 +11,12 @@ reproducible and repetitions are independent: it is the standard-normal
 stream of ``default_rng((seed, repetition))``.
 
 Every noisy copy, in the robustness grid, the recognition pipeline and
-`inject_at_snr`, is made by `add_wgn`. The grid's copy (record r, SNR s,
-repetition rep) draws from key ``(derive_seed(seed, r, s), rep)``. Keys are
+`inject_at_snr`, is made by `add_wgn`: signals of shape (..., samples)
+become copies of shape (..., copies, samples), each signal's power taken
+once. The grid makes a block of records' copies in one call, the
+recognition pipeline a trial's channels, and `inject_at_snr` one copy of
+one signal. The grid's copy (record r, SNR s, repetition rep) draws from
+key ``(derive_seed(seed, r, s), rep)``. Keys are
 seeded in one batch: `derive_seeds` and `stream_words` hash every key with
 numpy's own SeedSequence algorithm, vectorised over the keys, and `fill_wgn`
 hands each precomputed row to ``PCG64``, so every draw is bit-identical to
@@ -59,6 +63,13 @@ def snr_factor(snr_db: float) -> float:
     except OverflowError:
         raise ValueError(f"SNR {snr_db:g} dB is too low: 10^(-SNR/10) overflows a float") \
             from None
+
+
+def level_text(snr_db: float) -> str:
+    """``snr_db`` as text: ``:g`` when that reads back as the level, its repr
+    otherwise, so distinct levels are written distinctly."""
+    short = f"{snr_db:g}"
+    return short if float(short) == snr_db else repr(float(snr_db))
 
 
 def derive_seed(*key: int) -> int:
@@ -216,33 +227,36 @@ def _precomputed_seed_type():
 def fill_wgn(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill each row of ``out`` with draws from its own `stream_words` stream.
 
-    ``words`` holds one state row per row of the (copies, samples) float
-    array ``out``; each row is drawn in place, and equals
+    ``out`` is a float array of shape (..., samples) and ``words`` its state
+    rows, of shape (..., 4) with the same leading shape; any other shape is
+    a ValueError. Each row is drawn in place, and equals
     ``default_rng((stream seed, repetition)).standard_normal`` of that row's
     key. Returns ``out``.
     """
+    if words.shape[:-1] != out.shape[:-1]:
+        raise ValueError(f"state rows {words.shape[:-1]} do not match rows {out.shape[:-1]}")
     seed_type = _precomputed_seed_type()
-    for row_words, row in zip(words, out, strict=True):
-        np.random.Generator(np.random.PCG64(seed_type(row_words))).standard_normal(out=row)
+    for i in np.ndindex(out.shape[:-1]):
+        np.random.Generator(np.random.PCG64(seed_type(words[i]))).standard_normal(out=out[i])
     return out
 
 
 def add_wgn(clean, factors, words, out) -> np.ndarray:
-    """Write noisy copies of ``clean`` into the rows of ``out``, in place.
+    """Write noisy copies of each signal of ``clean`` into ``out``, in place.
 
-    Row k of the (copies, samples) array ``out`` becomes
+    ``clean`` is (..., samples), ``out`` is (..., copies, samples) and
+    ``words`` is (..., copies, 4). Copy k of each signal becomes
     ``clean + sqrt(P_clean * factors[k]) * draws``, its draws from the
-    stream of state row ``words[k]`` (see `stream_words`) and ``factors[k]``
-    a noise power per unit of clean power (`snr_factor`). ``clean`` is one
-    signal, or one per row. A clean signal of zero power is a ValueError.
-    Returns ``out``.
+    stream of its state row (see `stream_words`) and ``factors[k]`` a noise
+    power per unit of clean power (`snr_factor`). A clean signal of zero
+    power is a ValueError. Returns ``out``.
     """
     power = signal_power(clean)
     if np.any(power == 0):
         raise ValueError(ZERO_POWER)
     fill_wgn(words, out)
-    out *= np.sqrt(np.multiply(power, factors))[:, np.newaxis]  # sigma of each row
-    out += clean
+    out *= np.sqrt(np.multiply.outer(power, factors))[..., np.newaxis]  # sigma of each copy
+    out += np.expand_dims(clean, -2)
     return out
 
 

@@ -52,7 +52,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import Dataset, Trial, csv_prefix, write_output
-from .noise import add_wgn, derive_seed, derive_seeds, signal_power, snr_factor, stream_words
+from .noise import (add_wgn, derive_seed, derive_seeds, level_text, signal_power, snr_factor,
+                    stream_words)
 from .registry import (FeatureDescriptor, _blocks, _extract_stack, peak_amplitude,
                        resolve_hemg_peak)
 from .signals import SegmentationConfig, segment_offsets
@@ -63,13 +64,13 @@ DEFAULT_RIDGE = 1e-6
 
 @dataclass
 class LabeledWindowSet:
-    """What `extract_window_set` gives: feature rows with per-window labels,
-    trial ids and start times. Trial ``i`` holds rows
+    """What `extract_window_set` gives: feature rows with per-window labels
+    and start times. Trial ``i``, with id ``trial_ids[i]``, holds rows
     ``trial_rows[i]:trial_rows[i + 1]``."""
 
     features: np.ndarray          # (n_windows, n_features)
     labels: np.ndarray            # (n_windows,) indices into class_names
-    trial_ids: list[str]
+    trial_ids: list[str]          # (n_trials,)
     class_names: list[str]
     window_start_ms: np.ndarray
     trial_rows: np.ndarray        # (n_trials + 1,)
@@ -204,6 +205,11 @@ def majority_vote(decision_stream, vote_window: int = DEFAULT_VOTE_WINDOW) -> li
     return [names[c] for c in smoothed.tolist()]
 
 
+def _channel_error(trial: Trial, channel: int, exc: ValueError) -> ValueError:
+    """``exc`` as raised by channel ``channel`` of ``trial``, named in its message."""
+    return ValueError(f"trial {trial.trial_id}, channel {trial.channels[channel]}: {exc}")
+
+
 def extract_window_set(trials: list[Trial], rate: float,
                        descriptors: list[FeatureDescriptor],
                        segmentation: SegmentationConfig,
@@ -218,6 +224,9 @@ def extract_window_set(trials: list[Trial], rate: float,
     stacked blocks of at most ``registry._BLOCK_SAMPLES`` window samples (a
     block may end inside a trial), each written straight into its rows and
     channel's columns; every value equals that channel's `extract_segments`.
+    When a block's extraction raises, its signals are extracted one at a
+    time, and the first that fails is a ValueError naming its trial and
+    channel.
     """
     if not trials:
         raise ValueError("no trials to extract features from")
@@ -238,13 +247,23 @@ def extract_window_set(trials: list[Trial], rate: float,
         stack = np.empty((len(block), span))
         for row, (t, ch) in zip(stack, (signals[i] for i in block)):
             row[:] = trials[t].data[:span, ch]
-        for values, i in zip(_extract_stack(descriptors, stack, rate, segmentation), block):
+        try:
+            values = _extract_stack(descriptors, stack, rate, segmentation)
+        except ValueError:  # name the first signal that fails on its own
+            for row, i in zip(stack, block):
+                t, ch = signals[i]
+                try:
+                    _extract_stack(descriptors, row[np.newaxis], rate, segmentation)
+                except ValueError as exc:
+                    raise _channel_error(trials[t], ch, exc) from None
+            raise
+        for signal_values, i in zip(values, block):
             t, ch = signals[i]
-            features[first_row[t]:first_row[t + 1], ch] = values
+            features[first_row[t]:first_row[t + 1], ch] = signal_values
     return LabeledWindowSet(
         features=features.reshape(first_row[-1], -1),
         labels=np.repeat([class_names.index(t.label) for t in trials], np.diff(first_row)),
-        trial_ids=[t.trial_id for t, o in zip(trials, offsets) for _ in range(o.size)],
+        trial_ids=[t.trial_id for t in trials],
         class_names=list(class_names),
         window_start_ms=np.concatenate(offsets) * 1000.0 / rate, trial_rows=first_row,
         feature_names=feature_names,
@@ -333,15 +352,14 @@ def _test_trials(dataset: Dataset, noise_snr_db: float, noise_seed: int) -> list
     factor = snr_factor(noise_snr_db)  # refuses a bad level before drawing
     trials = dataset.trials
     seeds = derive_seeds([noise_seed], range(len(trials)), range(len(trials[0].channels)))
-    words = stream_words(seeds.ravel(), [0]).reshape(seeds.shape[1:] + (-1,))
+    words = stream_words(seeds.ravel(), [0]).reshape(seeds.shape[1:] + (1, -1))
     noisy_trials = []
     for trial, trial_words in zip(trials, words):
-        clean = trial.data.T
-        try:
-            noisy = add_wgn(clean, [factor] * len(clean), trial_words, np.empty(clean.shape))
+        clean, noisy = trial.data.T, np.empty(trial.data.shape[::-1])
+        try:  # one copy of each channel
+            add_wgn(clean, [factor], trial_words, noisy[:, np.newaxis])
         except ValueError as exc:  # a channel of zero power: name it
-            channel = trial.channels[np.flatnonzero(signal_power(clean) == 0)[0]]
-            raise ValueError(f"trial {trial.trial_id}, channel {channel}: {exc}") from None
+            raise _channel_error(trial, np.flatnonzero(signal_power(clean) == 0)[0], exc) from None
         noisy_trials.append(replace(trial, data=noisy.T))
     return noisy_trials
 
@@ -363,8 +381,8 @@ def _score_folds(folds, clean: LabeledWindowSet, features: np.ndarray,
     mv = _vote(raw, k, vote_window, clean.trial_rows)
     confusion = np.bincount(true * k + mv, minlength=k * k).reshape(k, k)
     hits = np.concatenate([[0], np.cumsum(mv == true)])
-    fold_crs = [(clean.trial_ids[a], 100.0 * int(hits[b] - hits[a]) / (b - a))
-                for a, b in bounds]
+    fold_crs = [(trial_id, 100.0 * int(hits[b] - hits[a]) / (b - a))
+                for trial_id, (a, b) in zip(clean.trial_ids, bounds)]
     cr = 100.0 * float(np.trace(confusion)) / int(confusion.sum())
     decisions = DecisionStream(offsets=clean.trial_rows, true=true, raw=raw, mv=mv,
                                window_start_ms=clean.window_start_ms)
@@ -433,12 +451,9 @@ class CrTable:
 
     @staticmethod
     def level_label(level: float | None) -> str:
-        """``clean``, or the level in dB: ``:g`` when that reads back as the
-        level, its full repr otherwise, so distinct levels get distinct labels."""
-        if level is None:
-            return "clean"
-        short = f"{level:g}"
-        return f"{short if float(short) == level else repr(float(level))}dB"
+        """``clean``, or the level in dB as `noise.level_text` writes it, so
+        distinct levels get distinct labels."""
+        return "clean" if level is None else f"{level_text(level)}dB"
 
     @staticmethod
     def level_labels(levels) -> list[str]:

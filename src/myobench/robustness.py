@@ -6,11 +6,13 @@ percentage error
 
     PE = |(feature_clean - feature_noise) / feature_clean| * 100
 
-Results aggregate to mean/std PE per (feature, group, motion, SNR). Each
-record's clean signal and noisy copies are scored together, so a (record,
-feature) pair whose clean value is zero (PE undefined) or whose extraction
-fails is left out as a whole: its attempts are not averaged but counted in
-the ``excluded`` column instead. A record whose clean power is zero (SNR
+Results aggregate to mean/std PE per (feature, group, motion, SNR), one
+cell per level: a grid that lists a level twice (compared as floats, so 20
+and 20.0, or 0 and -0) is refused. Each record's clean signal and noisy
+copies are scored together, so a (record, feature) pair whose clean value
+is zero (PE undefined) or whose extraction fails is left out as a whole:
+its attempts are not averaged but counted in the ``excluded`` column
+instead. A record whose clean power is zero (SNR
 undefined) is left out the same way for every feature. A feature that no
 record gives a PE for is named, with the reason, in the grid's ``unscored``:
 the reason of the first record, in record order, that excluded it.
@@ -24,14 +26,14 @@ record loop (see `noise.derive_seeds` and `noise.stream_words`).
 Consecutive records of one length and rate are extracted in stacked blocks
 under the budget the recognition pipeline uses, ``registry._BLOCK_SAMPLES``
 window samples: at the default 6 SNR levels x 10 repetitions a 256-sample
-record fills 61 rows, so a block holds 4 records. Each copy is drawn
-straight into its row of the block's matrix, the whole feature panel is
-extracted from the block in one call, and each record's PE is scored from
-its rows. A record whose clean power is zero stays out of every block. If a
-block's joint extraction raises, its records are extracted one at a time,
-so a failure that only one record causes excludes only that record. Every
-value, and so every row and every ``unscored`` reason, is what extracting
-each record alone gives.
+record fills 61 rows, so a block holds 4 records. One `noise.add_wgn` call
+draws every noisy copy of the block straight into its rows of the block's
+matrix, the whole feature panel is extracted from the block in one call,
+and one `percentage_error` call scores the block. A record whose clean
+power is zero stays out of every block. If a block's joint extraction
+raises, its records are extracted one at a time, so a failure that only one
+record causes excludes only that record. Every value, and so every row and
+every ``unscored`` reason, is what extracting each record alone gives.
 """
 from __future__ import annotations
 
@@ -41,7 +43,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dataio import Dataset
-from .noise import ZERO_POWER, add_wgn, derive_seeds, signal_power, snr_factor, stream_words
+from .noise import (ZERO_POWER, add_wgn, derive_seeds, level_text, signal_power, snr_factor,
+                    stream_words)
 from .registry import (FeatureDescriptor, _blocks, extract, peak_amplitude,
                        resolve_hemg_peak)
 from .signals import SegmentationConfig, segment
@@ -61,8 +64,9 @@ def percentage_error(clean_value, noisy_value):
 class RobustnessConfig:
     """Benchmark shape: SNR grid, repetitions per level, base seed.
 
-    ``groups`` optionally restricts the run to the named signal groups
-    (e.g. strong/weak).
+    Each SNR level may be listed once; a repeated level (compared as
+    floats) is a ValueError. ``groups`` optionally restricts the run to the
+    named signal groups (e.g. strong/weak).
     """
 
     snr_grid: tuple[float, ...] = (20.0, 15.0, 10.0, 5.0, 3.0, 0.0)
@@ -75,8 +79,11 @@ class RobustnessConfig:
             raise ValueError("SNR grid must be non-empty")
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
-        for snr in self.snr_grid:
+        levels = [float(snr) for snr in self.snr_grid]
+        for s_idx, snr in enumerate(levels):
             snr_factor(snr)  # refuses a level that is not finite, or too low
+            if snr in levels[:s_idx]:  # 20 and 20.0, or 0 and -0, are one level
+                raise ValueError(f"SNR level {level_text(snr)} dB is repeated")
 
 
 @dataclass(frozen=True)
@@ -167,11 +174,10 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
     copies = 1 + n_snr * reps  # a record's rows: its clean signal, then its noisy copies
     picks, reasons = _scalar_picks(features)
     in_range = np.array([d_idx not in reasons for d_idx in range(len(features))])
-    pe = np.zeros((len(records), n_snr, reps, len(features)))
+    pe = np.zeros((len(features), n_snr, len(records), reps))
     valid = np.zeros((len(records), len(features)), dtype=bool)
     stream_seeds = derive_seeds([cfg.seed], range(len(records)), range(n_snr))
-    words = stream_words(stream_seeds.ravel(), range(reps))
-    words = words.reshape(len(records), n_snr * reps, -1)
+    words = stream_words(stream_seeds.ravel(), range(reps)).reshape(len(records), copies - 1, -1)
     factors = np.repeat([snr_factor(snr) for snr in cfg.snr_grid], reps)  # one per copy
     # the clean powers, one matrix per run of consecutive records of one length
     powers = np.concatenate([signal_power([r.samples for r in run]) for _, run
@@ -185,59 +191,38 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
             continue
         width, rate = kinds[block.start][:2]
         matrix = np.empty((len(block), copies, width))
-        for r_idx, rows in zip(block, matrix):
-            rows[0] = records[r_idx].samples
-            add_wgn(rows[0], factors, words[r_idx], rows[1:])
+        matrix[:, 0] = [records[r_idx].samples for r_idx in block]
+        add_wgn(matrix[:, 0], factors, words[block.start:block.stop], matrix[:, 1:])
         values, failures = _scalar_values(features, picks, in_range, matrix, rate)
-        for r_idx, record_values, failed in zip(block, values, failures):
-            ok = in_range & (record_values[0] != 0)  # a failed descriptor's values are zero
-            for d_idx, reason in failed.items():
-                reasons.setdefault(d_idx, reason)
-            for d_idx in np.flatnonzero(~ok):
-                reasons.setdefault(d_idx, "its clean value is zero")
-            kept = np.flatnonzero(ok)
-            pe[r_idx][..., kept] = percentage_error(
-                record_values[0, kept], record_values[1:, kept]).reshape(n_snr, reps, kept.size)
-            valid[r_idx] = ok
+        ok = in_range & (values[:, 0] != 0)  # a failed descriptor's values are zero
+        # an excluded pair divides by 1, not by its zero clean value, and stays invalid
+        pe[:, :, block.start:block.stop] = percentage_error(
+            np.where(ok, values[:, 0], 1.0)[:, np.newaxis], values[:, 1:],
+        ).reshape(len(block), n_snr, reps, -1).transpose(3, 1, 0, 2)
+        valid[block.start:block.stop] = ok
+        for failed, record_ok in zip(failures, ok):
+            for d_idx in np.flatnonzero(~record_ok):  # failed descriptors among them
+                reasons.setdefault(d_idx, failed.get(d_idx, "its clean value is zero"))
 
     buckets: dict[tuple[str, str], list[int]] = {}
     for r_idx, record in enumerate(records):
         buckets.setdefault((record.group, record.motion), []).append(r_idx)
-    levels = {snr: [s for s, level in enumerate(cfg.snr_grid) if level == snr]
-              for snr in sorted(set(cfg.snr_grid), reverse=True)}
-    # The cells of levels listed equally often are the rows of one matrix: all
-    # levels, unless one repeats, whose row then pools its grid columns.
-    shapes: dict[int, list[float]] = {}
-    for snr, columns in levels.items():
-        shapes.setdefault(len(columns), []).append(snr)
+    falling = sorted(range(n_snr), key=lambda s: cfg.snr_grid[s], reverse=True)
     rows = []
     for d_idx in sorted(range(len(features)), key=lambda d: features[d].name):
         desc = features[d_idx]
         for (group, motion), members in sorted(buckets.items()):
             kept = [r for r in members if valid[r, d_idx]]
-            stats = dict.fromkeys(levels, (float("nan"), float("nan")))
+            mean = std = [float("nan")] * n_snr
             if kept:
-                cells = pe[kept, ..., d_idx]  # (kept records, grid columns, repetitions)
-                for snrs in shapes.values():
-                    # each row lists its level's PEs record by record, then
-                    # column by column, then repetition by repetition
-                    matrix = cells[:, [s for snr in snrs for s in levels[snr]]]
-                    matrix = matrix.reshape(len(kept), len(snrs), -1).swapaxes(0, 1)
-                    matrix = matrix.reshape(len(snrs), -1)
-                    stats.update(zip(snrs, zip(np.mean(matrix, axis=-1).tolist(),
-                                               np.std(matrix, axis=-1).tolist())))
-            for snr, columns in levels.items():
+                # one row per level: its PEs record by record, then repetition by repetition
+                cells = pe[d_idx][np.ix_(falling, kept)].reshape(n_snr, -1)
+                mean, std = np.mean(cells, axis=-1).tolist(), np.std(cells, axis=-1).tolist()
+            for s_idx, mean_pe, std_pe in zip(falling, mean, std):
                 rows.append(GridRow(
-                    feature=desc.name,
-                    parameters=desc.param_text,
-                    group=group,
-                    motion=motion,
-                    snr_db=snr,
-                    mean_pe=stats[snr][0],
-                    std_pe=stats[snr][1],
-                    n=len(kept) * len(columns) * reps,
-                    excluded=(len(members) - len(kept)) * len(columns) * reps,
-                ))
+                    feature=desc.name, parameters=desc.param_text, group=group, motion=motion,
+                    snr_db=cfg.snr_grid[s_idx], mean_pe=mean_pe, std_pe=std_pe,
+                    n=len(kept) * reps, excluded=(len(members) - len(kept)) * reps))
     unscored = {features[d].label: reasons[d] for d in range(len(features))
                 if not valid[:, d].any()}
     return RobustnessGrid(rows=rows, features=features, unscored=unscored)
@@ -298,7 +283,7 @@ def _scalar_values(features, picks, in_range, block, rate):
 def grid_csv_rows(grid: RobustnessGrid) -> list[list]:
     """The grid as plot-ready CSV rows: a header, then one row per cell."""
     return [[f.name for f in fields(GridRow)]] + [
-        [row.feature, row.parameters, row.group, row.motion, f"{row.snr_db:g}",
+        [row.feature, row.parameters, row.group, row.motion, level_text(row.snr_db),
          f"{row.mean_pe:.10g}", f"{row.std_pe:.10g}", row.n, row.excluded]
         for row in grid.rows]
 

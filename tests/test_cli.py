@@ -221,6 +221,13 @@ class TestSynth:
         assert not list(tmp_path.iterdir())
 
 
+def zero_second_channel(trial_csv):
+    """Rewrite a two-channel trial CSV with every ``ch2`` sample zero."""
+    lines = trial_csv.read_text().splitlines()
+    lines[1:] = [line.split(",")[0] + ",0.0" for line in lines[1:]]
+    trial_csv.write_text("\n".join(lines) + "\n")
+
+
 def reference_extract_csv(dataset, windows, path):
     """The extract CSV as csv.writer writes it, one row per window."""
     trials = {t.trial_id: t for t in dataset.trials}
@@ -228,8 +235,11 @@ def reference_extract_csv(dataset, windows, path):
         writer = csv.writer(fh)
         writer.writerow(["trial_id", "label", "group", "window_start_ms",
                          *windows.feature_names])
-        for trial_id, start, values in zip(windows.trial_ids, windows.window_start_ms,
-                                           windows.features):
+        row_ids = [trial_id for trial_id, count in zip(windows.trial_ids,
+                                                       np.diff(windows.trial_rows))
+                   for _ in range(count)]
+        for trial_id, start, values in zip(row_ids, windows.window_start_ms,
+                                           windows.features, strict=True):
             trial = trials[trial_id]
             writer.writerow([trial_id, trial.label, trial.group, f"{start:g}",
                              *(f"{v:.10g}" for v in values)])
@@ -259,6 +269,18 @@ class TestExtract:
         expected = reference_extract_csv(dataset, windows, tmp_path / "expected.csv")
         assert out.read_bytes() == expected.read_bytes()
         assert b'"say ""hi""_01","say ""hi""","weak, low",' in out.read_bytes()
+
+    def test_a_window_that_fails_extraction_is_named(self, runner, dataset_dir, tmp_path):
+        zero_second_channel(dataset_dir / "hand_open_02.csv")
+        out = tmp_path / "f.csv"
+        result = runner.invoke(main, [
+            "extract", "--data", str(dataset_dir / "manifest.json"), "--features", "rms,ar",
+            "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == ("Error: trial hand_open_02, channel ch2: "
+                                 "window is identically zero; autocorrelation is singular\n")
+        assert not out.exists()
 
     def test_feature_columns_per_channel(self, runner, dataset_dir, tmp_path):
         out = tmp_path / "features.csv"
@@ -571,6 +593,8 @@ class TestRobustness:
         (["--snr", "20,inf"], "snr_db must be finite"),
         (["--reps", "0"], "need at least one repetition"),
         (["--snr=-4000"], "SNR -4000 dB is too low: 10^(-SNR/10) overflows a float"),
+        (["--snr", "20,20"], "SNR level 20 dB is repeated"),
+        (["--snr", "10,0,-0"], "SNR level -0 dB is repeated"),
     ])
     def test_bad_grid_shape_is_runtime_error(self, runner, dataset_dir, tmp_path,
                                              option, message):
@@ -585,6 +609,8 @@ class TestRobustness:
         (["--snr", "20,inf"], "snr_db must be finite"),
         (["--reps", "0"], "need at least one repetition"),
         (["--snr=-4000"], "SNR -4000 dB is too low: 10^(-SNR/10) overflows a float"),
+        (["--snr", "20,20"], "SNR level 20 dB is repeated"),
+        (["--snr", "10,0,-0"], "SNR level -0 dB is repeated"),
     ])
     def test_bad_grid_shape_is_reported_before_loading(self, runner, tmp_path, option,
                                                        message):
@@ -705,10 +731,7 @@ class TestClassify:
         assert result.output == "Error: SNR -4000 dB is too low: 10^(-SNR/10) overflows a float\n"
 
     def test_a_channel_of_zero_power_is_named(self, runner, dataset_dir, tmp_path):
-        trial_csv = dataset_dir / "hand_close_02.csv"
-        lines = trial_csv.read_text().splitlines()
-        lines[1:] = [line.split(",")[0] + ",0.0" for line in lines[1:]]
-        trial_csv.write_text("\n".join(lines) + "\n")
+        zero_second_channel(dataset_dir / "hand_close_02.csv")
         result = runner.invoke(main, [
             "classify", "--data", str(dataset_dir / "manifest.json"), "--sets", "r=rms+mav",
             "--noise", "clean,10", "--out", str(tmp_path / "c")])
@@ -716,6 +739,18 @@ class TestClassify:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.output == ("Error: trial hand_close_02, channel ch2: "
                                  "signal power is zero; SNR is undefined\n")
+
+    def test_a_window_that_fails_extraction_is_named(self, runner, dataset_dir, tmp_path):
+        # The default sets' AR fails on the zero channel's clean windows,
+        # before any noise is drawn.
+        zero_second_channel(dataset_dir / "hand_open_02.csv")
+        result = runner.invoke(main, [
+            "classify", "--data", str(dataset_dir / "manifest.json"), "--noise", "clean,10",
+            "--out", str(tmp_path / "c")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == ("Error: trial hand_open_02, channel ch2: "
+                                 "window is identically zero; autocorrelation is singular\n")
 
     def test_missing_dataset_path(self, runner, tmp_path):
         result = runner.invoke(main, [

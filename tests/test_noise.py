@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from myobench.noise import (ZERO_POWER, add_wgn, derive_seed, derive_seeds, fill_wgn,
-                            inject_at_snr, signal_power, snr_factor, stream_words)
+                            inject_at_snr, level_text, signal_power, snr_factor,
+                            stream_words)
 from wgn_reference import reference_draws, reference_injection
 
 
@@ -154,18 +155,46 @@ class TestAddWgn:
             np.testing.assert_array_equal(row, reference_injection(clean, snr, *key))
 
     def test_one_signal_per_row(self):
+        # a (channels, samples) trial, one copy of each channel
         trial = np.random.default_rng(6).standard_normal((400, 3)) * [1.0, 30.0, 1e-4]
-        words = stream_words([11, 12, 13], [0]).reshape(3, -1)
-        noisy = add_wgn(trial.T, [snr_factor(5.0)] * 3, words, np.empty((3, 400)))
-        for ch, row in enumerate(noisy):
+        words = stream_words([11, 12, 13], [0])
+        noisy = add_wgn(trial.T, [snr_factor(5.0)], words, np.empty((3, 1, 400)))
+        for ch, (row,) in enumerate(noisy):
             np.testing.assert_array_equal(row, reference_injection(trial[:, ch], 5.0, 11 + ch))
+
+    def test_copies_of_each_signal_equal_the_reference(self):
+        # 2 signals x 3 copies: copy k of each signal is at level snrs[k]
+        clean = np.random.default_rng(7).standard_normal((2, 250)) * [[3.0], [0.01]]
+        snrs = [20.0, 5.0, 0.0]
+        words = stream_words([21, 22], [0, 1, 2])
+        out = np.full((2, 3, 250), np.nan)
+        assert add_wgn(clean, [snr_factor(s) for s in snrs], words, out) is out
+        for signal, seed, copies in zip(clean, [21, 22], out):
+            for rep, (row, snr) in enumerate(zip(copies, snrs)):
+                np.testing.assert_array_equal(row, reference_injection(signal, snr, seed, rep))
 
     def test_zero_power_is_refused(self):
         clean = np.ones((2, 16))
         clean[1] = 0.0
         with pytest.raises(ValueError, match="^" + re.escape(ZERO_POWER) + "$"):
-            add_wgn(clean, [1.0, 1.0], stream_words([1, 2], [0]).reshape(2, -1),
-                    np.empty((2, 16)))
+            add_wgn(clean, [1.0, 1.0], stream_words([1, 2], [0, 1]), np.empty((2, 2, 16)))
+
+
+class TestLevelText:
+    @pytest.mark.parametrize("level, text", [
+        (20, "20"), (20.0, "20"), (-3.5, "-3.5"), (0.0, "0"), (-0.0, "-0"), (1e-7, "1e-07"),
+        (20.000001, "20.000001"), (1 / 3, "0.3333333333333333"),
+        (123456789.0, "123456789.0"), (np.float64(2.5), "2.5"),
+    ])
+    def test_hand_values(self, level, text):
+        assert level_text(level) == text
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_reads_back_as_the_level_and_is_g_where_g_is_exact(self, level):
+        text = level_text(level)
+        assert float(text) == level
+        short = f"{level:g}"
+        assert (text == short) == (float(short) == level)
 
 
 class TestSnrFactor:
@@ -316,7 +345,18 @@ class TestFillWgn:
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_a_row_count_mismatch_raises(self, rows):
-        # zip would stop at the shorter one and leave a row of np.empty garbage.
+        # Fewer words would leave a row of np.empty garbage; more are a caller's slip.
         words = stream_words([4, 8], [0]).reshape(-1, 4)
-        with pytest.raises(ValueError, match="zip"):
+        message = f"state rows (2,) do not match rows ({rows},)"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             fill_wgn(words, np.empty((rows, 16)))
+
+    def test_fills_every_row_of_any_leading_shape(self):
+        words = stream_words([4, 8], [0, 1, 2])
+        out = fill_wgn(words, np.full((2, 3, 40), np.nan))
+        for i, seed in enumerate([4, 8]):
+            for rep in range(3):
+                np.testing.assert_array_equal(out[i, rep], reference_draws(40, seed, rep))
+        for shape in [(3, 2, 40), (2, 2, 40), (2, 4, 40)]:  # the signals, or the copies
+            with pytest.raises(ValueError, match=re.escape("state rows (2, 3) do not match")):
+                fill_wgn(words, np.empty(shape))

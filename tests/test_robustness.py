@@ -48,7 +48,7 @@ def reference_rows(records, features, cfg):
     """Brute-force grid: one reference injection per noisy copy, one extract per feature.
 
     Each (record, feature) pair's PEs are listed in (SNR, repetition) order
-    and pooled per cell in record order, as run_grid lays them out. A
+    and pooled per (feature, group, motion, SNR) cell in record order. A
     feature whose extraction raises, or whose scalar component is out of
     range, excludes the record, and so does a record of zero power (its SNR
     is undefined) for every feature. The HEMG range is the largest record
@@ -81,19 +81,17 @@ def reference_rows(records, features, cfg):
         desc = features[d_idx]
         for group, motion in sorted({(r.group, r.motion) for r in records}):
             members = [i for i, r in enumerate(records) if (r.group, r.motion) == (group, motion)]
-            for snr in sorted(set(cfg.snr_grid), reverse=True):
-                columns = [s for s, level in enumerate(cfg.snr_grid) if level == snr]
+            for s_idx in sorted(range(len(cfg.snr_grid)), key=lambda s: -cfg.snr_grid[s]):
                 cell, excluded = [], 0
                 for r_idx in members:
                     if (d_idx, r_idx) not in pes:
-                        excluded += len(columns) * reps
+                        excluded += reps
                         continue
-                    for s_idx in columns:
-                        cell.extend(pes[d_idx, r_idx][s_idx])
+                    cell.extend(pes[d_idx, r_idx][s_idx])
                 cell = np.array(cell)
                 rows.append(GridRow(
                     feature=desc.name, parameters=desc.param_text, group=group,
-                    motion=motion, snr_db=snr,
+                    motion=motion, snr_db=cfg.snr_grid[s_idx],
                     mean_pe=float(np.mean(cell)) if cell.size else float("nan"),
                     std_pe=float(np.std(cell)) if cell.size else float("nan"),
                     n=int(cell.size), excluded=excluded,
@@ -213,14 +211,12 @@ class TestRunGrid:
         records = make_records(rng, count=3)
         flat = TrialRecord(samples=np.zeros(256), rate=1000.0, motion="m0",
                            group="strong", trial_id="flat")
-        cfg = RobustnessConfig(snr_grid=(20.0, 10.0, 20.0), repetitions=3, seed=4)
+        cfg = RobustnessConfig(snr_grid=(10.0, 20.0, 0.0), repetitions=3, seed=4)
         base = run_grid(records, default_panel(), cfg)
         grid = run_grid(records + [flat], default_panel(), cfg)
         assert len(grid.rows) == len(base.rows)
         for row, before in zip(grid.rows, base.rows):
-            extra = 0
-            if row.motion == "m0":
-                extra = 3 * (2 if row.snr_db == 20.0 else 1)
+            extra = 3 if row.motion == "m0" else 0
             same_rows([row], [replace(before, excluded=before.excluded + extra)])
 
     @pytest.mark.parametrize("tokens", ["rms,hemg:bins=1,mmnf", "rms,mavslp,hemg:bins=1,mmnf"])
@@ -312,20 +308,20 @@ class TestGridOracle:
         same_rows([row for row in grid.rows if row.feature == "rms"], rms_alone.rows)
         assert all(row.n == 0 for row in grid.rows if row.feature == "mavslp")
 
-    def test_wide_seed_many_reps_repeated_level(self):
+    def test_wide_seed_many_reps_unsorted_grid(self):
         # A base seed past 64 bits, more repetitions than the default ten,
-        # and a repeated SNR level whose columns pool into one cell.
+        # and a grid whose levels are not listed in falling order.
         records = make_records(np.random.default_rng(20), count=3)
-        cfg = RobustnessConfig(snr_grid=(10.0, 0.0, 10.0), repetitions=12, seed=2**64 + 5)
+        cfg = RobustnessConfig(snr_grid=(3.0, 20.0, 0.0, 10.0), repetitions=12,
+                               seed=2**64 + 5)
         same_rows(run_grid(records, default_panel(), cfg).rows,
                   reference_rows(records, default_panel(), cfg))
 
 
-    @pytest.mark.parametrize("snr_grid", [(20.0, 5.0, 0.0), (10.0, 10.0, 0.0)])
+    @pytest.mark.parametrize("snr_grid", [(20.0, 5.0, 0.0), (0.0, 10.0, 5.0)])
     def test_two_lengths_and_a_zero_power_record(self, snr_grid):
         # Clean powers are taken per length, and the zero-power record
-        # between the lengths is left out of every cell. At (10, 10, 0) the
-        # 10 dB rows pool two grid columns: twice as long as the 0 dB rows.
+        # between the lengths is left out of every cell, at every level.
         lengths = [256, 256, 256, 200, 200, 200, 200]
         records = layout_records(np.random.default_rng(21), "nnn0nnn", lengths)
         cfg = RobustnessConfig(snr_grid=snr_grid, repetitions=5, seed=9)
@@ -333,8 +329,7 @@ class TestGridOracle:
         same_rows(grid.rows, reference_rows(records, default_panel(), cfg))
         rms = [row for row in grid.rows if row.feature == "rms" and row.motion == "m1"]
         assert [(row.snr_db, row.n, row.excluded) for row in rms] == \
-            [(10.0, 2 * 5 * 2, 2 * 5), (0.0, 2 * 5, 5)] if snr_grid[0] == 10.0 else \
-            [(20.0, 2 * 5, 5), (5.0, 2 * 5, 5), (0.0, 2 * 5, 5)]
+            [(snr, 2 * 5, 5) for snr in sorted(snr_grid, reverse=True)]
 
     def test_a_row_reduction_is_the_reduction_of_the_row(self):
         # run_grid takes every cell's mean and std as one row of a matrix, so
@@ -422,6 +417,22 @@ class TestBlocks:
         same_rows(blocked.rows, alone.rows)
         assert blocked.unscored == alone.unscored == {"mnf(dc=0)": reason}
 
+    def test_one_add_wgn_call_per_block_of_nonzero_power(self, monkeypatch):
+        # Blocks [c0 n1 c2 n3], [04], [n5 n6 n7 c8] and [n9 c10]: the flat 04
+        # draws nothing, and each other block's copies come from one call.
+        records = layout_records(np.random.default_rng(30), "cncn0nnncnc")
+        cfg = RobustnessConfig(seed=12)
+        calls = []
+
+        def counted(clean, factors, words, out):
+            calls.append((clean.shape, words.shape, out.shape))
+            return noise.add_wgn(clean, factors, words, out)
+
+        monkeypatch.setattr(robustness, "add_wgn", counted)
+        grid = run_grid(records, parse_features("rms,zc"), cfg)
+        assert calls == [((n, 256), (n, 60, 4), (n, 60, 256)) for n in (4, 4, 2)]
+        same_rows(grid.rows, reference_rows(records, parse_features("rms,zc"), cfg))
+
     def test_blocks_split_where_the_length_or_rate_changes(self, monkeypatch):
         lengths = [256, 256, 200, 200, 200, 256, 256, 256]
         rates = [1000.0] * 5 + [2000.0, 2000.0, 1000.0]
@@ -502,6 +513,14 @@ class TestEmission:
             ["grid.csv", "grid.csv.config.json", "grid.json"]
 
 
+    def test_close_levels_are_written_apart(self):
+        # :g writes 20.000001 as 20; a level it does not write exactly gets its repr.
+        cfg = RobustnessConfig(snr_grid=(20.0, 20.000001, 1 / 3), repetitions=1, seed=3)
+        grid = run_grid(make_records(np.random.default_rng(16), count=1),
+                        parse_features("rms"), cfg)
+        assert [row[4] for row in grid_csv_rows(grid)] == \
+            ["snr_db", "20.000001", "20", "0.3333333333333333"]
+
     def test_cells_without_pe_are_null_in_json(self, tmp_path):
         rng = np.random.default_rng(15)
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, seed=3)
@@ -540,6 +559,15 @@ class TestConfigValidation:
         # The dry run that once let a non-finite level through is gone.
         with pytest.raises(TypeError, match="dry_run"):
             RobustnessConfig(snr_grid=(20.0, float("inf")), dry_run=True)
+
+    @pytest.mark.parametrize("snr_grid, level", [
+        ((20, 20), "20"), ((20.0, 20), "20"), ((0.0, -0.0), "-0"), ((5.0, 20.0, 5.0), "5"),
+    ])
+    def test_repeated_level_rejected(self, snr_grid, level):
+        # Levels are compared as floats: 20 and 20.0, or 0 and -0, are one level.
+        with pytest.raises(ValueError, match=f"^SNR level {level} dB is repeated$"):
+            RobustnessConfig(snr_grid=snr_grid)
+        assert RobustnessConfig(snr_grid=(20.0, 20.000001)).snr_grid == (20.0, 20.000001)
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError, match="no trial records"):
