@@ -11,8 +11,7 @@ from .noise import signal_power, inject_at_snr
 from .registry import (FeatureDescriptor, FEATURE_NAMES, FEATURE_SETS, extract,
                        extract_segments, make_descriptor, parse_feature, parse_features,
                        feature_set, default_panel)
-from .robustness import (RobustnessConfig, RobustnessGrid, TrialRecord,
-                         percentage_error, run_grid, records_from_dataset)
+from .robustness import RobustnessConfig, RobustnessGrid, percentage_error, run_grid
 from .recognition import (LabeledWindowSet, LdaModel, ClassificationReport,
                           CrTable, lda_train, lda_scores,
                           majority_vote, extract_window_set,

@@ -33,8 +33,7 @@ from .recognition import (DEFAULT_VOTE_WINDOW, CrTable, check_vote_window, decis
                           table_payload)
 from .registry import (default_panel, feature_set, make_descriptor, parse_features,
                        peak_amplitude, resolve_hemg_peak)
-from .robustness import (RobustnessConfig, grid_csv_rows, grid_json_rows, records_from_dataset,
-                         run_grid)
+from .robustness import RobustnessConfig, grid_csv_rows, grid_json_rows, run_grid
 from .signals import SegmentationConfig
 
 
@@ -234,11 +233,10 @@ def robustness(data, features, snr, reps, seed, window_ms, slide_ms,
     cfg = RobustnessConfig(  # a bad grid shape is exit 1, reported before the load
         snr_grid=snr_grid, repetitions=reps, seed=seed,
         groups=tuple(g.strip() for g in groups.split(",")) if groups else None,
+        max_windows=None if max_windows == 0 else max_windows,
     )
     dataset, seg_cfg = _load_segmented(data, window_ms, slide_ms)
-    records = records_from_dataset(
-        dataset, seg_cfg, max_windows=None if max_windows == 0 else max_windows)
-    grid = run_grid(records, descriptors, cfg)
+    grid = run_grid(dataset, descriptors, cfg, seg_cfg)
     config = {
         "snr_grid_db": list(cfg.snr_grid), "repetitions": cfg.repetitions, "seed": cfg.seed,
         "groups": list(cfg.groups) if cfg.groups is not None else None,

@@ -55,11 +55,7 @@ def levinson_durbin(windows, order: int = 1) -> np.ndarray:
     p = int(order)
     if x.ndim != 2:
         raise ValueError("need a (windows, samples) matrix")
-    if p < 1:
-        raise ValueError("AR order must be >= 1")
-    n = x.shape[1]
-    if p >= n:
-        raise ValueError(f"AR order {p} needs more than {n} samples")
+    n = x.shape[1]  # 1 <= p < n: see `registry._check_width`
     r = np.stack([_row_dots(x[:, :n - k], x[:, k:]) for k in range(p + 1)], axis=1) / n
     if np.any(r[:, 0] <= 0):
         raise ValueError("window is identically zero; autocorrelation is singular")

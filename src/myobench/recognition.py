@@ -54,8 +54,8 @@ import numpy as np
 from .dataio import Dataset, Trial, csv_prefix, write_output
 from .noise import (add_wgn, derive_seed, derive_seeds, level_text, signal_power, snr_factor,
                     stream_words)
-from .registry import (FeatureDescriptor, _blocks, _extract_stack, peak_amplitude,
-                       resolve_hemg_peak)
+from .registry import (FeatureDescriptor, _blocks, _check_width, _extract_stack,
+                       peak_amplitude, resolve_hemg_peak)
 from .signals import SegmentationConfig, segment_offsets
 
 DEFAULT_VOTE_WINDOW = 5  # ~512 ms of context at 256/64 ms windowing
@@ -239,6 +239,7 @@ def extract_window_set(trials: list[Trial], rate: float,
     offsets = [segment_offsets(len(trial.data), rate, segmentation) for trial in trials]
     first_row = np.cumsum([0] + [o.size for o in offsets])
     width = segmentation.window_samples(rate)
+    _check_width(descriptors, width)  # a fault of no one trial or channel
     features = np.empty((first_row[-1], channels,
                          sum(d.component_count() for d in descriptors)))
     signals = [(t, ch) for t in range(len(trials)) for ch in range(channels)]

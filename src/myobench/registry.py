@@ -151,8 +151,9 @@ class _Family:
     gives one result per window. ``params`` holds the defaults (ints where
     the feature needs counts or orders); a None default is resolved from the
     data, as hemg's ``limit`` is. ``reads`` names the cached intermediates
-    the kernel reads, ``min_samples`` the shortest window it takes (0: the
-    kernel checks its own length, as AR and the spectral moments do),
+    the kernel reads, ``min_samples`` the shortest window it takes (0: its
+    parameters bound the length, as AR's order does, or the kernel checks
+    it, as the spectral moments do; see `_check_width`),
     ``size`` the component count from the parameters (None: one scalar),
     ``scalar`` the 1-based component percentage error uses, and ``counts``
     whether the values are integer counts.
@@ -404,6 +405,26 @@ def _blocks(sizes, kinds=None) -> list[range]:
     return blocks
 
 
+def _check_width(descriptors, width: int) -> None:
+    """Refuse, in descriptor order, a descriptor that cannot be extracted from
+    windows of ``width`` samples, whatever their values: one whose range is
+    unresolved, one whose family needs a longer window, one whose
+    ``segments`` do not split the window evenly, or one whose ``order``
+    needs more samples than the window holds."""
+    for desc in descriptors:
+        params, least = desc.param_dict, _FAMILIES[desc.name].min_samples
+        if desc.needs_resolution():
+            raise ValueError(f"{desc.name} descriptor used before its range was resolved")
+        if width < least:
+            raise ValueError("need a 1-D window or (windows, samples) matrix of at least "
+                             f"{least} samples")
+        if width % params.get("segments", 1):
+            raise ValueError(f"window of {width} samples does not divide into "
+                             f"{params['segments']} equal segments")
+        if params.get("order", 0) >= width:
+            raise ValueError(f"AR order {params['order']} needs more than {width} samples")
+
+
 def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
     # Each cached array is dropped after the last descriptor that reads it, so
     # few are alive at once and the allocator reuses their memory instead of
@@ -413,13 +434,9 @@ def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
     last_reader = {}
     for i, family in enumerate(families):
         last_reader.update(dict.fromkeys(family.reads, i))
+    _check_width(descriptors, shared.width)
     columns = []
     for i, (desc, family) in enumerate(zip(descriptors, families)):
-        if desc.needs_resolution():
-            raise ValueError(f"{desc.name} descriptor used before its range was resolved")
-        if shared.width < family.min_samples:
-            raise ValueError("need a 1-D window or (windows, samples) matrix of at least "
-                             f"{family.min_samples} samples")
         value = np.asarray(family.kernel(shared, **desc.param_dict), dtype=float)
         columns.append(value.reshape(shared.total, desc.component_count()))
         for name in family.reads:

@@ -1,8 +1,11 @@
 """White-Gaussian-noise robustness benchmark.
 
-For every (trial record, SNR level, repetition) the runner injects calibrated
-noise into the clean signal, re-extracts each feature, and scores the
-percentage error
+The records under test are windows of a dataset: the first ``max_windows``
+windows of each channel of each trial in the configured groups, in trial,
+channel and time order, stacked once into one (records, samples) matrix at
+the dataset's rate. For every (record, SNR level, repetition) the runner
+injects calibrated noise into the clean window, re-extracts each feature,
+and scores the percentage error
 
     PE = |(feature_clean - feature_noise) / feature_clean| * 100
 
@@ -19,25 +22,25 @@ the reason of the first record, in record order, that excluded it.
 
 All features at a given (record, SNR, repetition) see the same noise draw,
 and each draw's stream is keyed by (seed, record index, SNR index,
-repetition), so serial and parallel evaluation orders give bit-identical
-grids. All stream seeds and streams are seeded in one batch before the
-record loop (see `noise.derive_seeds` and `noise.stream_words`).
+repetition), records numbered after the groups filter, so serial and
+parallel evaluation orders give bit-identical grids. All stream seeds and
+streams are seeded in one batch before the record loop (see
+`noise.derive_seeds` and `noise.stream_words`).
 
-Consecutive records of one length and rate are extracted in stacked blocks
-under the budget the recognition pipeline uses, ``registry._BLOCK_SAMPLES``
-window samples: at the default 6 SNR levels x 10 repetitions a 256-sample
-record fills 61 rows, so a block holds 4 records. One `noise.add_wgn` call
-draws every noisy copy of the block straight into its rows of the block's
-matrix, the whole feature panel is extracted from the block in one call,
-and one `percentage_error` call scores the block. A record whose clean
-power is zero stays out of every block. If a block's joint extraction
-raises, its records are extracted one at a time, so a failure that only one
-record causes excludes only that record. Every value, and so every row and
-every ``unscored`` reason, is what extracting each record alone gives.
+Consecutive records are extracted in stacked blocks under the budget the
+recognition pipeline uses, ``registry._BLOCK_SAMPLES`` window samples: at
+the default 6 SNR levels x 10 repetitions a 256-sample record fills 61 rows,
+so a block holds 4 records. One `noise.add_wgn` call draws every noisy copy
+of the block straight into its rows of the block's matrix, the whole
+feature panel is extracted from the block in one call, and one
+`percentage_error` call scores the block. A record whose clean power is
+zero stays out of every block. If a block's joint extraction raises, its
+records are extracted one at a time, so a failure that only one record
+causes excludes only that record. Every value, and so every row and every
+``unscored`` reason, is what extracting each record alone gives.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -62,40 +65,32 @@ def percentage_error(clean_value, noisy_value):
 
 @dataclass(frozen=True)
 class RobustnessConfig:
-    """Benchmark shape: SNR grid, repetitions per level, base seed.
+    """Benchmark shape: SNR grid, repetitions per level, base seed, records.
 
     Each SNR level may be listed once; a repeated level (compared as
     floats) is a ValueError. ``groups`` optionally restricts the run to the
-    named signal groups (e.g. strong/weak).
+    named signal groups (e.g. strong/weak), and ``max_windows`` caps the
+    windows each trial channel contributes (None = all).
     """
 
     snr_grid: tuple[float, ...] = (20.0, 15.0, 10.0, 5.0, 3.0, 0.0)
     repetitions: int = 10
     seed: int = 0
     groups: tuple[str, ...] | None = None
+    max_windows: int | None = 1
 
     def __post_init__(self):
         if not self.snr_grid:
             raise ValueError("SNR grid must be non-empty")
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
+        if self.max_windows is not None and self.max_windows < 0:
+            raise ValueError(f"max_windows must be >= 0 or None, got {self.max_windows}")
         levels = [float(snr) for snr in self.snr_grid]
         for s_idx, snr in enumerate(levels):
             snr_factor(snr)  # refuses a level that is not finite, or too low
             if snr in levels[:s_idx]:  # 20 and 20.0, or 0 and -0, are one level
                 raise ValueError(f"SNR level {level_text(snr)} dB is repeated")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One clean signal under test (samples at ``rate`` Hz), with its labels
-    for aggregation."""
-
-    samples: np.ndarray
-    rate: float
-    motion: str
-    group: str
-    trial_id: str
 
 
 @dataclass
@@ -124,76 +119,56 @@ class RobustnessGrid:
     unscored: dict[str, str] = field(default_factory=dict)
 
 
-def records_from_dataset(dataset: Dataset, segmentation: SegmentationConfig,
-                         max_windows: int | None = 1) -> list[TrialRecord]:
-    """Turn a dataset into per-window benchmark records.
+def run_grid(dataset: Dataset, features: list[FeatureDescriptor], cfg: RobustnessConfig,
+             segmentation: SegmentationConfig) -> RobustnessGrid:
+    """Run the PE benchmark over a dataset's windows x features x SNR grid x repetitions.
 
-    Each trial channel contributes up to ``max_windows`` windows (None = all).
+    The records are the first ``cfg.max_windows`` windows of each channel of
+    each trial in ``cfg.groups``, in trial, channel and time order. Rows come
+    sorted by feature name, then input position among features of the same
+    name, then group, motion and falling SNR. A window with a non-finite
+    sample is an error naming its trial and channel, since its PE would
+    average to NaN.
     """
-    if max_windows is not None and max_windows < 0:
-        raise ValueError(f"max_windows must be >= 0 or None, got {max_windows}")
-    records = []
-    for trial in dataset.trials:
-        for ch, ch_name in enumerate(trial.channels):
-            windows = segment(trial.data[:, ch], dataset.rate, segmentation)
-            if max_windows is not None:
-                windows = windows[:max_windows]
-            for w_idx, window in enumerate(windows):
-                records.append(TrialRecord(
-                    samples=window, rate=dataset.rate,
-                    motion=trial.label, group=trial.group,
-                    trial_id=f"{trial.trial_id}/{ch_name}/w{w_idx}",
-                ))
-    return records
-
-
-def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
-             cfg: RobustnessConfig) -> RobustnessGrid:
-    """Run the PE benchmark over records x features x SNR grid x repetitions.
-
-    Rows come sorted by feature name, then input position among features of
-    the same name, then group, motion and falling SNR. A record with a
-    non-finite clean sample is an error, since its PE would average to NaN.
-    """
-    if cfg.groups is not None:
-        records = [r for r in records if r.group in cfg.groups]
-    if not records:
-        raise ValueError("no trial records to benchmark")
     if len(set(features)) != len(features):
         raise ValueError("a feature (or sweep value) is listed twice")
-    for record in records:
-        if not record.samples.size:
-            raise ValueError(f"record {record.trial_id} has no samples")
-        if not np.all(np.isfinite(record.samples)):
-            raise ValueError(f"record {record.trial_id} has non-finite samples")
-    features = resolve_hemg_peak(features,
-                                 peak_amplitude([r.samples for r in records])[0])
+    signals = [(trial, ch) for trial in dataset.trials
+               if cfg.groups is None or trial.group in cfg.groups
+               for ch in range(len(trial.channels))]
+    windows = [segment(trial.data[:, ch], dataset.rate, segmentation)[:cfg.max_windows]
+               for trial, ch in signals]
+    owner = np.repeat(np.arange(len(signals)), [len(w) for w in windows])
+    if not owner.size:
+        raise ValueError("no trial records to benchmark")
+    samples = np.concatenate(windows)  # record r is row r, a window of signal owner[r]
+    if not np.isfinite(samples).all():
+        trial, ch = signals[owner[np.argwhere(~np.isfinite(samples))[0, 0]]]
+        raise ValueError(f"trial {trial.trial_id}, channel {trial.channels[ch]}: "
+                         "non-finite samples")
+    features = resolve_hemg_peak(features, peak_amplitude(samples)[0])
 
+    records, width = samples.shape
     reps = cfg.repetitions
     n_snr = len(cfg.snr_grid)
     copies = 1 + n_snr * reps  # a record's rows: its clean signal, then its noisy copies
     picks, reasons = _scalar_picks(features)
     in_range = np.array([d_idx not in reasons for d_idx in range(len(features))])
-    pe = np.zeros((len(features), n_snr, len(records), reps))
-    valid = np.zeros((len(records), len(features)), dtype=bool)
-    stream_seeds = derive_seeds([cfg.seed], range(len(records)), range(n_snr))
-    words = stream_words(stream_seeds.ravel(), range(reps)).reshape(len(records), copies - 1, -1)
+    pe = np.zeros((len(features), n_snr, records, reps))
+    valid = np.zeros((records, len(features)), dtype=bool)
+    stream_seeds = derive_seeds([cfg.seed], range(records), range(n_snr))
+    words = stream_words(stream_seeds.ravel(), range(reps)).reshape(records, copies - 1, -1)
     factors = np.repeat([snr_factor(snr) for snr in cfg.snr_grid], reps)  # one per copy
-    # the clean powers, one matrix per run of consecutive records of one length
-    powers = np.concatenate([signal_power([r.samples for r in run]) for _, run
-                             in itertools.groupby(records, key=lambda r: r.samples.size)])
-    # A block holds records of one length and rate, all of nonzero power or all of zero.
-    kinds = [(r.samples.size, r.rate, powers[r_idx] > 0) for r_idx, r in enumerate(records)]
-    for block in _blocks([copies * r.samples.size for r in records], kinds):
+    powers = signal_power(samples)
+    # A block's records are all of nonzero clean power or all of zero.
+    for block in _blocks([copies * width] * records, (powers > 0).tolist()):
         if powers[block.start] == 0:  # zero clean power: excluded for every feature
             for d_idx in range(len(features)):
                 reasons.setdefault(d_idx, ZERO_POWER)
             continue
-        width, rate = kinds[block.start][:2]
         matrix = np.empty((len(block), copies, width))
-        matrix[:, 0] = [records[r_idx].samples for r_idx in block]
+        matrix[:, 0] = samples[block.start:block.stop]
         add_wgn(matrix[:, 0], factors, words[block.start:block.stop], matrix[:, 1:])
-        values, failures = _scalar_values(features, picks, in_range, matrix, rate)
+        values, failures = _scalar_values(features, picks, in_range, matrix, dataset.rate)
         ok = in_range & (values[:, 0] != 0)  # a failed descriptor's values are zero
         # an excluded pair divides by 1, not by its zero clean value, and stays invalid
         pe[:, :, block.start:block.stop] = percentage_error(
@@ -205,8 +180,9 @@ def run_grid(records: list[TrialRecord], features: list[FeatureDescriptor],
                 reasons.setdefault(d_idx, failed.get(d_idx, "its clean value is zero"))
 
     buckets: dict[tuple[str, str], list[int]] = {}
-    for r_idx, record in enumerate(records):
-        buckets.setdefault((record.group, record.motion), []).append(r_idx)
+    for r_idx, s_idx in enumerate(owner.tolist()):
+        trial = signals[s_idx][0]
+        buckets.setdefault((trial.group, trial.label), []).append(r_idx)
     falling = sorted(range(n_snr), key=lambda s: cfg.snr_grid[s], reverse=True)
     rows = []
     for d_idx in sorted(range(len(features)), key=lambda d: features[d].name):

@@ -173,11 +173,7 @@ def _mmav2(abs_x):
 
 
 def _mavslp(abs_x, segments: int):
-    k = int(segments)
-    if abs_x.shape[-1] % k != 0:
-        raise ValueError(
-            f"window of {abs_x.shape[-1]} samples does not divide into {k} equal segments"
-        )
+    k = int(segments)  # `registry._check_width` has checked that k divides the window
     mavs = abs_x.reshape(abs_x.shape[:-1] + (k, abs_x.shape[-1] // k)).mean(axis=-1)
     return np.diff(mavs, axis=-1)
 

@@ -19,8 +19,7 @@ from myobench.freq_features import ar_coefficients, mdf, mmdf, mmnf, mnf
 from myobench.noise import inject_at_snr, signal_power
 from myobench.recognition import _train_folds, evaluate_feature_sets, leave_one_out, majority_vote
 from myobench.registry import extract, feature_set, parse_features
-from myobench.robustness import (RobustnessConfig, percentage_error,
-                                 records_from_dataset, run_grid)
+from myobench.robustness import RobustnessConfig, percentage_error, run_grid
 from myobench.signals import (SegmentationConfig, amplitude_spectrum, segment,
                               segment_offsets)
 from myobench import noise
@@ -265,10 +264,9 @@ def benchmark_means():
     # the between-window spread, so the check needs many distinct clean
     # windows (not merely many noise repetitions) and a fixed seed.
     dataset = band_dataset(seed=42, trials=30)
-    records = records_from_dataset(dataset, SEG, max_windows=1)
     cfg = RobustnessConfig(snr_grid=(20.0, 15.0, 10.0, 5.0, 3.0, 0.0),
-                           repetitions=30, seed=4242)
-    grid = run_grid(records, parse_features("rms,mnf,mdf,mmnf,mmdf"), cfg)
+                           repetitions=30, seed=4242, max_windows=1)
+    grid = run_grid(dataset, parse_features("rms,mnf,mdf,mmnf,mmdf"), cfg, SEG)
     means: dict[str, dict[float, float]] = {}
     for row in grid.rows:
         means.setdefault(row.feature, {})[row.snr_db] = row.mean_pe
@@ -434,17 +432,16 @@ def test_criterion_09_invariant_suites():
 
     # Grid determinism, PE non-negativity, dry-run identity (every noise draw
     # zero, so each noisy copy is its clean signal).
-    records = records_from_dataset(band_dataset(seed=5, trials=2, channels=1,
-                                                trial_ms=512.0), SEG)
+    band = band_dataset(seed=5, trials=2, channels=1, trial_ms=512.0)
     cfg = RobustnessConfig(snr_grid=(10.0,), repetitions=3, seed=1)
-    grid_a = run_grid(records, features, cfg)
-    grid_b = run_grid(records, features, cfg)
+    grid_a = run_grid(band, features, cfg, SEG)
+    grid_b = run_grid(band, features, cfg, SEG)
     assert grid_a.rows == grid_b.rows
     assert all(row.mean_pe >= 0 for row in grid_a.rows)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(noise, "fill_wgn", zero_draws)
-        dry = run_grid(records, features,
-                       RobustnessConfig(snr_grid=(10.0,), repetitions=2, seed=1))
+        dry = run_grid(band, features,
+                       RobustnessConfig(snr_grid=(10.0,), repetitions=2, seed=1), SEG)
     assert all(row.mean_pe == 0.0 for row in dry.rows)
 
     ok("criterion 9: invariant suites (scaling, Parseval, median bin, "

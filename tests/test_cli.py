@@ -157,6 +157,27 @@ def test_runtime_error_of_a_command_is_exit_1_without_a_traceback(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["extract", "--features", "mavslp"],
+     "window of 256 samples does not divide into 3 equal segments"),
+    (["extract", "--features", "ar:order=300"], "AR order 300 needs more than 256 samples"),
+    (["extract", "--window-ms", "3", "--slide-ms", "1", "--features", "mmav1"],
+     "need a 1-D window or (windows, samples) matrix of at least 4 samples"),
+    (["classify", "--sets", "m=mavslp"],
+     "window of 256 samples does not divide into 3 equal segments"),
+], ids=["mavslp", "ar-order", "mmav1-width", "classify-mavslp"])
+def test_a_feature_the_window_width_cannot_take_names_no_channel(
+        runner, dataset_dir, tmp_path, args, message):
+    # The fault lies in the features and the window width, not in the data
+    # of any trial or channel.
+    result = runner.invoke(main, [*args[:1], "--data", str(dataset_dir / "manifest.json"),
+                                  *args[1:], "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output == f"Error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 class TestSynth:
     def test_writes_manifest_and_trials(self, runner, tmp_path):
         out = tmp_path / "d"

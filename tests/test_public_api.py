@@ -28,6 +28,8 @@ REMOVED = [
     ("robustness", "sweep_parameters"),     # run_grid over one descriptor per value
     ("robustness", "grid_to_csv"),          # dataio.write_output(csv_rows(grid_csv_rows))
     ("robustness", "grid_to_json"),         # dataio.write_output of the JSON payload
+    ("robustness", "TrialRecord"),          # run_grid takes a dataset's windows as records
+    ("robustness", "records_from_dataset"),  # RobustnessConfig.max_windows and run_grid
     ("recognition", "table_to_csv"),        # dataio.write_output(csv_rows(table_csv_rows))
     ("recognition", "table_to_json"),       # dataio.write_output(table_payload)
     ("recognition", "report_to_dict"),      # recognition.table_payload
@@ -52,8 +54,7 @@ EXPORTED = """
     signal_power inject_at_snr
     FeatureDescriptor FEATURE_NAMES FEATURE_SETS extract extract_segments make_descriptor
     parse_feature parse_features feature_set default_panel
-    RobustnessConfig RobustnessGrid TrialRecord percentage_error run_grid
-    records_from_dataset
+    RobustnessConfig RobustnessGrid percentage_error run_grid
     LabeledWindowSet LdaModel ClassificationReport CrTable lda_train lda_scores
     majority_vote extract_window_set leave_one_out evaluate_feature_sets
     Dataset Trial DatasetError ClassSpec SynthConfig default_class_specs load_dataset

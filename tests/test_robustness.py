@@ -11,14 +11,13 @@ from scipy import signal as sps
 
 from myobench import noise, registry, robustness
 from myobench.cli import _parse_sweep
-from myobench.dataio import (SynthConfig, csv_rows, default_class_specs, synthesize_emg,
-                             write_output)
+from myobench.dataio import (Dataset, SynthConfig, Trial, csv_rows, default_class_specs,
+                             synthesize_emg, write_output)
 from myobench.noise import derive_seed
 from myobench.registry import (default_panel, extract, make_descriptor, parse_features,
                                resolve_hemg_peak)
-from myobench.robustness import (GridRow, RobustnessConfig, TrialRecord, grid_csv_rows,
-                                 grid_json_rows, percentage_error, records_from_dataset,
-                                 run_grid)
+from myobench.robustness import (GridRow, RobustnessConfig, grid_csv_rows, grid_json_rows,
+                                 percentage_error, run_grid)
 from myobench.signals import SegmentationConfig
 from myobench.time_features import rms
 from wgn_reference import reference_injection
@@ -30,12 +29,25 @@ def band_limited(rng, n=256, band=(20.0, 450.0), amp=50.0, rate=1000.0):
     return x * (amp / np.sqrt(np.mean(x * x)))
 
 
+# At 1 kHz the default segmentation cuts 256-sample windows, so a 256-sample
+# one-channel trial is one record of the grid.
+SEG = SegmentationConfig()
+
+
+def record_trial(samples, trial_id, motion, group="strong"):
+    """A one-channel trial of ``samples``; at 256 samples, one record."""
+    return Trial(trial_id=trial_id, label=motion, subject="s0", group=group,
+                 channels=["ch1"], data=np.asarray(samples)[:, np.newaxis])
+
+
+def records_dataset(trials):
+    """A 1 kHz dataset of one-channel trials, whose records run_grid takes in order."""
+    return Dataset(classes=sorted({t.label for t in trials}), rate=1000.0, trials=list(trials))
+
+
 def make_records(rng, count=2, amp=50.0):
-    return [
-        TrialRecord(samples=band_limited(rng, amp=amp), rate=1000.0, motion=f"m{i % 2}",
-                    group="strong", trial_id=f"r{i}")
-        for i in range(count)
-    ]
+    return records_dataset([record_trial(band_limited(rng, amp=amp), f"r{i}", f"m{i % 2}")
+                            for i in range(count)])
 
 
 def zero_draws(words, out):
@@ -44,32 +56,36 @@ def zero_draws(words, out):
     return out
 
 
-def reference_rows(records, features, cfg):
+def reference_rows(dataset, features, cfg):
     """Brute-force grid: one reference injection per noisy copy, one extract per feature.
 
-    Each (record, feature) pair's PEs are listed in (SNR, repetition) order
-    and pooled per (feature, group, motion, SNR) cell in record order. A
-    feature whose extraction raises, or whose scalar component is out of
-    range, excludes the record, and so does a record of zero power (its SNR
-    is undefined) for every feature. The HEMG range is the largest record
+    Every trial of ``dataset`` is one record: one channel, one window. Each
+    (record, feature) pair's PEs are listed in (SNR, repetition) order and
+    pooled per (feature, group, motion, SNR) cell in record order. A feature
+    whose extraction raises, or whose scalar component is out of range,
+    excludes the record, and so does a record of zero power (its SNR is
+    undefined) for every feature. The HEMG range is the largest record
     peak, a NaN peak skipped.
     """
-    peak = reduce(max, (float(np.max(np.abs(r.samples))) for r in records), 0.0)
+    records = dataset.trials
+    assert all(r.data.shape == (SEG.window_samples(dataset.rate), 1) for r in records)
+    peak = reduce(max, (float(np.max(np.abs(r.data))) for r in records), 0.0)
     features = resolve_hemg_peak(features, peak)
     reps = cfg.repetitions
     pes = {}  # (feature index, record index) -> (SNR, repetition) PE matrix
     for r_idx, record in enumerate(records):
-        if not np.any(record.samples):
+        samples = record.data[:, 0]
+        if not np.any(samples):
             continue
-        copies = [record.samples]
+        copies = [samples]
         for s_idx, snr in enumerate(cfg.snr_grid):
             stream_seed = derive_seed(cfg.seed, r_idx, s_idx)
             for rep in range(reps):
-                copies.append(reference_injection(record.samples, snr, stream_seed, rep))
+                copies.append(reference_injection(samples, snr, stream_seed, rep))
         matrix = np.vstack(copies)
         for d_idx, desc in enumerate(features):
             try:
-                values = extract([desc], matrix, record.rate)
+                values = extract([desc], matrix, dataset.rate)
                 if not 1 <= desc.scalar_component <= values.shape[1]:
                     raise ValueError("scalar component out of range")
                 values = values[:, desc.scalar_component - 1]
@@ -79,8 +95,8 @@ def reference_rows(records, features, cfg):
     rows = []
     for d_idx in sorted(range(len(features)), key=lambda d: features[d].name):
         desc = features[d_idx]
-        for group, motion in sorted({(r.group, r.motion) for r in records}):
-            members = [i for i, r in enumerate(records) if (r.group, r.motion) == (group, motion)]
+        for group, motion in sorted({(r.group, r.label) for r in records}):
+            members = [i for i, r in enumerate(records) if (r.group, r.label) == (group, motion)]
             for s_idx in sorted(range(len(cfg.snr_grid)), key=lambda s: -cfg.snr_grid[s]):
                 cell, excluded = [], 0
                 for r_idx in members:
@@ -127,7 +143,7 @@ class TestRunGrid:
         rng = np.random.default_rng(1)
         records = make_records(rng, count=1)
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, seed=0)
-        grid = run_grid(records, parse_features("rms"), cfg)
+        grid = run_grid(records, parse_features("rms"), cfg, SEG)
         assert len(grid.rows) == 1
         row = grid.rows[0]
         assert (row.feature, row.snr_db, row.n, row.excluded) == ("rms", 20.0, 1, 0)
@@ -138,7 +154,7 @@ class TestRunGrid:
         rng = np.random.default_rng(2)
         records = make_records(rng, count=2)
         cfg = RobustnessConfig(snr_grid=(20.0, 0.0), repetitions=3, seed=0)
-        grid = run_grid(records, default_panel(), cfg)
+        grid = run_grid(records, default_panel(), cfg, SEG)
         for row in grid.rows:
             assert row.mean_pe == 0.0
             assert row.std_pe == 0.0
@@ -147,15 +163,15 @@ class TestRunGrid:
         rng = np.random.default_rng(3)
         records = make_records(rng, count=3)
         cfg = RobustnessConfig(snr_grid=(20.0, 10.0, 0.0), repetitions=4, seed=99)
-        first = run_grid(records, default_panel(), cfg)
-        second = run_grid(records, default_panel(), cfg)
+        first = run_grid(records, default_panel(), cfg, SEG)
+        second = run_grid(records, default_panel(), cfg, SEG)
         assert first.rows == second.rows
 
     def test_more_noise_more_error_for_rms(self):
         rng = np.random.default_rng(4)
         records = make_records(rng, count=1)
         cfg = RobustnessConfig(snr_grid=(20.0, 0.0), repetitions=30, seed=0)
-        grid = run_grid(records, parse_features("rms"), cfg)
+        grid = run_grid(records, parse_features("rms"), cfg, SEG)
         by_snr = {row.snr_db: row.mean_pe for row in grid.rows}
         assert by_snr[0.0] > by_snr[20.0]
 
@@ -163,14 +179,14 @@ class TestRunGrid:
         rng = np.random.default_rng(5)
         records = make_records(rng, count=2)
         cfg = RobustnessConfig(snr_grid=(10.0, 3.0), repetitions=5, seed=1)
-        grid = run_grid(records, default_panel(), cfg)
+        grid = run_grid(records, default_panel(), cfg, SEG)
         assert all(row.mean_pe >= 0 for row in grid.rows)
 
     def test_monotone_trend_with_one_violation_allowed(self):
         rng = np.random.default_rng(6)
         records = make_records(rng, count=4)
         cfg = RobustnessConfig(repetitions=15, seed=7)
-        grid = run_grid(records, default_panel(), cfg)
+        grid = run_grid(records, default_panel(), cfg, SEG)
         series: dict[str, dict[float, list]] = {}
         for row in grid.rows:
             series.setdefault(row.feature + row.parameters, {}) \
@@ -190,7 +206,7 @@ class TestRunGrid:
         rng = np.random.default_rng(8)
         records = make_records(rng, count=1, amp=1.0)
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=5, seed=0)
-        grid = run_grid(records, [make_descriptor("wamp", {"threshold": 1e6})], cfg)
+        grid = run_grid(records, [make_descriptor("wamp", {"threshold": 1e6})], cfg, SEG)
         row = grid.rows[0]
         assert row.n == 0
         assert row.excluded == 5
@@ -199,21 +215,20 @@ class TestRunGrid:
     def test_non_finite_clean_sample_is_an_error(self):
         rng = np.random.default_rng(11)
         records = make_records(rng, count=3)
-        records[1].samples[10] = np.nan
+        records.trials[1].data[10, 0] = np.nan
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, seed=0)
-        with pytest.raises(ValueError, match="record r1 has non-finite samples"):
-            run_grid(records, parse_features("rms"), cfg)
+        with pytest.raises(ValueError, match="^trial r1, channel ch1: non-finite samples$"):
+            run_grid(records, parse_features("rms"), cfg, SEG)
 
     def test_zero_power_record_is_excluded_for_every_feature(self):
         # Appended last, the flat record leaves every other record's noise
         # stream and the hemg range as they were.
         rng = np.random.default_rng(15)
         records = make_records(rng, count=3)
-        flat = TrialRecord(samples=np.zeros(256), rate=1000.0, motion="m0",
-                           group="strong", trial_id="flat")
+        flat = record_trial(np.zeros(256), "flat", "m0")
         cfg = RobustnessConfig(snr_grid=(10.0, 20.0, 0.0), repetitions=3, seed=4)
-        base = run_grid(records, default_panel(), cfg)
-        grid = run_grid(records + [flat], default_panel(), cfg)
+        base = run_grid(records, default_panel(), cfg, SEG)
+        grid = run_grid(records_dataset(records.trials + [flat]), default_panel(), cfg, SEG)
         assert len(grid.rows) == len(base.rows)
         for row, before in zip(grid.rows, base.rows):
             extra = 3 if row.motion == "m0" else 0
@@ -226,7 +241,7 @@ class TestRunGrid:
         records = make_records(np.random.default_rng(21), count=3)
         features = parse_features(tokens)  # hemg's scalar component 2 of 1 bin
         cfg = RobustnessConfig(snr_grid=(20.0, 5.0), repetitions=3, seed=6)
-        grid = run_grid(records, features, cfg)
+        grid = run_grid(records, features, cfg, SEG)
         same_rows(grid.rows, reference_rows(records, features, cfg))
         assert grid.unscored.pop(grid.features[-2].label) == \
             "scalar component 2 out of range for 1 components"
@@ -238,26 +253,24 @@ class TestRunGrid:
 
     def test_unscored_reasons(self):
         rng = np.random.default_rng(22)
-        flat = [TrialRecord(samples=np.zeros(256), rate=1000.0, motion="m0",
-                            group="strong", trial_id=f"flat{i}") for i in range(2)]
+        flat = records_dataset([record_trial(np.zeros(256), f"flat{i}", "m0")
+                                for i in range(2)])
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=2, seed=0)
-        grid = run_grid(flat, parse_features("rms,mmnf"), cfg)
+        grid = run_grid(flat, parse_features("rms,mmnf"), cfg, SEG)
         assert grid.unscored == {"rms": "signal power is zero; SNR is undefined",
                                  "mmnf": "signal power is zero; SNR is undefined"}
         grid = run_grid(make_records(rng, count=2, amp=1.0),
-                        parse_features("rms,wamp:threshold=1e6"), cfg)
+                        parse_features("rms,wamp:threshold=1e6"), cfg, SEG)
         assert grid.unscored == {"wamp(threshold=1e+06)": "its clean value is zero"}
-        assert run_grid(make_records(rng, count=2), default_panel(), cfg).unscored == {}
+        assert run_grid(make_records(rng, count=2), default_panel(), cfg, SEG).unscored == {}
 
     def test_group_filter(self):
         rng = np.random.default_rng(9)
-        records = make_records(rng, count=2) + [
-            TrialRecord(samples=band_limited(rng, amp=10.0), rate=1000.0, motion="m0",
-                        group="weak", trial_id="w0")
-        ]
+        records = records_dataset(make_records(rng, count=2).trials + [
+            record_trial(band_limited(rng, amp=10.0), "w0", "m0", group="weak")])
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, seed=0,
                                groups=("weak",))
-        grid = run_grid(records, parse_features("rms"), cfg)
+        grid = run_grid(records, parse_features("rms"), cfg, SEG)
         assert {row.group for row in grid.rows} == {"weak"}
 
     def test_lower_amplitude_suffers_more_at_fixed_noise_power(self):
@@ -284,13 +297,13 @@ class TestGridOracle:
     def test_default_panel(self):
         records = make_records(np.random.default_rng(17), count=4)
         cfg = RobustnessConfig(snr_grid=(20.0, 5.0, 0.0), repetitions=3, seed=23)
-        same_rows(run_grid(records, default_panel(), cfg).rows,
+        same_rows(run_grid(records, default_panel(), cfg, SEG).rows,
                   reference_rows(records, default_panel(), cfg))
 
     def test_hemg_bins_sweep(self):
         records = make_records(np.random.default_rng(18), count=3)
         cfg = RobustnessConfig(snr_grid=(15.0, 3.0), repetitions=4, seed=5)
-        grid = run_grid(records, _parse_sweep("hemg:bins=3,5,7,9,11")[1], cfg)
+        grid = run_grid(records, _parse_sweep("hemg:bins=3,5,7,9,11")[1], cfg, SEG)
         bins = [make_descriptor("hemg", {"bins": b}) for b in (3, 5, 7, 9, 11)]
         same_rows(grid.rows, reference_rows(records, bins, cfg))
 
@@ -300,11 +313,11 @@ class TestGridOracle:
         records = make_records(np.random.default_rng(19), count=2)
         features = parse_features("rms,mavslp:segments=7")
         with pytest.raises(ValueError):
-            extract(features, records[0].samples, 1000.0)
+            extract(features, records.trials[0].data[:, 0], 1000.0)
         cfg = RobustnessConfig(snr_grid=(20.0, 0.0), repetitions=3, seed=8)
-        grid = run_grid(records, features, cfg)
+        grid = run_grid(records, features, cfg, SEG)
         same_rows(grid.rows, reference_rows(records, features, cfg))
-        rms_alone = run_grid(records, parse_features("rms"), cfg)
+        rms_alone = run_grid(records, parse_features("rms"), cfg, SEG)
         same_rows([row for row in grid.rows if row.feature == "rms"], rms_alone.rows)
         assert all(row.n == 0 for row in grid.rows if row.feature == "mavslp")
 
@@ -314,22 +327,9 @@ class TestGridOracle:
         records = make_records(np.random.default_rng(20), count=3)
         cfg = RobustnessConfig(snr_grid=(3.0, 20.0, 0.0, 10.0), repetitions=12,
                                seed=2**64 + 5)
-        same_rows(run_grid(records, default_panel(), cfg).rows,
+        same_rows(run_grid(records, default_panel(), cfg, SEG).rows,
                   reference_rows(records, default_panel(), cfg))
 
-
-    @pytest.mark.parametrize("snr_grid", [(20.0, 5.0, 0.0), (0.0, 10.0, 5.0)])
-    def test_two_lengths_and_a_zero_power_record(self, snr_grid):
-        # Clean powers are taken per length, and the zero-power record
-        # between the lengths is left out of every cell, at every level.
-        lengths = [256, 256, 256, 200, 200, 200, 200]
-        records = layout_records(np.random.default_rng(21), "nnn0nnn", lengths)
-        cfg = RobustnessConfig(snr_grid=snr_grid, repetitions=5, seed=9)
-        grid = run_grid(records, default_panel(), cfg)
-        same_rows(grid.rows, reference_rows(records, default_panel(), cfg))
-        rms = [row for row in grid.rows if row.feature == "rms" and row.motion == "m1"]
-        assert [(row.snr_db, row.n, row.excluded) for row in rms] == \
-            [(snr, 2 * 5, 5) for snr in sorted(snr_grid, reverse=True)]
 
     def test_a_row_reduction_is_the_reduction_of_the_row(self):
         # run_grid takes every cell's mean and std as one row of a matrix, so
@@ -342,17 +342,14 @@ class TestGridOracle:
             assert np.std(matrix, axis=-1).tolist() == [float(np.std(row)) for row in matrix]
 
 
-def layout_records(rng, layout, lengths=None, rates=None):
+def layout_records(rng, layout):
     """One record per letter: ``n`` band-limited, ``c`` constant nonzero, ``0`` all zero."""
     records = []
     for i, kind in enumerate(layout):
-        n = 256 if lengths is None else lengths[i]
-        rate = 1000.0 if rates is None else rates[i]
-        samples = {"n": lambda: band_limited(rng, n=n, rate=rate),
-                   "c": lambda: np.full(n, 3.0), "0": lambda: np.zeros(n)}[kind]()
-        records.append(TrialRecord(samples=samples, rate=rate, motion=f"m{i % 2}",
-                                   group="strong", trial_id=f"{kind}{i}"))
-    return records
+        samples = {"n": lambda: band_limited(rng), "c": lambda: np.full(256, 3.0),
+                   "0": lambda: np.zeros(256)}[kind]()
+        records.append(record_trial(samples, f"{kind}{i}", f"m{i % 2}"))
+    return records_dataset(records)
 
 
 def blocked_and_alone(monkeypatch, records, features, cfg):
@@ -368,10 +365,10 @@ def blocked_and_alone(monkeypatch, records, features, cfg):
     with monkeypatch.context() as patch:
         patch.setattr(robustness, "_scalar_values", counted)
         calls.append([])
-        blocked = run_grid(records, features, cfg)
+        blocked = run_grid(records, features, cfg, SEG)
         patch.setattr(registry, "_BLOCK_SAMPLES", 1)
         calls.append([])
-        alone = run_grid(records, features, cfg)
+        alone = run_grid(records, features, cfg, SEG)
     return blocked, alone, calls
 
 
@@ -399,7 +396,7 @@ class TestBlocks:
         assert [(row.motion, row.excluded) for row in zc if row.snr_db == 0.0] == \
             [("m0", 5 * 10), ("m1", 0)]  # c0, c2, 04, c8 and c10, all m0
         # a block that extracts jointly gives what one-record blocks give
-        rms = [records[i] for i in (1, 3, 5, 6, 7, 9)]
+        rms = records_dataset([records.trials[i] for i in (1, 3, 5, 6, 7, 9)])
         blocked, alone, calls = blocked_and_alone(monkeypatch, rms, parse_features("rms"),
                                                   cfg)
         assert calls == [[4, 2], [1] * 6]
@@ -429,21 +426,9 @@ class TestBlocks:
             return noise.add_wgn(clean, factors, words, out)
 
         monkeypatch.setattr(robustness, "add_wgn", counted)
-        grid = run_grid(records, parse_features("rms,zc"), cfg)
+        grid = run_grid(records, parse_features("rms,zc"), cfg, SEG)
         assert calls == [((n, 256), (n, 60, 4), (n, 60, 256)) for n in (4, 4, 2)]
         same_rows(grid.rows, reference_rows(records, parse_features("rms,zc"), cfg))
-
-    def test_blocks_split_where_the_length_or_rate_changes(self, monkeypatch):
-        lengths = [256, 256, 200, 200, 200, 256, 256, 256]
-        rates = [1000.0] * 5 + [2000.0, 2000.0, 1000.0]
-        records = layout_records(np.random.default_rng(32), "n" * 8, lengths, rates)
-        features = parse_features(self.FEATURES)
-        cfg = RobustnessConfig(snr_grid=(20.0, 5.0), repetitions=3, seed=4)
-        blocked, alone, calls = blocked_and_alone(monkeypatch, records, features, cfg)
-        assert calls == [[2, 3, 2, 1], [1] * 8]
-        same_rows(blocked.rows, alone.rows)
-        assert blocked.unscored == alone.unscored
-        same_rows(blocked.rows, reference_rows(records, features, cfg))
 
 
 class TestSweep:
@@ -452,7 +437,7 @@ class TestSweep:
         records = make_records(rng, count=1)
         cfg = RobustnessConfig(snr_grid=(20.0, 10.0), repetitions=2, seed=0)
         sweep, descriptors = _parse_sweep("wamp:threshold=10,20,30,40,50")
-        grid = run_grid(records, descriptors, cfg)
+        grid = run_grid(records, descriptors, cfg, SEG)
         assert len({row.parameters for row in grid.rows}) == 5
         assert sweep["values"] == [10, 20, 30, 40, 50]
 
@@ -460,29 +445,89 @@ class TestSweep:
         rng = np.random.default_rng(12)
         records = make_records(rng, count=1)
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, seed=0)
-        grid = run_grid(records, _parse_sweep("hemg:bins=3,5,7,9,11")[1], cfg)
+        grid = run_grid(records, _parse_sweep("hemg:bins=3,5,7,9,11")[1], cfg, SEG)
         assert len({row.parameters for row in grid.rows}) == 5
 
     def test_ar_order_sweep(self):
         rng = np.random.default_rng(13)
         records = make_records(rng, count=1)
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, seed=0)
-        grid = run_grid(records, _parse_sweep("ar:order=1..10")[1], cfg)
+        grid = run_grid(records, _parse_sweep("ar:order=1..10")[1], cfg, SEG)
         assert len({row.parameters for row in grid.rows}) == 10
 
 
 class TestRecordsFromDataset:
-    def test_window_records(self):
+    def test_window_records(self, monkeypatch):
         dataset = synthesize_emg(SynthConfig(
             classes=tuple(default_class_specs(2)), channels=2,
             trials_per_class=1, trial_ms=1000, seed=0))
-        records = records_from_dataset(dataset, SegmentationConfig(), max_windows=1)
-        assert len(records) == 2 * 2  # trials x channels, one window each
-        assert all(len(r.samples) == 256 and r.rate == dataset.rate for r in records)
-        all_windows = records_from_dataset(dataset, SegmentationConfig(), max_windows=None)
-        assert len(all_windows) == 2 * 2 * 12
+        blocks = []
+        scalar_values = robustness._scalar_values
+
+        def counted(features, picks, in_range, block, rate):
+            blocks.append((block.shape, rate))
+            return scalar_values(features, picks, in_range, block, rate)
+
+        monkeypatch.setattr(robustness, "_scalar_values", counted)
+
+        def record_count(max_windows):
+            blocks.clear()
+            cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, max_windows=max_windows)
+            run_grid(dataset, parse_features("rms"), cfg, SegmentationConfig())
+            # each record's rows: its clean window and one noisy copy
+            assert all(shape[1:] == (2, 256) and rate == dataset.rate for shape, rate in blocks)
+            return sum(shape[0] for shape, _ in blocks)
+
+        assert record_count(1) == 2 * 2  # trials x channels, one window each
+        assert record_count(None) == 2 * 2 * 12
+        with pytest.raises(ValueError, match="no trial records"):
+            record_count(0)
         with pytest.raises(ValueError, match="max_windows"):
-            records_from_dataset(dataset, SegmentationConfig(), max_windows=-1)
+            RobustnessConfig(max_windows=-1)
+
+    def test_hemg_range_is_the_peak_of_the_kept_windows(self):
+        # The trial's peak lies in its last window, past the one kept.
+        samples = band_limited(np.random.default_rng(41), n=512)
+        samples[400] = 10.0 * np.max(np.abs(samples))
+        dataset = records_dataset([record_trial(samples, "r0", "m0")])
+        cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, max_windows=1)
+        grid = run_grid(dataset, parse_features("hemg"), cfg, SEG)
+        assert grid.features[0].param_dict["limit"] == float(np.max(np.abs(samples[:256])))
+        every = run_grid(dataset, parse_features("hemg"), replace(cfg, max_windows=None), SEG)
+        assert every.features[0].param_dict["limit"] == samples[400]
+
+    def test_records_are_numbered_after_the_groups_filter(self):
+        # Strong and weak trials alternate, and the strong ones hold the peak:
+        # a weak run draws each weak record's noise, and takes its hemg range,
+        # as a dataset of the weak trials alone does.
+        rng = np.random.default_rng(42)
+        trials = [record_trial(band_limited(rng, amp=10.0 if i % 2 else 50.0), f"r{i}",
+                               f"m{i // 2 % 2}", group="weak" if i % 2 else "strong")
+                  for i in range(6)]
+        cfg = RobustnessConfig(snr_grid=(20.0, 0.0), repetitions=3, seed=5)
+        weak = run_grid(records_dataset(trials), default_panel(),
+                        replace(cfg, groups=("weak",)), SEG)
+        alone = run_grid(records_dataset(trials[1::2]), default_panel(), cfg, SEG)
+        same_rows(weak.rows, alone.rows)
+        assert weak.features == alone.features
+
+    def test_non_finite_window_names_its_trial_and_channel(self):
+        # Three trials of two channels, four windows each. Only kept windows
+        # are checked, and the first record that holds a NaN or an infinity
+        # names the error.
+        rng = np.random.default_rng(43)
+        trials = [Trial(trial_id=f"t{i}", label="m0", subject="s0", group="strong",
+                        channels=["emg1", "emg2"],
+                        data=np.stack([band_limited(rng, n=448) for _ in range(2)], axis=1))
+                  for i in range(3)]
+        trials[1].data[300, 1] = np.inf  # in windows 1 to 3 of t1's emg2
+        trials[2].data[0, 0] = np.nan  # in window 0 of t2's emg1
+        dataset = Dataset(classes=["m0"], rate=1000.0, trials=trials)
+        cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, max_windows=1)
+        with pytest.raises(ValueError, match="^trial t2, channel emg1: non-finite samples$"):
+            run_grid(dataset, parse_features("rms"), cfg, SEG)
+        with pytest.raises(ValueError, match="^trial t1, channel emg2: non-finite samples$"):
+            run_grid(dataset, parse_features("rms"), replace(cfg, max_windows=None), SEG)
 
 
 class TestEmission:
@@ -490,7 +535,7 @@ class TestEmission:
         rng = np.random.default_rng(14)
         records = make_records(rng, count=1)
         cfg = RobustnessConfig(snr_grid=(20.0, 10.0), repetitions=2, seed=3)
-        grid = run_grid(records, parse_features("rms,mmnf"), cfg)
+        grid = run_grid(records, parse_features("rms,mmnf"), cfg, SEG)
         config = {"repetitions": 2, "seed": 3}
 
         csv_path = write_output(tmp_path / "out" / "grid.csv", csv_rows(grid_csv_rows(grid)),
@@ -517,7 +562,7 @@ class TestEmission:
         # :g writes 20.000001 as 20; a level it does not write exactly gets its repr.
         cfg = RobustnessConfig(snr_grid=(20.0, 20.000001, 1 / 3), repetitions=1, seed=3)
         grid = run_grid(make_records(np.random.default_rng(16), count=1),
-                        parse_features("rms"), cfg)
+                        parse_features("rms"), cfg, SEG)
         assert [row[4] for row in grid_csv_rows(grid)] == \
             ["snr_db", "20.000001", "20", "0.3333333333333333"]
 
@@ -525,7 +570,7 @@ class TestEmission:
         rng = np.random.default_rng(15)
         cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, seed=3)
         # 3 segments do not split a 256-sample window: every mavslp cell has n == 0
-        grid = run_grid(make_records(rng, count=1), parse_features("rms,mavslp"), cfg)
+        grid = run_grid(make_records(rng, count=1), parse_features("rms,mavslp"), cfg, SEG)
         with pytest.raises(ValueError):
             write_output(tmp_path / "nan.json", {"rows": [vars(row) for row in grid.rows]})
         assert not (tmp_path / "nan.json").exists()
@@ -571,4 +616,4 @@ class TestConfigValidation:
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError, match="no trial records"):
-            run_grid([], parse_features("rms"), RobustnessConfig())
+            run_grid(records_dataset([]), parse_features("rms"), RobustnessConfig(), SEG)
