@@ -24,8 +24,8 @@ from dataclasses import replace
 
 import click
 
-from . import __version__
-from .dataio import (Dataset, DatasetError, SynthConfig, csv_prefix, csv_rows,
+from . import __version__, registry
+from .dataio import (DatasetError, SynthConfig, _read_manifest, csv_prefix, csv_rows,
                      default_class_specs, load_dataset, save_dataset, synthesize_emg,
                      write_output)
 from .recognition import (DEFAULT_VOTE_WINDOW, CrTable, check_vote_window, decisions_to_csv,
@@ -70,16 +70,16 @@ def _parse_band(text: str) -> tuple[float, float]:
         raise click.BadParameter(f"band must look like '20-450', got {text!r}")
 
 
-def _load_segmented(data: str, window_ms: float,
-                    slide_ms: float) -> tuple[Dataset, SegmentationConfig]:
-    """The dataset and its segmentation. A window or slide that is not a
-    positive finite length (checked before the load) or not a whole number of
-    samples at the dataset's rate is a usage error."""
+def _load_segmented(data: str, window_ms: float, slide_ms: float, whole: bool = True):
+    """The dataset (or, unless ``whole``, its checked manifest, with no trial
+    read) and its segmentation. A window or slide that is not a positive
+    finite length (checked before the load) or not a whole number of samples
+    at the dataset's rate is a usage error."""
     with _usage():
         seg_cfg = SegmentationConfig(window_ms=window_ms, slide_ms=slide_ms)
-        dataset = load_dataset(data)
-        seg_cfg.window_samples(dataset.rate), seg_cfg.slide_samples(dataset.rate)
-    return dataset, seg_cfg
+        loaded = load_dataset(data) if whole else _read_manifest(data)
+        seg_cfg.window_samples(loaded.rate), seg_cfg.slide_samples(loaded.rate)
+    return loaded, seg_cfg
 
 
 @main.command()
@@ -137,28 +137,50 @@ def synth(n_classes, channels, trials, duration_ms, rate, seed, bands, amplitude
 @click.option("--out", required=True, type=click.Path(), help="Output CSV.")
 def extract(data, features, window_ms, slide_ms, out):
     """Window every trial and write one feature row per window."""
+    # The trials are read in manifest order and extracted in groups: a group
+    # ends at the first trial that brings it to registry._BLOCK_SAMPLES window
+    # samples, and its samples are dropped once its rows are formatted, so
+    # memory holds one group, not the dataset. An unresolved HEMG range needs
+    # every trial's peak first, so then every trial is read before the first
+    # group. The CSV is written once, after the last group.
     with _usage():
         descriptors = parse_features(features)
-    dataset, seg_cfg = _load_segmented(data, window_ms, slide_ms)
+    manifest, seg_cfg = _load_segmented(data, window_ms, slide_ms, whole=False)
+    trials = manifest.trials()
     if any(d.needs_resolution() for d in descriptors):  # else skip the peak scan
-        descriptors = resolve_hemg_peak(
-            descriptors, peak_amplitude([t.data for t in dataset.trials])[0])
-    windows = extract_window_set(dataset.trials, dataset.rate, descriptors,
-                                 seg_cfg, dataset.classes)
-    prefixes = {t.trial_id: csv_prefix([t.trial_id, t.label, t.group])
-                for t in dataset.trials}
-    row_format = "%s" + ",".join(["%g"] + ["%.10g"] * windows.features.shape[1]) + "\r\n"
-    text = csv_rows([["trial_id", "label", "group", "window_start_ms",
-                      *windows.feature_names]])
-    starts, rows = windows.window_start_ms.tolist(), windows.features.tolist()
-    bounds = windows.trial_rows.tolist()
-    text += "".join(row_format % (prefixes[trial_id], starts[i], *rows[i])
-                    for trial_id, a, b in zip(windows.trial_ids, bounds, bounds[1:])
-                    for i in range(a, b))
+        trials = list(trials)
+        descriptors = resolve_hemg_peak(descriptors, peak_amplitude([t.data for t in trials])[0])
+    width, slide = seg_cfg.window_samples(manifest.rate), seg_cfg.slide_samples(manifest.rate)
+    parts, group, size = [], [], 0  # parts: (feature names, CSV rows, windows) per group
+    for trial in trials:
+        group.append(trial)
+        # its window samples; a trial too short for one window is extract_window_set's fault
+        size += max(0, (len(trial.data) - width) // slide + 1) * width * len(trial.channels)
+        del trial  # while the next trial is read, only its group may hold this one
+        if size >= registry._BLOCK_SAMPLES:
+            parts.append(_feature_rows(group, manifest, descriptors, seg_cfg))
+            group, size = [], 0
+    if group or not parts:  # of no trials at all, extract_window_set names the fault
+        parts.append(_feature_rows(group, manifest, descriptors, seg_cfg))
+    text = csv_rows([["trial_id", "label", "group", "window_start_ms", *parts[0][0]]])
+    text += "".join(rows for _, rows, _ in parts)
     config = {"command": "extract", "data": str(data), "features": features,
               "window_ms": window_ms, "slide_ms": slide_ms}
     out_path = write_output(out, text, config)
-    click.echo(f"wrote {out_path} ({len(windows)} windows)")
+    click.echo(f"wrote {out_path} ({sum(count for *_, count in parts)} windows)")
+
+
+def _feature_rows(trials, manifest, descriptors, seg_cfg) -> tuple[list[str], str, int]:
+    """The feature names, the ``extract`` CSV rows and the window count of ``trials``."""
+    windows = extract_window_set(trials, manifest.rate, descriptors, seg_cfg,
+                                 manifest.classes)
+    prefixes = [csv_prefix([t.trial_id, t.label, t.group]) for t in trials]
+    row_format = "%s" + ",".join(["%g"] + ["%.10g"] * windows.features.shape[1]) + "\r\n"
+    starts, rows = windows.window_start_ms.tolist(), windows.features.tolist()
+    bounds = windows.trial_rows.tolist()
+    text = "".join(row_format % (prefix, starts[i], *rows[i])
+                   for prefix, a, b in zip(prefixes, bounds, bounds[1:]) for i in range(a, b))
+    return windows.feature_names, text, len(windows)
 
 
 def _parse_sweep(text: str):

@@ -16,6 +16,14 @@ controllable enough to separate classes. `synthesize_emg` is the package's
 one user of scipy, which it imports on first call, so that importing
 myobench skips scipy.
 
+A load checks the whole manifest first, trial ids included, and reads no
+trial file until it passes; then it reads the trials one at a time, in
+manifest order, each checked on its own and against the first trial's
+channel layout. `load_dataset` keeps every trial. The CLI's ``extract``
+reads through the same two steps but keeps only the trials it is extracting
+(see `cli.extract`), so its memory holds a few trials, not the whole
+dataset.
+
 Every file the package writes goes through `write_output`: a dataset's
 manifest and trial CSVs, and each command's outputs with their
 ``<file>.config.json`` sidecars. The one exception is the binary parse
@@ -66,7 +74,12 @@ class Trial:
 
 @dataclass
 class Dataset:
-    """In-memory dataset: class list, shared sampling rate, and trials."""
+    """In-memory dataset: class list, shared sampling rate, and trials.
+
+    Only the rate is checked here. `load_dataset` also refuses a repeated
+    trial id or an undeclared label, from the manifest before it reads a
+    trial file, and a channel layout that differs between trials.
+    """
 
     classes: list[str]
     rate: float
@@ -74,37 +87,56 @@ class Dataset:
 
     def __post_init__(self):
         _check_rate(self.rate)
-        ids = [t.trial_id for t in self.trials]
-        if len(set(ids)) != len(ids):
-            raise ValueError("trial ids must be unique")
-        for t in self.trials:
-            if t.label not in self.classes:
-                raise ValueError(f"trial {t.trial_id} has unknown label {t.label!r}")
-            if t.channels != self.trials[0].channels:
-                raise ValueError(
-                    f"trial {t.trial_id} channels {t.channels} differ from "
-                    f"{self.trials[0].channels}; datasets need a uniform layout"
-                )
 
 
 def load_dataset(manifest_path) -> Dataset:
     """Load and validate a dataset from its manifest.
 
-    Distinct failures raise DatasetError naming the problem: a manifest that
-    is not a JSON object, a missing manifest key or trial entry key, a class
-    or trial list that is not a list, a trial entry that is not an object, a
-    class name, trial path, label, subject or group that is not a string, a
-    trial's channel list that is not a list, a repeated class name, a rate
-    that is not a positive finite JSON number (a bool or a string is not
-    one, and an integer too large for a float is an error of its own), a
-    missing, unreadable or non-UTF-8 trial file, per-trial rate differing
-    from the dataset rate, a label outside the declared class set, channel
-    names in a CSV not matching the manifest, a sample row that is ragged or
-    not numeric (named by file and line), a NaN or infinite sample (named by
-    file, line and channel), a repeated trial id (a file stem) or a channel
-    layout that differs between trials. Samples read from the parse cache
-    are checked as parsed ones are.
+    The manifest is checked whole before any trial file is read (see
+    `_read_manifest`), then each trial is read in manifest order (see
+    `_read_trial`), so a fault of the manifest is reported before a fault of
+    any trial. Distinct failures raise DatasetError naming the problem. The
+    manifest's: a manifest that is not a JSON object, a missing
+    manifest key or trial entry key, a class or trial list that is not a
+    list, a trial entry that is not an object, a class name, trial path,
+    label, subject or group that is not a string, a trial's channel list
+    that is not a list, a repeated class name, a rate that is not a positive
+    finite JSON number (a bool or a string is not one, and an integer too
+    large for a float is an error of its own), a per-trial rate differing
+    from the dataset rate, a label outside the declared class set, or a
+    repeated trial id (a file stem). A trial's: a missing, unreadable or
+    non-UTF-8 trial file, a sample row that is ragged or not numeric (named
+    by file and line), a NaN or infinite sample (named by file, line and
+    channel), channel names in a CSV not matching the manifest, or a channel
+    layout that differs from the first trial's. Samples read from the parse
+    cache are checked as parsed ones are.
     """
+    manifest = _read_manifest(manifest_path)
+    return Dataset(classes=manifest.classes, rate=manifest.rate,
+                   trials=list(manifest.trials()))
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    """A manifest that passed `_read_manifest`: its classes, its rate, and
+    one checked entry per trial, read by `trials`."""
+
+    classes: list[str]
+    rate: float
+    base: Path          # the manifest's directory, which trial paths are relative to
+    entries: list[dict]
+
+    def trials(self):
+        """The trials, read one at a time in manifest order by `_read_trial`,
+        each held to the first entry's channel layout."""
+        return (_read_trial(self.base, entry, self.entries[0]["channels"])
+                for entry in self.entries)
+
+
+def _read_manifest(manifest_path) -> _Manifest:
+    """Read and check a manifest whole, reading no trial file: its keys and
+    value types, its classes and rate, each trial entry, and the uniqueness
+    of the trial ids. See `load_dataset` for the faults and their messages."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise DatasetError(f"manifest not found: {manifest_path}")
@@ -131,10 +163,9 @@ def load_dataset(manifest_path) -> Dataset:
     if not (math.isfinite(rate) and rate > 0):
         raise DatasetError("sampling_rate_hz must be a positive finite number, "
                            f"got {manifest['sampling_rate_hz']!r}")
-    base = manifest_path.parent
 
-    trials = []
-    for index, entry in enumerate(manifest["trials"]):
+    entries = manifest["trials"]
+    for index, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise DatasetError(f"trial entry {index}: expected an object, got {entry!r}")
         for key in ("path", "label", "channels"):
@@ -147,11 +178,9 @@ def load_dataset(manifest_path) -> Dataset:
         if not isinstance(entry["channels"], list):
             raise DatasetError(f"trial entry {index}: 'channels' must be a list, "
                                f"got {entry['channels']!r}")
-        path = base / entry["path"]
-        label = entry["label"]
-        if label not in classes:
+        if entry["label"] not in classes:
             raise DatasetError(
-                f"trial {entry['path']}: unknown label {label!r} "
+                f"trial {entry['path']}: unknown label {entry['label']!r} "
                 f"(declared classes: {classes})"
             )
         declared_rate = entry.get("sampling_rate_hz")
@@ -160,31 +189,43 @@ def load_dataset(manifest_path) -> Dataset:
                 f"trial {entry['path']}: rate mismatch "
                 f"({declared_rate} Hz declared vs {rate} Hz dataset)"
             )
-        if not path.exists():
-            raise DatasetError(f"missing trial file: {path}")
-        try:
-            channels, data = _read_trial_csv(path)
-        except OSError as exc:
-            raise DatasetError(f"cannot read trial file {path}: {exc.strerror}") from exc
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"trial file is not UTF-8 text: {path}") from exc
-        if channels != list(entry["channels"]):
-            raise DatasetError(
-                f"trial {entry['path']}: channel names {channels} "
-                f"do not match manifest {entry['channels']}"
-            )
-        trials.append(Trial(
-            trial_id=Path(entry["path"]).stem,
-            label=label,
-            subject=entry.get("subject", ""),
-            group=entry.get("group", ""),
-            channels=channels,
-            data=data,
-        ))
+    ids = [Path(entry["path"]).stem for entry in entries]
+    if len(set(ids)) != len(ids):
+        raise DatasetError("trial ids must be unique")
+    return _Manifest(classes=classes, rate=rate, base=manifest_path.parent, entries=entries)
+
+
+def _read_trial(base: Path, entry: dict, layout: list) -> Trial:
+    """Read the trial of a manifest entry that `_read_manifest` checked, its
+    path relative to ``base``: its file, its samples (see `_read_trial_csv`),
+    its channel names against the entry's, and then against the dataset's
+    ``layout``. A CSV header that its own entry does not list is named as
+    such, even where that entry also breaks the layout."""
+    trial_id, path = Path(entry["path"]).stem, base / entry["path"]
+    if not path.exists():
+        raise DatasetError(f"missing trial file: {path}")
     try:
-        return Dataset(classes=classes, rate=rate, trials=trials)
-    except ValueError as exc:  # repeated trial ids, or a non-uniform channel layout
-        raise DatasetError(str(exc)) from exc
+        channels, data = _read_trial_csv(path)
+    except OSError as exc:
+        raise DatasetError(f"cannot read trial file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"trial file is not UTF-8 text: {path}") from exc
+    if channels != list(entry["channels"]):
+        raise DatasetError(
+            f"trial {entry['path']}: channel names {channels} "
+            f"do not match manifest {entry['channels']}"
+        )
+    if channels != layout:
+        raise DatasetError(f"trial {trial_id} channels {channels} differ from {layout}; "
+                           "datasets need a uniform layout")
+    return Trial(
+        trial_id=trial_id,
+        label=entry["label"],
+        subject=entry.get("subject", ""),
+        group=entry.get("group", ""),
+        channels=channels,
+        data=data,
+    )
 
 
 def _number(value, entry: str) -> float:

@@ -18,7 +18,8 @@ its attempts are not averaged but counted in the ``excluded`` column
 instead. A record whose clean power is zero (SNR
 undefined) is left out the same way for every feature. A feature that no
 record gives a PE for is named, with the reason, in the grid's ``unscored``:
-the reason of the first record, in record order, that excluded it.
+the fault of a descriptor that no record can give a value (see below), or
+else the reason of the first record, in record order, that excluded it.
 
 All features at a given (record, SNR, repetition) see the same noise draw,
 and each draw's stream is keyed by (seed, record index, SNR index,
@@ -34,9 +35,12 @@ so a block holds 4 records. One `noise.add_wgn` call draws every noisy copy
 of the block straight into its rows of the block's matrix, the whole
 feature panel is extracted from the block in one call, and one
 `percentage_error` call scores the block. A record whose clean power is
-zero stays out of every block. If a block's joint extraction raises, its
-records are extracted one at a time, so a failure that only one record
-causes excludes only that record. Every value, and so every row and every
+zero stays out of every block, and a descriptor that no record can give a
+value is left out of every extraction: one whose scalar component is out
+of range, or one that `registry._check_width` refuses at the records' width
+(``mavslp``'s 3 segments of a 256-sample window). If a block's joint
+extraction raises, its records are extracted one at a time, so a failure
+that only one record causes excludes only that record. Every value, and so every row and every
 ``unscored`` reason, is what extracting each record alone gives.
 """
 from __future__ import annotations
@@ -48,7 +52,7 @@ import numpy as np
 from .dataio import Dataset
 from .noise import (ZERO_POWER, add_wgn, derive_seeds, level_text, signal_power, snr_factor,
                     stream_words)
-from .registry import (FeatureDescriptor, _blocks, extract, peak_amplitude,
+from .registry import (FeatureDescriptor, _blocks, _check_width, extract, peak_amplitude,
                        resolve_hemg_peak)
 from .signals import SegmentationConfig, segment
 
@@ -151,8 +155,8 @@ def run_grid(dataset: Dataset, features: list[FeatureDescriptor], cfg: Robustnes
     reps = cfg.repetitions
     n_snr = len(cfg.snr_grid)
     copies = 1 + n_snr * reps  # a record's rows: its clean signal, then its noisy copies
-    picks, reasons = _scalar_picks(features)
-    in_range = np.array([d_idx not in reasons for d_idx in range(len(features))])
+    picks, reasons = _scalar_picks(features, width)
+    usable = np.array([d_idx not in reasons for d_idx in range(len(features))])
     pe = np.zeros((len(features), n_snr, records, reps))
     valid = np.zeros((records, len(features)), dtype=bool)
     stream_seeds = derive_seeds([cfg.seed], range(records), range(n_snr))
@@ -168,8 +172,8 @@ def run_grid(dataset: Dataset, features: list[FeatureDescriptor], cfg: Robustnes
         matrix = np.empty((len(block), copies, width))
         matrix[:, 0] = samples[block.start:block.stop]
         add_wgn(matrix[:, 0], factors, words[block.start:block.stop], matrix[:, 1:])
-        values, failures = _scalar_values(features, picks, in_range, matrix, dataset.rate)
-        ok = in_range & (values[:, 0] != 0)  # a failed descriptor's values are zero
+        values, failures = _scalar_values(features, picks, usable, matrix, dataset.rate)
+        ok = usable & (values[:, 0] != 0)  # a failed descriptor's values are zero
         # an excluded pair divides by 1, not by its zero clean value, and stays invalid
         pe[:, :, block.start:block.stop] = percentage_error(
             np.where(ok, values[:, 0], 1.0)[:, np.newaxis], values[:, 1:],
@@ -204,50 +208,62 @@ def run_grid(dataset: Dataset, features: list[FeatureDescriptor], cfg: Robustnes
     return RobustnessGrid(rows=rows, features=features, unscored=unscored)
 
 
-def _scalar_picks(features):
+def _scalar_picks(features, width=None):
     """Each descriptor's scalar column in a joint extraction, and where none exists.
 
-    Returns the column indices (0 where a descriptor's ``scalar_component``
-    is out of range) and {descriptor index: reason} for those descriptors.
+    Returns the column indices and {descriptor index: reason} for the
+    descriptors that no record can give a scalar: one whose
+    ``scalar_component`` is out of range, and, given ``width``, one that
+    `registry._check_width` refuses at ``width`` samples. The joint
+    extraction is of the other descriptors, in order; a descriptor with a
+    reason gets column 0.
     """
-    counts = [desc.component_count() for desc in features]
-    starts = np.cumsum([0] + counts[:-1])
-    picks, reasons = np.zeros(len(features), dtype=np.intp), {}
-    for d_idx, (desc, start, count) in enumerate(zip(features, starts, counts)):
-        if 1 <= desc.scalar_component <= count:
-            picks[d_idx] = start + desc.scalar_component - 1
-        else:
-            reasons[d_idx] = (f"scalar component {desc.scalar_component} out of range "
-                              f"for {count} components")
+    picks, reasons, start = np.zeros(len(features), dtype=np.intp), {}, 0
+    for d_idx, desc in enumerate(features):
+        count = desc.component_count()
+        try:
+            if not 1 <= desc.scalar_component <= count:
+                raise ValueError(f"scalar component {desc.scalar_component} out of range "
+                                 f"for {count} components")
+            if width is not None:
+                _check_width([desc], width)
+        except ValueError as exc:
+            reasons[d_idx] = str(exc)
+            continue
+        picks[d_idx] = start + desc.scalar_component - 1
+        start += count
     return picks, reasons
 
 
-def _scalar_values(features, picks, in_range, block, rate):
+def _scalar_values(features, picks, usable, block, rate):
     """Every descriptor's scalar over each record's rows of ``block``, and which fail.
 
     ``block`` is a (records, rows, samples) array. Returns the (records,
     rows, descriptors) values and, per record, {descriptor index: error
     message} for the descriptors whose extraction raised on that record.
-    One joint extraction covers the whole block and shares intermediates
-    (differences, the spectrum) among the descriptors. If it raises, each
-    record is extracted on its own, and where that raises, each descriptor
-    on its own, so a failure excludes only its own (record, descriptor)
-    pairs. The values of a failed descriptor are zero, and so are those of a
-    descriptor whose scalar component is out of range (``in_range`` False)
-    wherever descriptors are extracted on their own.
+    Only the ``usable`` descriptors are extracted, and ``picks`` comes from
+    `_scalar_picks`. One joint extraction covers the whole block and shares
+    intermediates (differences, the spectrum) among the descriptors. If it
+    raises, each record is extracted on its own, and where that raises, each
+    descriptor on its own, so a failure excludes only its own (record,
+    descriptor) pairs. The values of a failed descriptor are zero, and so
+    are those of a descriptor that is not usable wherever descriptors are
+    extracted on their own.
     """
-    try:
-        values = extract(features, block.reshape(-1, block.shape[-1]), rate)[:, picks]
-        return values.reshape(block.shape[:2] + (-1,)), [{} for _ in block]
-    except ValueError:
-        pass
+    joint = [features[d_idx] for d_idx in np.flatnonzero(usable)]
+    if joint:
+        try:
+            values = extract(joint, block.reshape(-1, block.shape[-1]), rate)[:, picks]
+            return values.reshape(block.shape[:2] + (-1,)), [{} for _ in block]
+        except ValueError:
+            pass
     if len(block) > 1:
-        parts = [_scalar_values(features, picks, in_range, rows[np.newaxis], rate)
+        parts = [_scalar_values(features, picks, usable, rows[np.newaxis], rate)
                  for rows in block]
         return np.concatenate([v for v, _ in parts]), [f for _, (f,) in parts]
     values = np.zeros(block.shape[:2] + (len(features),))
     failures = {}
-    for d_idx in np.flatnonzero(in_range):
+    for d_idx in np.flatnonzero(usable):
         desc = features[d_idx]
         try:
             values[0, :, d_idx] = extract([desc], block[0], rate)[:, desc.scalar_component - 1]

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from functools import reduce
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import myobench
-from myobench import cli
+from myobench import cli, dataio, registry
 from myobench.cli import main
 from myobench.dataio import (ClassSpec, DatasetError, SynthConfig, load_dataset,
                              save_dataset, synthesize_emg)
@@ -459,6 +460,110 @@ class TestExtract:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.output.strip() == f"Error: {message.format(data=dataset_dir)}"
+
+    def test_a_fault_of_the_manifest_comes_before_any_sample(self, runner, dataset_dir,
+                                                              tmp_path):
+        # Trial 0 holds a NaN, and trial 2 repeats trial 1's id: the manifest
+        # is checked whole before any trial file is read.
+        trial_csv = dataset_dir / "hand_open_01.csv"
+        lines = trial_csv.read_text().splitlines()
+        lines[10] = "nan," + lines[10].split(",", 1)[1]
+        trial_csv.write_text("\n".join(lines) + "\n")
+        manifest_path = dataset_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["trials"][2]["path"] = "./hand_open_02.csv"
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["extract", "--data", str(manifest_path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.strip() == "Error: trial ids must be unique"
+        assert not out.exists()
+
+
+class TestStreamedExtract:
+    """extract reads the trials in groups of at least ``registry._BLOCK_SAMPLES``
+    window samples, and keeps only the group it is extracting."""
+
+    def run(self, runner, manifest, features, out):
+        result = runner.invoke(main, ["extract", "--data", str(manifest),
+                                      "--features", features, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return out.read_bytes(), Path(f"{out}.config.json").read_bytes()
+
+    @pytest.mark.parametrize("features", ["rms,mav,wl", "rms,mmnf,hemg", "hemg:limit=200,wl"])
+    def test_groups_of_any_size_write_the_same_bytes(self, runner, dataset_dir, tmp_path,
+                                                     monkeypatch, features):
+        # Each of the 4 trials holds 15 windows x 256 samples x 2 channels =
+        # 7,680 window samples: the default budget makes one group of them,
+        # 15,360 makes two, and 1 makes each trial a group.
+        manifest = dataset_dir / "manifest.json"
+        calls = []
+
+        def counted(trials, *args):
+            calls[-1] += 1
+            return extract_window_set(trials, *args)
+
+        monkeypatch.setattr(cli, "extract_window_set", counted)
+        outputs = []
+        for budget, groups in [(registry._BLOCK_SAMPLES, 1), (2 * 7680, 2), (1, 4)]:
+            monkeypatch.setattr(registry, "_BLOCK_SAMPLES", budget)
+            calls.append(0)
+            outputs.append(self.run(runner, manifest, features, tmp_path / f"{budget}.csv"))
+            assert calls[-1] == groups
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("features, alive", [
+        ("rms,mav,wl", [1, 1, 1, 1]),        # one trial at a time
+        ("hemg:limit=200,wl", [1, 1, 1, 1]),  # a given range needs no peak
+        ("rms,hemg", [1, 2, 3, 4]),          # the range needs every trial's peak first
+    ])
+    def test_only_the_group_in_hand_is_kept(self, runner, dataset_dir, tmp_path,
+                                             monkeypatch, features, alive):
+        refs, counts = [], []
+        read_trial = dataio._read_trial
+
+        def recorded(*args):
+            trial = read_trial(*args)
+            refs.append(weakref.ref(trial))
+            counts.append(sum(ref() is not None for ref in refs))
+            return trial
+
+        monkeypatch.setattr(dataio, "_read_trial", recorded)
+        monkeypatch.setattr(registry, "_BLOCK_SAMPLES", 1)  # every trial is over the budget
+        self.run(runner, dataset_dir / "manifest.json", features, tmp_path / "x.csv")
+        assert counts == alive
+
+    def test_the_segmentation_is_checked_before_any_trial_is_read(self, runner, dataset_dir,
+                                                                   tmp_path):
+        for trial_csv in dataset_dir.glob("*.csv"):
+            trial_csv.unlink()
+        result = runner.invoke(main, ["extract", "--data", str(dataset_dir / "manifest.json"),
+                                      "--slide-ms", "64.3", "--out", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2, result.output
+        assert "slide of 64.3 ms is not an integer number of samples at 1000.0 Hz" \
+            in " ".join(result.output.split())
+
+    @pytest.mark.parametrize("budget", [registry._BLOCK_SAMPLES, 1])
+    @pytest.mark.parametrize("fault", ["nan", "missing"])
+    def test_a_fault_of_the_last_trial_writes_nothing(self, runner, dataset_dir, tmp_path,
+                                                       monkeypatch, budget, fault):
+        monkeypatch.setattr(registry, "_BLOCK_SAMPLES", budget)
+        trial_csv = dataset_dir / "hand_close_02.csv"  # the manifest's last trial
+        if fault == "nan":
+            lines = trial_csv.read_text().splitlines()
+            lines[10] = lines[10].split(",", 1)[0] + ",nan"
+            trial_csv.write_text("\n".join(lines) + "\n")
+            message = f"{trial_csv}:11: non-finite sample 'nan' in channel 'ch2'"
+        else:
+            trial_csv.unlink()
+            message = f"missing trial file: {trial_csv}"
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "extract", "--data", str(dataset_dir / "manifest.json"), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip() == f"Error: {message}"
+        assert not list(tmp_path.glob("x.csv*"))
 
 
 class TestRobustness:

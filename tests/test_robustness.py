@@ -430,6 +430,28 @@ class TestBlocks:
         assert calls == [((n, 256), (n, 60, 4), (n, 60, 256)) for n in (4, 4, 2)]
         same_rows(grid.rows, reference_rows(records, parse_features("rms,zc"), cfg))
 
+    def test_a_descriptor_no_width_can_take_splits_no_block(self, monkeypatch):
+        # mavslp's 3 segments do not split a 256-sample window. It used to
+        # fail each block's joint extraction, and so every record's, which
+        # sent the panel through one extract call per (record, descriptor).
+        dataset = synthesize_emg(SynthConfig(classes=tuple(default_class_specs(4)), seed=7))
+        cfg = RobustnessConfig(max_windows=4)
+        panel = run_grid(dataset, default_panel(), cfg, SEG)
+        calls = []
+
+        def counted(features, signals, rate):
+            calls.append(signals.shape)
+            return extract(features, signals, rate)
+
+        monkeypatch.setattr(robustness, "extract", counted)
+        grid = run_grid(dataset, default_panel() + parse_features("mavslp"), cfg, SEG)
+        assert calls == [(4 * 61, 256)] * 48  # 192 records, 4 to a block
+        same_rows([row for row in grid.rows if row.feature != "mavslp"], panel.rows)
+        mavslp = [row for row in grid.rows if row.feature == "mavslp"]
+        assert {(row.n, row.excluded) for row in mavslp} == {(0, 48 * 10)}  # per motion
+        assert grid.unscored == {
+            "mavslp": "window of 256 samples does not divide into 3 equal segments"}
+
 
 class TestSweep:
     def test_wamp_threshold_sweep_has_five_slices(self):
