@@ -30,6 +30,10 @@ import numpy as np
 
 from .time_features import _feature
 
+# The fault codes of the rows a kernel here cannot define (0: defined);
+# `registry._FAULTS` holds their messages, and time_features' code is 1.
+_NO_MASS, _COLLAPSED, _SINGULAR = 2, 3, 4
+
 
 def ar_coefficients(window, order: int = 1) -> np.ndarray:
     """Fit an AR(order) model by Yule-Walker / Levinson-Durbin.
@@ -43,13 +47,16 @@ def ar_coefficients(window, order: int = 1) -> np.ndarray:
     return _feature("ar", window, order=order)
 
 
-def levinson_durbin(windows, order: int = 1) -> np.ndarray:
+def levinson_durbin(windows, order: int = 1):
     """AR(order) fit of every row of a (windows, samples) matrix.
 
     Returns the (windows, order) coefficients a_1..a_p, under the
-    conventions of ``ar_coefficients``. Every dot product runs through BLAS
-    on contiguous rows, as ``np.dot`` does for one window, so a row's fit
-    does not depend on the rows batched with it.
+    conventions of ``ar_coefficients``, and each row's fault code: _SINGULAR
+    for an identically-zero row, else _COLLAPSED for one whose prediction
+    error reaches zero, else 0. Every dot product runs through BLAS on
+    contiguous rows, as ``np.dot`` does for one window, and a faulty row's
+    divisor is masked rather than shared, so a row's fit does not depend on
+    the rows batched with it.
     """
     x = np.ascontiguousarray(windows, dtype=float)
     p = int(order)
@@ -57,21 +64,19 @@ def levinson_durbin(windows, order: int = 1) -> np.ndarray:
         raise ValueError("need a (windows, samples) matrix")
     n = x.shape[1]  # 1 <= p < n: see `registry._check_width`
     r = np.stack([_row_dots(x[:, :n - k], x[:, k:]) for k in range(p + 1)], axis=1) / n
-    if np.any(r[:, 0] <= 0):
-        raise ValueError("window is identically zero; autocorrelation is singular")
 
     r_reversed = r[:, ::-1].copy()  # r_reversed[:, p - k] == r[:, k], contiguous for BLAS
     phi = np.zeros((x.shape[0], p))
     energy = r[:, 0]
     for i in range(1, p + 1):
         acc = r[:, i] - _row_dots(phi[:, : i - 1], r_reversed[:, p - i + 1:p])
-        if np.any(energy <= 0):
-            raise ValueError("prediction error collapsed to zero; window is degenerate")
-        k = acc / energy
+        # k is 0 on a row whose energy has collapsed, so its energy stays collapsed
+        collapsed = energy <= 0
+        k = acc / np.where(collapsed, np.inf, energy)
         phi[:, : i - 1] = phi[:, : i - 1] - k[:, np.newaxis] * phi[:, : i - 1][:, ::-1]
         phi[:, i - 1] = k
         energy = energy * (1.0 - k * k)
-    return -phi
+    return -phi, np.where(r[:, 0] <= 0, _SINGULAR, np.where(collapsed, _COLLAPSED, 0))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,29 +85,34 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _moment_arrays(freqs, weights, dc):
+    # A row without positive mass (or with a NaN in it) gets _NO_MASS and the
+    # divisor 1, so it raises no warning and leaves the other rows as they are.
     if not dc:
         keep = freqs != 0.0
         freqs, weights = freqs[keep], weights[..., keep]
     total = np.sum(weights, axis=-1)
-    if not np.all(total > 0):
-        raise ValueError("spectrum has no mass; mean/median frequency undefined")
-    return freqs, weights, total
+    mass = total > 0
+    return freqs, weights, np.where(mass, total, 1.0), np.where(mass, 0, _NO_MASS)
 
 
 def _centroid(freqs, weights, dc):
-    freqs, weights, total = _moment_arrays(freqs, weights, dc)
-    return np.sum(freqs * weights, axis=-1) / total
+    """Each row's weighted mean frequency, and its fault code."""
+    freqs, weights, total, codes = _moment_arrays(freqs, weights, dc)
+    return np.sum(freqs * weights, axis=-1) / total, codes
 
 
 def _median_bin(freqs, weights, dc):
-    # Discrete rule: smallest bin whose cumulative weight reaches half the
-    # total; exact half-splits land on the lower-frequency candidate. The
-    # cumulative sum never decreases, so counting the bins below half the
-    # total is a per-row searchsorted.
-    freqs, weights, total = _moment_arrays(freqs, weights, dc)
+    """Each row's median frequency, and its fault code.
+
+    Discrete rule: smallest bin whose cumulative weight reaches half the
+    total; exact half-splits land on the lower-frequency candidate. The
+    cumulative sum never decreases, so counting the bins below half the
+    total is a per-row searchsorted.
+    """
+    freqs, weights, total, codes = _moment_arrays(freqs, weights, dc)
     below = np.cumsum(weights, axis=-1) < 0.5 * total[..., np.newaxis]
     idx = np.minimum(np.count_nonzero(below, axis=-1), freqs.size - 1)
-    return freqs[idx]
+    return freqs[idx], codes
 
 
 def mnf(window, rate: float, dc: int = 1) -> float:

@@ -54,8 +54,8 @@ import numpy as np
 from .dataio import Dataset, Trial, csv_prefix, write_output
 from .noise import (add_wgn, derive_seed, derive_seeds, level_text, signal_power, snr_factor,
                     stream_words)
-from .registry import (FeatureDescriptor, _blocks, _check_width, _extract_stack,
-                       peak_amplitude, resolve_hemg_peak)
+from .registry import (FeatureDescriptor, _blocks, _extract_stack, _fault, peak_amplitude,
+                       resolve_hemg_peak)
 from .signals import SegmentationConfig, segment_offsets
 
 DEFAULT_VOTE_WINDOW = 5  # ~512 ms of context at 256/64 ms windowing
@@ -205,9 +205,10 @@ def majority_vote(decision_stream, vote_window: int = DEFAULT_VOTE_WINDOW) -> li
     return [names[c] for c in smoothed.tolist()]
 
 
-def _channel_error(trial: Trial, channel: int, exc: ValueError) -> ValueError:
-    """``exc`` as raised by channel ``channel`` of ``trial``, named in its message."""
-    return ValueError(f"trial {trial.trial_id}, channel {trial.channels[channel]}: {exc}")
+def _channel_error(trial: Trial, channel: int, fault) -> ValueError:
+    """A ValueError of ``fault`` (a message or an exception) in channel
+    ``channel`` of ``trial``, naming both."""
+    return ValueError(f"trial {trial.trial_id}, channel {trial.channels[channel]}: {fault}")
 
 
 def extract_window_set(trials: list[Trial], rate: float,
@@ -224,22 +225,25 @@ def extract_window_set(trials: list[Trial], rate: float,
     stacked blocks of at most ``registry._BLOCK_SAMPLES`` window samples (a
     block may end inside a trial), each written straight into its rows and
     channel's columns; every value equals that channel's `extract_segments`.
-    When a block's extraction raises, its signals are extracted one at a
-    time, and the first that fails is a ValueError naming its trial and
-    channel.
+    A window that a descriptor cannot define is a ValueError naming the
+    first such signal's trial and channel, in (trial, channel) order, with
+    the fault of its first such descriptor. A trial whose label is not in
+    ``class_names`` is a ValueError naming both, raised before any extraction.
     """
     if not trials:
         raise ValueError("no trials to extract features from")
     channels = len(trials[0].channels)
     if any(len(trial.channels) != channels for trial in trials):
         raise ValueError("trials must share one channel layout")
+    for trial in trials:
+        if trial.label not in class_names:
+            raise ValueError(f"trial {trial.trial_id}: label {trial.label!r} is not a class name")
     feature_names = [f"{ch_name}:{c}" for ch_name in trials[0].channels
                      for desc in descriptors for c in desc.component_names()]
 
     offsets = [segment_offsets(len(trial.data), rate, segmentation) for trial in trials]
     first_row = np.cumsum([0] + [o.size for o in offsets])
     width = segmentation.window_samples(rate)
-    _check_width(descriptors, width)  # a fault of no one trial or channel
     features = np.empty((first_row[-1], channels,
                          sum(d.component_count() for d in descriptors)))
     signals = [(t, ch) for t in range(len(trials)) for ch in range(channels)]
@@ -248,16 +252,11 @@ def extract_window_set(trials: list[Trial], rate: float,
         stack = np.empty((len(block), span))
         for row, (t, ch) in zip(stack, (signals[i] for i in block)):
             row[:] = trials[t].data[:span, ch]
-        try:
-            values = _extract_stack(descriptors, stack, rate, segmentation)
-        except ValueError:  # name the first signal that fails on its own
-            for row, i in zip(stack, block):
-                t, ch = signals[i]
-                try:
-                    _extract_stack(descriptors, row[np.newaxis], rate, segmentation)
-                except ValueError as exc:
-                    raise _channel_error(trials[t], ch, exc) from None
-            raise
+        values, codes = _extract_stack(descriptors, stack, rate, segmentation)
+        faulty = np.flatnonzero(codes.any(axis=(1, 2)))
+        if faulty.size:
+            t, ch = signals[block[faulty[0]]]
+            raise _channel_error(trials[t], ch, _fault(codes[faulty[0]]))
         for signal_values, i in zip(values, block):
             t, ch = signals[i]
             features[first_row[t]:first_row[t + 1], ch] = signal_values

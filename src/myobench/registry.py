@@ -29,6 +29,15 @@ copy matrices (see `robustness.run_grid`), each under one budget,
 ``extract_segments`` runs the same code on a stack of one signal, and each
 row of a stack gets the values it would get alone, bit for bit.
 
+A window that a kernel cannot define does not stop the pass: an all-zero
+window's AR fit, a spectrum with no mass, a histogram window holding a
+non-finite sample. That window gets NaN in the descriptor's columns and a
+fault code (see `_FAULTS`), and every other window keeps its value. So one
+extraction of a block tells the robustness grid which (record, descriptor)
+pairs to leave out and tells the recognition pipeline which signal to
+name. ``extract`` and ``extract_segments`` raise the first faulty
+descriptor's message instead.
+
 For percentage-error benchmarking a vector feature is reduced to one
 scalar, the component its record names, which the robustness study singles
 out: histogram bin 2 (of the 3-bin histogram) and AR coefficient a_1.
@@ -104,7 +113,7 @@ class _Intermediates:
         samples axis.
         """
         if self.slide is None:
-            return np.count_nonzero(events, axis=-1)
+            return events.view(np.uint8).sum(axis=-1, dtype=np.int32)
         n = events.shape[-1]
         starts = np.arange(0, events.size, n)[:, np.newaxis] + self.starts
         positions = np.flatnonzero(events)
@@ -148,15 +157,17 @@ class _Family:
     """Everything the package decides per feature family, in one record.
 
     ``kernel`` takes an `_Intermediates` and the parameters as keywords and
-    gives one result per window. ``params`` holds the defaults (ints where
-    the feature needs counts or orders); a None default is resolved from the
-    data, as hemg's ``limit`` is. ``reads`` names the cached intermediates
-    the kernel reads, ``min_samples`` the shortest window it takes (0: its
-    parameters bound the length, as AR's order does, or the kernel checks
-    it, as the spectral moments do; see `_check_width`),
-    ``size`` the component count from the parameters (None: one scalar),
-    ``scalar`` the 1-based component percentage error uses, and ``counts``
-    whether the values are integer counts.
+    gives one result per window, or, if it can leave a window undefined, a
+    pair of those results and each window's fault code (see `_FAULTS`).
+    ``params`` holds the defaults (ints where the feature needs counts or
+    orders); a None default is resolved from the data, as hemg's ``limit``
+    is. ``reads`` names the cached intermediates the kernel reads,
+    ``min_samples`` the shortest window it takes (0: its parameters bound
+    the length, as AR's order does, or the kernel checks it, as the spectral
+    moments do; see `_check_width`), ``size`` the component count from the
+    parameters (None: one scalar), ``scalar`` the 1-based component
+    percentage error uses, and ``counts`` whether the values are integer
+    counts.
     """
 
     kernel: Callable
@@ -216,6 +227,17 @@ _DOMAINS = {
     "dc": (lambda v: v in (0, 1), "0 or 1"),
     "threshold": (lambda v: v >= 0, "non-negative"),  # NaN fails too
     "limit": (lambda v: 0 < v < math.inf, "positive and finite"),
+}
+
+# The message of each code a kernel gives a window it cannot define (0: the
+# window is defined). Where one descriptor's windows have two codes, the
+# higher one names the fault: an all-zero window's AR fit names its singular
+# autocorrelation, not the collapsed prediction error that follows from it.
+_FAULTS = {
+    tf._NON_FINITE: "hemg needs finite samples",
+    ff._NO_MASS: "spectrum has no mass; mean/median frequency undefined",
+    ff._COLLAPSED: "prediction error collapsed to zero; window is degenerate",
+    ff._SINGULAR: "window is identically zero; autocorrelation is singular",
 }
 
 FEATURE_NAMES = tuple(_FAMILIES)
@@ -342,8 +364,15 @@ def extract(descriptors, windows, rate: float) -> np.ndarray:
     column per component. Each intermediate is computed once per call and
     shared by every kernel that reads it: |x| by the MAV family, x^2 by ssi,
     var and rms, the sample differences by wl, zc, ssc and wamp, the
-    spectrum and its square by the spectral moments.
+    spectrum and its square by the spectral moments. A window that a
+    descriptor cannot define is a ValueError (see `_fault`).
     """
+    return _defined(*_extract_rows(descriptors, windows, rate))
+
+
+def _extract_rows(descriptors, windows, rate: float):
+    """`extract`'s matrix, with NaN where a window is undefined, and its
+    (windows, descriptors) fault codes, instead of an error."""
     x = np.asarray(windows, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("need a 1-D window or a (windows, samples) matrix")
@@ -362,21 +391,22 @@ def extract_segments(descriptors, samples, rate: float, cfg: SegmentationConfig)
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError("extract_segments needs a 1-D sample array")
-    return _extract_stack(descriptors, x[np.newaxis], rate, cfg)[0]
+    return _defined(*_extract_stack(descriptors, x[np.newaxis], rate, cfg))[0]
 
 
-def _extract_stack(descriptors, signals, rate: float, cfg: SegmentationConfig) -> np.ndarray:
-    """`extract_segments` of every row of a (signals, samples) stack, bit for bit.
+def _extract_stack(descriptors, signals, rate: float, cfg: SegmentationConfig):
+    """`extract_segments` of every row of a (signals, samples) stack, bit for
+    bit, with NaN and fault codes where it would raise.
 
-    Returns a (signals, windows, columns) array. One pass of each kernel
-    covers the whole stack, so its fixed cost is paid once per stack rather
-    than once per signal.
+    Returns a (signals, windows, columns) array and the (signals, windows,
+    descriptors) codes. One pass of each kernel covers the whole stack, so
+    its fixed cost is paid once per stack rather than once per signal.
     """
     offsets = segment_offsets(signals.shape[1], rate, cfg)  # raises when too short
     width = cfg.window_samples(rate)
     shared = _Intermediates(signals[:, :offsets[-1] + width], width, cfg.slide_samples(rate),
                             rate)
-    return _columns(descriptors, shared).reshape(len(signals), offsets.size, -1)
+    return tuple(a.reshape(len(signals), offsets.size, -1) for a in _columns(descriptors, shared))
 
 
 # The most window samples (windows x width) that one stacked extraction
@@ -425,7 +455,26 @@ def _check_width(descriptors, width: int) -> None:
             raise ValueError(f"AR order {params['order']} needs more than {width} samples")
 
 
-def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
+def _fault(codes) -> str | None:
+    """The message of the first descriptor, in order, that leaves a window
+    undefined, from its highest code over the windows, or None if none does.
+    ``codes`` holds one fault code per (window, descriptor), descriptors last."""
+    worst = codes.reshape(-1, codes.shape[-1]).max(axis=0, initial=0).tolist()
+    return next((_FAULTS[code] for code in worst if code), None)
+
+
+def _defined(values, codes):
+    """``values`` if every window is defined, else `_fault`'s ValueError."""
+    if message := _fault(codes):
+        raise ValueError(message)
+    return values
+
+
+def _columns(descriptors, shared: _Intermediates):
+    """The (windows, columns) values of the descriptors over ``shared``'s
+    windows, and one fault code per (window, descriptor). Every kernel
+    computes every window, and a window it cannot define gets NaN in each
+    of the descriptor's columns and a nonzero code."""
     # Each cached array is dropped after the last descriptor that reads it, so
     # few are alive at once and the allocator reuses their memory instead of
     # returning it to the system and faulting it in again on the next call. A
@@ -435,14 +484,20 @@ def _columns(descriptors, shared: _Intermediates) -> np.ndarray:
     for i, family in enumerate(families):
         last_reader.update(dict.fromkeys(family.reads, i))
     _check_width(descriptors, shared.width)
-    columns = []
+    columns, codes = [], np.zeros((shared.total, len(descriptors)), dtype=np.int8)
     for i, (desc, family) in enumerate(zip(descriptors, families)):
-        value = np.asarray(family.kernel(shared, **desc.param_dict), dtype=float)
+        value = family.kernel(shared, **desc.param_dict)
+        if isinstance(value, tuple):  # its values and each window's fault code
+            value, codes[:, i] = value
+        value = np.asarray(value, dtype=float)
         columns.append(value.reshape(shared.total, desc.component_count()))
         for name in family.reads:
             if last_reader[name] == i:
                 vars(shared).pop(name, None)
-    return np.hstack(columns)
+    values = np.hstack(columns)
+    if codes.any():  # NaN in every column of a descriptor's undefined windows
+        values[np.repeat(codes > 0, [c.shape[1] for c in columns], axis=1)] = np.nan
+    return values, codes
 
 
 def make_descriptor(name: str, params: dict | None = None) -> FeatureDescriptor:

@@ -13,13 +13,14 @@ Results aggregate to mean/std PE per (feature, group, motion, SNR), one
 cell per level: a grid that lists a level twice (compared as floats, so 20
 and 20.0, or 0 and -0) is refused. Each record's clean signal and noisy
 copies are scored together, so a (record, feature) pair whose clean value
-is zero (PE undefined) or whose extraction fails is left out as a whole:
-its attempts are not averaged but counted in the ``excluded`` column
-instead. A record whose clean power is zero (SNR
-undefined) is left out the same way for every feature. A feature that no
-record gives a PE for is named, with the reason, in the grid's ``unscored``:
-the fault of a descriptor that no record can give a value (see below), or
-else the reason of the first record, in record order, that excluded it.
+is zero (PE undefined), or that the feature cannot define on its clean
+signal or any noisy copy, is left out as a whole: its attempts are not
+averaged but counted in the ``excluded`` column instead. A record whose
+clean power is zero (SNR undefined) is left out the same way for every
+feature. A feature that no record gives a PE for is named, with the
+reason, in the grid's ``unscored``: the fault of a descriptor that no
+record can give a value (see below), or else the reason of the first
+record, in record order, that excluded it.
 
 All features at a given (record, SNR, repetition) see the same noise draw,
 and each draw's stream is keyed by (seed, record index, SNR index,
@@ -38,9 +39,12 @@ feature panel is extracted from the block in one call, and one
 zero stays out of every block, and a descriptor that no record can give a
 value is left out of every extraction: one whose scalar component is out
 of range, or one that `registry._check_width` refuses at the records' width
-(``mavslp``'s 3 segments of a 256-sample window). If a block's joint
-extraction raises, its records are extracted one at a time, so a failure
-that only one record causes excludes only that record. Every value, and so every row and every
+(``mavslp``'s 3 segments of a 256-sample window). A row that a descriptor
+cannot define, such as a constant record's spectrum without its DC bin,
+does not stop the block's extraction: it comes back as NaN with a fault
+code (see `registry._FAULTS`), so one extraction per block finds every
+(record, descriptor) pair to leave out, and a pair's reason is the highest
+code over the record's rows. Every value, and so every row and every
 ``unscored`` reason, is what extracting each record alone gives.
 """
 from __future__ import annotations
@@ -52,8 +56,8 @@ import numpy as np
 from .dataio import Dataset
 from .noise import (ZERO_POWER, add_wgn, derive_seeds, level_text, signal_power, snr_factor,
                     stream_words)
-from .registry import (FeatureDescriptor, _blocks, _check_width, extract, peak_amplitude,
-                       resolve_hemg_peak)
+from .registry import (_FAULTS, FeatureDescriptor, _blocks, _check_width, _extract_rows,
+                       peak_amplitude, resolve_hemg_peak)
 from .signals import SegmentationConfig, segment
 
 
@@ -157,14 +161,16 @@ def run_grid(dataset: Dataset, features: list[FeatureDescriptor], cfg: Robustnes
     copies = 1 + n_snr * reps  # a record's rows: its clean signal, then its noisy copies
     picks, reasons = _scalar_picks(features, width)
     usable = np.array([d_idx not in reasons for d_idx in range(len(features))])
+    joint = [features[d_idx] for d_idx in np.flatnonzero(usable)]
     pe = np.zeros((len(features), n_snr, records, reps))
     valid = np.zeros((records, len(features)), dtype=bool)
     stream_seeds = derive_seeds([cfg.seed], range(records), range(n_snr))
     words = stream_words(stream_seeds.ravel(), range(reps)).reshape(records, copies - 1, -1)
     factors = np.repeat([snr_factor(snr) for snr in cfg.snr_grid], reps)  # one per copy
     powers = signal_power(samples)
-    # A block's records are all of nonzero clean power or all of zero.
-    for block in _blocks([copies * width] * records, (powers > 0).tolist()):
+    # A block's records are all of nonzero clean power or all of zero. With no
+    # descriptor to extract, every descriptor already has its reason.
+    for block in _blocks([copies * width] * records, (powers > 0).tolist()) if joint else []:
         if powers[block.start] == 0:  # zero clean power: excluded for every feature
             for d_idx in range(len(features)):
                 reasons.setdefault(d_idx, ZERO_POWER)
@@ -172,16 +178,19 @@ def run_grid(dataset: Dataset, features: list[FeatureDescriptor], cfg: Robustnes
         matrix = np.empty((len(block), copies, width))
         matrix[:, 0] = samples[block.start:block.stop]
         add_wgn(matrix[:, 0], factors, words[block.start:block.stop], matrix[:, 1:])
-        values, failures = _scalar_values(features, picks, usable, matrix, dataset.rate)
-        ok = usable & (values[:, 0] != 0)  # a failed descriptor's values are zero
-        # an excluded pair divides by 1, not by its zero clean value, and stays invalid
+        values, codes = _extract_rows(joint, matrix.reshape(-1, width), dataset.rate)
+        values = values[:, picks].reshape(len(block), copies, -1)
+        # a (record, descriptor) pair's fault is its highest code over the record's rows
+        faults = np.zeros((len(block), len(features)), dtype=codes.dtype)
+        faults[:, usable] = codes.reshape(len(block), copies, -1).max(axis=1)
+        ok = usable & (faults == 0) & (values[:, 0] != 0)
+        # an excluded pair divides by 1, not by its zero or NaN clean value, and stays invalid
         pe[:, :, block.start:block.stop] = percentage_error(
             np.where(ok, values[:, 0], 1.0)[:, np.newaxis], values[:, 1:],
         ).reshape(len(block), n_snr, reps, -1).transpose(3, 1, 0, 2)
         valid[block.start:block.stop] = ok
-        for failed, record_ok in zip(failures, ok):
-            for d_idx in np.flatnonzero(~record_ok):  # failed descriptors among them
-                reasons.setdefault(d_idx, failed.get(d_idx, "its clean value is zero"))
+        for r, d_idx in np.argwhere(~ok).tolist():  # in record order
+            reasons.setdefault(d_idx, _FAULTS.get(faults[r, d_idx], "its clean value is zero"))
 
     buckets: dict[tuple[str, str], list[int]] = {}
     for r_idx, s_idx in enumerate(owner.tolist()):
@@ -233,43 +242,6 @@ def _scalar_picks(features, width=None):
         picks[d_idx] = start + desc.scalar_component - 1
         start += count
     return picks, reasons
-
-
-def _scalar_values(features, picks, usable, block, rate):
-    """Every descriptor's scalar over each record's rows of ``block``, and which fail.
-
-    ``block`` is a (records, rows, samples) array. Returns the (records,
-    rows, descriptors) values and, per record, {descriptor index: error
-    message} for the descriptors whose extraction raised on that record.
-    Only the ``usable`` descriptors are extracted, and ``picks`` comes from
-    `_scalar_picks`. One joint extraction covers the whole block and shares
-    intermediates (differences, the spectrum) among the descriptors. If it
-    raises, each record is extracted on its own, and where that raises, each
-    descriptor on its own, so a failure excludes only its own (record,
-    descriptor) pairs. The values of a failed descriptor are zero, and so
-    are those of a descriptor that is not usable wherever descriptors are
-    extracted on their own.
-    """
-    joint = [features[d_idx] for d_idx in np.flatnonzero(usable)]
-    if joint:
-        try:
-            values = extract(joint, block.reshape(-1, block.shape[-1]), rate)[:, picks]
-            return values.reshape(block.shape[:2] + (-1,)), [{} for _ in block]
-        except ValueError:
-            pass
-    if len(block) > 1:
-        parts = [_scalar_values(features, picks, usable, rows[np.newaxis], rate)
-                 for rows in block]
-        return np.concatenate([v for v, _ in parts]), [f for _, (f,) in parts]
-    values = np.zeros(block.shape[:2] + (len(features),))
-    failures = {}
-    for d_idx in np.flatnonzero(usable):
-        desc = features[d_idx]
-        try:
-            values[0, :, d_idx] = extract([desc], block[0], rate)[:, desc.scalar_component - 1]
-        except ValueError as exc:
-            failures[d_idx] = str(exc)
-    return values, [failures]
 
 
 def grid_csv_rows(grid: RobustnessGrid) -> list[list]:

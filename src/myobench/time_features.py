@@ -25,6 +25,10 @@ DEFAULT_WAMP_THRESHOLD = 10.0
 DEFAULT_MAVSLP_SEGMENTS = 3
 DEFAULT_HEMG_BINS = 3
 
+# The fault code of a histogram window with a non-finite sample (0: defined);
+# `registry._FAULTS` holds its message, and freq_features' codes are 2 to 4.
+_NON_FINITE = 1
+
 
 def _feature(name: str, window, rate: float = 1.0, **params):
     """``registry.extract`` of one descriptor, in the shape and type of a feature.
@@ -248,16 +252,18 @@ def _hemg_edges(bins: int, limit: float) -> tuple[float, ...]:
 
 
 def _hemg(s, bins: int, limit: float):
-    """Each window's sample count per bin, as a (windows, bins) matrix.
+    """Each window's sample count per bin, as a (windows, bins) matrix, and
+    each window's fault code: _NON_FINITE for a window that holds a sample
+    with no bin, else 0.
 
     ``s`` is a `registry._Intermediates`. A window's count in bin j is its
     count of samples at or above e_j minus its count at or above e_{j+1},
     with every sample at or above e_0 and none at or above e_bins.
     """
-    if not np.isfinite(s.source).all():
-        raise ValueError("hemg needs finite samples")
     at_least = np.empty((s.total, bins + 1), dtype=np.intp)
     at_least[:, 0], at_least[:, bins] = s.width, 0
     for j, edge in enumerate(_hemg_edges(bins, limit), 1):
         at_least[:, j] = s.counts(s.source >= edge).reshape(-1)
-    return at_least[:, :-1] - at_least[:, 1:]
+    finite = np.isfinite(s.source)
+    undefined = not finite.all() and s.counts(~finite).reshape(-1) > 0
+    return at_least[:, :-1] - at_least[:, 1:], np.where(undefined, _NON_FINITE, 0)

@@ -204,6 +204,45 @@ class TestBlockExtraction:
         with pytest.raises(ValueError, match="one channel layout"):
             extract_window_set(mixed, 1000.0, parse_features("rms"), BLOCK_SEG, ["a", "b"])
 
+    def test_a_label_outside_the_class_names_is_named(self):
+        trials = noise_trials(6, [20, 20], channels=1)
+        trials[1] = replace(trials[1], label="hand_open")
+        with patch.object(recognition, "_extract_stack") as stack:
+            with pytest.raises(ValueError,
+                               match="^trial t1: label 'hand_open' is not a class name$"):
+                extract_window_set(trials, 1000.0, parse_features("rms"), BLOCK_SEG,
+                                   ["a", "b"])
+        stack.assert_not_called()  # refused before any extraction
+
+    def test_the_first_faulty_signal_is_named_from_one_extraction(self):
+        # Trials t0..t2 of 2 channels stack into one block. t1's ch1 is all
+        # zero (AR singular, no spectral mass) and t2's ch0 holds a NaN (no
+        # histogram bin, no spectral mass): t1's ch1 comes first in (trial,
+        # channel) order, and its first faulty descriptor in order names it.
+        trials = noise_trials(8, [20, 20, 20], channels=2)
+        trials[1].data[:, 1] = 0.0
+        trials[2].data[5, 0] = np.nan
+        calls = []
+
+        def counted(descriptors, stack, rate, cfg):
+            calls.append(stack.shape)
+            return registry._extract_stack(descriptors, stack, rate, cfg)
+
+        for features, message in [
+            ("rms,hemg:limit=2,ar,mnf", "window is identically zero; autocorrelation is singular"),
+            ("rms,mnf,ar", "spectrum has no mass; mean/median frequency undefined"),
+        ]:
+            calls.clear()
+            with patch.object(recognition, "_extract_stack", counted):
+                with pytest.raises(ValueError, match=f"^trial t1, channel ch1: {message}$"):
+                    extract_window_set(trials, 1000.0, parse_features(features), BLOCK_SEG,
+                                       ["a", "b"])
+            assert calls == [(6, 20)]
+        trials[1].data[:, 1] = 1.0  # now only t2's NaN is a fault
+        with pytest.raises(ValueError, match="^trial t2, channel ch0: hemg needs finite samples$"):
+            extract_window_set(trials, 1000.0, parse_features("rms,hemg:limit=2,mnf"), BLOCK_SEG,
+                               ["a", "b"])
+
 
 class TestLdaTrain:
     def test_symmetric_1d_boundary_at_zero(self):

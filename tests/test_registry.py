@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from myobench import freq_features as ff
 from myobench import registry
+from myobench import time_features as tf
 from myobench.freq_features import ar_coefficients
 from myobench.registry import (FEATURE_NAMES, FEATURE_SETS, FeatureDescriptor, default_panel,
                                extract, extract_segments, feature_set, make_descriptor,
@@ -287,6 +289,62 @@ class TestJointExtraction:
             with pytest.raises(ValueError, match="at least"):
                 extract(parse_features(f"rms,{token}"), np.ones((2, samples)), 1000.0)
         assert_rejected_when_built("ssc", "threshold", -1.0)
+
+
+class TestUndefinedRows:
+    """A row a kernel cannot define gets NaN and a fault code; the others stay as they are."""
+
+    def rows(self, seed):
+        return np.random.default_rng(seed).standard_normal((5, 64)) * 20
+
+    @pytest.mark.parametrize("token, bad_row, code", [
+        ("ar:order=3", np.zeros(64), ff._SINGULAR),
+        ("ar:order=8", np.full(64, 1e-161), ff._COLLAPSED),  # r_0 > 0, but underflows
+        ("mnf:dc=0", np.full(64, 3.0), ff._NO_MASS),
+        ("mmdf:dc=0", np.full(64, 3.0), ff._NO_MASS),
+        ("hemg:limit=30", np.where(np.arange(64) == 9, np.nan, 1.0), tf._NON_FINITE),
+    ])
+    @pytest.mark.parametrize("at", [0, 2, 5])
+    def test_only_the_faulty_row_is_marked(self, token, bad_row, code, at):
+        good = self.rows(at)
+        x = np.insert(good, at, bad_row, axis=0)
+        descriptors = parse_features(f"rms,{token},wl")
+        values, codes = registry._extract_rows(descriptors, x, 1000.0)
+        expected = np.zeros((6, 3), dtype=int)
+        expected[at, 1] = code
+        np.testing.assert_array_equal(codes, expected)
+        count = descriptors[1].component_count()
+        assert np.isnan(values[at, 1:1 + count]).all()
+        assert not np.isnan(np.delete(values, at, axis=0)).any()
+        assert np.array_equal(np.delete(values, at, axis=0), extract(descriptors, good, 1000.0))
+        with pytest.raises(ValueError, match="^" + re.escape(registry._FAULTS[code]) + "$"):
+            extract(descriptors, x, 1000.0)
+
+    def test_a_zero_window_outranks_a_collapsed_one_in_any_order(self):
+        zero, tiny = np.zeros(64), np.full(64, 1e-161)
+        good = self.rows(9)
+        ar = parse_features("ar:order=8")
+        for x in (np.vstack([zero, tiny, good]), np.vstack([tiny, good, zero])):
+            codes = registry._extract_rows(ar, x, 1000.0)[1][:, 0]
+            assert sorted(codes[:2].tolist() + codes[-1:].tolist()) == \
+                [0, ff._COLLAPSED, ff._SINGULAR]
+            with pytest.raises(ValueError, match="^window is identically zero; "
+                                                 "autocorrelation is singular$"):
+                extract(ar, x, 1000.0)
+        with pytest.raises(ValueError, match="^prediction error collapsed to zero; "
+                                             "window is degenerate$"):
+            extract(ar, np.vstack([good, tiny]), 1000.0)
+
+    def test_the_first_faulty_descriptor_names_the_fault(self):
+        x = np.vstack([self.rows(3), np.zeros(64)])
+        for features, message in [("rms,mnf,ar", "spectrum has no mass"),
+                                  ("rms,ar,mnf", "window is identically zero")]:
+            with pytest.raises(ValueError, match="^" + message):
+                extract(parse_features(features), x, 1000.0)
+            assert registry._fault(registry._extract_rows(parse_features(features), x,
+                                                          1000.0)[1]).startswith(message)
+        assert registry._fault(registry._extract_rows(parse_features("rms,ar"),
+                                                      self.rows(3), 1000.0)[1]) is None
 
 
 def assert_rejected_when_built(name, key, value):

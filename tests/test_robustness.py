@@ -354,16 +354,17 @@ def layout_records(rng, layout):
 
 def blocked_and_alone(monkeypatch, records, features, cfg):
     """run_grid under the default budget and with each record a block of its own,
-    with the record count of every `_scalar_values` call of each run."""
+    with the record count of every extraction call of each run."""
     calls = []
-    scalar_values = robustness._scalar_values
+    copies = 1 + len(cfg.snr_grid) * cfg.repetitions  # a record's rows
 
-    def counted(features, picks, in_range, block, rate):
-        calls[-1].append(len(block))
-        return scalar_values(features, picks, in_range, block, rate)
+    def counted(features, rows, rate):
+        assert len(rows) % copies == 0
+        calls[-1].append(len(rows) // copies)
+        return registry._extract_rows(features, rows, rate)
 
     with monkeypatch.context() as patch:
-        patch.setattr(robustness, "_scalar_values", counted)
+        patch.setattr(robustness, "_extract_rows", counted)
         calls.append([])
         blocked = run_grid(records, features, cfg, SEG)
         patch.setattr(registry, "_BLOCK_SAMPLES", 1)
@@ -380,15 +381,16 @@ class TestBlocks:
     def test_blocks_equal_one_record_blocks(self, monkeypatch):
         # 61 rows of 256 samples: at most 4 records per default block. The
         # constant records fail mnf:dc=0 (their clean spectrum has no mass
-        # without DC), which sends their block to one record at a time, and
-        # their clean zc is zero. Blocks: [c0 n1 c2 n3] with a constant
-        # record at the start and inside; the flat 04 alone, kept out of
-        # every block; [n5 n6 n7 c8] ending in one; then the partial [n9 c10].
+        # without DC), which marks their rows, not their block, and their
+        # clean zc is zero. Blocks: [c0 n1 c2 n3] with a constant record at
+        # the start and inside; the flat 04 alone, kept out of every block;
+        # [n5 n6 n7 c8] ending in one; then the partial [n9 c10]. Each is
+        # one extraction call.
         records = layout_records(np.random.default_rng(30), "cncn0nnncnc")
         cfg = RobustnessConfig(seed=12)
         blocked, alone, calls = blocked_and_alone(monkeypatch, records,
                                                   parse_features(self.FEATURES), cfg)
-        assert calls == [[4, 1, 1, 1, 1, 4, 1, 1, 1, 1, 2, 1, 1], [1] * 10]
+        assert calls == [[4, 4, 2], [1] * 10]
         same_rows(blocked.rows, alone.rows)
         assert blocked.unscored == alone.unscored == \
             {"wamp(threshold=1e+06)": "its clean value is zero"}
@@ -430,6 +432,29 @@ class TestBlocks:
         assert calls == [((n, 256), (n, 60, 4), (n, 60, 256)) for n in (4, 4, 2)]
         same_rows(grid.rows, reference_rows(records, parse_features("rms,zc"), cfg))
 
+    def test_a_fault_of_some_records_splits_no_block(self, monkeypatch):
+        # The constant records' spectra have no mass without DC. That used to
+        # fail their blocks' joint extraction and send each such block through
+        # one extraction per record, then one per (record, descriptor). Now
+        # each block is one call, and only the constant records are left out.
+        records = layout_records(np.random.default_rng(30), "cncn0nnncnc")
+        cfg = RobustnessConfig(seed=12)
+        features = parse_features("rms,mnf:dc=0,ar")
+        calls = []
+
+        def counted(features, rows, rate):
+            calls.append(rows.shape)
+            return registry._extract_rows(features, rows, rate)
+
+        monkeypatch.setattr(robustness, "_extract_rows", counted)
+        grid = run_grid(records, features, cfg, SEG)
+        assert calls == [(n * 61, 256) for n in (4, 4, 2)]  # the flat 04 is no block
+        same_rows(grid.rows, reference_rows(records, features, cfg))
+        mnf = [(row.motion, row.n, row.excluded) for row in grid.rows
+               if row.feature == "mnf" and row.snr_db == 0.0]
+        assert mnf == [("m0", 10, 50), ("m1", 50, 0)]  # m0 keeps n6 alone
+        assert grid.unscored == {}
+
     def test_a_descriptor_no_width_can_take_splits_no_block(self, monkeypatch):
         # mavslp's 3 segments do not split a 256-sample window. It used to
         # fail each block's joint extraction, and so every record's, which
@@ -441,9 +466,9 @@ class TestBlocks:
 
         def counted(features, signals, rate):
             calls.append(signals.shape)
-            return extract(features, signals, rate)
+            return registry._extract_rows(features, signals, rate)
 
-        monkeypatch.setattr(robustness, "extract", counted)
+        monkeypatch.setattr(robustness, "_extract_rows", counted)
         grid = run_grid(dataset, default_panel() + parse_features("mavslp"), cfg, SEG)
         assert calls == [(4 * 61, 256)] * 48  # 192 records, 4 to a block
         same_rows([row for row in grid.rows if row.feature != "mavslp"], panel.rows)
@@ -484,21 +509,21 @@ class TestRecordsFromDataset:
             classes=tuple(default_class_specs(2)), channels=2,
             trials_per_class=1, trial_ms=1000, seed=0))
         blocks = []
-        scalar_values = robustness._scalar_values
 
-        def counted(features, picks, in_range, block, rate):
-            blocks.append((block.shape, rate))
-            return scalar_values(features, picks, in_range, block, rate)
+        def counted(features, rows, rate):
+            blocks.append((rows.shape, rate))
+            return registry._extract_rows(features, rows, rate)
 
-        monkeypatch.setattr(robustness, "_scalar_values", counted)
+        monkeypatch.setattr(robustness, "_extract_rows", counted)
 
         def record_count(max_windows):
             blocks.clear()
             cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, max_windows=max_windows)
             run_grid(dataset, parse_features("rms"), cfg, SegmentationConfig())
             # each record's rows: its clean window and one noisy copy
-            assert all(shape[1:] == (2, 256) and rate == dataset.rate for shape, rate in blocks)
-            return sum(shape[0] for shape, _ in blocks)
+            assert all(shape[0] % 2 == 0 and shape[1:] == (256,) and rate == dataset.rate
+                       for shape, rate in blocks)
+            return sum(shape[0] // 2 for shape, _ in blocks)
 
         assert record_count(1) == 2 * 2  # trials x channels, one window each
         assert record_count(None) == 2 * 2 * 12
