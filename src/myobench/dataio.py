@@ -31,6 +31,14 @@ cache: loading a trial CSV stores its parsed samples as
 ``<trial dir>/.myobench-cache/<csv name>.<sha256 of the CSV>.npy``, and a
 later load of the same bytes reads that entry instead of parsing the text.
 Storing an entry drops the entries of CSVs that are gone from the directory.
+
+Samples are held channel-major: every `Trial.data` is a (samples, channels)
+array in Fortran order, so each channel's samples are contiguous and a
+channel, or a run of channels, is a view that `recognition.extract_window_set`
+extracts in place. A cache entry holds its samples in that order too
+(``fortran_order`` in the .npy header), so a warm load reads them with no
+copy; an entry that holds them row-major, as versions before this layout
+wrote them, is unusable, and the CSV is parsed again and the entry rewritten.
 """
 from __future__ import annotations
 
@@ -57,17 +65,22 @@ class DatasetError(Exception):
 
 @dataclass
 class Trial:
-    """One labeled multi-channel recording."""
+    """One labeled multi-channel recording.
+
+    ``data`` is stored channel-major (Fortran order), so each channel's
+    samples are contiguous; its shape and values are those given, and an
+    array in another order is copied once.
+    """
 
     trial_id: str
     label: str
     subject: str
     group: str
     channels: list[str]
-    data: np.ndarray  # (n_samples, n_channels)
+    data: np.ndarray  # (n_samples, n_channels), Fortran order
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
+        self.data = np.asfortranarray(self.data, dtype=float)
         if self.data.ndim != 2 or self.data.shape[1] != len(self.channels):
             raise ValueError("trial data must be (n_samples, n_channels)")
 
@@ -244,10 +257,10 @@ _CACHE_DIR = ".myobench-cache"
 
 
 def _read_trial_csv(path: Path):
-    """A trial file's channel names and samples; the samples come from the
-    parse cache when it holds an entry for the file's current bytes. A NaN
-    or infinite sample fails parsed or cached samples alike, and samples
-    that fail are not stored."""
+    """A trial file's channel names and samples, channel-major; the samples
+    come from the parse cache when it holds an entry for the file's current
+    bytes. A NaN or infinite sample fails parsed or cached samples alike,
+    and samples that fail are not stored."""
     with path.open() as fh:
         header = fh.readline()
         if not header:
@@ -259,7 +272,8 @@ def _read_trial_csv(path: Path):
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    data = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
+                    data = np.asfortranarray(
+                        np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2))
             except ValueError:
                 data = None
     if data is not None and data.shape[0] == 0:
@@ -288,7 +302,8 @@ def _cached(entry: Path, n_columns: int):
     """The samples stored in a cache entry, or None when it is missing or unusable.
 
     Only the .npy format is read (never a pickle), and an entry must hold a
-    non-empty float64 table with one column per channel.
+    non-empty, channel-major (Fortran-order) float64 table with one column
+    per channel.
     """
     try:
         with entry.open("rb") as fh:
@@ -296,7 +311,7 @@ def _cached(entry: Path, n_columns: int):
     except (OSError, ValueError):
         return None
     if (data.dtype == np.float64 and data.ndim == 2 and data.shape[0] > 0
-            and data.shape[1] == n_columns):
+            and data.shape[1] == n_columns and data.flags.f_contiguous):
         return data
     return None
 
@@ -525,7 +540,7 @@ def synthesize_emg(cfg: SynthConfig) -> Dataset:
     for c_idx, spec in enumerate(cfg.classes):
         sos = sps.butter(4, spec.band, btype="bandpass", fs=cfg.rate, output="sos")
         for t_idx in range(cfg.trials_per_class):
-            data = np.empty((n, cfg.channels))
+            data = np.empty((n, cfg.channels), order="F")
             for ch in range(cfg.channels):
                 rng = np.random.default_rng([cfg.seed, c_idx, t_idx, ch])
                 white = rng.standard_normal(n + 2 * pad)

@@ -87,9 +87,10 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _moment_arrays(freqs, weights, dc):
     # A row without positive mass (or with a NaN in it) gets _NO_MASS and the
     # divisor 1, so it raises no warning and leaves the other rows as they are.
+    # Bin 0 is rfftfreq's only zero bin. Slicing it off keeps each row a
+    # contiguous run, so a row of a matrix is summed as that row alone is.
     if not dc:
-        keep = freqs != 0.0
-        freqs, weights = freqs[keep], weights[..., keep]
+        freqs, weights = freqs[1:], weights[..., 1:]
     total = np.sum(weights, axis=-1)
     mass = total > 0
     return freqs, weights, np.where(mass, total, 1.0), np.where(mass, 0, _NO_MASS)

@@ -33,7 +33,8 @@ rows begin (``trial_rows``) as it lays them out, so no window's start time
 has to mark a trial boundary. A noisy level's matrix is freed before the next
 level's is built. Each call stacks its trials' channels into blocks of at
 most ``registry._BLOCK_SAMPLES`` window samples and runs each feature kernel
-once per block.
+once per block; a block of one trial's channels is read in place from the
+trial's channel-major samples, with no copy.
 
 Scoring works on class codes. Each fold maps its model's class list onto the
 dataset's class indices once, and its raw decisions are that map applied to
@@ -225,6 +226,9 @@ def extract_window_set(trials: list[Trial], rate: float,
     stacked blocks of at most ``registry._BLOCK_SAMPLES`` window samples (a
     block may end inside a trial), each written straight into its rows and
     channel's columns; every value equals that channel's `extract_segments`.
+    A block whose channels all belong to one trial is extracted in place,
+    as a view of the trial's channel-major samples; a block that spans
+    trials is copied into one stack.
     A window that a descriptor cannot define is a ValueError naming the
     first such signal's trial and channel, in (trial, channel) order, with
     the fault of its first such descriptor. A trial whose label is not in
@@ -248,10 +252,14 @@ def extract_window_set(trials: list[Trial], rate: float,
                          sum(d.component_count() for d in descriptors)))
     signals = [(t, ch) for t in range(len(trials)) for ch in range(channels)]
     for block in _blocks([offsets[t].size * width for t, _ in signals]):
-        span = offsets[signals[block.start][0]][-1] + width
-        stack = np.empty((len(block), span))
-        for row, (t, ch) in zip(stack, (signals[i] for i in block)):
-            row[:] = trials[t].data[:span, ch]
+        (t, first), (last_t, last) = signals[block[0]], signals[block[-1]]
+        span = offsets[t][-1] + width
+        if t == last_t:  # one trial's channels: a view of its samples
+            stack = trials[t].data[:span, first:last + 1].T
+        else:
+            stack = np.empty((len(block), span))
+            for row, (t, ch) in zip(stack, (signals[i] for i in block)):
+                row[:] = trials[t].data[:span, ch]
         values, codes = _extract_stack(descriptors, stack, rate, segmentation)
         faulty = np.flatnonzero(codes.any(axis=(1, 2)))
         if faulty.size:

@@ -40,6 +40,17 @@ class TestRoundTrip:
             assert a.channels == b.channels
             np.testing.assert_array_equal(a.data, b.data)
 
+    def test_a_trial_holds_its_samples_channel_major(self):
+        rows = np.arange(12.0).reshape(4, 3)
+        trial = Trial(trial_id="x", label="rest", subject="", group="",
+                      channels=["a", "b", "c"], data=rows)
+        assert rows.flags.c_contiguous and trial.data.flags.f_contiguous
+        assert trial.data.shape == rows.shape
+        assert trial.data.tobytes() == rows.tobytes()
+        synthesized = synthesize_emg(SynthConfig(classes=tuple(default_class_specs(1)),
+                                                 channels=3, trials_per_class=1, trial_ms=500))
+        assert synthesized.trials[0].data.flags.f_contiguous
+
     def test_loaded_channel_count(self, tmp_path):
         manifest = save_dataset(tiny_dataset(), tmp_path / "d")
         loaded = load_dataset(manifest)
@@ -323,6 +334,15 @@ class TestParseCache:
             assert a.data.dtype == b.data.dtype == np.float64
             assert np.array_equal(a.data, b.data)
 
+    def test_entries_and_loads_are_channel_major(self, tmp_path):
+        manifest, _ = self.saved(tmp_path)
+        cold = load_dataset(manifest)
+        warm = load_dataset(manifest)
+        for entry in (manifest.parent / ".myobench-cache").iterdir():
+            assert np.load(entry, allow_pickle=False).flags.f_contiguous
+        for a, b in zip(cold.trials, warm.trials):
+            assert a.data.flags.f_contiguous and b.data.flags.f_contiguous
+
     def test_csv_edited_in_place_is_parsed_again(self, tmp_path):
         manifest, trial_file = self.saved(tmp_path)
         load_dataset(manifest)
@@ -359,7 +379,9 @@ class TestParseCache:
         lambda data, raw: npy_bytes(data.ravel()),       # 1-D
         lambda data, raw: npy_bytes(data.astype(np.float32)),
         lambda data, raw: npy_bytes(data.astype(">f8")),
-    ], ids=["truncated", "empty", "not-npy", "columns", "rows", "1d", "float32", "big-endian"])
+        lambda data, raw: npy_bytes(np.ascontiguousarray(data)),  # as older versions wrote it
+    ], ids=["truncated", "empty", "not-npy", "columns", "rows", "1d", "float32", "big-endian",
+            "row-major"])
     def test_unusable_entry_is_parsed_again_and_rewritten(self, tmp_path, corrupt):
         manifest, trial_file = self.saved(tmp_path)
         load_dataset(manifest)
@@ -368,6 +390,7 @@ class TestParseCache:
         entry.write_bytes(corrupt(original, entry.read_bytes()))
         loaded = load_dataset(manifest).trials[0].data
         assert loaded.tobytes() == original.tobytes()
+        assert loaded.flags.f_contiguous
         assert entry.read_bytes() == npy_bytes(original)
 
     def test_failed_cache_write_still_loads(self, tmp_path, monkeypatch):
@@ -406,7 +429,7 @@ class TestParseCache:
             load_dataset(manifest)
         assert cache_entries(manifest.parent) == before
         # An entry for these bytes written by a version without the check.
-        samples = tiny_dataset().trials[0].data.copy()
+        samples = tiny_dataset().trials[0].data.copy(order="F")
         samples[3, 0] = np.nan
         (manifest.parent / ".myobench-cache" / entry_name(trial_file)).write_bytes(
             npy_bytes(samples))

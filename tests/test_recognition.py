@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from myobench import recognition, registry
-from myobench.dataio import (ClassSpec, Dataset, SynthConfig, Trial,
-                             default_class_specs, synthesize_emg)
+from myobench.dataio import (ClassSpec, Dataset, SynthConfig, Trial, default_class_specs,
+                             load_dataset, save_dataset, synthesize_emg)
 from myobench.noise import derive_seed
 from myobench.recognition import (DEFAULT_RIDGE, CrTable, _test_trials, _train_folds,
                                   decisions_to_csv, evaluate_feature_sets, extract_window_set,
@@ -242,6 +242,44 @@ class TestBlockExtraction:
         with pytest.raises(ValueError, match="^trial t2, channel ch0: hemg needs finite samples$"):
             extract_window_set(trials, 1000.0, parse_features("rms,hemg:limit=2,mnf"), BLOCK_SEG,
                                ["a", "b"])
+
+
+class TestInPlaceBlocks:
+    """A block of one trial's channels is read from that trial's samples, in place."""
+
+    # 2 trials of 3 channels, 9 s at 1 kHz: 137 windows of 256 samples per
+    # channel, so two channels (70,144 window samples) overflow a block.
+    CHANNEL_SAMPLES = 137 * 256
+
+    @pytest.fixture(scope="class")
+    def trials(self, tmp_path_factory):
+        dataset = small_dataset(n_classes=2, trials_per_class=1, seed=4, channels=3,
+                                trial_ms=9000)
+        return load_dataset(save_dataset(dataset, tmp_path_factory.mktemp("long"))).trials
+
+    @pytest.mark.parametrize("budget, shapes, in_place", [
+        (registry._BLOCK_SAMPLES, [(1, 8960)] * 6, True),   # each channel fills a block
+        (3 * CHANNEL_SAMPLES, [(3, 8960)] * 2, True),       # one block per trial
+        (6 * CHANNEL_SAMPLES, [(6, 8960)], False),          # one block over both trials
+    ], ids=["channel", "trial", "both-trials"])
+    def test_one_trial_blocks_share_its_memory(self, trials, budget, shapes, in_place):
+        stacks = []
+
+        def recorded(descriptors, stack, rate, cfg):
+            stacks.append(stack)
+            return registry._extract_stack(descriptors, stack, rate, cfg)
+
+        descriptors = parse_features("rms,mav,wl,zc,hemg:limit=200,ar:order=2,mnf,mmdf")
+        with patch.object(registry, "_BLOCK_SAMPLES", budget), \
+                patch.object(recognition, "_extract_stack", recorded):
+            windows = extract_window_set(trials, 1000.0, descriptors, SEG,
+                                         ["hand_open", "hand_close"])
+        assert [stack.shape for stack in stacks] == shapes
+        for stack in stacks:
+            owners = [np.shares_memory(stack, t.data) for t in trials]
+            assert owners.count(True) == (1 if in_place else 0)
+        np.testing.assert_array_equal(
+            windows.features, per_channel_rows(extract_segments, trials, descriptors, SEG))
 
 
 class TestLdaTrain:

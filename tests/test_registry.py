@@ -271,6 +271,16 @@ class TestJointExtraction:
             alone = extract([desc], x, 1000.0)
             assert np.array_equal(joint[:, lo:hi], alone), desc.label
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_row_of_a_matrix_gets_its_value_alone(self, seed):
+        # With dc=0 the moments drop the DC bin; each row's remaining bins
+        # must still be summed in the order the row alone is summed in.
+        x = np.random.default_rng(seed).standard_normal((5, 64)) * 20
+        descriptors = parse_features("mnf:dc=0,mdf:dc=0,mmnf:dc=0,mmdf:dc=0,mnf,mmnf")
+        joint = extract(descriptors, x, 1000.0)
+        for i, row in enumerate(x):
+            assert np.array_equal(joint[i], extract(descriptors, row, 1000.0)[0]), i
+
     def test_counters_match_their_definitions(self):
         # The counters read shared differences; ssc's curvature product is
         # rebuilt from them, so check it against the definition, zero
