@@ -154,7 +154,7 @@ def _read_manifest(manifest_path) -> _Manifest:
     if not manifest_path.exists():
         raise DatasetError(f"manifest not found: {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatasetError(f"manifest is not valid JSON: {exc}") from exc
 
@@ -261,7 +261,7 @@ def _read_trial_csv(path: Path):
     come from the parse cache when it holds an entry for the file's current
     bytes. A NaN or infinite sample fails parsed or cached samples alike,
     and samples that fail are not stored."""
-    with path.open() as fh:
+    with path.open(encoding="utf-8") as fh:
         header = fh.readline()
         if not header:
             raise DatasetError(f"trial file is empty: {path}")
@@ -349,7 +349,7 @@ def _row_error(path: Path, n_columns: int) -> DatasetError:
     blank lines are skipped as in the bulk parse, and line numbers are 1-based
     file lines.
     """
-    with path.open() as fh:
+    with path.open(encoding="utf-8") as fh:
         next(fh)
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\r\n")
@@ -374,7 +374,7 @@ def _non_finite_error(path: Path, channels: list[str], data: np.ndarray) -> Data
     reads the file.
     """
     row, column = np.argwhere(~np.isfinite(data))[0]
-    with path.open() as fh:
+    with path.open(encoding="utf-8") as fh:
         next(fh)
         rows = ((n, line) for n, line in enumerate(fh, start=2) if line.rstrip("\r\n"))
         lineno, line = next(itertools.islice(rows, row, None))
@@ -425,7 +425,7 @@ def write_output(path, content, config: dict | None = None) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     text = (content if isinstance(content, str)
             else json.dumps(content, indent=2, allow_nan=False) + "\n")
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     if config is not None:
         write_output(path.with_name(path.name + ".config.json"), config)

@@ -13,14 +13,18 @@ per scalar feature, one per bin/coefficient/segment-difference for vector
 features. ``extract`` takes a window or a (windows, samples) matrix, each row
 one window (the robustness grid's clean and noisy copies). ``extract_segments``
 takes one channel signal and a segmentation, and gives exactly what
-``extract`` gives on that signal's windows. Both run the same kernels in the
-same loop over an ``_Intermediates``, which computes each elementwise
-intermediate (|x|, x^2, the differences, the event masks, the HEMG edge
-masks) once over its source and hands each kernel its windows of it: over a
-signal whose windows overlap, every sample is transformed once, not once per
-window that holds it.
+``extract`` gives on that signal's windows. Both build one kind of
+extraction, a (signals, span) stack whose signals each hold ``count``
+windows of ``width`` samples, one every ``slide`` (a window matrix is the
+stack with one window per row), and run the same kernels in the same loop
+over its ``_Intermediates``. That computes each elementwise intermediate
+(|x|, x^2, the differences, the event masks, the HEMG edge masks) once over
+the stack and hands each kernel its windows of it, as views from
+`signals._windows`: over a signal whose windows overlap, every sample is
+transformed once, not once per window that holds it, and an event counter
+sums its mask over each window.
 
-Equal-length signals can be extracted as one stack. A kernel pass has a
+Equal-length signals are extracted as one stack. A kernel pass has a
 fixed cost (dispatch, small temporaries) that dwarfs its work on one 3 s
 channel, so the recognition pipeline stacks short channels into blocks (see
 `recognition.extract_window_set`) and the robustness grid stacks records'
@@ -55,71 +59,49 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import freq_features as ff
 from . import time_features as tf
-from .signals import SegmentationConfig, amplitude_spectrum, segment_offsets
+from .signals import SegmentationConfig, _windows, amplitude_spectrum, segment_offsets
 
 
 class _Intermediates:
     """The windows of one extraction and the arrays several kernels share.
 
-    ``source`` is either a (windows, samples) matrix, one window per row
-    (``slide`` is None: the windowing is the identity), or a (signals, span)
-    stack of equal-length signals that each hold ``count`` windows of
-    ``width`` samples every ``slide``; trailing samples that do not fill a
-    window are not part of the span. One signal is a stack of one. Every
-    elementwise intermediate is computed once over the source: those that
-    several families read (|x|, x^2, the differences and their magnitudes)
-    on first use, kept until no later descriptor reads them; the event masks
-    and the HEMG edge masks, which depend on a descriptor's parameters, by
-    its kernel. `windows` gives a kernel each window's part of one as a
-    (signals, count, width) view, and `counts` counts a mask's events per
-    (signal, window), so a sample that several windows hold is transformed
-    once. Kernels reduce the last axis, so each window is reduced in the same
-    order whether its signal is extracted alone or in a stack.
+    ``source`` is a (signals, span) stack of equal-length signals that each
+    hold ``count`` windows of ``width`` samples, one every ``slide``;
+    trailing samples that do not fill a window are not part of the span. One
+    signal is a stack of one, and a window matrix is the stack whose rows
+    each hold one window (``slide == width``). Every elementwise
+    intermediate is computed once over the source: those that several
+    families read (|x|, x^2, the differences and their magnitudes) on first
+    use, kept until no later descriptor reads them; the event masks and the
+    HEMG edge masks, which depend on a descriptor's parameters, by its
+    kernel. `windows` gives a kernel each window's part of one as a
+    (signals, count, width) view, so a sample that several windows hold is
+    transformed once. Kernels reduce the last axis, so each window is
+    reduced in the same order whether its signal is extracted alone or in a
+    stack.
     """
 
-    def __init__(self, source, width: int, slide: int | None, rate: float):
+    def __init__(self, source, width: int, slide: int, rate: float):
+        if source.strides[-1] != source.itemsize:  # numpy would sum a window's samples
+            source = np.ascontiguousarray(source)  # in another order than the window alone
         self.source, self.width, self.slide, self.rate = source, width, slide, rate
-        if slide is None:
-            self.count = self.total = source.shape[0]
-        else:
-            self.count = (source.shape[-1] - width) // slide + 1
-            self.total = source.shape[0] * self.count  # windows over every signal
-            self.starts = np.arange(self.count) * slide
-
-    def _width_of(self, values):
-        # an intermediate k samples shorter than the source (differences: 1)
-        # has width - k values per window
-        return self.width - (self.source.shape[-1] - values.shape[-1])
+        # windows over every signal: each holds count = (span - width) // slide + 1
+        self.total = source.shape[0] * ((source.shape[-1] - width) // slide + 1)
 
     def windows(self, values):
-        """Each signal's windows of an intermediate over the source, as a view."""
-        if self.slide is None:
-            return values
-        step = values.strides[-1]
-        return as_strided(values, values.shape[:-1] + (self.count, self._width_of(values)),
-                          values.strides[:-1] + (self.slide * step, step), writeable=False)
+        """Each signal's windows of an intermediate over the source, as a view;
+        one k samples shorter than the source (differences: 1) has width - k
+        values per window."""
+        return _windows(values, self.width - (self.source.shape[-1] - values.shape[-1]),
+                        self.slide)
 
     def counts(self, events):
-        """Each window's count of a boolean mask over the source (samples last).
-
-        Over a stack, a window's count is the number of events before its
-        end minus the number before its start, both found by binary search in
-        the sorted positions of every event, so each sample is read once
-        however many windows hold it. The windows' counts replace the
-        samples axis.
-        """
-        if self.slide is None:
-            return events.view(np.uint8).sum(axis=-1, dtype=np.int32)
-        n = events.shape[-1]
-        starts = np.arange(0, events.size, n)[:, np.newaxis] + self.starts
-        positions = np.flatnonzero(events)
-        totals = (np.searchsorted(positions, starts + self._width_of(events))
-                  - np.searchsorted(positions, starts))
-        return totals.reshape(events.shape[:-1] + (self.count,))
+        """Each window's count of a boolean mask over the source: its sum over
+        the window's samples, which replace the samples axis."""
+        return self.windows(events.view(np.uint8)).sum(axis=-1, dtype=np.int32)
 
     @functools.cached_property
     def rows(self):
@@ -377,7 +359,8 @@ def _extract_rows(descriptors, windows, rate: float):
     if x.ndim not in (1, 2):
         raise ValueError("need a 1-D window or a (windows, samples) matrix")
     rows = x[np.newaxis] if x.ndim == 1 else x
-    return _columns(descriptors, _Intermediates(rows, rows.shape[-1], None, rate))
+    width = rows.shape[-1]  # a 0-sample window is one window too; `_check_width` refuses it
+    return _columns(descriptors, _Intermediates(rows, width, max(width, 1), rate))
 
 
 def extract_segments(descriptors, samples, rate: float, cfg: SegmentationConfig) -> np.ndarray:
@@ -385,8 +368,9 @@ def extract_segments(descriptors, samples, rate: float, cfg: SegmentationConfig)
 
     The elementwise intermediates are computed once over the samples the
     windows cover, not once per overlapping window: each window sums the
-    same values in the same order, and each count comes from the positions
-    of the events. Samples after the last whole window are never read.
+    same values in the same order, and each count is a sum over the same
+    window of the event mask. Samples after the last whole window are never
+    read.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:

@@ -217,12 +217,12 @@ def run_grid(dataset: Dataset, features: list[FeatureDescriptor], cfg: Robustnes
     return RobustnessGrid(rows=rows, features=features, unscored=unscored)
 
 
-def _scalar_picks(features, width=None):
+def _scalar_picks(features, width: int):
     """Each descriptor's scalar column in a joint extraction, and where none exists.
 
     Returns the column indices and {descriptor index: reason} for the
     descriptors that no record can give a scalar: one whose
-    ``scalar_component`` is out of range, and, given ``width``, one that
+    ``scalar_component`` is out of range, and one that
     `registry._check_width` refuses at ``width`` samples. The joint
     extraction is of the other descriptors, in order; a descriptor with a
     reason gets column 0.
@@ -234,8 +234,7 @@ def _scalar_picks(features, width=None):
             if not 1 <= desc.scalar_component <= count:
                 raise ValueError(f"scalar component {desc.scalar_component} out of range "
                                  f"for {count} components")
-            if width is not None:
-                _check_width([desc], width)
+            _check_width([desc], width)
         except ValueError as exc:
             reasons[d_idx] = str(exc)
             continue

@@ -9,13 +9,18 @@ an entry point that needs the sampling rate (Hz) takes it as a ``rate``
 argument, checked by `_check_rate` wherever it is used. The spectrum is a
 plain ``(freqs, amplitudes)`` pair; the spectral moments square the
 amplitudes for their power-weighted forms (see `freq_features`).
+
+Windows are viewed one way: `_windows` gives a read-only strided view of
+every whole window along an array's last axis, with no copy. `segment` cuts
+a signal's windows with it, and `registry` cuts the windows of each
+intermediate it computes over a stack of signals (or of window rows).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 @dataclass(frozen=True)
@@ -87,8 +92,16 @@ def segment(samples, rate: float, cfg: SegmentationConfig) -> np.ndarray:
     if samples.ndim != 1:
         raise ValueError("segment needs a 1-D sample array")
     segment_offsets(samples.size, rate, cfg)  # raises when the signal is too short
-    windows = sliding_window_view(samples, cfg.window_samples(rate))
-    return windows[::cfg.slide_samples(rate)]
+    return _windows(samples, cfg.window_samples(rate), cfg.slide_samples(rate))
+
+
+def _windows(values, width: int, slide: int) -> np.ndarray:
+    """A read-only view of every whole window of ``width`` samples, one
+    every ``slide``, along the last axis: (..., windows, width)."""
+    count = (values.shape[-1] - width) // slide + 1
+    step = values.strides[-1]
+    return as_strided(values, values.shape[:-1] + (count, width),
+                      values.strides[:-1] + (slide * step, step), writeable=False)
 
 
 def amplitude_spectrum(window, rate: float):

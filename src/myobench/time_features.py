@@ -145,13 +145,14 @@ def hemg(window, bins: int = DEFAULT_HEMG_BINS, limit: float = 1.0) -> np.ndarra
 
 # The kernels below take elementwise intermediates precomputed: |x|, the
 # differences d_n = x_{n+1} - x_n, the products of neighbouring differences
-# and the HEMG edge masks. `registry` computes each once over its source (a
-# window matrix, or a whole signal whose overlapping windows share one pass)
-# and hands every kernel its windows of them. A float kernel reduces each
-# window's values in the order a copy of that window would; an event mask is
-# counted per window by `registry._Intermediates.counts`, which hemg's kernel
-# calls once per bin edge. Parameters arrive checked: a
-# `registry.FeatureDescriptor` cannot hold a value outside its domain.
+# and the HEMG edge masks. `registry` computes each once over its stack of
+# signals (whose overlapping windows share one pass; a window matrix is the
+# stack with one window per row) and hands every kernel its windows of them.
+# A float kernel reduces each window's values in the order a copy of that
+# window would; an event mask is summed per window by
+# `registry._Intermediates.counts`, which hemg's kernel calls once per bin
+# edge. Parameters arrive checked: a `registry.FeatureDescriptor` cannot hold
+# a value outside its domain.
 
 def _diff(x):
     """d_n = x_{n+1} - x_n along the last axis."""

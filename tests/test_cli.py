@@ -979,6 +979,36 @@ def test_outputs_do_not_depend_on_the_parse_cache(runner, dataset_dir, tmp_path,
     assert cold == warm == failing
 
 
+def test_files_are_utf8_whatever_the_locale(runner, tmp_path):
+    """A dataset whose names are not ASCII loads, and extract writes the same
+    bytes, under an ASCII locale as under the default one."""
+    rng = np.random.default_rng(3)
+    trials = [dataio.Trial(f"t{i}", label, "s1", "g1", ["canal_ã", "ch2"],
+                           rng.normal(size=(1200, 2)))
+              for i, label in enumerate(["flexão", "extensão"])]
+    data_dir = tmp_path / "data"
+    manifest = save_dataset(dataio.Dataset(["flexão", "extensão"], 1000.0, trials), data_dir)
+    # by hand, as a user might: raw UTF-8 rather than json's \u escapes
+    raw = json.dumps(json.loads(manifest.read_text(encoding="utf-8")), ensure_ascii=False)
+    manifest.write_bytes(raw.encode("utf-8"))
+    assert "ã".encode("utf-8") in manifest.read_bytes()
+
+    code = "import sys; from myobench.cli import main; main(sys.argv[1:])"
+    src = Path(myobench.__file__).parents[1]
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    args = ["extract", "--data", str(manifest), "--features", "rms,zc", "--out"]
+    ascii_run = subprocess.run([sys.executable, "-c", code, *args, str(tmp_path / "c.csv")],
+                               capture_output=True, text=True, env=env)
+    assert ascii_run.returncode == 0, ascii_run.stderr
+    result = runner.invoke(main, [*args, str(tmp_path / "default.csv")])
+    assert result.exit_code == 0, result.output
+    for suffix in ("", ".config.json"):
+        assert ((tmp_path / f"c.csv{suffix}").read_bytes()
+                == (tmp_path / f"default.csv{suffix}").read_bytes())
+    assert "canal_ã".encode("utf-8") in (tmp_path / "c.csv").read_bytes()
+
+
 def sidecar(path) -> dict:
     return json.loads(Path(f"{path}.config.json").read_text())
 

@@ -281,6 +281,15 @@ class TestJointExtraction:
         for i, row in enumerate(x):
             assert np.array_equal(joint[i], extract(descriptors, row, 1000.0)[0]), i
 
+    def test_a_row_of_a_column_major_matrix_gets_its_value_alone(self):
+        # The float sums of a matrix whose windows are not contiguous must add
+        # each window's samples in the order the window alone adds them.
+        x = np.random.default_rng(0).standard_normal((40, 64))
+        descriptors = parse_features("iemg,mav,ssi,var,rms,wl,mmav1,mavslp:segments=4")
+        joint = extract(descriptors, np.asfortranarray(x), 1000.0)
+        alone = np.vstack([extract(descriptors, row, 1000.0) for row in x])
+        assert joint.tobytes() == alone.tobytes()
+
     def test_counters_match_their_definitions(self):
         # The counters read shared differences; ssc's curvature product is
         # rebuilt from them, so check it against the definition, zero
@@ -480,6 +489,42 @@ class TestExtractSegments:
         assert_same_outcome(got, windows_outcome(descriptors, x, cfg))
 
 
+class TestStacks:
+    """Each signal of a stack gets, row for row and bit for bit, what
+    `extract_segments` gives it alone: its values, or its error."""
+
+    @given(params=st.tuples(*(st.fixed_dictionaries(_PARAMS[name]) for name in FEATURE_NAMES)),
+           per_segment=st.integers(3, 8), slide_step=st.integers(0, 39),
+           windows=st.integers(1, 6), tail=st.integers(0, 39), signals=st.integers(1, 4),
+           strided=st.booleans(), quantum=st.sampled_from([0.0, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_each_row_gets_what_its_signal_gets_alone(self, params, per_segment, slide_step,
+                                                      windows, tail, signals, strided,
+                                                      quantum, seed):
+        # every family at once, on windows that mavslp's segments divide and
+        # that hold more samples than the highest AR order
+        descriptors = [make_descriptor(name, p) for name, p in zip(FEATURE_NAMES, params)]
+        width = per_segment * params[FEATURE_NAMES.index("mavslp")]["segments"]
+        slide = 1 + slide_step % width
+        n = (windows - 1) * slide + width + tail % slide
+        data = np.random.default_rng(seed).standard_normal((n, signals))
+        if quantum:  # repeated samples: zero differences, ties and all-zero windows
+            data = np.round(data / quantum) * quantum
+        stack = data.T if strided else np.ascontiguousarray(data.T)
+        cfg = SegmentationConfig(window_ms=float(width), slide_ms=float(slide))
+        values, codes = registry._extract_stack(descriptors, stack, 1000.0, cfg)
+        assert codes.shape == (signals, windows, len(descriptors))
+        for row, signal in enumerate(stack):
+            alone = outcome(lambda: extract_segments(descriptors, signal, 1000.0, cfg))
+            if isinstance(alone, str):
+                assert registry._fault(codes[row]) == alone
+            else:
+                assert registry._fault(codes[row]) is None
+                assert values[row].shape == alone.shape
+                assert values[row].tobytes() == alone.tobytes()
+
+
 class TestScalarize:
     def test_defaults(self):
         assert parse_feature("hemg").scalar_component == 2
@@ -489,13 +534,13 @@ class TestScalarize:
     def test_hemg_scalarizes_to_bin_two(self):
         desc = parse_feature("hemg").resolved(3.0)
         values = extract([desc], np.array([-2.5, 0.1, 2.9, 0.2]), 1000.0)[0]
-        picks, reasons = _scalar_picks([desc])
+        picks, reasons = _scalar_picks([desc], 4)
         assert reasons == {}
         assert values[picks[0]] == 2.0
 
     def test_out_of_range_component(self):
         desc = parse_feature("hemg:bins=1:limit=1")  # scalar component 2 of 1 bin
-        _, reasons = _scalar_picks([parse_feature("wamp"), desc])
+        _, reasons = _scalar_picks([parse_feature("wamp"), desc], 4)
         assert list(reasons) == [1]
         assert "out of range" in reasons[1]
 
