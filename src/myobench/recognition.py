@@ -55,7 +55,7 @@ import numpy as np
 from .dataio import Dataset, Trial, csv_prefix, write_output
 from .noise import (add_wgn, derive_seed, derive_seeds, level_text, signal_power, snr_factor,
                     stream_words)
-from .registry import (FeatureDescriptor, _blocks, _extract_stack, _fault, peak_amplitude,
+from .registry import (FeatureDescriptor, _blocks, _columns, _fault, peak_amplitude,
                        resolve_hemg_peak)
 from .signals import SegmentationConfig, segment_offsets
 
@@ -247,7 +247,7 @@ def extract_window_set(trials: list[Trial], rate: float,
 
     offsets = [segment_offsets(len(trial.data), rate, segmentation) for trial in trials]
     first_row = np.cumsum([0] + [o.size for o in offsets])
-    width = segmentation.window_samples(rate)
+    width, slide = segmentation.window_samples(rate), segmentation.slide_samples(rate)
     features = np.empty((first_row[-1], channels,
                          sum(d.component_count() for d in descriptors)))
     signals = [(t, ch) for t in range(len(trials)) for ch in range(channels)]
@@ -260,7 +260,8 @@ def extract_window_set(trials: list[Trial], rate: float,
             stack = np.empty((len(block), span))
             for row, (t, ch) in zip(stack, (signals[i] for i in block)):
                 row[:] = trials[t].data[:span, ch]
-        values, codes = _extract_stack(descriptors, stack, rate, segmentation)
+        values, codes = (a.reshape(len(block), offsets[t].size, -1)
+                         for a in _columns(descriptors, stack, width, slide, rate))
         faulty = np.flatnonzero(codes.any(axis=(1, 2)))
         if faulty.size:
             t, ch = signals[block[faulty[0]]]

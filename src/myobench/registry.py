@@ -349,18 +349,11 @@ def extract(descriptors, windows, rate: float) -> np.ndarray:
     spectrum and its square by the spectral moments. A window that a
     descriptor cannot define is a ValueError (see `_fault`).
     """
-    return _defined(*_extract_rows(descriptors, windows, rate))
-
-
-def _extract_rows(descriptors, windows, rate: float):
-    """`extract`'s matrix, with NaN where a window is undefined, and its
-    (windows, descriptors) fault codes, instead of an error."""
     x = np.asarray(windows, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("need a 1-D window or a (windows, samples) matrix")
-    rows = x[np.newaxis] if x.ndim == 1 else x
-    width = rows.shape[-1]  # a 0-sample window is one window too; `_check_width` refuses it
-    return _columns(descriptors, _Intermediates(rows, width, max(width, 1), rate))
+    width = x.shape[-1]  # a 0-sample window is one window too; `_check_width` refuses it
+    return _defined(*_columns(descriptors, np.atleast_2d(x), width, max(width, 1), rate))
 
 
 def extract_segments(descriptors, samples, rate: float, cfg: SegmentationConfig) -> np.ndarray:
@@ -375,22 +368,10 @@ def extract_segments(descriptors, samples, rate: float, cfg: SegmentationConfig)
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError("extract_segments needs a 1-D sample array")
-    return _defined(*_extract_stack(descriptors, x[np.newaxis], rate, cfg))[0]
-
-
-def _extract_stack(descriptors, signals, rate: float, cfg: SegmentationConfig):
-    """`extract_segments` of every row of a (signals, samples) stack, bit for
-    bit, with NaN and fault codes where it would raise.
-
-    Returns a (signals, windows, columns) array and the (signals, windows,
-    descriptors) codes. One pass of each kernel covers the whole stack, so
-    its fixed cost is paid once per stack rather than once per signal.
-    """
-    offsets = segment_offsets(signals.shape[1], rate, cfg)  # raises when too short
+    offsets = segment_offsets(x.size, rate, cfg)  # raises when too short
     width = cfg.window_samples(rate)
-    shared = _Intermediates(signals[:, :offsets[-1] + width], width, cfg.slide_samples(rate),
-                            rate)
-    return tuple(a.reshape(len(signals), offsets.size, -1) for a in _columns(descriptors, shared))
+    return _defined(*_columns(descriptors, x[np.newaxis, :offsets[-1] + width], width,
+                              cfg.slide_samples(rate), rate))
 
 
 # The most window samples (windows x width) that one stacked extraction
@@ -401,18 +382,16 @@ def _extract_stack(descriptors, signals, rate: float, cfg: SegmentationConfig):
 _BLOCK_SAMPLES = 2 ** 16
 
 
-def _blocks(sizes, kinds=None) -> list[range]:
+def _blocks(sizes) -> list[range]:
     """Consecutive index ranges over items of ``sizes`` window samples each.
 
-    A range holds items of one kind, which have one size (by default the
-    kind is the size: one window count, so they stack), and at most
-    ``_BLOCK_SAMPLES`` window samples in all; an item over the budget forms
-    a range of its own.
+    A range holds items of one size (one window count, so they stack) and
+    at most ``_BLOCK_SAMPLES`` window samples in all; an item over the
+    budget forms a range of its own.
     """
-    kinds = sizes if kinds is None else kinds
     blocks: list[range] = []
-    for i, (size, kind) in enumerate(zip(sizes, kinds)):
-        if blocks and kinds[i - 1] == kind and (len(blocks[-1]) + 1) * size <= _BLOCK_SAMPLES:
+    for i, size in enumerate(sizes):
+        if blocks and sizes[i - 1] == size and (len(blocks[-1]) + 1) * size <= _BLOCK_SAMPLES:
             blocks[-1] = range(blocks[-1].start, i + 1)
         else:
             blocks.append(range(i, i + 1))
@@ -454,11 +433,13 @@ def _defined(values, codes):
     return values
 
 
-def _columns(descriptors, shared: _Intermediates):
-    """The (windows, columns) values of the descriptors over ``shared``'s
-    windows, and one fault code per (window, descriptor). Every kernel
-    computes every window, and a window it cannot define gets NaN in each
-    of the descriptor's columns and a nonzero code."""
+def _columns(descriptors, stack, width: int, slide: int, rate: float):
+    """The (windows, columns) values of the descriptors over the windows of a
+    (signals, span) stack, ``width`` samples every ``slide`` (see
+    `_Intermediates`), signal by signal, and one fault code per (window,
+    descriptor). Every kernel computes every window, and a window it cannot
+    define gets NaN in each of the descriptor's columns and a nonzero code.
+    This is the one way the package reaches the kernels."""
     # Each cached array is dropped after the last descriptor that reads it, so
     # few are alive at once and the allocator reuses their memory instead of
     # returning it to the system and faulting it in again on the next call. A
@@ -467,7 +448,8 @@ def _columns(descriptors, shared: _Intermediates):
     last_reader = {}
     for i, family in enumerate(families):
         last_reader.update(dict.fromkeys(family.reads, i))
-    _check_width(descriptors, shared.width)
+    _check_width(descriptors, width)
+    shared = _Intermediates(stack, width, slide, rate)
     columns, codes = [], np.zeros((shared.total, len(descriptors)), dtype=np.int8)
     for i, (desc, family) in enumerate(zip(descriptors, families)):
         value = family.kernel(shared, **desc.param_dict)

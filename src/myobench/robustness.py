@@ -56,9 +56,15 @@ import numpy as np
 from .dataio import Dataset
 from .noise import (ZERO_POWER, add_wgn, derive_seeds, level_text, signal_power, snr_factor,
                     stream_words)
-from .registry import (_FAULTS, FeatureDescriptor, _blocks, _check_width, _extract_rows,
+from .registry import (_FAULTS, FeatureDescriptor, _blocks, _check_width, _columns,
                        peak_amplitude, resolve_hemg_peak)
 from .signals import SegmentationConfig, segment
+
+# Why a (record, descriptor) pair is left out, as a code (0: it is scored): a
+# kernel's fault code (see `registry._FAULTS`), or one of the grid's own,
+# which are negative so that no kernel code is one of them.
+_ZERO_POWER, _ZERO_VALUE, _REFUSED = -1, -2, -3
+_REASONS = {**_FAULTS, _ZERO_POWER: ZERO_POWER, _ZERO_VALUE: "its clean value is zero"}
 
 
 def percentage_error(clean_value, noisy_value):
@@ -159,38 +165,35 @@ def run_grid(dataset: Dataset, features: list[FeatureDescriptor], cfg: Robustnes
     reps = cfg.repetitions
     n_snr = len(cfg.snr_grid)
     copies = 1 + n_snr * reps  # a record's rows: its clean signal, then its noisy copies
-    picks, reasons = _scalar_picks(features, width)
-    usable = np.array([d_idx not in reasons for d_idx in range(len(features))])
+    picks, refused = _scalar_picks(features, width)
+    usable = np.array([d_idx not in refused for d_idx in range(len(features))])
     joint = [features[d_idx] for d_idx in np.flatnonzero(usable)]
     pe = np.zeros((len(features), n_snr, records, reps))
-    valid = np.zeros((records, len(features)), dtype=bool)
     stream_seeds = derive_seeds([cfg.seed], range(records), range(n_snr))
     words = stream_words(stream_seeds.ravel(), range(reps)).reshape(records, copies - 1, -1)
     factors = np.repeat([snr_factor(snr) for snr in cfg.snr_grid], reps)  # one per copy
     powers = signal_power(samples)
-    # A block's records are all of nonzero clean power or all of zero. With no
-    # descriptor to extract, every descriptor already has its reason.
-    for block in _blocks([copies * width] * records, (powers > 0).tolist()) if joint else []:
-        if powers[block.start] == 0:  # zero clean power: excluded for every feature
-            for d_idx in range(len(features)):
-                reasons.setdefault(d_idx, ZERO_POWER)
-            continue
-        matrix = np.empty((len(block), copies, width))
-        matrix[:, 0] = samples[block.start:block.stop]
-        add_wgn(matrix[:, 0], factors, words[block.start:block.stop], matrix[:, 1:])
-        values, codes = _extract_rows(joint, matrix.reshape(-1, width), dataset.rate)
-        values = values[:, picks].reshape(len(block), copies, -1)
+    excluded = np.zeros((records, len(features)), dtype=np.int8)
+    excluded[powers == 0] = _ZERO_POWER
+    excluded[:, ~usable] = _REFUSED
+    live = np.flatnonzero(powers > 0)  # the records that blocks hold
+    # With no descriptor to extract, every pair already has its code.
+    for block in _blocks([copies * width] * live.size) if joint else []:
+        rec = live[block.start:block.stop]
+        matrix = np.empty((len(rec), copies, width))
+        matrix[:, 0] = samples[rec]
+        add_wgn(matrix[:, 0], factors, words[rec], matrix[:, 1:])
+        values, codes = _columns(joint, matrix.reshape(-1, width), width, width, dataset.rate)
+        values = values[:, picks].reshape(len(rec), copies, -1)
         # a (record, descriptor) pair's fault is its highest code over the record's rows
-        faults = np.zeros((len(block), len(features)), dtype=codes.dtype)
-        faults[:, usable] = codes.reshape(len(block), copies, -1).max(axis=1)
-        ok = usable & (faults == 0) & (values[:, 0] != 0)
-        # an excluded pair divides by 1, not by its zero or NaN clean value, and stays invalid
-        pe[:, :, block.start:block.stop] = percentage_error(
-            np.where(ok, values[:, 0], 1.0)[:, np.newaxis], values[:, 1:],
-        ).reshape(len(block), n_snr, reps, -1).transpose(3, 1, 0, 2)
-        valid[block.start:block.stop] = ok
-        for r, d_idx in np.argwhere(~ok).tolist():  # in record order
-            reasons.setdefault(d_idx, _FAULTS.get(faults[r, d_idx], "its clean value is zero"))
+        block_codes = excluded[rec]
+        block_codes[:, usable] = codes.reshape(len(rec), copies, -1).max(axis=1)
+        block_codes[(block_codes == 0) & (values[:, 0] == 0)] = _ZERO_VALUE
+        excluded[rec] = block_codes
+        # an excluded pair divides by 1, not by its zero or NaN clean value
+        pe[:, :, rec] = percentage_error(
+            np.where(block_codes == 0, values[:, 0], 1.0)[:, np.newaxis], values[:, 1:],
+        ).reshape(len(rec), n_snr, reps, -1).transpose(3, 1, 0, 2)
 
     buckets: dict[tuple[str, str], list[int]] = {}
     for r_idx, s_idx in enumerate(owner.tolist()):
@@ -201,7 +204,7 @@ def run_grid(dataset: Dataset, features: list[FeatureDescriptor], cfg: Robustnes
     for d_idx in sorted(range(len(features)), key=lambda d: features[d].name):
         desc = features[d_idx]
         for (group, motion), members in sorted(buckets.items()):
-            kept = [r for r in members if valid[r, d_idx]]
+            kept = [r for r in members if excluded[r, d_idx] == 0]
             mean = std = [float("nan")] * n_snr
             if kept:
                 # one row per level: its PEs record by record, then repetition by repetition
@@ -212,8 +215,9 @@ def run_grid(dataset: Dataset, features: list[FeatureDescriptor], cfg: Robustnes
                     feature=desc.name, parameters=desc.param_text, group=group, motion=motion,
                     snr_db=cfg.snr_grid[s_idx], mean_pe=mean_pe, std_pe=std_pe,
                     n=len(kept) * reps, excluded=(len(members) - len(kept)) * reps))
-    unscored = {features[d].label: reasons[d] for d in range(len(features))
-                if not valid[:, d].any()}
+    # a feature that no record scored is excluded for every record, record 0 too
+    unscored = {features[d].label: refused[d] if d in refused else _REASONS[excluded[0, d]]
+                for d in range(len(features)) if excluded[:, d].all()}
     return RobustnessGrid(rows=rows, features=features, unscored=unscored)
 
 

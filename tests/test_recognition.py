@@ -207,7 +207,7 @@ class TestBlockExtraction:
     def test_a_label_outside_the_class_names_is_named(self):
         trials = noise_trials(6, [20, 20], channels=1)
         trials[1] = replace(trials[1], label="hand_open")
-        with patch.object(recognition, "_extract_stack") as stack:
+        with patch.object(recognition, "_columns") as stack:
             with pytest.raises(ValueError,
                                match="^trial t1: label 'hand_open' is not a class name$"):
                 extract_window_set(trials, 1000.0, parse_features("rms"), BLOCK_SEG,
@@ -224,16 +224,16 @@ class TestBlockExtraction:
         trials[2].data[5, 0] = np.nan
         calls = []
 
-        def counted(descriptors, stack, rate, cfg):
+        def counted(descriptors, stack, width, slide, rate):
             calls.append(stack.shape)
-            return registry._extract_stack(descriptors, stack, rate, cfg)
+            return registry._columns(descriptors, stack, width, slide, rate)
 
         for features, message in [
             ("rms,hemg:limit=2,ar,mnf", "window is identically zero; autocorrelation is singular"),
             ("rms,mnf,ar", "spectrum has no mass; mean/median frequency undefined"),
         ]:
             calls.clear()
-            with patch.object(recognition, "_extract_stack", counted):
+            with patch.object(recognition, "_columns", counted):
                 with pytest.raises(ValueError, match=f"^trial t1, channel ch1: {message}$"):
                     extract_window_set(trials, 1000.0, parse_features(features), BLOCK_SEG,
                                        ["a", "b"])
@@ -265,13 +265,13 @@ class TestInPlaceBlocks:
     def test_one_trial_blocks_share_its_memory(self, trials, budget, shapes, in_place):
         stacks = []
 
-        def recorded(descriptors, stack, rate, cfg):
+        def recorded(descriptors, stack, width, slide, rate):
             stacks.append(stack)
-            return registry._extract_stack(descriptors, stack, rate, cfg)
+            return registry._columns(descriptors, stack, width, slide, rate)
 
         descriptors = parse_features("rms,mav,wl,zc,hemg:limit=200,ar:order=2,mnf,mmdf")
         with patch.object(registry, "_BLOCK_SAMPLES", budget), \
-                patch.object(recognition, "_extract_stack", recorded):
+                patch.object(recognition, "_columns", recorded):
             windows = extract_window_set(trials, 1000.0, descriptors, SEG,
                                          ["hand_open", "hand_close"])
         assert [stack.shape for stack in stacks] == shapes

@@ -328,7 +328,7 @@ class TestUndefinedRows:
         good = self.rows(at)
         x = np.insert(good, at, bad_row, axis=0)
         descriptors = parse_features(f"rms,{token},wl")
-        values, codes = registry._extract_rows(descriptors, x, 1000.0)
+        values, codes = registry._columns(descriptors, x, 64, 64, 1000.0)
         expected = np.zeros((6, 3), dtype=int)
         expected[at, 1] = code
         np.testing.assert_array_equal(codes, expected)
@@ -344,7 +344,7 @@ class TestUndefinedRows:
         good = self.rows(9)
         ar = parse_features("ar:order=8")
         for x in (np.vstack([zero, tiny, good]), np.vstack([tiny, good, zero])):
-            codes = registry._extract_rows(ar, x, 1000.0)[1][:, 0]
+            codes = registry._columns(ar, x, 64, 64, 1000.0)[1][:, 0]
             assert sorted(codes[:2].tolist() + codes[-1:].tolist()) == \
                 [0, ff._COLLAPSED, ff._SINGULAR]
             with pytest.raises(ValueError, match="^window is identically zero; "
@@ -360,10 +360,10 @@ class TestUndefinedRows:
                                   ("rms,ar,mnf", "window is identically zero")]:
             with pytest.raises(ValueError, match="^" + message):
                 extract(parse_features(features), x, 1000.0)
-            assert registry._fault(registry._extract_rows(parse_features(features), x,
-                                                          1000.0)[1]).startswith(message)
-        assert registry._fault(registry._extract_rows(parse_features("rms,ar"),
-                                                      self.rows(3), 1000.0)[1]) is None
+            assert registry._fault(registry._columns(parse_features(features), x, 64, 64,
+                                                     1000.0)[1]).startswith(message)
+        assert registry._fault(registry._columns(parse_features("rms,ar"), self.rows(3),
+                                                 64, 64, 1000.0)[1]) is None
 
 
 def assert_rejected_when_built(name, key, value):
@@ -513,8 +513,10 @@ class TestStacks:
             data = np.round(data / quantum) * quantum
         stack = data.T if strided else np.ascontiguousarray(data.T)
         cfg = SegmentationConfig(window_ms=float(width), slide_ms=float(slide))
-        values, codes = registry._extract_stack(descriptors, stack, 1000.0, cfg)
-        assert codes.shape == (signals, windows, len(descriptors))
+        values, codes = registry._columns(descriptors, stack[:, :n - tail % slide], width,
+                                          slide, 1000.0)
+        assert codes.shape == (signals * windows, len(descriptors))
+        values, codes = values.reshape(signals, windows, -1), codes.reshape(signals, windows, -1)
         for row, signal in enumerate(stack):
             alone = outcome(lambda: extract_segments(descriptors, signal, 1000.0, cfg))
             if isinstance(alone, str):

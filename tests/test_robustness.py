@@ -358,13 +358,13 @@ def blocked_and_alone(monkeypatch, records, features, cfg):
     calls = []
     copies = 1 + len(cfg.snr_grid) * cfg.repetitions  # a record's rows
 
-    def counted(features, rows, rate):
+    def counted(features, rows, width, slide, rate):
         assert len(rows) % copies == 0
         calls[-1].append(len(rows) // copies)
-        return registry._extract_rows(features, rows, rate)
+        return registry._columns(features, rows, width, slide, rate)
 
     with monkeypatch.context() as patch:
-        patch.setattr(robustness, "_extract_rows", counted)
+        patch.setattr(robustness, "_columns", counted)
         calls.append([])
         blocked = run_grid(records, features, cfg, SEG)
         patch.setattr(registry, "_BLOCK_SAMPLES", 1)
@@ -442,11 +442,11 @@ class TestBlocks:
         features = parse_features("rms,mnf:dc=0,ar")
         calls = []
 
-        def counted(features, rows, rate):
+        def counted(features, rows, width, slide, rate):
             calls.append(rows.shape)
-            return registry._extract_rows(features, rows, rate)
+            return registry._columns(features, rows, width, slide, rate)
 
-        monkeypatch.setattr(robustness, "_extract_rows", counted)
+        monkeypatch.setattr(robustness, "_columns", counted)
         grid = run_grid(records, features, cfg, SEG)
         assert calls == [(n * 61, 256) for n in (4, 4, 2)]  # the flat 04 is no block
         same_rows(grid.rows, reference_rows(records, features, cfg))
@@ -464,11 +464,11 @@ class TestBlocks:
         panel = run_grid(dataset, default_panel(), cfg, SEG)
         calls = []
 
-        def counted(features, signals, rate):
-            calls.append(signals.shape)
-            return registry._extract_rows(features, signals, rate)
+        def counted(features, rows, width, slide, rate):
+            calls.append(rows.shape)
+            return registry._columns(features, rows, width, slide, rate)
 
-        monkeypatch.setattr(robustness, "_extract_rows", counted)
+        monkeypatch.setattr(robustness, "_columns", counted)
         grid = run_grid(dataset, default_panel() + parse_features("mavslp"), cfg, SEG)
         assert calls == [(4 * 61, 256)] * 48  # 192 records, 4 to a block
         same_rows([row for row in grid.rows if row.feature != "mavslp"], panel.rows)
@@ -510,11 +510,11 @@ class TestRecordsFromDataset:
             trials_per_class=1, trial_ms=1000, seed=0))
         blocks = []
 
-        def counted(features, rows, rate):
+        def counted(features, rows, width, slide, rate):
             blocks.append((rows.shape, rate))
-            return registry._extract_rows(features, rows, rate)
+            return registry._columns(features, rows, width, slide, rate)
 
-        monkeypatch.setattr(robustness, "_extract_rows", counted)
+        monkeypatch.setattr(robustness, "_columns", counted)
 
         def record_count(max_windows):
             blocks.clear()
