@@ -31,7 +31,7 @@ import numpy as np
 from .time_features import _feature
 
 # The fault codes of the rows a kernel here cannot define (0: defined);
-# `registry._FAULTS` holds their messages, and time_features' code is 1.
+# `registry._FAULTS` holds their messages.
 _NO_MASS, _COLLAPSED, _SINGULAR = 2, 3, 4
 
 
@@ -85,8 +85,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _moment_arrays(freqs, weights, dc):
-    # A row without positive mass (or with a NaN in it) gets _NO_MASS and the
-    # divisor 1, so it raises no warning and leaves the other rows as they are.
+    # A row without positive mass gets _NO_MASS and the divisor 1, so it
+    # raises no warning and leaves the other rows as they are.
     # Bin 0 is rfftfreq's only zero bin. Slicing it off keeps each row a
     # contiguous run, so a row of a matrix is summed as that row alone is.
     if not dc:

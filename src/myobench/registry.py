@@ -211,15 +211,19 @@ _DOMAINS = {
     "limit": (lambda v: 0 < v < math.inf, "positive and finite"),
 }
 
+# The code `_columns` gives a window that holds a non-finite sample, in
+# every descriptor and over any code of its kernel.
+_NON_FINITE = 5
 # The message of each code a kernel gives a window it cannot define (0: the
 # window is defined). Where one descriptor's windows have two codes, the
 # higher one names the fault: an all-zero window's AR fit names its singular
-# autocorrelation, not the collapsed prediction error that follows from it.
+# autocorrelation, not the collapsed prediction error that follows from it,
+# and a non-finite sample outranks them all.
 _FAULTS = {
-    tf._NON_FINITE: "hemg needs finite samples",
     ff._NO_MASS: "spectrum has no mass; mean/median frequency undefined",
     ff._COLLAPSED: "prediction error collapsed to zero; window is degenerate",
     ff._SINGULAR: "window is identically zero; autocorrelation is singular",
+    _NON_FINITE: "window holds a non-finite sample",
 }
 
 FEATURE_NAMES = tuple(_FAMILIES)
@@ -449,6 +453,10 @@ def _columns(descriptors, stack, width: int, slide: int, rate: float):
     for i, family in enumerate(families):
         last_reader.update(dict.fromkeys(family.reads, i))
     _check_width(descriptors, width)
+    non_finite = None
+    if not np.isfinite(stack).all():  # zeroed, so that no kernel warns on them
+        non_finite = ~np.isfinite(stack)
+        stack = np.where(non_finite, 0.0, stack)
     shared = _Intermediates(stack, width, slide, rate)
     columns, codes = [], np.zeros((shared.total, len(descriptors)), dtype=np.int8)
     for i, (desc, family) in enumerate(zip(descriptors, families)):
@@ -460,6 +468,8 @@ def _columns(descriptors, stack, width: int, slide: int, rate: float):
         for name in family.reads:
             if last_reader[name] == i:
                 vars(shared).pop(name, None)
+    if non_finite is not None:  # the windows that hold one are undefined in every descriptor
+        codes[shared.counts(non_finite).reshape(-1) > 0] = _NON_FINITE
     values = np.hstack(columns)
     if codes.any():  # NaN in every column of a descriptor's undefined windows
         values[np.repeat(codes > 0, [c.shape[1] for c in columns], axis=1)] = np.nan

@@ -25,10 +25,6 @@ DEFAULT_WAMP_THRESHOLD = 10.0
 DEFAULT_MAVSLP_SEGMENTS = 3
 DEFAULT_HEMG_BINS = 3
 
-# The fault code of a histogram window with a non-finite sample (0: defined);
-# `registry._FAULTS` holds its message, and freq_features' codes are 2 to 4.
-_NON_FINITE = 1
-
 
 def _feature(name: str, window, rate: float = 1.0, **params):
     """``registry.extract`` of one descriptor, in the shape and type of a feature.
@@ -137,8 +133,7 @@ def hemg(window, bins: int = DEFAULT_HEMG_BINS, limit: float = 1.0) -> np.ndarra
 
     The symmetric range is supplied rather than taken per window so counts
     stay comparable across windows; samples outside it are clamped into the
-    nearest edge bin, so the counts always sum to N. A non-finite sample has
-    no bin and is rejected.
+    nearest edge bin, so the counts always sum to N.
     """
     return _feature("hemg", window, bins=bins, limit=limit)
 
@@ -253,18 +248,15 @@ def _hemg_edges(bins: int, limit: float) -> tuple[float, ...]:
 
 
 def _hemg(s, bins: int, limit: float):
-    """Each window's sample count per bin, as a (windows, bins) matrix, and
-    each window's fault code: _NON_FINITE for a window that holds a sample
-    with no bin, else 0.
+    """Each window's sample count per bin, as a (windows, bins) matrix.
 
-    ``s`` is a `registry._Intermediates`. A window's count in bin j is its
-    count of samples at or above e_j minus its count at or above e_{j+1},
-    with every sample at or above e_0 and none at or above e_bins.
+    ``s`` is a `registry._Intermediates`, whose samples are all finite. A
+    window's count in bin j is its count of samples at or above e_j minus
+    its count at or above e_{j+1}, with every sample at or above e_0 and
+    none at or above e_bins.
     """
     at_least = np.empty((s.total, bins + 1), dtype=np.intp)
     at_least[:, 0], at_least[:, bins] = s.width, 0
     for j, edge in enumerate(_hemg_edges(bins, limit), 1):
         at_least[:, j] = s.counts(s.source >= edge).reshape(-1)
-    finite = np.isfinite(s.source)
-    undefined = not finite.all() and s.counts(~finite).reshape(-1) > 0
-    return at_least[:, :-1] - at_least[:, 1:], np.where(undefined, _NON_FINITE, 0)
+    return at_least[:, :-1] - at_least[:, 1:]

@@ -107,6 +107,17 @@ def test_slide_of_no_whole_samples_is_usage_error(runner, dataset_dir, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["extract", "robustness", "classify"])
+def test_window_of_one_sample_is_usage_error(runner, dataset_dir, tmp_path, command):
+    # 1 ms at 1 kHz is a whole sample, but a window needs at least two.
+    result = runner.invoke(main, [command, "--data", str(dataset_dir / "manifest.json"),
+                                  "--window-ms", "1", "--slide-ms", "1",
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert "window of 1.0 ms is only 1 samples; need >= 2" in " ".join(result.output.split())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
+@pytest.mark.parametrize("command", ["extract", "robustness", "classify"])
 def test_rate_too_large_for_a_float_is_runtime_error(runner, dataset_dir, tmp_path, command):
     manifest_path = dataset_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
@@ -219,6 +230,12 @@ class TestSynth:
         result = runner.invoke(main, synth_args(tmp_path / "d", classes=2) + options)
         assert result.exit_code == 2, result.output
         assert message in result.output
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_channels_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, synth_args(tmp_path / "d") + ["--channels", "0"])
+        assert result.exit_code == 2, result.output
+        assert "channels and trials_per_class must be >= 1" in result.output
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("option", ["--duration-ms", "--rate"])
@@ -748,6 +765,22 @@ class TestRobustness:
         assert result.output.strip() == f"Error: {message}"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("option, message", [
+        (["--snr", ","], "bad --snr: empty SNR grid"),
+        (["--snr", "20,abc"], "bad --snr: could not convert string to float: 'abc'"),
+        (["--sweep", "wamp:threshold=10,20", "--features", "rms"],
+         "--sweep and --features are mutually exclusive"),
+    ])
+    def test_bad_grid_or_panel_option_is_usage_error_before_loading(self, runner, tmp_path,
+                                                                    option, message):
+        # The manifest does not exist, so exit 2 shows the check ran before loading.
+        result = runner.invoke(main, [
+            "robustness", "--data", str(tmp_path / "ghost.json"), *option,
+            "--out", str(tmp_path / "grid")])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not list(tmp_path.iterdir())
+
     def test_negative_max_windows_is_usage_error(self, runner, dataset_dir, tmp_path):
         result = runner.invoke(main, [
             "robustness", "--data", str(dataset_dir / "manifest.json"),
@@ -911,6 +944,9 @@ class TestClassify:
         ("--sets", "x=rms+mmnf:dc=2", "mmnf:dc=2: dc must be 0 or 1"),
         ("--sets", "x/../../x=rms", "feature set name 'x/../../x' contains a path separator"),
         ("--sets", "hudgins,a/b=rms", "feature set name 'a/b' contains a path separator"),
+        ("--sets", "=rms", "a feature set name is empty"),
+        ("--sets", " , ", "empty feature-set list"),
+        ("--noise", ",", "empty noise-level list"),
     ])
     def test_bad_option_is_usage_error_before_loading(self, runner, tmp_path, option,
                                                       value, message):

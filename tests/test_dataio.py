@@ -51,6 +51,13 @@ class TestRoundTrip:
                                                  channels=3, trials_per_class=1, trial_ms=500))
         assert synthesized.trials[0].data.flags.f_contiguous
 
+    @pytest.mark.parametrize("data", [np.zeros(6), np.zeros((6, 3)), np.zeros((2, 3, 2))],
+                             ids=["1-D", "3 channels", "3-D"])
+    def test_a_trial_needs_one_column_per_channel(self, data):
+        with pytest.raises(ValueError, match=r"^trial data must be \(n_samples, n_channels\)$"):
+            Trial(trial_id="x", label="rest", subject="", group="", channels=["a", "b"],
+                  data=data)
+
     def test_loaded_channel_count(self, tmp_path):
         manifest = save_dataset(tiny_dataset(), tmp_path / "d")
         loaded = load_dataset(manifest)
@@ -288,6 +295,22 @@ class TestLoaderErrors:
         path, trial_file = self.edit_trial_rows(tmp_path, edit)
         where = re.escape(f"{trial_file}:7: non-finite sample '{cell}' in channel 'ch2'")
         with pytest.raises(DatasetError, match=f"^{where}$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key", ["classes", "sampling_rate_hz", "trials"])
+    def test_manifest_missing_key(self, tmp_path, key):
+        path, manifest = self.write_manifest(tmp_path)
+        del manifest[key]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match=f"^manifest missing required key '{key}'$"):
+            load_dataset(path)
+
+    def test_empty_trial_file(self, tmp_path):
+        path, manifest = self.write_manifest(tmp_path)
+        trial_file = path.parent / manifest["trials"][0]["path"]
+        trial_file.write_bytes(b"")
+        with pytest.raises(DatasetError,
+                           match=f"^trial file is empty: {re.escape(str(trial_file))}$"):
             load_dataset(path)
 
     def test_header_only_file_has_no_samples(self, tmp_path):

@@ -140,3 +140,15 @@ def test_feature_function_is_its_extract_column(name, shape):
         assert got.dtype == kind
         assert got.shape == expected.shape
         np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", FEATURE_NAMES)
+def test_feature_function_refuses_a_non_finite_sample(name, bad):
+    # rms used to give NaN, zc a count, mnf "spectrum has no mass"
+    x = np.random.default_rng(0).standard_normal(240)
+    x[5] = bad
+    params = FEATURE_PARAMS.get(name, {})
+    function = getattr(myobench, "ar_coefficients" if name == "ar" else name)
+    with pytest.raises(ValueError, match="^window holds a non-finite sample$"):
+        function(x, 1000.0, **params) if name in SPECTRAL else function(x, **params)

@@ -239,7 +239,7 @@ class TestBlockExtraction:
                                        ["a", "b"])
             assert calls == [(6, 20)]
         trials[1].data[:, 1] = 1.0  # now only t2's NaN is a fault
-        with pytest.raises(ValueError, match="^trial t2, channel ch0: hemg needs finite samples$"):
+        with pytest.raises(ValueError, match="^trial t2, channel ch0: window holds a non-finite sample$"):
             extract_window_set(trials, 1000.0, parse_features("rms,hemg:limit=2,mnf"), BLOCK_SEG,
                                ["a", "b"])
 
@@ -316,6 +316,12 @@ class TestLdaTrain:
     def test_needs_two_classes(self):
         with pytest.raises(ValueError, match="2 classes"):
             lda_train([[0.0], [1.0]], [0, 0], ["a", "b"])
+
+    def test_constant_features_are_refused(self):
+        # A zero pooled covariance has no trace to scale the ridge by.
+        with pytest.raises(ValueError, match="^features have zero variance; "
+                                             "covariance is degenerate$"):
+            lda_train([[1.0, 2.0]] * 2 + [[3.0, 4.0]] * 2, [0, 0, 1, 1], ["a", "b"])
 
     def test_non_finite_features_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

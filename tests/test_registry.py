@@ -303,6 +303,11 @@ class TestJointExtraction:
                     (x[:-1] * x[1:] < 0) & (jump >= threshold))
                 assert wamp(x, threshold) == np.count_nonzero(jump >= threshold)
 
+    def test_a_window_stack_of_three_axes_is_refused(self):
+        with pytest.raises(ValueError, match=r"^need a 1-D window or a \(windows, samples\) "
+                                             "matrix$"):
+            extract(parse_features("rms"), np.ones((2, 3, 16)), 1000.0)
+
     def test_short_windows_still_fail(self):
         for token, samples in [("wl", 1), ("zc", 1), ("wamp", 1), ("ssc", 2)]:
             with pytest.raises(ValueError, match="at least"):
@@ -321,7 +326,7 @@ class TestUndefinedRows:
         ("ar:order=8", np.full(64, 1e-161), ff._COLLAPSED),  # r_0 > 0, but underflows
         ("mnf:dc=0", np.full(64, 3.0), ff._NO_MASS),
         ("mmdf:dc=0", np.full(64, 3.0), ff._NO_MASS),
-        ("hemg:limit=30", np.where(np.arange(64) == 9, np.nan, 1.0), tf._NON_FINITE),
+        ("hemg:limit=30", np.where(np.arange(64) == 9, np.nan, 1.0), registry._NON_FINITE),
     ])
     @pytest.mark.parametrize("at", [0, 2, 5])
     def test_only_the_faulty_row_is_marked(self, token, bad_row, code, at):
@@ -329,11 +334,13 @@ class TestUndefinedRows:
         x = np.insert(good, at, bad_row, axis=0)
         descriptors = parse_features(f"rms,{token},wl")
         values, codes = registry._columns(descriptors, x, 64, 64, 1000.0)
+        every = code == registry._NON_FINITE  # a non-finite sample marks every descriptor
         expected = np.zeros((6, 3), dtype=int)
-        expected[at, 1] = code
+        expected[at, slice(None) if every else 1] = code
         np.testing.assert_array_equal(codes, expected)
         count = descriptors[1].component_count()
         assert np.isnan(values[at, 1:1 + count]).all()
+        assert np.isnan(values[at]).all() == every
         assert not np.isnan(np.delete(values, at, axis=0)).any()
         assert np.array_equal(np.delete(values, at, axis=0), extract(descriptors, good, 1000.0))
         with pytest.raises(ValueError, match="^" + re.escape(registry._FAULTS[code]) + "$"):
@@ -463,7 +470,7 @@ class TestExtractSegments:
         with_nan = x.copy()
         with_nan[20] = np.nan
         cases = [(parse_features("rms,wl"), x[:11], "signal too short"),
-                 (parse_features("rms,hemg:limit=1"), with_nan, "hemg needs finite samples"),
+                 (parse_features("rms,hemg:limit=1"), with_nan, "window holds a non-finite sample"),
                  (parse_features("mav,mavslp:segments=5"), x, "does not divide")]
         for descriptors, samples, message in cases:
             got = outcome(lambda: extract_segments(descriptors, samples, 1000.0, cfg))
@@ -525,6 +532,39 @@ class TestStacks:
                 assert registry._fault(codes[row]) is None
                 assert values[row].shape == alone.shape
                 assert values[row].tobytes() == alone.tobytes()
+
+    @given(params=st.tuples(*(st.fixed_dictionaries(_PARAMS[name]) for name in FEATURE_NAMES)),
+           per_segment=st.integers(3, 8), slide_step=st.integers(0, 39),
+           windows=st.integers(1, 6), signals=st.integers(1, 4), strided=st.booleans(),
+           quantum=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1),
+           planted=st.lists(st.tuples(st.integers(0, 2**16),
+                                      st.sampled_from([np.nan, np.inf, -np.inf])),
+                            min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_a_non_finite_sample_marks_its_windows_in_every_descriptor(
+            self, params, per_segment, slide_step, windows, signals, strided, quantum, seed,
+            planted):
+        descriptors = [make_descriptor(name, p) for name, p in zip(FEATURE_NAMES, params)]
+        width = per_segment * params[FEATURE_NAMES.index("mavslp")]["segments"]
+        slide = 1 + slide_step % width
+        n = (windows - 1) * slide + width
+        data = np.random.default_rng(seed).standard_normal((n, signals))
+        if quantum:  # zero differences, ties and all-zero windows, which kernels refuse
+            data = np.round(data / quantum) * quantum
+        bad = data.copy()
+        for at, value in planted:
+            bad[at % n, at // n % signals] = value
+        stacks = [x.T if strided else np.ascontiguousarray(x.T) for x in (data, bad)]
+        (good_values, good_codes), (values, codes) = (
+            registry._columns(descriptors, stack, width, slide, 1000.0) for stack in stacks)
+        starts = np.arange(windows) * slide
+        holds = np.array([not np.isfinite(signal[a:a + width]).all()
+                          for signal in stacks[1] for a in starts])
+        assert holds.any()
+        assert (codes[holds] == registry._NON_FINITE).all()
+        assert np.isnan(values[holds]).all()
+        np.testing.assert_array_equal(codes[~holds], good_codes[~holds])
+        assert values[~holds].tobytes() == good_values[~holds].tobytes()
 
 
 class TestScalarize:

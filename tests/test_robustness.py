@@ -149,6 +149,14 @@ class TestRunGrid:
         assert (row.feature, row.snr_db, row.n, row.excluded) == ("rms", 20.0, 1, 0)
         assert row.mean_pe >= 0
 
+    @pytest.mark.parametrize("tokens", ["rms,zc,rms", "wamp:threshold=10,wamp:threshold=10.0"])
+    def test_a_repeated_descriptor_is_refused(self, tokens, monkeypatch):
+        # The CLI refuses one before the load; a caller of run_grid gets the same check.
+        monkeypatch.setattr(robustness, "segment", None)  # refused before any window is cut
+        records = make_records(np.random.default_rng(1), count=1)
+        with pytest.raises(ValueError, match=r"^a feature \(or sweep value\) is listed twice$"):
+            run_grid(records, parse_features(tokens), RobustnessConfig(), SEG)
+
     def test_dry_run_gives_zero_pe(self, monkeypatch):
         monkeypatch.setattr(noise, "fill_wgn", zero_draws)
         rng = np.random.default_rng(2)

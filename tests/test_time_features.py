@@ -431,9 +431,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_hemg_rejects_non_finite_samples(self, bad):
-        with pytest.raises(ValueError, match="hemg needs finite samples"):
+        with pytest.raises(ValueError, match="^window holds a non-finite sample$"):
             hemg([0.5, bad, -0.5], bins=3, limit=1.0)
-        with pytest.raises(ValueError, match="hemg needs finite samples"):
+        with pytest.raises(ValueError, match="^window holds a non-finite sample$"):
             hemg(np.array([[0.5, 0.1], [0.2, bad]]), bins=3, limit=1.0)
 
     def test_short_windows_rejected(self):
