@@ -31,7 +31,7 @@ import numpy as np
 from .time_features import _feature
 
 # The fault codes of the rows a kernel here cannot define (0: defined);
-# `registry._FAULTS` holds their messages.
+# `registry._FAULTS` holds their messages, and `registry._NON_FINITE` is 1.
 _NO_MASS, _COLLAPSED, _SINGULAR = 2, 3, 4
 
 

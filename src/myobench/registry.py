@@ -11,36 +11,38 @@ A descriptor is a feature name plus concrete parameters. Two entry points
 evaluate a list of descriptors and return one row per window: one column
 per scalar feature, one per bin/coefficient/segment-difference for vector
 features. ``extract`` takes a window or a (windows, samples) matrix, each row
-one window (the robustness grid's clean and noisy copies). ``extract_segments``
-takes one channel signal and a segmentation, and gives exactly what
-``extract`` gives on that signal's windows. Both build one kind of
-extraction, a (signals, span) stack whose signals each hold ``count``
+one window. ``extract_segments`` takes one channel signal and a
+segmentation, and gives exactly what ``extract`` gives on that signal's
+windows. Every extraction is one `_columns` call, the only way to the
+kernels: it takes a (signals, span) stack whose signals each hold ``count``
 windows of ``width`` samples, one every ``slide`` (a window matrix is the
-stack with one window per row), and run the same kernels in the same loop
-over its ``_Intermediates``. That computes each elementwise intermediate
-(|x|, x^2, the differences, the event masks, the HEMG edge masks) once over
-the stack and hands each kernel its windows of it, as views from
-`signals._windows`: over a signal whose windows overlap, every sample is
-transformed once, not once per window that holds it, and an event counter
-sums its mask over each window.
+stack with one window per row, ``slide == width``), and runs every kernel
+in one loop over the stack's ``_Intermediates``. That computes each
+elementwise intermediate (|x|, x^2, the differences, the event masks, the
+HEMG edge masks) once over the stack and hands each kernel its windows of
+it, as views from `signals._windows`: over a signal whose windows overlap,
+every sample is transformed once, not once per window that holds it, and an
+event counter sums its mask over each window.
 
 Equal-length signals are extracted as one stack. A kernel pass has a
 fixed cost (dispatch, small temporaries) that dwarfs its work on one 3 s
 channel, so the recognition pipeline stacks short channels into blocks (see
 `recognition.extract_window_set`) and the robustness grid stacks records'
 copy matrices (see `robustness.run_grid`), each under one budget,
-``_BLOCK_SAMPLES``, and each block is extracted in one pass.
-``extract_segments`` runs the same code on a stack of one signal, and each
-row of a stack gets the values it would get alone, bit for bit.
+``_BLOCK_SAMPLES``, and each block is one `_columns` call. Each row of a
+stack gets the values it would get alone, bit for bit.
 
 A window that a kernel cannot define does not stop the pass: an all-zero
-window's AR fit, a spectrum with no mass, a histogram window holding a
-non-finite sample. That window gets NaN in the descriptor's columns and a
-fault code (see `_FAULTS`), and every other window keeps its value. So one
-extraction of a block tells the robustness grid which (record, descriptor)
-pairs to leave out and tells the recognition pipeline which signal to
-name. ``extract`` and ``extract_segments`` raise the first faulty
-descriptor's message instead.
+window's AR fit, a spectrum with no mass. That window gets NaN in the
+descriptor's columns and a fault code (see `_FAULTS`), and every other
+window keeps its value. A window that holds a non-finite sample is
+undefined for every descriptor: `_columns` checks the stack once, and such
+a window gets NaN and one code, ``_NON_FINITE``, in every descriptor. So
+one extraction of a block tells the robustness grid which (record,
+descriptor) pairs to leave out and tells the recognition pipeline which
+signal to name. ``extract`` and ``extract_segments`` raise the first faulty
+descriptor's message instead: all 18 feature functions raise "window holds
+a non-finite sample" for such a window.
 
 For percentage-error benchmarking a vector feature is reduced to one
 scalar, the component its record names, which the robustness study singles
@@ -213,17 +215,16 @@ _DOMAINS = {
 
 # The code `_columns` gives a window that holds a non-finite sample, in
 # every descriptor and over any code of its kernel.
-_NON_FINITE = 5
-# The message of each code a kernel gives a window it cannot define (0: the
-# window is defined). Where one descriptor's windows have two codes, the
-# higher one names the fault: an all-zero window's AR fit names its singular
-# autocorrelation, not the collapsed prediction error that follows from it,
-# and a non-finite sample outranks them all.
+_NON_FINITE = 1
+# The message of each code a window that is not defined gets (0: the window
+# is defined). Where one descriptor's windows have two codes, the higher one
+# names the fault: an all-zero window's AR fit names its singular
+# autocorrelation, not the collapsed prediction error that follows from it.
 _FAULTS = {
+    _NON_FINITE: "window holds a non-finite sample",
     ff._NO_MASS: "spectrum has no mass; mean/median frequency undefined",
     ff._COLLAPSED: "prediction error collapsed to zero; window is degenerate",
     ff._SINGULAR: "window is identically zero; autocorrelation is singular",
-    _NON_FINITE: "window holds a non-finite sample",
 }
 
 FEATURE_NAMES = tuple(_FAMILIES)
@@ -351,7 +352,8 @@ def extract(descriptors, windows, rate: float) -> np.ndarray:
     shared by every kernel that reads it: |x| by the MAV family, x^2 by ssi,
     var and rms, the sample differences by wl, zc, ssc and wamp, the
     spectrum and its square by the spectral moments. A window that a
-    descriptor cannot define is a ValueError (see `_fault`).
+    descriptor cannot define, or that holds a non-finite sample, is a
+    ValueError (see `_fault`).
     """
     x = np.asarray(windows, dtype=float)
     if x.ndim not in (1, 2):
@@ -443,7 +445,10 @@ def _columns(descriptors, stack, width: int, slide: int, rate: float):
     `_Intermediates`), signal by signal, and one fault code per (window,
     descriptor). Every kernel computes every window, and a window it cannot
     define gets NaN in each of the descriptor's columns and a nonzero code.
-    This is the one way the package reaches the kernels."""
+    A window that holds a non-finite sample gets NaN in every column and
+    ``_NON_FINITE`` in every descriptor; the kernels see such a sample as 0,
+    so no other window changes. This is the one way the package reaches the
+    kernels; its callers give it a stack cut to the span of its windows."""
     # Each cached array is dropped after the last descriptor that reads it, so
     # few are alive at once and the allocator reuses their memory instead of
     # returning it to the system and faulting it in again on the next call. A

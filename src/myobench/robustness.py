@@ -17,10 +17,13 @@ is zero (PE undefined), or that the feature cannot define on its clean
 signal or any noisy copy, is left out as a whole: its attempts are not
 averaged but counted in the ``excluded`` column instead. A record whose
 clean power is zero (SNR undefined) is left out the same way for every
-feature. A feature that no record gives a PE for is named, with the
-reason, in the grid's ``unscored``: the fault of a descriptor that no
-record can give a value (see below), or else the reason of the first
-record, in record order, that excluded it.
+feature. Each pair's reason is kept as a code in one (records,
+descriptors) array: 0 for a scored pair, a kernel's fault code (see
+`registry._FAULTS`), or one of the grid's own, negative codes for zero
+clean power, a zero clean value and a descriptor that no record can give
+a value (see below). A feature that no record gives a PE for is named,
+with the reason, in the grid's ``unscored``: that descriptor's fault, or
+else record 0's reason, since every record excluded it.
 
 All features at a given (record, SNR, repetition) see the same noise draw,
 and each draw's stream is keyed by (seed, record index, SNR index,
@@ -34,18 +37,19 @@ recognition pipeline uses, ``registry._BLOCK_SAMPLES`` window samples: at
 the default 6 SNR levels x 10 repetitions a 256-sample record fills 61 rows,
 so a block holds 4 records. One `noise.add_wgn` call draws every noisy copy
 of the block straight into its rows of the block's matrix, the whole
-feature panel is extracted from the block in one call, and one
-`percentage_error` call scores the block. A record whose clean power is
-zero stays out of every block, and a descriptor that no record can give a
-value is left out of every extraction: one whose scalar component is out
-of range, or one that `registry._check_width` refuses at the records' width
+feature panel is extracted from the block in one `registry._columns`
+call, and one `percentage_error` call scores the block. The blocks are
+built over the records of nonzero clean power only, which get their codes
+before any block does, and a descriptor that no record can give a value is
+left out of every extraction: one whose scalar component is out of range,
+or one that `registry._check_width` refuses at the records' width
 (``mavslp``'s 3 segments of a 256-sample window). A row that a descriptor
 cannot define, such as a constant record's spectrum without its DC bin,
 does not stop the block's extraction: it comes back as NaN with a fault
-code (see `registry._FAULTS`), so one extraction per block finds every
-(record, descriptor) pair to leave out, and a pair's reason is the highest
-code over the record's rows. Every value, and so every row and every
-``unscored`` reason, is what extracting each record alone gives.
+code, so one extraction per block finds every (record, descriptor) pair to
+leave out, and a pair's code is the highest over the record's rows. Every
+value, and so every row and every ``unscored`` reason, is what extracting
+each record alone gives.
 """
 from __future__ import annotations
 
@@ -125,7 +129,7 @@ class RobustnessGrid:
     """Grid rows plus the descriptors they were scored with, HEMG ranges resolved.
 
     ``unscored`` maps the label of each feature that no record gave a PE for
-    to the reason its first record was excluded; its rows have ``n == 0``.
+    to the reason record 0 was excluded; its rows have ``n == 0``.
     """
 
     rows: list[GridRow]

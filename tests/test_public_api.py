@@ -145,7 +145,6 @@ def test_feature_function_is_its_extract_column(name, shape):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", FEATURE_NAMES)
 def test_feature_function_refuses_a_non_finite_sample(name, bad):
-    # rms used to give NaN, zc a count, mnf "spectrum has no mass"
     x = np.random.default_rng(0).standard_normal(240)
     x[5] = bad
     params = FEATURE_PARAMS.get(name, {})

@@ -239,7 +239,8 @@ class TestBlockExtraction:
                                        ["a", "b"])
             assert calls == [(6, 20)]
         trials[1].data[:, 1] = 1.0  # now only t2's NaN is a fault
-        with pytest.raises(ValueError, match="^trial t2, channel ch0: window holds a non-finite sample$"):
+        with pytest.raises(ValueError,
+                           match="^trial t2, channel ch0: window holds a non-finite sample$"):
             extract_window_set(trials, 1000.0, parse_features("rms,hemg:limit=2,mnf"), BLOCK_SEG,
                                ["a", "b"])
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from myobench import freq_features as ff
 from myobench import registry
-from myobench import time_features as tf
 from myobench.freq_features import ar_coefficients
 from myobench.registry import (FEATURE_NAMES, FEATURE_SETS, FeatureDescriptor, default_panel,
                                extract, extract_segments, feature_set, make_descriptor,
@@ -470,7 +469,8 @@ class TestExtractSegments:
         with_nan = x.copy()
         with_nan[20] = np.nan
         cases = [(parse_features("rms,wl"), x[:11], "signal too short"),
-                 (parse_features("rms,hemg:limit=1"), with_nan, "window holds a non-finite sample"),
+                 (parse_features("rms,hemg:limit=1"), with_nan,
+                  "window holds a non-finite sample"),
                  (parse_features("mav,mavslp:segments=5"), x, "does not divide")]
         for descriptors, samples, message in cases:
             got = outcome(lambda: extract_segments(descriptors, samples, 1000.0, cfg))
