@@ -305,8 +305,6 @@ def classify(data, sets, noise, vote, window_ms, slide_ms, seed, out):
         if repeated:
             raise ValueError(f"feature set {repeated[0]!r} is repeated")
         for name in names:  # a set name is part of its decision files' names
-            if not name:
-                raise ValueError("a feature set name is empty")
             if "/" in name or os.sep in name:
                 raise ValueError(f"feature set name {name!r} contains a path separator")
         feature_sets = dict(named_sets)

@@ -19,7 +19,8 @@ one signal. The grid's copy (record r, SNR s, repetition rep) draws from
 key ``(derive_seed(seed, r, s), rep)``. Keys are
 seeded in one batch: `derive_seeds` and `stream_words` hash every key with
 numpy's own SeedSequence algorithm, vectorised over the keys, and `fill_wgn`
-hands each precomputed row to ``PCG64``, so every draw is bit-identical to
+hands each precomputed row to ``PCG64`` through one reused seed object,
+drawing straight into the caller's rows, so every draw is bit-identical to
 ``default_rng`` on the same key.
 """
 from __future__ import annotations
@@ -204,7 +205,7 @@ def stream_words(stream_seeds, reps) -> np.ndarray:
 
 @functools.cache
 def _precomputed_seed_type():
-    """A seed-sequence type that hands a bit generator one precomputed state row.
+    """A seed-sequence type that hands a bit generator the state row in its ``words``.
 
     It is built on first use: numpy 2 imports ``numpy.random`` lazily, and
     loading it costs a command that draws no noise (``extract``) about 6 MB.
@@ -212,8 +213,7 @@ def _precomputed_seed_type():
     from numpy.random.bit_generator import ISeedSequence
 
     class PrecomputedWords(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
+        words: np.ndarray  # set by the caller before each bit generator is built
 
         def generate_state(self, n_words, dtype=np.uint32):
             if n_words != self.words.size or (dtype is not np.uint64
@@ -224,20 +224,29 @@ def _precomputed_seed_type():
     return PrecomputedWords
 
 
+def _rows(array):
+    """Every row of ``array`` along its last axis, in C order, as views into it."""
+    if array.ndim < 3:
+        return [array] if array.ndim == 1 else array
+    return itertools.chain.from_iterable(map(_rows, array))
+
+
 def fill_wgn(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill each row of ``out`` with draws from its own `stream_words` stream.
 
     ``out`` is a float array of shape (..., samples) and ``words`` its state
     rows, of shape (..., 4) with the same leading shape; any other shape is
-    a ValueError. Each row is drawn in place, and equals
+    a ValueError. The rows are walked as views of ``out``, whatever its
+    strides, and each is drawn in place by a ``PCG64`` seeded from its state
+    row through one reused seed object, so it equals
     ``default_rng((stream seed, repetition)).standard_normal`` of that row's
     key. Returns ``out``.
     """
     if words.shape[:-1] != out.shape[:-1]:
         raise ValueError(f"state rows {words.shape[:-1]} do not match rows {out.shape[:-1]}")
-    seed_type = _precomputed_seed_type()
-    for i in np.ndindex(out.shape[:-1]):
-        np.random.Generator(np.random.PCG64(seed_type(words[i]))).standard_normal(out=out[i])
+    seeds, generator, bits = _precomputed_seed_type()(), np.random.Generator, np.random.PCG64
+    for seeds.words, row in zip(words.reshape(-1, words.shape[-1]), _rows(out)):
+        generator(bits(seeds)).standard_normal(out=row)
     return out
 
 

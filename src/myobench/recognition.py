@@ -101,7 +101,9 @@ def lda_train(features, labels, class_names: list[str],
     one index into ``class_names`` per row; any other label is a ValueError.
     The covariance is pooled with n - K degrees of freedom and stabilized as
     cov + ridge * (trace(cov)/d) * I. Every class present must contribute at
-    least two windows.
+    least two windows. Features of zero within-class variance are a
+    ValueError whatever the ridge, and so is a pooled covariance that stays
+    singular (collinear features with ``ridge=0``).
     """
     X, y = np.asarray(features, dtype=float), np.asarray(labels, dtype=int)
     if X.ndim != 2:
@@ -134,14 +136,18 @@ def lda_train(features, labels, class_names: list[str],
         scatter += centered.T @ centered
         counts[i] = rows.shape[0]
     cov = scatter / (n - k)
+    trace = np.trace(cov)
+    if trace <= 0:
+        raise ValueError("features have zero variance; covariance is degenerate")
     if ridge > 0:
-        trace = np.trace(cov)
-        if trace <= 0:
-            raise ValueError("features have zero variance; covariance is degenerate")
         cov = cov + ridge * (trace / d) * np.eye(d)
     priors = counts / n
 
-    coef = np.linalg.solve(cov, means.T).T
+    try:
+        coef = np.linalg.solve(cov, means.T).T
+    except np.linalg.LinAlgError:
+        raise ValueError("pooled within-class covariance is singular; "
+                         "a ridge > 0 regularizes it") from None
     intercept = -0.5 * np.sum(coef * means, axis=1) + np.log(priors)
     return LdaModel(
         class_names=[class_names[c] for c in present],

@@ -15,22 +15,24 @@ one window. ``extract_segments`` takes one channel signal and a
 segmentation, and gives exactly what ``extract`` gives on that signal's
 windows. Every extraction is one `_columns` call, the only way to the
 kernels: it takes a (signals, span) stack whose signals each hold ``count``
-windows of ``width`` samples, one every ``slide`` (a window matrix is the
-stack with one window per row, ``slide == width``), and runs every kernel
-in one loop over the stack's ``_Intermediates``. That computes each
-elementwise intermediate (|x|, x^2, the differences, the event masks, the
-HEMG edge masks) once over the stack and hands each kernel its windows of
-it, as views from `signals._windows`: over a signal whose windows overlap,
+windows of ``width`` samples, one every ``slide`` (``extract`` passes a
+window matrix, the stack with one window per row; the robustness grid
+passes its block as a stack of one signal, the rows back to back; both
+have ``slide == width``), and runs every kernel in one loop over the
+stack's ``_Intermediates``. That computes each elementwise intermediate
+(|x|, x^2, the differences, the event masks, the HEMG edge masks) once over
+the stack and hands each kernel its windows of it, as views from
+`signals._windows`: over a signal whose windows overlap,
 every sample is transformed once, not once per window that holds it, and an
 event counter sums its mask over each window.
 
 Equal-length signals are extracted as one stack. A kernel pass has a
 fixed cost (dispatch, small temporaries) that dwarfs its work on one 3 s
 channel, so the recognition pipeline stacks short channels into blocks (see
-`recognition.extract_window_set`) and the robustness grid stacks records'
-copy matrices (see `robustness.run_grid`), each under one budget,
-``_BLOCK_SAMPLES``, and each block is one `_columns` call. Each row of a
-stack gets the values it would get alone, bit for bit.
+`recognition.extract_window_set`) and the robustness grid joins records'
+copy matrices into one signal (see `robustness.run_grid`), each under one
+budget, ``_BLOCK_SAMPLES``, and each block is one `_columns` call. Each
+window of a stack gets the values it would get alone, bit for bit.
 
 A window that a kernel cannot define does not stop the pass: an all-zero
 window's AR fit, a spectrum with no mass. That window gets NaN in the
@@ -74,7 +76,9 @@ class _Intermediates:
     hold ``count`` windows of ``width`` samples, one every ``slide``;
     trailing samples that do not fill a window are not part of the span. One
     signal is a stack of one, and a window matrix is the stack whose rows
-    each hold one window (``slide == width``). Every elementwise
+    each hold one window (``slide == width``); the same matrix's rows back
+    to back are a stack of one signal with the same windows, whose
+    intermediates are each one contiguous pass. Every elementwise
     intermediate is computed once over the source: those that several
     families read (|x|, x^2, the differences and their magnitudes) on first
     use, kept until no later descriptor reads them; the event masks and the
@@ -515,10 +519,16 @@ def parse_features(text: str) -> list[FeatureDescriptor]:
 
 
 def feature_set(name_or_spec: str) -> tuple[str, list[FeatureDescriptor]]:
-    """Resolve a set alias (hudgins/oskoei/robust) or ``name=feat+feat`` spec."""
+    """Resolve a set alias (hudgins/oskoei/robust) or ``name=feat+feat`` spec.
+
+    A spec whose name is empty is a ValueError: the name is part of the
+    names of the set's output files.
+    """
     text = name_or_spec.strip()
     if "=" in text and ":" not in text.split("=")[0]:
         set_name, _, body = text.partition("=")
+        if not set_name.strip():
+            raise ValueError("a feature set name is empty")
         return set_name.strip(), parse_features(body.replace("+", ","))
     if text.lower() in FEATURE_SETS:
         return text.lower(), parse_features(FEATURE_SETS[text.lower()])

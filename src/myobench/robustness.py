@@ -38,7 +38,11 @@ the default 6 SNR levels x 10 repetitions a 256-sample record fills 61 rows,
 so a block holds 4 records. One `noise.add_wgn` call draws every noisy copy
 of the block straight into its rows of the block's matrix, the whole
 feature panel is extracted from the block in one `registry._columns`
-call, and one `percentage_error` call scores the block. The blocks are
+call, and one `percentage_error` call scores the block. The extraction
+takes the block as one signal, the matrix's rows back to back with one
+window every ``width`` samples, so each elementwise intermediate is one
+contiguous pass over the block; the few differences and neighbour
+products that straddle two rows are computed but never read. The blocks are
 built over the records of nonzero clean power only, which get their codes
 before any block does, and a descriptor that no record can give a value is
 left out of every extraction: one whose scalar component is out of range,
@@ -187,7 +191,8 @@ def run_grid(dataset: Dataset, features: list[FeatureDescriptor], cfg: Robustnes
         matrix = np.empty((len(rec), copies, width))
         matrix[:, 0] = samples[rec]
         add_wgn(matrix[:, 0], factors, words[rec], matrix[:, 1:])
-        values, codes = _columns(joint, matrix.reshape(-1, width), width, width, dataset.rate)
+        # one signal whose back-to-back windows are the rows
+        values, codes = _columns(joint, matrix.reshape(1, -1), width, width, dataset.rate)
         values = values[:, picks].reshape(len(rec), copies, -1)
         # a (record, descriptor) pair's fault is its highest code over the record's rows
         block_codes = excluded[rec]

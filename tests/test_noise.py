@@ -351,6 +351,20 @@ class TestFillWgn:
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             fill_wgn(words, np.empty((rows, 16)))
 
+    def test_fills_rows_whose_leading_axes_cannot_merge_in_place(self):
+        # Every other (2, 3, 32) block of a 4-D array: no reshape to one row
+        # axis is a view, so a draw into a reshaped copy would be lost.
+        big = np.full((2, 4, 3, 32), np.nan)
+        out = big[:, ::2]
+        assert not np.shares_memory(out.reshape(-1, 32), big)
+        seeds = [4, 8, 15, 16]
+        words = stream_words(seeds, range(3)).reshape(2, 2, 3, 4)
+        assert fill_wgn(words, out) is out
+        for i, j, rep in np.ndindex(2, 2, 3):
+            np.testing.assert_array_equal(big[i, 2 * j, rep],
+                                          reference_draws(32, seeds[2 * i + j], rep))
+        assert np.isnan(big[:, 1::2]).all()
+
     def test_fills_every_row_of_any_leading_shape(self):
         words = stream_words([4, 8], [0, 1, 2])
         out = fill_wgn(words, np.full((2, 3, 40), np.nan))

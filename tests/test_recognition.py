@@ -324,6 +324,20 @@ class TestLdaTrain:
                                              "covariance is degenerate$"):
             lda_train([[1.0, 2.0]] * 2 + [[3.0, 4.0]] * 2, [0, 0, 1, 1], ["a", "b"])
 
+    def test_constant_features_are_refused_at_zero_ridge(self):
+        # The zero trace is checked whatever the ridge, before the solve.
+        with pytest.raises(ValueError, match="^features have zero variance; "
+                                             "covariance is degenerate$"):
+            lda_train([[1.0, 2.0]] * 2 + [[3.0, 4.0]] * 2, [0, 0, 1, 1], ["a", "b"], ridge=0)
+
+    def test_collinear_features_are_refused_at_zero_ridge(self):
+        # [x, 2x] with small whole x: the pooled covariance is exactly singular.
+        x = np.array([1.0, 2.0, 4.0, 7.0, 3.0, 5.0])
+        features, labels = np.c_[x, 2 * x], [0, 0, 0, 1, 1, 1]
+        with pytest.raises(ValueError, match="^pooled within-class covariance is singular"):
+            lda_train(features, labels, ["a", "b"], ridge=0)
+        assert lda_train(features, labels, ["a", "b"]).class_names == ["a", "b"]
+
     def test_non_finite_features_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             lda_train([[np.nan], [1.0], [0.5], [0.2]], [0, 0, 1, 1], ["a", "b"])

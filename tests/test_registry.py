@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from myobench import freq_features as ff
@@ -566,6 +566,40 @@ class TestStacks:
         np.testing.assert_array_equal(codes[~holds], good_codes[~holds])
         assert values[~holds].tobytes() == good_values[~holds].tobytes()
 
+    @given(descriptors=st.lists(descriptor_st, min_size=1, max_size=6),
+           width=st.integers(2, 40), rows=st.integers(1, 12),
+           quantum=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1),
+           planted=st.lists(st.tuples(st.integers(0, 2**16),
+                                      st.sampled_from(["zero", "constant", np.nan, np.inf,
+                                                       -np.inf])),
+                            max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_a_matrix_is_the_signal_of_its_rows_back_to_back(self, descriptors, width, rows,
+                                                              quantum, seed, planted):
+        # The robustness grid extracts its blocks this way: one signal, one
+        # window every width samples, so the few differences and neighbour
+        # products that straddle two rows are computed but never read.
+        descriptors = [d for d in descriptors if outcome(
+            lambda: registry._check_width([d], width)) is None]
+        assume(descriptors)
+        matrix = np.random.default_rng(seed).standard_normal((rows, width))
+        if quantum:  # zero differences and ties
+            matrix = np.round(matrix / quantum) * quantum
+        for at, kind in planted:
+            if kind == "zero":
+                matrix[at % rows] = 0.0
+            elif kind == "constant":
+                matrix[at % rows] = 3.0
+            else:
+                matrix[at % rows, at // rows % width] = kind
+        values, codes = registry._columns(descriptors, matrix, width, width, 1000.0)
+        joined, joined_codes = registry._columns(descriptors, matrix.reshape(1, -1), width,
+                                                 width, 1000.0)
+        assert codes.shape == joined_codes.shape == (rows, len(descriptors))
+        np.testing.assert_array_equal(joined_codes, codes)
+        assert joined.shape == values.shape
+        assert joined.tobytes() == values.tobytes()
+
 
 class TestScalarize:
     def test_defaults(self):
@@ -652,6 +686,12 @@ class TestSetsAndPanel:
     def test_unknown_alias(self):
         with pytest.raises(ValueError, match="unknown feature set"):
             feature_set("fancy")
+
+    @pytest.mark.parametrize("spec", ["=rms", " =rms+ar:order=2", "  = rms"])
+    def test_an_empty_set_name_is_refused(self, spec):
+        # the name is part of the set's decision files' names
+        with pytest.raises(ValueError, match="^a feature set name is empty$"):
+            feature_set(spec)
 
     def test_default_panel_covers_the_representatives(self):
         labels = [d.label for d in default_panel()]

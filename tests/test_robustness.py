@@ -362,13 +362,14 @@ def layout_records(rng, layout):
 
 def blocked_and_alone(monkeypatch, records, features, cfg):
     """run_grid under the default budget and with each record a block of its own,
-    with the record count of every extraction call of each run."""
+    with the record count of every extraction call of each run. Each call
+    passes its block as one signal of back-to-back windows."""
     calls = []
-    copies = 1 + len(cfg.snr_grid) * cfg.repetitions  # a record's rows
+    copies = 1 + len(cfg.snr_grid) * cfg.repetitions  # a record's windows
 
     def counted(features, rows, width, slide, rate):
-        assert len(rows) % copies == 0
-        calls[-1].append(len(rows) // copies)
+        assert len(rows) == 1 and slide == width and rows.size % (copies * width) == 0
+        calls[-1].append(rows.size // width // copies)
         return registry._columns(features, rows, width, slide, rate)
 
     with monkeypatch.context() as patch:
@@ -451,12 +452,12 @@ class TestBlocks:
         calls = []
 
         def counted(features, rows, width, slide, rate):
-            calls.append(rows.shape)
+            calls.append((len(rows), rows.size // width, slide))  # signals, windows, slide
             return registry._columns(features, rows, width, slide, rate)
 
         monkeypatch.setattr(robustness, "_columns", counted)
         grid = run_grid(records, features, cfg, SEG)
-        assert calls == [(n * 61, 256) for n in (4, 4, 2)]  # the flat 04 is no block
+        assert calls == [(1, n * 61, 256) for n in (4, 4, 2)]  # the flat 04 is no block
         same_rows(grid.rows, reference_rows(records, features, cfg))
         mnf = [(row.motion, row.n, row.excluded) for row in grid.rows
                if row.feature == "mnf" and row.snr_db == 0.0]
@@ -473,12 +474,12 @@ class TestBlocks:
         calls = []
 
         def counted(features, rows, width, slide, rate):
-            calls.append(rows.shape)
+            calls.append((len(rows), rows.size // width, slide))  # signals, windows, slide
             return registry._columns(features, rows, width, slide, rate)
 
         monkeypatch.setattr(robustness, "_columns", counted)
         grid = run_grid(dataset, default_panel() + parse_features("mavslp"), cfg, SEG)
-        assert calls == [(4 * 61, 256)] * 48  # 192 records, 4 to a block
+        assert calls == [(1, 4 * 61, 256)] * 48  # 192 records, 4 to a block
         same_rows([row for row in grid.rows if row.feature != "mavslp"], panel.rows)
         mavslp = [row for row in grid.rows if row.feature == "mavslp"]
         assert {(row.n, row.excluded) for row in mavslp} == {(0, 48 * 10)}  # per motion
@@ -528,10 +529,10 @@ class TestRecordsFromDataset:
             blocks.clear()
             cfg = RobustnessConfig(snr_grid=(20.0,), repetitions=1, max_windows=max_windows)
             run_grid(dataset, parse_features("rms"), cfg, SegmentationConfig())
-            # each record's rows: its clean window and one noisy copy
-            assert all(shape[0] % 2 == 0 and shape[1:] == (256,) and rate == dataset.rate
+            # one signal per block; each record's windows: its clean one and one noisy copy
+            assert all(shape[0] == 1 and shape[1] % (2 * 256) == 0 and rate == dataset.rate
                        for shape, rate in blocks)
-            return sum(shape[0] // 2 for shape, _ in blocks)
+            return sum(shape[1] // 256 // 2 for shape, _ in blocks)
 
         assert record_count(1) == 2 * 2  # trials x channels, one window each
         assert record_count(None) == 2 * 2 * 12
