@@ -472,10 +472,12 @@ class CrTable:
 
     @staticmethod
     def level_labels(levels) -> list[str]:
-        """The labels of ``levels``; a repeated label is a ValueError, since
-        each label names one column, report cell and decision file."""
+        """The labels of ``levels``; a repeated level (compared as floats, so
+        0 and -0 are one level; nan by its label) is a ValueError, since each
+        level names one column, report cell and decision file."""
         labels = [CrTable.level_label(level) for level in levels]
-        repeated = [label for i, label in enumerate(labels) if label in labels[:i]]
+        repeated = [label for i, (level, label) in enumerate(zip(levels, labels))
+                    if level in levels[:i] or label in labels[:i]]
         if repeated:
             raise ValueError(f"noise level {repeated[0]} is repeated")
         return labels

@@ -15,10 +15,10 @@ one window. ``extract_segments`` takes one channel signal and a
 segmentation, and gives exactly what ``extract`` gives on that signal's
 windows. Every extraction is one `_columns` call, the only way to the
 kernels: it takes a (signals, span) stack whose signals each hold ``count``
-windows of ``width`` samples, one every ``slide`` (``extract`` passes a
-window matrix, the stack with one window per row; the robustness grid
-passes its block as a stack of one signal, the rows back to back; both
-have ``slide == width``), and runs every kernel in one loop over the
+windows of ``width`` samples, one every ``slide`` (``extract`` passes its
+window matrix and the robustness grid its block as a stack of one signal,
+the rows back to back with ``slide == width``; no caller passes a stack
+with one window per row), and runs every kernel in one loop over the
 stack's ``_Intermediates``. That computes each elementwise intermediate
 (|x|, x^2, the differences, the event masks, the HEMG edge masks) once over
 the stack and hands each kernel its windows of it, as views from
@@ -75,9 +75,9 @@ class _Intermediates:
     ``source`` is a (signals, span) stack of equal-length signals that each
     hold ``count`` windows of ``width`` samples, one every ``slide``;
     trailing samples that do not fill a window are not part of the span. One
-    signal is a stack of one, and a window matrix is the stack whose rows
-    each hold one window (``slide == width``); the same matrix's rows back
-    to back are a stack of one signal with the same windows, whose
+    signal is a stack of one. A window matrix could be the stack whose rows
+    each hold one window (``slide == width``), but every caller passes its
+    rows back to back, a stack of one signal with the same windows, whose
     intermediates are each one contiguous pass. Every elementwise
     intermediate is computed once over the source: those that several
     families read (|x|, x^2, the differences and their magnitudes) on first
@@ -363,7 +363,9 @@ def extract(descriptors, windows, rate: float) -> np.ndarray:
     if x.ndim not in (1, 2):
         raise ValueError("need a 1-D window or a (windows, samples) matrix")
     width = x.shape[-1]  # a 0-sample window is one window too; `_check_width` refuses it
-    return _defined(*_columns(descriptors, np.atleast_2d(x), width, max(width, 1), rate))
+    # The rows back to back are one signal with the same windows, whose
+    # intermediates are each one contiguous pass.
+    return _defined(*_columns(descriptors, x.reshape(1, x.size), width, max(width, 1), rate))
 
 
 def extract_segments(descriptors, samples, rate: float, cfg: SegmentationConfig) -> np.ndarray:
@@ -452,7 +454,8 @@ def _columns(descriptors, stack, width: int, slide: int, rate: float):
     A window that holds a non-finite sample gets NaN in every column and
     ``_NON_FINITE`` in every descriptor; the kernels see such a sample as 0,
     so no other window changes. This is the one way the package reaches the
-    kernels; its callers give it a stack cut to the span of its windows."""
+    kernels; its callers give it a stack cut to the span of its windows, and
+    a window matrix as one signal of its rows back to back."""
     # Each cached array is dropped after the last descriptor that reads it, so
     # few are alive at once and the allocator reuses their memory instead of
     # returning it to the system and faulting it in again on the next call. A

@@ -167,7 +167,7 @@ def run_grid(dataset: Dataset, features: list[FeatureDescriptor], cfg: Robustnes
         trial, ch = signals[owner[np.argwhere(~np.isfinite(samples))[0, 0]]]
         raise ValueError(f"trial {trial.trial_id}, channel {trial.channels[ch]}: "
                          "non-finite samples")
-    features = resolve_hemg_peak(features, peak_amplitude(samples)[0])
+    features = resolve_hemg_peak(features, peak_amplitude([samples.T])[0])  # one trial
 
     records, width = samples.shape
     reps = cfg.repetitions

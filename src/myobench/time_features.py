@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 
 import numpy as np
 
@@ -141,8 +140,8 @@ def hemg(window, bins: int = DEFAULT_HEMG_BINS, limit: float = 1.0) -> np.ndarra
 # The kernels below take elementwise intermediates precomputed: |x|, the
 # differences d_n = x_{n+1} - x_n, the products of neighbouring differences
 # and the HEMG edge masks. `registry` computes each once over its stack of
-# signals (whose overlapping windows share one pass; a window matrix is the
-# stack with one window per row) and hands every kernel its windows of them.
+# signals (whose overlapping windows share one pass; a window matrix is one
+# signal of its rows back to back) and hands every kernel its windows of them.
 # A float kernel reduces each window's values in the order a copy of that
 # window would; an event mask is summed per window by
 # `registry._Intermediates.counts`, which hemg's kernel calls once per bin
@@ -197,53 +196,31 @@ def _hemg_bin(x: float, bins: int, limit: float) -> int:
     return min(math.floor(scaled), bins - 1)  # +limit scales to bins, past the top bin
 
 
-_SIGN = 1 << 63
-_BITS, _FLOAT = struct.Struct("<Q"), struct.Struct("<d")
-
-
-def _ordinal(x: float) -> int:
-    """x's rank among the doubles: consecutive doubles have consecutive ranks,
-    and -0.0 ranks with 0.0."""
-    (bits,) = _BITS.unpack(_FLOAT.pack(x))
-    return bits if bits < _SIGN else _SIGN - bits
-
-
-def _double(rank: int) -> float:
-    """The double of an `_ordinal` rank."""
-    return _FLOAT.unpack(_BITS.pack(rank if rank >= 0 else _SIGN - rank))[0]
-
-
 @functools.lru_cache(maxsize=256)
 def _hemg_edges(bins: int, limit: float) -> tuple[float, ...]:
     """The lower edges e_1 .. e_{bins-1}: e_j is the least double whose bin is j or more.
 
     Each step of `_hemg_bin` (clamp, shift, divide, floor, clamp) is
     non-decreasing in x under IEEE rounding, so a sample's bin is j or more
-    exactly when the sample is e_j or more. Each edge is found by bisection
-    over the doubles in [-limit, +limit], whose bins run from 0 to that of
-    +limit; a bin that +limit does not reach has the edge inf, which no
-    finite sample reaches. A `registry.FeatureDescriptor` keeps 2 * limit
-    finite and the bin width above 0, so the formula is finite there.
+    exactly when the sample is e_j or more. Each edge is found by bisecting
+    the values in [-limit, +limit], whose bins run from 0 to that of +limit,
+    keeping bin(lo) < j <= bin(hi). The rounded midpoint lo + (hi - lo) / 2
+    lies strictly between lo and hi whenever some double does, so once it
+    equals lo or hi no double lies between them and hi is e_j. A bin that
+    +limit does not reach has the edge inf, which no finite sample reaches.
+    A `registry.FeatureDescriptor` keeps 2 * limit finite and the bin width
+    above 0, so the formula and hi - lo are finite there.
     """
     edges = []
-    lo, top = _ordinal(-limit), _ordinal(limit)  # the bin of lo stays below j
-    top_bin = _hemg_bin(limit, bins, limit)
+    lo, top_bin = -limit, _hemg_bin(limit, bins, limit)
     for j in range(1, top_bin + 1):
-        hi = top
-        # e_j lies within a few doubles of -limit + j * width, so narrow the
-        # search to 2**6 doubles on either side of that where the bins allow.
-        near = _ordinal(-limit + j * (2.0 * limit / bins))
-        if lo < near - 2**6 and _hemg_bin(_double(near - 2**6), bins, limit) < j:
-            lo = near - 2**6
-        if near + 2**6 < hi and _hemg_bin(_double(near + 2**6), bins, limit) >= j:
-            hi = near + 2**6
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _hemg_bin(_double(mid), bins, limit) >= j:
+        hi = limit
+        while (mid := lo + (hi - lo) / 2) != lo and mid != hi:
+            if _hemg_bin(mid, bins, limit) >= j:
                 hi = mid
             else:
                 lo = mid
-        edges.append(_double(hi))
+        edges.append(hi)
     return tuple(edges) + (math.inf,) * (bins - 1 - top_bin)
 
 

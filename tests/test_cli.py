@@ -232,6 +232,13 @@ class TestSynth:
         assert message in result.output
         assert not list(tmp_path.iterdir())
 
+    def test_trial_too_short_is_usage_error(self, runner, tmp_path):
+        # 1 ms at 1 kHz is one sample, too few for a trial.
+        result = runner.invoke(main, synth_args(tmp_path / "d", duration=1))
+        assert result.exit_code == 2, result.output
+        assert "trial_ms too short for the sampling rate" in result.output
+        assert not list(tmp_path.iterdir())
+
     def test_zero_channels_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, synth_args(tmp_path / "d") + ["--channels", "0"])
         assert result.exit_code == 2, result.output
@@ -935,6 +942,7 @@ class TestClassify:
     @pytest.mark.parametrize("option, value, message", [
         ("--noise", "clean,clean,20,20.0", "noise level clean is repeated"),
         ("--noise", "10,20,20.0", "noise level 20dB is repeated"),
+        ("--noise", "0,-0", "noise level -0dB is repeated"),
         ("--sets", "hudgins,hudgins", "feature set 'hudgins' is repeated"),
         ("--sets", "a=rms,a=mav", "feature set 'a' is repeated"),
         ("--vote", "4", "odd positive count, got 4"),

@@ -521,6 +521,10 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="10-500"):
             ClassSpec(name="x", band=(5.0, 100.0), amplitude=1.0)
 
+    def test_no_class_rejected(self):
+        with pytest.raises(ValueError, match="need at least one class spec"):
+            SynthConfig(classes=())
+
     def test_band_must_clear_nyquist(self):
         spec = ClassSpec(name="x", band=(10.0, 300.0), amplitude=1.0)
         with pytest.raises(ValueError, match="Nyquist"):

@@ -83,6 +83,11 @@ class TestArCoefficients:
         with pytest.raises(ValueError, match="zero"):
             ar_coefficients(np.zeros(64), order=1)
 
+    @pytest.mark.parametrize("shape", [(64,), (2, 3, 64)])
+    def test_levinson_durbin_needs_a_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"need a \(windows, samples\) matrix"):
+            ff.levinson_durbin(np.ones(shape), order=1)
+
     def test_order_bounds(self):
         with pytest.raises(ValueError):
             ar_coefficients(np.ones(8), order=8)

@@ -821,6 +821,7 @@ class TestEvaluateFeatureSets:
     @pytest.mark.parametrize("levels, repeated", [
         ([None, 20.0, None], "clean"),
         ([20.0, 20], "20dB"),
+        ([0.0, -0.0], "-0dB"),
     ])
     def test_repeated_level_label_rejected(self, levels, repeated):
         dataset = small_dataset(n_classes=2, trials_per_class=2, seed=10)

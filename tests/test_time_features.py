@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from myobench import time_features
@@ -264,6 +264,25 @@ class TestHemgEdges:
             for j, edge in enumerate(edges, 1):
                 below, at = hemg_bin_index([np.nextafter(edge, -np.inf), edge], bins, limit)
                 assert below < j <= at, (bins, j, edge)
+
+    @given(st.integers(1, 64), st.floats(5e-324, 8.98e307))
+    @example(9, 3.5e-323)
+    @example(1, 5e-324)
+    @example(2, 1e-310)
+    @example(11, 2.0 ** -1022)
+    @example(64, 8.98e307)
+    @example(3, np.nextafter(8.98e307, np.inf))
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_limit_has_least_double_edges(self, bins, limit):
+        assume(2.0 * limit / bins > 0)  # a descriptor refuses a zero bin width
+        edges = time_features._hemg_edges(bins, limit)
+        assert len(edges) == bins - 1
+        top = hemg_bin_index([limit], bins, limit)[0]
+        for j, edge in enumerate(edges, 1):
+            assert np.isfinite(edge) == (j <= top), (bins, limit, j, edge)
+            if j <= top:
+                below, at = hemg_bin_index([np.nextafter(edge, -np.inf), edge], bins, limit)
+                assert below < j <= at, (bins, limit, j, edge)
 
     def test_an_edge_past_the_top_bin_is_inf(self):
         # 9 bins of 3.5e-323 are narrower than the subnormal spacing: +limit
